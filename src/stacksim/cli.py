@@ -15,7 +15,7 @@ from .arch import ArchConfig, ArchError, derived_metrics, parse_arch
 from .dramsim import DramSystem, stats as dram_stats
 from .kerneldsl.checker import TypecheckError, typecheck
 from .kerneldsl.parser import KernelSyntaxError, ast_to_json, parse_kernel
-from .orchestrator import ComputeOp, run, simulate_compute
+from .orchestrator import ComputeBody, ComputeOp, run, simulate_compute
 from .sweep import default_power_model
 from .thermal import regulate
 from .tiler import TilerError, autotune, generate_execution, infer_placement
@@ -90,7 +90,7 @@ def cmd_tune(args) -> int:
     bindings = _parse_bindings(args.bind)
 
     def sim_latency(checked, desc):
-        return simulate_compute(ComputeOp(prog.name, checked, desc), cfg).cycles
+        return simulate_compute(ComputeOp(prog.name, ComputeBody(checked, desc)), cfg).cycles
 
     tiling, desc = autotune(prog, cfg, bindings, sim_latency, limit=args.limit)
     print("best tiling: " + " ".join(f"{k}={v}" for k, v in sorted(tiling.items())))
@@ -113,7 +113,8 @@ def cmd_simulate(args) -> int:
         prog = _load_kernel_arg(args.kernel)
         checked = typecheck(prog, cfg, _parse_bindings(args.bind))
         desc = generate_execution(checked, cfg)
-        ops = [ComputeOp(prog.name, checked, desc, infer_placement(checked, cfg))]
+        ops = [ComputeOp(prog.name, ComputeBody(checked, desc,
+                                                infer_placement(checked, cfg)))]
     if args.regulate:
         import dataclasses
         reg = regulate(cfg, default_power_model(cfg), resolution=16)

@@ -30,7 +30,7 @@ FCFS because it evaluates both orders and keeps the cheaper one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .arch import ArchConfig, DramTiming
 
@@ -123,7 +123,10 @@ class ChannelStats:
     row_misses: int = 0
     busy_cycles: int = 0
     last_completion: int = 0
-    latencies: list[int] = field(default_factory=list)
+    # Count, sum and max over serviced chunks of completion minus ready cycle.
+    latency_count: int = 0
+    latency_sum: int = 0
+    latency_max: int = 0
 
 
 class ChannelSim:
@@ -177,6 +180,11 @@ class ChannelSim:
             st.bytes_written += chunk.nbytes
         completion = last + tm.tBURST
         st.last_completion = max(st.last_completion, completion)
+        latency = completion - ready
+        st.latency_count += 1
+        st.latency_sum += latency
+        if latency > st.latency_max:
+            st.latency_max = latency
         return completion
 
 
@@ -202,7 +210,6 @@ class DramSystem:
             for chunks in split_ranges([(req.addr, req.bytes)], self.cfg):
                 for chunk in chunks:
                     done = self.channels[chunk.channel].service(req.ready, req.kind, chunk)
-                    self.channels[chunk.channel].stats.latencies.append(done - req.ready)
                     completion = max(completion, done)
         self._pending.clear()
         return completion
@@ -250,7 +257,8 @@ def stats(system: DramSystem, start_cycle: int = 0) -> dict:
     util = achieved / (peak_bytes_per_cycle * n) if elapsed > 0 else 0.0
     hits = sum(c.stats.row_hits for c in system.channels)
     misses = sum(c.stats.row_misses for c in system.channels)
-    lats = [l for c in system.channels for l in c.stats.latencies]
+    lat_count = sum(c.stats.latency_count for c in system.channels)
+    lat_sum = sum(c.stats.latency_sum for c in system.channels)
     freq_ghz = system.cfg.core.frequency_ghz
     return {
         "elapsed_cycles": elapsed,
@@ -260,6 +268,6 @@ def stats(system: DramSystem, start_cycle: int = 0) -> dict:
         "utilization": util,
         "row_hit_rate": hits / (hits + misses) if hits + misses else 0.0,
         "act_count": sum(c.stats.act_count for c in system.channels),
-        "latency_mean": sum(lats) / len(lats) if lats else 0.0,
-        "latency_max": max(lats, default=0),
+        "latency_mean": lat_sum / lat_count if lat_count else 0.0,
+        "latency_max": max((c.stats.latency_max for c in system.channels), default=0),
     }

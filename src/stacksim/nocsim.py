@@ -81,13 +81,13 @@ class _Router:
 class MeshSim:
     """Cycle-stepped mesh simulator; advance with tick() or run to drain."""
 
-    def __init__(self, cfg: ArchConfig):
+    def __init__(self, cfg: ArchConfig, start_cycle: int = 0):
         self.cfg = cfg
         noc = cfg.noc
         self.rows, self.cols = noc.rows, noc.cols
         self.routers = {(m, n): _Router((m, n), noc.input_queue_flits)
                         for m in range(self.rows) for n in range(self.cols)}
-        self.now = 0
+        self.start_cycle = self.now = start_cycle
         self.packets: dict[int, Packet] = {}
         self._next_pid = 0
         self._inflight: list[tuple[int, tuple[int, int], int, _Flit]] = []
@@ -209,8 +209,9 @@ class MeshSim:
                 and all(not q for r in self.routers.values() for q in r.queues))
 
     def run_until_drained(self, limit: int = 10_000_000) -> int:
+        """Tick until idle; `limit` bounds the cycles since `start_cycle`."""
         while not self.idle():
-            if self.now > limit:
+            if self.now - self.start_cycle > limit:
                 raise RuntimeError("NoC simulation did not drain")
             self.tick()
         return max((p.complete_cycle for p in self.packets.values()), default=0)
@@ -233,8 +234,7 @@ def run_plan(plan: CommPlan, arr: CoreArray, cfg: ArchConfig, start_cycle: int =
     sends injected and its recvs delivered) are complete; per-pair ordering
     is preserved by deterministic routing.
     """
-    sim = MeshSim(cfg)
-    sim.now = start_cycle
+    sim = MeshSim(cfg, start_cycle)
     by_step: dict[int, list] = {}
     for entry in plan.steps:
         by_step.setdefault(entry.step, []).append(entry)

@@ -7,14 +7,22 @@ send/recv schedules on the mesh, and inter-accelerator transfers use the
 analytic link model. Operators are separated by global barriers; inside an
 operator, each pipeline iteration advances time by the slowest engine, so
 overlapped loads and compute cost max(load, compute) rather than their sum.
+
+Because of the barriers, every operator starts on fresh DRAM channel state
+and an empty mesh, so its cycles and statistics depend only on what it runs
+(a compute body, or a collective's kind, plan and core array) and on the
+config, never on the cycle at which it starts. The simulate functions
+therefore time each operator from cycle 0, and `run` simulates each distinct
+body or collective once per call and reuses the result for its repeats.
 """
 
 from __future__ import annotations
 
 import csv
+import dataclasses
 import io
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .arch import ArchConfig
 from .dramsim import DramSystem, Request, schedule_tile, stats as dram_stats
@@ -28,13 +36,28 @@ from .partition import CommPlan, CoreArray
 from .tiler import ExecutionDescription, TensorPlacement, infer_placement
 
 
+@dataclass(frozen=True, eq=False)
+class ComputeBody:
+    """What a compute operator simulates. Compared and hashed by identity:
+    operators that share a body share one simulation in `run`."""
+    checked: CheckedProgram
+    desc: ExecutionDescription
+    placement: TensorPlacement | None = None
+
+
 @dataclass(frozen=True)
 class ComputeOp:
     """One kernel invocation, identical on every core (SPMD)."""
     name: str
-    checked: CheckedProgram
-    desc: ExecutionDescription
-    placement: TensorPlacement | None = None
+    body: ComputeBody
+
+    @property
+    def checked(self) -> CheckedProgram:
+        return self.body.checked
+
+    @property
+    def desc(self) -> ExecutionDescription:
+        return self.body.desc
 
 
 @dataclass(frozen=True)
@@ -126,13 +149,14 @@ def roofline_cycles(checked: CheckedProgram, desc: ExecutionDescription) -> int:
     return max(compute, traffic, 1)
 
 
-def simulate_compute(op: ComputeOp, cfg: ArchConfig, start_cycle: int = 0) -> OperatorResult:
+def simulate_compute(op: ComputeOp, cfg: ArchConfig) -> OperatorResult:
     """Execute one pipelined kernel on a representative core."""
-    placement = op.placement or infer_placement(op.checked, cfg)
+    body = op.body
+    placement = body.placement or infer_placement(body.checked, cfg)
     dram = DramSystem(cfg)
-    now = start_cycle
+    now = 0
     m_flops = v_flops = dram_bytes = 0
-    for desc_op in op.desc.operators:
+    for desc_op in body.desc.operators:
         for it in desc_op.iterations:
             mem_events = [e for e in it if isinstance(e, (DramRead, DramWrite))]
             compute_cycles = 0
@@ -154,9 +178,9 @@ def simulate_compute(op: ComputeOp, cfg: ArchConfig, start_cycle: int = 0) -> Op
                 mem_done = dram.drain()
                 dram_bytes += sum(e.bytes for e in mem_events)
             now = max(mem_done, now + compute_cycles)
-    cycles = now - start_cycle
-    bound = roofline_cycles(op.checked, op.desc)
-    d = dram_stats(dram, start_cycle)
+    cycles = now
+    bound = roofline_cycles(body.checked, body.desc)
+    d = dram_stats(dram)
     en = cfg.energy
     energy = dram_bytes * 8 * en.dram_pj_per_bit * 1e-12 \
         + (m_flops + v_flops) * en.flop_pj * 1e-12
@@ -168,9 +192,9 @@ def simulate_compute(op: ComputeOp, cfg: ArchConfig, start_cycle: int = 0) -> Op
         energy_j=energy)
 
 
-def simulate_collective(op: CollectiveOp, cfg: ArchConfig, start_cycle: int = 0) -> OperatorResult:
-    result = run_plan(op.plan, op.array, cfg, start_cycle=start_cycle)
-    cycles = max(result.makespan - start_cycle, 0)
+def simulate_collective(op: CollectiveOp, cfg: ArchConfig) -> OperatorResult:
+    result = run_plan(op.plan, op.array, cfg)
+    cycles = result.makespan
     # Lower bound: the busiest core's send bytes over one link.
     per_core = max((op.plan.bytes_sent(c) for c in op.array.coords()), default=0)
     bound = math.ceil(per_core / cfg.noc.link_bytes_per_cycle) if per_core else 0
@@ -195,19 +219,36 @@ def inter_accel_cycles(nbytes: int, cfg: ArchConfig) -> int:
     return math.ceil(cycles - 1e-6)
 
 
+def _simulate_once(memo: dict, key, op, simulate, cfg: ArchConfig) -> OperatorResult:
+    """`simulate(op, cfg)` for the first operator with `key`; a later one
+    gets a copy of that result under its own name."""
+    cached = memo.get(key)
+    if cached is None:
+        memo[key] = cached = simulate(op, cfg)
+        return cached
+    return dataclasses.replace(cached, name=op.name)
+
+
 def run(operators: list, cfg: ArchConfig) -> SimReport:
-    """Simulate an operator graph with barriers between operators."""
+    """Simulate an operator graph with barriers between operators.
+
+    Each distinct compute body and each distinct (kind, plan, array)
+    collective is simulated once; `cfg` is fixed for the call, so it is not
+    part of the key.
+    """
     now = 0
     results: list[OperatorResult] = []
     energy = {"dram": 0.0, "compute": 0.0, "noc": 0.0, "inter": 0.0}
+    memo: dict = {}
     for op in operators:
         if isinstance(op, ComputeOp):
-            res = simulate_compute(op, cfg, start_cycle=now)
+            res = _simulate_once(memo, op.body, op, simulate_compute, cfg)
             energy["dram"] += res.dram_bytes * 8 * cfg.energy.dram_pj_per_bit * 1e-12
             energy["compute"] += (res.matrix_flops + res.vector_flops) \
                 * cfg.energy.flop_pj * 1e-12
         elif isinstance(op, CollectiveOp):
-            res = simulate_collective(op, cfg, start_cycle=now)
+            res = _simulate_once(memo, (op.kind, op.plan, op.array), op,
+                                 simulate_collective, cfg)
             energy["noc"] += res.energy_j
         elif isinstance(op, InterAccelOp):
             cycles = inter_accel_cycles(op.bytes, cfg)

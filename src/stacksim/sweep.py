@@ -16,7 +16,7 @@ import math
 
 from .arch import ArchConfig, validate
 from .kerneldsl.checker import typecheck
-from .orchestrator import ComputeOp, simulate_compute
+from .orchestrator import ComputeBody, ComputeOp, simulate_compute
 from .thermal import RegulationResult, regulate
 from .tiler import TilerError, autotune, infer_placement
 from .workloads import load_kernel
@@ -117,7 +117,7 @@ def evaluate_point(cfg: ArchConfig, power_model=None,
     prog = load_kernel("matmul")
 
     def sim_latency(checked, desc):
-        return simulate_compute(ComputeOp("probe", checked, desc), cfg).cycles
+        return simulate_compute(ComputeOp("probe", ComputeBody(checked, desc)), cfg).cycles
 
     try:
         tiling, desc = autotune(prog, cfg, dict(PROBE_SHAPE), sim_latency)
@@ -127,8 +127,8 @@ def evaluate_point(cfg: ArchConfig, power_model=None,
                 "peak_temperature_c": reg.peak_temperature_c,
                 "thermally_feasible": reg.feasible}
     checked = typecheck(prog, cfg, dict(PROBE_SHAPE, **tiling))
-    res = simulate_compute(ComputeOp("probe", checked, desc,
-                                     infer_placement(checked, cfg)), cfg)
+    res = simulate_compute(ComputeOp("probe", ComputeBody(
+        checked, desc, infer_placement(checked, cfg))), cfg)
     seconds = res.cycles / (cfg.core.frequency_ghz * 1e9)
     return {
         "frequency_ghz": reg.frequency_ghz,

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass, field
 from importlib import resources
@@ -13,7 +14,7 @@ from .dramsim import Request
 from .kerneldsl.ast import DTYPE_BYTES, KernelProgram
 from .kerneldsl.checker import typecheck
 from .kerneldsl.parser import parse_kernel
-from .orchestrator import CollectiveOp, ComputeOp, InterAccelOp
+from .orchestrator import CollectiveOp, ComputeBody, ComputeOp, InterAccelOp
 from .partition import CoreArray, build_collective
 from .tiler import generate_execution, infer_placement
 
@@ -22,8 +23,10 @@ class WorkloadError(ValueError):
     pass
 
 
+@functools.cache
 def load_kernel(name: str) -> KernelProgram:
-    """Load a kernel shipped with the package by bare name."""
+    """Load a kernel shipped with the package by bare name, parsed once per
+    process (the kernels are package files and the program is frozen)."""
     text = resources.files("stacksim").joinpath(f"kernels/{name}.kl").read_text()
     return parse_kernel(text)
 
@@ -167,26 +170,6 @@ def _pick_tiling(m: int, k: int, n: int, cfg: ArchConfig) -> dict[str, int]:
     raise WorkloadError(f"no feasible tiling for ({m},{k})x({k},{n})")
 
 
-def make_fc_op(name: str, m: int, k: int, n: int, cfg: ArchConfig,
-               tiling: dict[str, int] | None = None) -> ComputeOp:
-    prog = load_kernel("matmul_rowblock")
-    bindings = {"M": m, "K": k, "N": n}
-    bindings.update(tiling or _pick_tiling(m, k, n, cfg))
-    checked = typecheck(prog, cfg, bindings)
-    desc = generate_execution(checked, cfg, name=name)
-    return ComputeOp(name, checked, desc, infer_placement(checked, cfg))
-
-
-def make_attention_op(name: str, batch: int, head_dim: int, context: int,
-                      cfg: ArchConfig) -> ComputeOp:
-    prog = load_kernel("fused_attention")
-    tl = min(context, 512)
-    checked = typecheck(prog, cfg, {"B": batch, "D": head_dim,
-                                    "L": context, "tL": tl})
-    desc = generate_execution(checked, cfg, name=name)
-    return ComputeOp(name, checked, desc, infer_placement(checked, cfg))
-
-
 def build_decoding_graph(model: ModelSpec, scen: DecodingScenario,
                          cfg: ArchConfig, layers: int | None = None) -> list:
     """Per-decoding-step operator graph for one accelerator.
@@ -198,6 +181,10 @@ def build_decoding_graph(model: ModelSpec, scen: DecodingScenario,
     followed by a 2D all-reduce. The batch dimension is never partitioned.
     MoE routing uses the uniform expectation: each expert sees
     batch * top_k / experts tokens (at least one).
+
+    Operators that run the same kernel with the same bindings share one
+    `ComputeBody`, and collectives of the same kind and size share one
+    `CommPlan`, so each is built once per call.
     """
     problems = model.validate() + scen.validate(model)
     if problems:
@@ -209,6 +196,27 @@ def build_decoding_graph(model: ModelSpec, scen: DecodingScenario,
     n_layers = layers if layers is not None else model.layers
     batch = scen.batch
     ar_bytes = max(1, batch * model.hidden * dt // cores)
+    bodies: dict = {}  # (kernel, sorted bindings) -> ComputeBody
+    plans: dict = {}  # (kind, bytes) -> CommPlan
+
+    def compute(name: str, kernel: str, bindings: dict[str, int]) -> ComputeOp:
+        key = (kernel, tuple(sorted(bindings.items())))
+        if key not in bodies:
+            checked = typecheck(load_kernel(kernel), cfg, bindings)
+            bodies[key] = ComputeBody(checked, generate_execution(checked, cfg),
+                                      infer_placement(checked, cfg))
+        return ComputeOp(name, bodies[key])
+
+    def fc(name: str, m: int, k: int, n: int) -> ComputeOp:
+        return compute(name, "matmul_rowblock",
+                       {"M": m, "K": k, "N": n, **_pick_tiling(m, k, n, cfg)})
+
+    def collective(name: str, kind: str) -> CollectiveOp:
+        key = (kind, ar_bytes)
+        if key not in plans:
+            plans[key] = build_collective(arr, kind, ar_bytes)
+        return CollectiveOp(name, kind, plans[key], arr)
+
     ops: list = []
     for layer in range(n_layers):
         pre = f"layer{layer}."
@@ -219,25 +227,17 @@ def build_decoding_graph(model: ModelSpec, scen: DecodingScenario,
                 routed = max(1, batch * model.top_k // model.experts)
                 experts_here = max(1, model.experts // scen.ep)
                 for e in range(experts_here):
-                    ops.append(make_fc_op(f"{pre}{fc_name}{e}", routed,
-                                          shard_k, shard_n, cfg))
-                ops.append(CollectiveOp(f"{pre}{fc_name}.all_reduce",
-                                        "all_reduce_1d",
-                                        build_collective(arr, "all_reduce_1d", ar_bytes),
-                                        arr))
+                    ops.append(fc(f"{pre}{fc_name}{e}", routed, shard_k, shard_n))
+                ops.append(collective(f"{pre}{fc_name}.all_reduce", "all_reduce_1d"))
                 continue
-            ops.append(make_fc_op(pre + fc_name, batch, shard_k, shard_n, cfg))
-            ops.append(CollectiveOp(f"{pre}{fc_name}.all_reduce", "all_reduce_1d",
-                                    build_collective(arr, "all_reduce_1d", ar_bytes),
-                                    arr))
+            ops.append(fc(pre + fc_name, batch, shard_k, shard_n))
+            ops.append(collective(f"{pre}{fc_name}.all_reduce", "all_reduce_1d"))
             if fc_name == "qkv_fc":
                 ctx = max(1, scen.context // cores)
-                ops.append(make_attention_op(pre + "attention", batch,
-                                             model.head_dim, ctx, cfg))
-                ops.append(CollectiveOp(f"{pre}attention.all_reduce",
-                                        "all_reduce_2d",
-                                        build_collective(arr, "all_reduce_2d", ar_bytes),
-                                        arr))
+                ops.append(compute(pre + "attention", "fused_attention",
+                                   {"B": batch, "D": model.head_dim, "L": ctx,
+                                    "tL": min(ctx, 512)}))
+                ops.append(collective(f"{pre}attention.all_reduce", "all_reduce_2d"))
         if scen.tp > 1:
             nbytes = int(2 * (scen.tp - 1) / scen.tp * batch * model.hidden * dt)
             ops.append(InterAccelOp(pre + "tp_all_reduce", nbytes))

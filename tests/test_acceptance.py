@@ -19,7 +19,7 @@ from stacksim.dramsim import DramSystem, Request, stats as dram_stats
 from stacksim.kerneldsl import typecheck
 from stacksim.nocsim import MeshSim, Packet, zero_load_latency
 from stacksim.orchestrator import (
-    CollectiveOp, ComputeOp, inter_accel_latency, roofline_cycles, run,
+    CollectiveOp, ComputeBody, ComputeOp, inter_accel_latency, roofline_cycles, run,
     simulate_compute,
 )
 from stacksim.partition import CoreArray, build_collective, logical_to_physical, split_gemm
@@ -300,7 +300,7 @@ def test_c10_autotune_finds_enumerated_optimum():
     bindings = {"M": 8, "K": 8, "N": 8}
 
     def sim(checked, desc):
-        return simulate_compute(ComputeOp("probe", checked, desc), cfg).cycles
+        return simulate_compute(ComputeOp("probe", ComputeBody(checked, desc)), cfg).cycles
 
     tiling, _ = autotune(prog, cfg, bindings, sim)
     best = None

@@ -79,6 +79,9 @@ def test_row_hit_spacing():
     done = sys.run([Request(0, "R", 0, 32), Request(0, "R", 128, 32)])
     # Second burst starts one bus slot after the first: 18+4 -> done 26.
     assert done == T.tRCD + max(T.tCCD, T.tBURST) + T.tBURST
+    s = stats(sys)
+    assert s["latency_mean"] == (T.tRCD + T.tBURST + done) / 2
+    assert s["latency_max"] == done
 
 
 def test_row_miss_penalty_without_ras_pressure():

@@ -115,6 +115,15 @@ def test_empty_plan():
     assert res.makespan == 7 and res.bytes_hops == 0
 
 
+def test_late_start_matches_start_zero():
+    # The drain limit counts cycles since the plan started, not absolute time.
+    arr = CoreArray((16,), (4, 4))
+    plan = build_collective(arr, "all_reduce_1d", 2048)
+    start = 11_000_000
+    late = run_plan(plan, arr, CFG, start_cycle=start)
+    assert late.makespan - start == run_plan(plan, arr, CFG).makespan == 719
+
+
 def test_wider_links_never_slower():
     arr = CoreArray((16,), (4, 4))
     plan = build_collective(arr, "all_reduce_1d", 16384)

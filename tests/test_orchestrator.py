@@ -6,7 +6,7 @@ from stacksim.arch import ArchConfig, InterAccelSpec
 from stacksim.dramsim import DramSystem
 from stacksim.kerneldsl import parse_kernel, typecheck
 from stacksim.orchestrator import (
-    CollectiveOp, ComputeOp, InterAccelOp, inter_accel_cycles,
+    CollectiveOp, ComputeBody, ComputeOp, InterAccelOp, inter_accel_cycles,
     inter_accel_latency, roofline_cycles, run, simulate_compute,
 )
 from stacksim.partition import CoreArray, build_collective
@@ -18,7 +18,7 @@ CFG = ArchConfig()
 
 def compute_op(text, name="op", **bind):
     checked = typecheck(parse_kernel(text), CFG, bind)
-    return ComputeOp(name, checked, generate_execution(checked, CFG))
+    return ComputeOp(name, ComputeBody(checked, generate_execution(checked, CFG)))
 
 
 def test_single_load_matches_dram_model():
@@ -38,7 +38,8 @@ def test_single_load_matches_dram_model():
 def test_empty_execution_is_zero_cycles():
     checked = typecheck(parse_kernel(
         "kernel k(N):\n    x = alloc((N,), fp16)\n    add(x, x)\n"), CFG, {"N": 1})
-    op = ComputeOp("empty", checked, ExecutionDescription([OperatorDesc("empty", [])]))
+    op = ComputeOp("empty", ComputeBody(
+        checked, ExecutionDescription([OperatorDesc("empty", [])])))
     res = simulate_compute(op, CFG)
     assert res.cycles == 0 and res.utilization == 1.0
 

@@ -1,11 +1,13 @@
 import glob
+import hashlib
 import os
 
 import pytest
 
+from stacksim import orchestrator
 from stacksim.arch import ArchConfig
 from stacksim.cli import main
-from stacksim.orchestrator import CollectiveOp, ComputeOp, InterAccelOp
+from stacksim.orchestrator import CollectiveOp, ComputeOp, InterAccelOp, run
 from stacksim.sweep import (
     apply_dimension, latency_weighted_average, report, rows_to_csv, sweep,
 )
@@ -116,6 +118,73 @@ def test_tp_adds_inter_accel_transfer():
     xfers = [o for o in ops if isinstance(o, InterAccelOp)]
     assert len(xfers) == 1
     assert xfers[0].bytes == 2 * 1 * 8 * 2048 * 2 // 2  # 2(p-1)/p * batch*hidden*dt
+
+
+# sha256 of run(...).to_csv() for 2-layer graphs at batch 16, context 1024
+# and tp 2. Operator reuse must leave these byte-identical; a change to the
+# simulated numbers updates them on purpose.
+PINNED_CSV_SHA256 = {
+    "opt-66b": "f96e7775d565888f85faaf4b22223c524603983d84312866d564ddbc85e48760",  # mlp
+    "qwen2.5-1.5b": "e942c80e9edad6f270a2bb2a55f6eb7611ea22d4159ad073a08a8daacc4338fe",  # glu
+    "mixtral-8x22b": "4fd6ee6e4ad2860a9d2d90f94ac5e771dc59ecf2882f932e68c0bafa444553e1",  # moe
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_CSV_SHA256))
+def test_decoding_report_matches_pinned_csv(name):
+    ops = build_decoding_graph(load_model(name),
+                               DecodingScenario(batch=16, context=1024, tp=2),
+                               CFG, layers=2)
+    text = run(ops, CFG).to_csv()
+    assert hashlib.sha256(text.encode()).hexdigest() == PINNED_CSV_SHA256[name]
+
+
+@pytest.mark.parametrize("name", ["llama3-70b", "qwen3-235b-a22b"])
+def test_full_model_decoding_step_completes(name):
+    model = load_model(name)
+    scen = DecodingScenario(batch=16, context=1024)
+    ops = build_decoding_graph(model, scen, CFG)
+    report = run(ops, CFG)
+    assert len(ops) == model.layers * len(build_decoding_graph(model, scen, CFG, layers=1))
+    assert [r.name for r in report.operators] == [op.name for op in ops]
+    kinds = {ComputeOp: "compute", CollectiveOp: "collective"}
+    assert [r.kind for r in report.operators] == [kinds[type(op)] for op in ops]
+    assert report.cycles == sum(r.cycles for r in report.operators)
+    assert report.cycles > 10_000_000  # past the NoC drain limit
+
+
+def test_interned_operators_share_one_simulation(monkeypatch):
+    ops = build_decoding_graph(load_model("llama3.2-1b"),
+                               DecodingScenario(batch=16, context=1024), CFG,
+                               layers=2)
+    by_name = {op.name: op for op in ops}
+    assert by_name["layer0.qkv_fc"].body is by_name["layer1.qkv_fc"].body
+    # ffn_gate and ffn_up have the same shape, hence the same bindings.
+    assert by_name["layer0.ffn_gate"].body is by_name["layer1.ffn_up"].body
+    assert by_name["layer0.qkv_fc"].body is not by_name["layer0.out_fc"].body
+    assert by_name["layer0.out_fc.all_reduce"].plan \
+        is by_name["layer1.ffn_down.all_reduce"].plan
+
+    calls = {"compute": [], "collective": []}
+
+    def counting(kind, simulate):
+        def wrapper(op, cfg):
+            calls[kind].append(op)
+            return simulate(op, cfg)
+        return wrapper
+
+    monkeypatch.setattr(orchestrator, "simulate_compute",
+                        counting("compute", orchestrator.simulate_compute))
+    monkeypatch.setattr(orchestrator, "simulate_collective",
+                        counting("collective", orchestrator.simulate_collective))
+    report = run(ops, CFG)
+    bodies = list(dict.fromkeys(op.body for op in ops if isinstance(op, ComputeOp)))
+    assert len(bodies) == 5  # qkv, out, gate/up, down, attention
+    assert [op.body for op in calls["compute"]] == bodies
+    assert len(calls["collective"]) == 2  # all_reduce_1d and all_reduce_2d
+    assert [r.name for r in report.operators] == [op.name for op in ops]
+    res = {r.name: r for r in report.operators}
+    assert res["layer1.ffn_up"].cycles == res["layer0.ffn_gate"].cycles
 
 
 def test_gemm_benchmark_trace_and_round_trip():

@@ -17,7 +17,6 @@ from .kerneldsl.checker import TypecheckError, typecheck
 from .kerneldsl.parser import KernelSyntaxError, ast_to_json, parse_kernel
 from .orchestrator import ComputeBody, ComputeOp, run, simulate_compute
 from .sweep import default_power_model
-from .thermal import regulate
 from .tiler import TilerError, autotune, generate_execution, infer_placement
 from .workloads import (
     DecodingScenario, PagedKvLayout, WorkloadError, build_decoding_graph,
@@ -117,6 +116,7 @@ def cmd_simulate(args) -> int:
                                                 infer_placement(checked, cfg)))]
     if args.regulate:
         import dataclasses
+        from .thermal import regulate  # numpy and scipy load only when regulating
         reg = regulate(cfg, default_power_model(cfg), resolution=16)
         cfg = dataclasses.replace(cfg, core=dataclasses.replace(
             cfg.core, frequency_ghz=reg.frequency_ghz))

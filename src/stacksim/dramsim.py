@@ -9,9 +9,10 @@ row index increments.
 
 Command timing protocol (all times in DRAM-clock cycles):
 
-* Requests on a channel are serviced strictly in issue order. The front end
-  splits each byte range into per-channel chunks, each confined to one
-  logical row and transferred as ceil(len / burst_bytes) bursts.
+* Requests are serviced strictly in issue order, and a request must lie
+  inside the core's capacity. The front end splits each byte range into
+  per-channel chunks, each confined to one logical row and transferred as
+  ceil(len / burst_bytes) bursts.
 * Servicing a chunk starts at t = max(request ready cycle, start cycle of
   the previously issued burst on this channel).
 * Row miss: if a row is open, PRE issues at max(t, last ACT + tRAS) and
@@ -24,15 +25,18 @@ Command timing protocol (all times in DRAM-clock cycles):
 
 The tile-level scheduler reorders the requests of one work item to batch
 same-row accesses per channel, which preserves per-address ordering (equal
-addresses share a row and the grouping is stable) and is never slower than
-FCFS because it evaluates both orders and keeps the cheaper one.
+addresses share a row and the grouping is stable). A work item whose
+same-row groups are already contiguous keeps its order without being
+simulated. Otherwise the scheduler simulates both orders on fresh channels
+and keeps the grouped one unless FCFS is faster, so it is never slower
+than FCFS.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .arch import ArchConfig, DramTiming
+from .arch import ArchConfig
 
 
 class AddressError(ValueError):
@@ -45,15 +49,6 @@ class Request:
     kind: str  # "R" or "W"
     addr: int
     bytes: int
-
-
-@dataclass
-class Chunk:
-    """A same-row run of bursts on one channel."""
-    channel: int
-    row: int
-    bursts: int
-    nbytes: int
 
 
 def map_address(addr: int, cfg: ArchConfig) -> tuple[int, int, int, int]:
@@ -75,42 +70,37 @@ def map_address(addr: int, cfg: ArchConfig) -> tuple[int, int, int, int]:
     return channel, row, pb_index, column
 
 
-def split_ranges(ranges: list[tuple[int, int]], cfg: ArchConfig) -> list[list[Chunk]]:
-    """Split absolute byte ranges into per-channel same-row chunk lists.
+def split_range(addr: int, nbytes: int, cfg: ArchConfig) -> list[tuple[int, int, int, int]]:
+    """Split one request's byte range into (channel, row, bursts, nbytes) chunks.
 
-    Chunk order per channel follows the input range order; adjacent chunks
-    on the same (channel, row) are merged.
+    A chunk is one same-row run on one channel. Each channel's chunks are in
+    address order, and adjacent chunks of one channel on the same row are
+    merged. A range of nbytes <= 0 has no chunks.
     """
     bl = cfg.channel.burst_bytes
     ib = cfg.channel.interleave_bytes
     row_bytes = cfg.logical_row_bytes
     chans = cfg.core.channels
-    per_channel: list[list[Chunk]] = [[] for _ in range(chans)]
-    for addr, nbytes in ranges:
-        if nbytes <= 0:
-            continue
-        end = addr + nbytes
-        pos = addr
-        while pos < end:
-            # One interleave run, clipped to the row boundary inside it.
-            chunk_idx, offset = divmod(pos, ib)
-            channel = chunk_idx % chans
-            run_end = min(end, (chunk_idx + 1) * ib)
-            local = (chunk_idx // chans) * ib + offset
-            row = local // row_bytes
-            row_left = row_bytes - local % row_bytes
-            take = min(run_end - pos, row_left)
-            first_burst = pos // bl
-            last_burst = (pos + take - 1) // bl
-            bursts = last_burst - first_burst + 1
-            lst = per_channel[channel]
-            if lst and lst[-1].row == row:
-                lst[-1].bursts += bursts
-                lst[-1].nbytes += take
-            else:
-                lst.append(Chunk(channel, row, bursts, take))
-            pos += take
-    return per_channel
+    chunks: list[tuple[int, int, int, int]] = []
+    latest: dict[int, int] = {}  # channel -> index of its last chunk
+    end = addr + nbytes
+    pos = addr
+    while pos < end:
+        # One interleave run, clipped to the row boundary inside it.
+        run, offset = divmod(pos, ib)
+        channel = run % chans
+        row, column = divmod((run // chans) * ib + offset, row_bytes)
+        take = min(end - pos, (run + 1) * ib - pos, row_bytes - column)
+        bursts = (pos + take - 1) // bl - pos // bl + 1
+        i = latest.get(channel)
+        if i is not None and chunks[i][1] == row:
+            _, _, merged_bursts, merged_bytes = chunks[i]
+            chunks[i] = (channel, row, merged_bursts + bursts, merged_bytes + take)
+        else:
+            latest[channel] = len(chunks)
+            chunks.append((channel, row, bursts, take))
+        pos += take
+    return chunks
 
 
 @dataclass
@@ -121,7 +111,6 @@ class ChannelStats:
     act_count: int = 0
     row_hits: int = 0
     row_misses: int = 0
-    busy_cycles: int = 0
     last_completion: int = 0
     # Count, sum and max over serviced chunks of completion minus ready cycle.
     latency_count: int = 0
@@ -130,11 +119,9 @@ class ChannelStats:
 
 
 class ChannelSim:
-    """Incremental single-logical-bank channel state machine."""
+    """State of one single-logical-bank channel; `DramSystem.drain` advances it."""
 
-    def __init__(self, timing: DramTiming, burst_bytes: int):
-        self.t = timing
-        self.burst_bytes = burst_bytes
+    def __init__(self):
         self.open_row: int | None = None
         self.t_act = 0
         self.t_row_ready = 0
@@ -144,99 +131,113 @@ class ChannelSim:
         self.last_kind: str | None = None
         self.stats = ChannelStats()
 
-    def service(self, ready: int, kind: str, chunk: Chunk) -> int:
-        """Service one same-row chunk; returns its completion cycle."""
-        t = max(ready, self.t_issue)
-        tm = self.t
-        if self.open_row != chunk.row:
-            if self.open_row is not None:
-                t_pre = max(t, self.t_act + tm.tRAS)
-                closed = t_pre + tm.tRP
-                self.stats.row_misses += 1
-            else:
-                closed = t
-            self.t_act = max(closed, t)
-            self.t_row_ready = self.t_act + tm.tRCD
-            self.open_row = chunk.row
-            self.stats.act_count += 1
-        else:
-            self.stats.row_hits += 1
-        first = max(self.t_row_ready, self.t_bus, t)
-        if self.last_kind is not None and self.last_kind != kind:
-            turn = tm.tRTW if self.last_kind == "R" else tm.tWTR
-            first = max(first, self.t_data_end + turn)
-        spacing = max(tm.tCCD, tm.tBURST)
-        last = first + (chunk.bursts - 1) * spacing
-        self.t_bus = last + spacing
-        self.t_data_end = last + tm.tBURST
-        self.t_issue = last
-        self.last_kind = kind
-        st = self.stats
-        st.bursts += chunk.bursts
-        st.busy_cycles += chunk.bursts * tm.tBURST
-        if kind == "R":
-            st.bytes_read += chunk.nbytes
-        else:
-            st.bytes_written += chunk.nbytes
-        completion = last + tm.tBURST
-        st.last_completion = max(st.last_completion, completion)
-        latency = completion - ready
-        st.latency_count += 1
-        st.latency_sum += latency
-        if latency > st.latency_max:
-            st.latency_max = latency
-        return completion
-
 
 class DramSystem:
     """All channels of one core plus the request front end."""
 
     def __init__(self, cfg: ArchConfig):
         self.cfg = cfg
-        self.channels = [
-            ChannelSim(cfg.dram_timing, cfg.channel.burst_bytes)
-            for _ in range(cfg.core.channels)
-        ]
+        self.channels = [ChannelSim() for _ in range(cfg.core.channels)]
         self._pending: list[Request] = []
-
-    def issue(self, ranges: list[tuple[int, int]], kind: str, ready: int = 0) -> None:
-        for addr, nbytes in ranges:
-            self._pending.append(Request(ready, kind, addr, nbytes))
 
     def drain(self) -> int:
         """Service all pending requests in order; returns the last completion."""
+        cfg = self.cfg
+        tm = cfg.dram_timing
+        tRAS, tRP, tRCD, tBURST = tm.tRAS, tm.tRP, tm.tRCD, tm.tBURST
+        tRTW, tWTR = tm.tRTW, tm.tWTR
+        spacing = max(tm.tCCD, tBURST)
+        bl = cfg.channel.burst_bytes
+        ib = cfg.channel.interleave_bytes
+        row_bytes = cfg.logical_row_bytes
+        chans = cfg.core.channels
+        capacity = cfg.channel_capacity_bytes * chans
+        channels = self.channels
         completion = 0
         for req in self._pending:
-            for chunks in split_ranges([(req.addr, req.bytes)], self.cfg):
-                for chunk in chunks:
-                    done = self.channels[chunk.channel].service(req.ready, req.kind, chunk)
-                    completion = max(completion, done)
+            addr = req.addr
+            nbytes = req.bytes
+            if addr < 0 or addr + nbytes > capacity:
+                raise AddressError(f"request [{addr}, {addr + nbytes}) outside "
+                                   f"core capacity {capacity}")
+            # The first chunk as in split_range; when it covers the whole
+            # request, as it does for every GEMM and paged-KV request, the
+            # request needs no further splitting.
+            run, offset = divmod(addr, ib)
+            row, column = divmod((run // chans) * ib + offset, row_bytes)
+            if 0 < nbytes <= ib - offset and nbytes <= row_bytes - column:
+                chunks = ((run % chans, row, (addr + nbytes - 1) // bl - addr // bl + 1,
+                           nbytes),)
+            else:
+                chunks = split_range(addr, nbytes, cfg)
+            ready = req.ready
+            kind = req.kind
+            for channel, row, bursts, take in chunks:
+                ch = channels[channel]
+                st = ch.stats
+                t = max(ready, ch.t_issue)
+                if ch.open_row != row:
+                    if ch.open_row is not None:
+                        closed = max(t, ch.t_act + tRAS) + tRP
+                        st.row_misses += 1
+                    else:
+                        closed = t
+                    ch.t_act = max(closed, t)
+                    ch.t_row_ready = ch.t_act + tRCD
+                    ch.open_row = row
+                    st.act_count += 1
+                else:
+                    st.row_hits += 1
+                first = max(ch.t_row_ready, ch.t_bus, t)
+                last_kind = ch.last_kind
+                if last_kind != kind and last_kind is not None:
+                    turn = tRTW if last_kind == "R" else tWTR
+                    first = max(first, ch.t_data_end + turn)
+                last = first + (bursts - 1) * spacing
+                done = last + tBURST
+                ch.t_bus = last + spacing
+                ch.t_data_end = done
+                ch.t_issue = last
+                ch.last_kind = kind
+                st.bursts += bursts
+                if kind == "R":
+                    st.bytes_read += take
+                else:
+                    st.bytes_written += take
+                if done > st.last_completion:
+                    st.last_completion = done
+                latency = done - ready
+                st.latency_count += 1
+                st.latency_sum += latency
+                if latency > st.latency_max:
+                    st.latency_max = latency
+                if done > completion:
+                    completion = done
         self._pending.clear()
         return completion
 
     def run(self, requests: list[Request]) -> int:
-        for req in requests:
-            self.issue([(req.addr, req.bytes)], req.kind, req.ready)
+        """Queue `requests` and drain them; returns the last completion."""
+        self._pending.extend(requests)
         return self.drain()
 
 
-def schedule_tile(requests: list[Request], cfg: ArchConfig | None = None) -> list[Request]:
+def schedule_tile(requests: list[Request], cfg: ArchConfig) -> list[Request]:
     """Reorder one work item's requests to batch same-row accesses.
 
     Stable grouping by the (channel, row) of each request's first byte,
-    keyed in first-appearance order. With a config supplied, the grouped
-    order is kept only if it is no slower than FCFS on fresh channel state.
+    keyed in first-appearance order. When every group is already contiguous,
+    the grouped order is the input order and comes back as it is. Otherwise
+    the grouped order is kept only if it is no slower than FCFS on fresh
+    channel state.
     """
-    if cfg is None:
-        raise ValueError("schedule_tile requires the architecture config")
     order: dict[tuple[int, int], int] = {}
     keys = []
     for req in requests:
         channel, row, _, _ = map_address(req.addr, cfg)
-        key = (channel, row)
-        if key not in order:
-            order[key] = len(order)
-        keys.append(order[key])
+        keys.append(order.setdefault((channel, row), len(order)))
+    if keys == sorted(keys):
+        return list(requests)
     grouped = [req for _, req in sorted(enumerate(requests), key=lambda p: (keys[p[0]], p[0]))]
 
     def cost(seq):

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .arch import ArchConfig
 from .partition import CommPlan, CoreArray, logical_to_physical
@@ -50,32 +50,40 @@ class Packet:
         return max(1, math.ceil(self.bytes / flit_bytes)) if self.bytes > 0 else 0
 
 
-@dataclass
 class _Flit:
-    pid: int
-    seq: int
-    is_tail: bool
-    dst: tuple[int, int]
-    arrival: int  # cycle this flit entered the current queue
+    __slots__ = ("pkt", "seq", "is_tail", "dst", "ready")
+
+    def __init__(self, pkt: Packet, seq: int, is_tail: bool, dst: int, ready: int):
+        self.pkt = pkt
+        self.seq = seq
+        self.is_tail = is_tail
+        self.dst = dst      # destination router index
+        self.ready = ready  # first cycle it may traverse the current router
+
+
+def _xy_port(pos: tuple[int, int], dst: tuple[int, int]) -> int:
+    """Output port at `pos` toward `dst`: column direction first, then row."""
+    m, n = pos
+    if n != dst[1]:
+        return DIRS.index("E") if dst[1] > n else DIRS.index("W")
+    if m != dst[0]:
+        return DIRS.index("S") if dst[0] > m else DIRS.index("N")
+    return LOCAL
 
 
 class _Router:
-    def __init__(self, pos: tuple[int, int], depth: int):
+    def __init__(self, pos: tuple[int, int], rows: int, cols: int):
         self.pos = pos
         self.queues: list[deque[_Flit]] = [deque() for _ in range(5)]
-        self.depth = depth
-        # Wormhole allocation: output port -> (input port, pid) while a
+        # Wormhole allocation: output port -> (input port, packet) while a
         # packet's worm occupies the crossbar path.
-        self.alloc: dict[int, tuple[int, int]] = {}
+        self.alloc: dict[int, tuple[int, Packet]] = {}
         self.rr: list[int] = [0] * 5  # round-robin pointer per output port
-
-    def route(self, dst: tuple[int, int]) -> int:
-        m, n = self.pos
-        if n != dst[1]:
-            return DIRS.index("E") if dst[1] > n else DIRS.index("W")
-        if m != dst[0]:
-            return DIRS.index("S") if dst[0] > m else DIRS.index("N")
-        return LOCAL
+        # Destination router index -> output port.
+        self.route = [_xy_port(pos, (m, n)) for m in range(rows) for n in range(cols)]
+        # Output port -> the neighbour's input queue it feeds (None at the
+        # mesh edge and for LOCAL); filled in by MeshSim.
+        self.links: list[deque[_Flit] | None] = [None] * 5
 
 
 class MeshSim:
@@ -85,24 +93,40 @@ class MeshSim:
         self.cfg = cfg
         noc = cfg.noc
         self.rows, self.cols = noc.rows, noc.cols
-        self.routers = {(m, n): _Router((m, n), noc.input_queue_flits)
-                        for m in range(self.rows) for n in range(self.cols)}
+        # Routers in row-major order; a router's index is m * cols + n.
+        self.routers = [_Router((m, n), self.rows, self.cols)
+                        for m in range(self.rows) for n in range(self.cols)]
+        for router in self.routers:
+            m, n = router.pos
+            for out_port, d in enumerate(DIRS):
+                dm, dn = m + _OFFS[d][0], n + _OFFS[d][1]
+                if 0 <= dm < self.rows and 0 <= dn < self.cols:
+                    # The neighbour receives on the opposite side.
+                    router.links[out_port] = \
+                        self.routers[dm * self.cols + dn].queues[(out_port + 2) % 4]
         self.start_cycle = self.now = start_cycle
         self.packets: dict[int, Packet] = {}
         self._next_pid = 0
-        self._inflight: list[tuple[int, tuple[int, int], int, _Flit]] = []
+        # (arrival cycle, input queue, flit) per flit on a link; the link
+        # delay is constant, so arrivals leave in FIFO order.
+        self._inflight: deque[tuple[int, deque[_Flit], _Flit]] = deque()
         self._arrived: dict[tuple[int, int], list[Packet]] = {}
-        self._pending_inject: dict[int, deque[tuple[Packet, list[_Flit]]]] = {}
+        self._pending_inject: dict[int, list[tuple[Packet, list[_Flit]]]] = {}
         self.injected_flits = 0
         self.ejected_flits = 0
 
-    def _neighbor(self, pos, out_port):
-        dm, dn = _OFFS[DIRS[out_port]]
-        return pos[0] + dm, pos[1] + dn
+    def _index(self, pos: tuple[int, int]) -> int:
+        return pos[0] * self.cols + pos[1]
 
     def inject(self, pkt: Packet, cycle: int | None = None) -> Packet:
         """Queue a packet for injection at `cycle` (default: now)."""
         cycle = self.now if cycle is None else cycle
+        if cycle < self.now:
+            raise ValueError(f"cannot inject at cycle {cycle}, before now ({self.now})")
+        for m, n in (pkt.src, pkt.dst):
+            if not (0 <= m < self.rows and 0 <= n < self.cols):
+                raise ValueError(f"core {(m, n)} is outside the "
+                                 f"{self.rows}x{self.cols} mesh")
         pkt.pid = self._next_pid
         self._next_pid += 1
         pkt.inject_cycle = cycle
@@ -112,101 +136,91 @@ class MeshSim:
             pkt.complete_cycle = cycle
             self._arrived.setdefault(pkt.dst, []).append(pkt)
             return pkt
-        worm = [_Flit(pkt.pid, s, s == flits - 1, pkt.dst, cycle) for s in range(flits)]
-        self._pending_inject.setdefault(cycle, deque()).append((pkt, worm))
+        dst = self._index(pkt.dst)
+        ready = cycle + self.cfg.noc.router_delay_cycles
+        worm = [_Flit(pkt, s, s == flits - 1, dst, ready) for s in range(flits)]
+        self._pending_inject.setdefault(cycle, []).append((pkt, worm))
         return pkt
 
-    def _do_injections(self):
-        ready = self._pending_inject.pop(self.now, None)
-        if not ready:
-            return
-        for pkt, worm in ready:
-            q = self.routers[pkt.src].queues[LOCAL]
-            # Source queue is elastic: injection stalls are modeled by the
-            # local queue rather than by backpressure into the core.
-            for flit in worm:
-                flit.arrival = self.now
-            q.extend(worm)
-            self.injected_flits += len(worm)
-
     def tick(self) -> None:
-        self._do_injections()
-        rd = self.cfg.noc.router_delay_cycles
-        ld = self.cfg.noc.link_delay_cycles
+        now = self.now
+        noc = self.cfg.noc
+
+        # Inject the worms due now; the source queue is elastic, so
+        # injection stalls are modeled by the local queue rather than by
+        # backpressure into the core.
+        injections = self._pending_inject.pop(now, None)
+        if injections:
+            for pkt, worm in injections:
+                self.routers[self._index(pkt.src)].queues[LOCAL].extend(worm)
+                self.injected_flits += len(worm)
 
         # Deliver in-flight flits arriving this cycle.
-        still = []
-        for arrival, pos, port, flit in self._inflight:
-            if arrival <= self.now:
-                flit.arrival = arrival
-                self.routers[pos].queues[port].append(flit)
-            else:
-                still.append((arrival, pos, port, flit))
-        self._inflight = still
+        inflight = self._inflight
+        while inflight and inflight[0][0] <= now:
+            _, queue, flit = inflight.popleft()
+            queue.append(flit)
 
-        # Grant phase: decide all moves from the cycle-start state.
+        # Grant phase: decide all moves from the cycle-start state. Each
+        # eligible head flit requests the one output port it routes to;
+        # the worm holding that output, or else the head flit nearest the
+        # output's round-robin pointer, wins it. Moves apply only after
+        # every router has decided, so credit checks see cycle-start queue
+        # lengths; their order is immaterial, because each input queue,
+        # output port and link carries at most one flit per cycle.
+        depth = noc.input_queue_flits
         moves = []
-        for pos in sorted(self.routers):
-            router = self.routers[pos]
-            granted_inputs = set()
-            for out_port in (0, 1, 2, 3, LOCAL):
-                holder = router.alloc.get(out_port)
-                candidates = []
-                for offset in range(5):
-                    in_port = (router.rr[out_port] + offset) % 5
-                    if in_port in granted_inputs:
-                        continue
-                    q = router.queues[in_port]
-                    if not q:
-                        continue
-                    flit = q[0]
-                    if flit.arrival + rd > self.now:
-                        continue
-                    if router.route(flit.dst) != out_port:
-                        continue
-                    if holder is not None:
-                        if (in_port, flit.pid) != holder:
-                            continue
-                    elif flit.seq != 0:
-                        continue  # body flit of an unallocated worm
-                    candidates.append(in_port)
-                    break  # round-robin: first eligible wins
-                if not candidates:
+        for router in self.routers:
+            alloc = router.alloc
+            rr = router.rr
+            route = router.route
+            winners: dict[int, tuple[int, int, _Flit]] = {}  # out -> (rank, in, flit)
+            for in_port, queue in enumerate(router.queues):
+                if not queue:
                     continue
-                in_port = candidates[0]
-                flit = router.queues[in_port][0]
-                if out_port != LOCAL:
-                    dest = self._neighbor(pos, out_port)
-                    in_dir = (out_port + 2) % 4  # opposite side at the neighbor
-                    if len(self.routers[dest].queues[in_dir]) >= router.depth:
-                        continue  # no credit
-                moves.append((pos, in_port, out_port, flit))
-                granted_inputs.add(in_port)
-                if holder is None:
-                    router.alloc[out_port] = (in_port, flit.pid)
-                    router.rr[out_port] = (in_port + 1) % 5
+                flit = queue[0]
+                if flit.ready > now:
+                    continue
+                out_port = route[flit.dst]
+                holder = alloc.get(out_port)
+                if holder is not None:
+                    if holder[0] == in_port and holder[1] is flit.pkt:
+                        winners[out_port] = (0, in_port, flit)
+                elif not flit.seq:  # a body flit of an unallocated worm waits
+                    rank = (in_port - rr[out_port]) % 5
+                    best = winners.get(out_port)
+                    if best is None or rank < best[0]:
+                        winners[out_port] = (rank, in_port, flit)
+            for out_port, (_, in_port, flit) in winners.items():
+                link = router.links[out_port]
+                if link is not None and len(link) >= depth:
+                    continue  # no credit
+                moves.append((router, in_port, out_port, flit))
+                if out_port not in alloc:
+                    alloc[out_port] = (in_port, flit.pkt)
+                    rr[out_port] = (in_port + 1) % 5
 
         # Traversal phase.
-        for pos, in_port, out_port, flit in moves:
-            router = self.routers[pos]
+        arrival = now + noc.link_delay_cycles
+        ready = arrival + noc.router_delay_cycles
+        for router, in_port, out_port, flit in moves:
             router.queues[in_port].popleft()
             if flit.is_tail:
-                router.alloc.pop(out_port, None)
+                del router.alloc[out_port]
             if out_port == LOCAL:
                 self.ejected_flits += 1
                 if flit.is_tail:
-                    pkt = self.packets[flit.pid]
-                    pkt.complete_cycle = self.now
+                    pkt = flit.pkt
+                    pkt.complete_cycle = now
                     self._arrived.setdefault(pkt.dst, []).append(pkt)
             else:
-                dest = self._neighbor(pos, out_port)
-                in_dir = (out_port + 2) % 4
-                self._inflight.append((self.now + ld, dest, in_dir, flit))
-        self.now += 1
+                flit.ready = ready
+                inflight.append((arrival, router.links[out_port], flit))
+        self.now = now + 1
 
     def idle(self) -> bool:
-        return (not self._inflight and not self._pending_inject
-                and all(not q for r in self.routers.values() for q in r.queues))
+        # Every injected flit is in a queue or on a link until it is ejected.
+        return not self._pending_inject and self.injected_flits == self.ejected_flits
 
     def run_until_drained(self, limit: int = 10_000_000) -> int:
         """Tick until idle; `limit` bounds the cycles since `start_cycle`."""
@@ -238,37 +252,26 @@ def run_plan(plan: CommPlan, arr: CoreArray, cfg: ArchConfig, start_cycle: int =
     by_step: dict[int, list] = {}
     for entry in plan.steps:
         by_step.setdefault(entry.step, []).append(entry)
-    steps = sorted(by_step)
-    per_core_done: dict[tuple[int, ...], int] = {}
     bytes_hops = 0
-    prev_packets: dict[tuple[int, ...], list[Packet]] = {}
-    for step in steps:
-        # Injection of this step waits for each sender's previous transfers.
+    touching: dict[tuple[int, ...], list[Packet]] = {}  # core -> packets it sends or receives
+    for step in sorted(by_step):
+        # Advance until every earlier packet that a sender of this step sent
+        # or receives is complete, then inject.
+        waiting = [pkt for coord in {e.src for e in by_step[step]}
+                   for pkt in touching.get(coord, ()) if pkt.complete_cycle < 0]
+        while waiting:
+            if waiting[-1].complete_cycle >= 0:
+                waiting.pop()
+            else:
+                sim.tick()
         for entry in by_step[step]:
             src_phys = logical_to_physical(arr, entry.src)
             dst_phys = logical_to_physical(arr, entry.dst)
             h = abs(src_phys[0] - dst_phys[0]) + abs(src_phys[1] - dst_phys[1])
             bytes_hops += entry.bytes * h
-        # Advance until all previous-step packets touching this step's
-        # senders are complete, then inject.
-        senders = {e.src for e in by_step[step]}
-        def blockers():
-            out = []
-            for coord in senders:
-                for pkt in prev_packets.get(coord, []):
-                    if pkt.complete_cycle < 0:
-                        out.append(pkt)
-            return out
-        while blockers():
-            sim.tick()
-        new_packets: dict[tuple[int, ...], list[Packet]] = dict(prev_packets)
-        for entry in by_step[step]:
-            src_phys = logical_to_physical(arr, entry.src)
-            dst_phys = logical_to_physical(arr, entry.dst)
             pkt = sim.inject(Packet(src_phys, dst_phys, entry.bytes, tag=entry.step))
-            new_packets.setdefault(entry.src, []).append(pkt)
-            new_packets.setdefault(entry.dst, []).append(pkt)
-        prev_packets = new_packets
+            touching.setdefault(entry.src, []).append(pkt)
+            touching.setdefault(entry.dst, []).append(pkt)
     makespan = sim.run_until_drained()
     per_core: dict[tuple[int, int], int] = {}
     for pkt in sim.packets.values():

@@ -173,9 +173,7 @@ def simulate_compute(op: ComputeOp, cfg: ArchConfig) -> OperatorResult:
             mem_done = now
             if mem_events:
                 reqs = _dram_requests(mem_events, placement, now)
-                for req in schedule_tile(reqs, cfg):
-                    dram.issue([(req.addr, req.bytes)], req.kind, req.ready)
-                mem_done = dram.drain()
+                mem_done = dram.run(schedule_tile(reqs, cfg))
                 dram_bytes += sum(e.bytes for e in mem_events)
             now = max(mem_done, now + compute_cycles)
     cycles = now

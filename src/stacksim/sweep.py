@@ -17,7 +17,6 @@ import math
 from .arch import ArchConfig, validate
 from .kerneldsl.checker import typecheck
 from .orchestrator import ComputeBody, ComputeOp, simulate_compute
-from .thermal import RegulationResult, regulate
 from .tiler import TilerError, autotune, infer_placement
 from .workloads import load_kernel
 
@@ -110,8 +109,9 @@ def evaluate_point(cfg: ArchConfig, power_model=None,
     problems = validate(cfg)
     if problems:
         return {"status": "invalid: " + problems[0]}
-    reg: RegulationResult = regulate(cfg, power_model or default_power_model(cfg),
-                                     resolution=thermal_resolution)
+    from .thermal import regulate  # numpy and scipy load only when a sweep runs
+    reg = regulate(cfg, power_model or default_power_model(cfg),
+                   resolution=thermal_resolution)
     cfg = dataclasses.replace(cfg, core=dataclasses.replace(
         cfg.core, frequency_ghz=reg.frequency_ghz))
     prog = load_kernel("matmul")

@@ -8,7 +8,7 @@ from stacksim.arch import (
     PhysicalBankSpec,
 )
 from stacksim.dramsim import (
-    AddressError, DramSystem, Request, map_address, schedule_tile, split_ranges,
+    AddressError, DramSystem, Request, map_address, schedule_tile, split_range,
     stats,
 )
 from dram_reference import reference_run
@@ -56,17 +56,35 @@ def test_map_address_out_of_range():
         map_address(-1, cfg)
 
 
-def test_split_ranges_counts_bursts_and_merges_rows():
+def test_split_range_counts_bursts_and_merges_rows():
     cfg = small_cfg()
     # 128 contiguous bytes: two interleave runs, 2 bursts per channel,
     # both in row 0 of each channel.
-    per_channel = split_ranges([(0, 128)], cfg)
-    assert [len(c) for c in per_channel] == [1, 1]
-    assert per_channel[0][0].bursts == 2 and per_channel[0][0].row == 0
-    assert per_channel[1][0].bursts == 2
+    assert split_range(0, 128, cfg) == [(0, 0, 2, 64), (1, 0, 2, 64)]
     # A misaligned 1-byte range still needs one full burst.
-    tiny = split_ranges([(33, 1)], cfg)
-    assert tiny[0][0].bursts == 1 and tiny[0][0].nbytes == 1
+    assert split_range(33, 1, cfg) == [(0, 0, 1, 1)]
+    # 512 bytes: each channel's two runs per row merge into one chunk,
+    # and each channel moves on to row 1 halfway through.
+    assert split_range(0, 512, cfg) == [
+        (0, 0, 4, 128), (1, 0, 4, 128), (0, 1, 4, 128), (1, 1, 4, 128)]
+    # Chunks of separate requests never merge: two 32-byte reads of one
+    # row are an activation and a row hit, one 64-byte read is only the
+    # activation.
+    split = DramSystem(cfg)
+    split.run([Request(0, "R", 0, 32), Request(0, "R", 32, 32)])
+    whole = DramSystem(cfg)
+    whole.run([Request(0, "R", 0, 64)])
+    assert (split.channels[0].stats.row_hits, whole.channels[0].stats.row_hits) == (1, 0)
+    assert split_range(0, 0, cfg) == split_range(5, -3, cfg) == []
+
+
+def test_requests_outside_the_core_are_rejected():
+    cfg = small_cfg()
+    capacity = cfg.channel_capacity_bytes * cfg.core.channels
+    for addr, nbytes in [(capacity + 64, 32), (-32, 32), (capacity - 16, 32)]:
+        with pytest.raises(AddressError):
+            DramSystem(cfg).run([Request(0, "R", addr, nbytes)])
+    assert DramSystem(cfg).run([Request(0, "R", capacity - 32, 32)]) > 0
 
 
 def test_cold_single_burst_latency():
@@ -130,8 +148,7 @@ def test_random_row_utilization_closed_form():
     first_done = None
     for _ in range(64):
         row = rng.choice([r for r in range(rows) if r != prev_row])
-        sys.issue([(row * cfg.logical_row_bytes, 32)], "R", ready)
-        ready = sys.drain()
+        ready = sys.run([Request(ready, "R", row * cfg.logical_row_bytes, 32)])
         if first_done is None:
             first_done = ready
         prev_row = row
@@ -164,6 +181,25 @@ def test_schedule_tile_groups_rows_stably():
     assert DramSystem(cfg).run(out) < DramSystem(cfg).run(reqs)
 
 
+def test_schedule_tile_keeps_grouped_tiles_without_simulating(monkeypatch):
+    cfg = small_cfg(channels=1)
+    runs = []
+    real_run = DramSystem.run
+    monkeypatch.setattr(DramSystem, "run",
+                        lambda self, reqs: runs.append(reqs) or real_run(self, reqs))
+    # Rows 0, 0, 2, 2: the same-row groups are already contiguous, so the
+    # input order comes back with no trial simulation.
+    grouped = [Request(0, "R", 0, 32), Request(0, "W", 32, 32),
+               Request(0, "R", 256, 32), Request(0, "R", 300, 8)]
+    out = schedule_tile(grouped, cfg)
+    assert out == grouped and out is not grouped
+    assert all(a is b for a, b in zip(out, grouped))
+    assert runs == []
+    # An interleaved tile still pays for both trial simulations.
+    schedule_tile([grouped[0], grouped[2], grouped[1]], cfg)
+    assert len(runs) == 2
+
+
 def test_schedule_tile_never_slower_than_fcfs():
     cfg = small_cfg()
     capacity = cfg.channel_capacity_bytes * cfg.core.channels
@@ -186,12 +222,13 @@ def test_utilization_never_exceeds_peak():
     rng = random.Random(3)
     for _ in range(20):
         sys = DramSystem(cfg)
-        ready = 0
+        reqs, ready = [], 0
         for _ in range(rng.randint(1, 20)):
             addr = rng.randrange(0, capacity - 64)
-            sys.issue([(addr, rng.randint(1, 64))], rng.choice("RW"), ready)
+            nbytes = rng.randint(1, 64)
+            reqs.append(Request(ready, rng.choice("RW"), addr, nbytes))
             ready += rng.randint(0, 30)
-        sys.drain()
+        sys.run(reqs)
         assert 0.0 < stats(sys)["utilization"] <= 1.0
 
 

@@ -1,5 +1,7 @@
 import dataclasses
 
+import pytest
+
 from stacksim.arch import ArchConfig, NocSpec
 from stacksim.nocsim import MeshSim, Packet, run_plan, zero_load_latency
 from stacksim.partition import CoreArray, build_collective
@@ -35,6 +37,17 @@ def test_self_send_and_empty_packet_complete_immediately():
     b = sim.inject(Packet((0, 0), (3, 3), 0))
     assert a.complete_cycle == 0 and b.complete_cycle == 0
     assert sim.idle()
+
+
+def test_inject_rejects_past_cycles_and_cores_off_the_mesh():
+    sim = MeshSim(CFG, start_cycle=10)
+    with pytest.raises(ValueError):
+        sim.inject(Packet((0, 0), (1, 1), 64), cycle=9)  # would never inject
+    with pytest.raises(ValueError):
+        sim.inject(Packet((0, 0), (0, 4), 64))
+    with pytest.raises(ValueError):
+        sim.inject(Packet((-1, 0), (0, 0), 64))
+    assert sim.idle() and sim.packets == {}
 
 
 def test_flit_conservation():

@@ -3,7 +3,7 @@ import dataclasses
 import pytest
 
 from stacksim.arch import ArchConfig, InterAccelSpec
-from stacksim.dramsim import DramSystem
+from stacksim.dramsim import DramSystem, Request
 from stacksim.kerneldsl import parse_kernel, typecheck
 from stacksim.orchestrator import (
     CollectiveOp, ComputeBody, ComputeOp, InterAccelOp, inter_accel_cycles,
@@ -28,9 +28,7 @@ def test_single_load_matches_dram_model():
         "    x = alloc((N,), fp16)\n"
         "    copy(X[0:N], x)\n", N=2048)
     res = simulate_compute(op, CFG)
-    dram = DramSystem(CFG)
-    dram.issue([(0, 4096)], "R")
-    assert res.cycles == dram.drain()
+    assert res.cycles == DramSystem(CFG).run([Request(0, "R", 0, 4096)])
     assert res.dram_bytes == 4096
     assert res.matrix_flops == 0
 
@@ -73,7 +71,6 @@ def test_pipeline_overlap_bounds():
     # compute-only time.
     assert res.cycles >= total_compute
     assert res.cycles >= roofline_cycles(op.checked, op.desc)
-    from stacksim.dramsim import Request
     serial = total_compute + DramSystem(CFG).run([Request(0, "R", 0, res.dram_bytes)])
     assert res.cycles < serial
 

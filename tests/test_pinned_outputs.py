@@ -1,0 +1,161 @@
+"""Pinned outputs of the DRAM and NoC models on raw traffic and a sweep.
+
+Every value here was computed before the DRAM front end and the mesh
+arbiter were rewritten for speed. Those rewrites must change no simulated
+number, so any difference here is a behaviour change, not noise.
+"""
+
+import dataclasses
+import hashlib
+import json
+import random
+from importlib import resources
+
+import pytest
+
+from stacksim import sweep as sweep_mod
+from stacksim.arch import load_arch
+from stacksim.dramsim import DramSystem, Request, stats
+from stacksim.nocsim import MeshSim, Packet, run_plan
+from stacksim.partition import CoreArray, build_collective
+from stacksim.workloads import (
+    PagedKvLayout, gen_gemm_benchmark, gen_paged_attention_benchmark,
+)
+
+CFG = load_arch(str(resources.files("stacksim").joinpath("configs/default.yaml")))
+
+
+def _sha256(obj) -> str:
+    return hashlib.sha256(json.dumps(obj, sort_keys=True).encode()).hexdigest()
+
+
+def _channel_record(system: DramSystem) -> list:
+    return [[st.bytes_read, st.bytes_written, st.bursts, st.act_count,
+             st.row_hits, st.row_misses, st.last_completion,
+             st.latency_count, st.latency_sum, st.latency_max]
+            for st in (ch.stats for ch in system.channels)]
+
+
+def _run_trace(requests) -> DramSystem:
+    system = DramSystem(CFG)
+    system.run(requests)
+    return system
+
+
+GEMM_STATS = {
+    "elapsed_cycles": 370930, "total_bytes": 168820736,
+    "bytes_per_cycle": 455.12828835629364, "achieved_gbps": 455.12828835629364,
+    "utilization": 0.888922438195886, "row_hit_rate": 0.9375454942495268,
+    "act_count": 20608, "latency_mean": 185482.0, "latency_max": 370930,
+}
+
+
+def test_gemm_trace_pinned():
+    system = _run_trace(gen_gemm_benchmark(CFG))
+    assert stats(system) == GEMM_STATS
+    assert _sha256(_channel_record(system)) == PINS["gemm_channels"]
+
+
+def test_paged_kv_traces_pinned():
+    traces = gen_paged_attention_benchmark(CFG, PagedKvLayout(65536, 1), 16384,
+                                           seed=1, runs=8)
+    systems = [_run_trace(reqs) for reqs in traces]
+    all_stats = [stats(s) for s in systems]
+    assert [s["elapsed_cycles"] for s in all_stats] == [
+        59906, 59906, 61466, 59486, 60026, 60086, 59790, 60926]
+    assert _sha256(all_stats) == PINS["paged_stats"]
+    assert _sha256([_channel_record(s) for s in systems]) == PINS["paged_channels"]
+
+
+def _mixed_trace(seed: int) -> list[Request]:
+    """Reads and writes that span interleave runs, channels and rows."""
+    rng = random.Random(seed)
+    ib = CFG.channel.interleave_bytes
+    span = 64 * ib * CFG.core.channels
+    reqs, ready = [], 0
+    for _ in range(400):
+        addr = rng.randrange(0, span)
+        nbytes = rng.choice([1, 31, 256, 512, ib - 7, ib, 3 * ib + 5,
+                             CFG.core.channels * ib + 64, 40 * ib])
+        reqs.append(Request(ready, rng.choice("RW"), addr, nbytes))
+        ready += rng.choice([0, 0, 3, 50])
+    return reqs
+
+
+def test_mixed_multi_chunk_trace_pinned():
+    systems = [_run_trace(_mixed_trace(seed)) for seed in range(3)]
+    assert _sha256([stats(s) for s in systems]) == PINS["mixed_stats"]
+    assert _sha256([_channel_record(s) for s in systems]) == PINS["mixed_channels"]
+
+
+@pytest.mark.parametrize("kind,makespan", [
+    ("ring_reduce_scatter", 2219), ("ring_all_gather", 2219),
+    ("all_reduce_1d", 4439), ("all_reduce_2d", 6275),
+])
+def test_collective_plan_results_pinned(kind, makespan):
+    arr = CoreArray((4, 4), (4, 4))
+    res = run_plan(build_collective(arr, kind, 64 * 1024), arr, CFG)
+    assert res.makespan == makespan
+    record = [res.makespan, res.bytes_hops,
+              sorted([list(k), v] for k, v in res.per_core_completion.items())]
+    assert _sha256(record) == PINS["plan_" + kind]
+
+
+# Default NoC, and shallow queues with a slow link: credit stalls and
+# several flits in flight per link.
+MESH_VARIANTS = {
+    "default": CFG,
+    "shallow": dataclasses.replace(CFG, noc=dataclasses.replace(
+        CFG.noc, input_queue_flits=2, router_delay_cycles=1, link_delay_cycles=3)),
+}
+
+
+@pytest.mark.parametrize("variant", sorted(MESH_VARIANTS))
+def test_mesh_contention_pinned(variant):
+    # Staggered all-to-random traffic: worms contend for every output port.
+    cfg = MESH_VARIANTS[variant]
+    rng = random.Random(5)
+    sim = MeshSim(cfg)
+    cores = [(m, n) for m in range(4) for n in range(4)]
+    for _ in range(300):
+        sim.inject(Packet(rng.choice(cores), rng.choice(cores),
+                          rng.choice([0, 1, 32, 100, 512, 2048])),
+                   cycle=rng.randrange(0, 400))
+    sim.run_until_drained()
+    record = sorted((p.pid, p.complete_cycle) for p in sim.packets.values())
+    assert _sha256(record) == PINS["mesh_" + variant]
+    assert sim.injected_flits == sim.ejected_flits
+
+
+def test_bandwidth_alloc_sweep_csv_pinned():
+    rows = sweep_mod.sweep("bandwidth_alloc", [512, 1024], CFG)
+    text = sweep_mod.rows_to_csv(rows)
+    assert hashlib.sha256(text.encode()).hexdigest() == PINS["sweep_csv"]
+
+
+PINS = {
+    "gemm_channels":
+        "a37d652f4a5ccb683f0696e0ed0bda37fc78e84f1a72264f7c48c129b7bdcedd",
+    "paged_stats":
+        "c225e2d770298576ddcd1fa20d5bb804314ea5ab896cd3fa2f9bade6b3104040",
+    "paged_channels":
+        "04e4e3e8a6e201523f45e565120558f22976a6dfff41ae1b78c09b876abdb050",
+    "mixed_stats":
+        "aa0db94251028f8b94eb64a01a76e523f3619a8a8862322ffd601232304a7c8d",
+    "mixed_channels":
+        "88f0bb656bb3634f8fed7dc435c537173f277fa60779c9cb2a7a84d528fd380a",
+    "plan_ring_reduce_scatter":
+        "667cd5b82781cdfc496d1a56f7b560b13d238f7f21496a0087ee37b093e384f1",
+    "plan_ring_all_gather":
+        "667cd5b82781cdfc496d1a56f7b560b13d238f7f21496a0087ee37b093e384f1",
+    "plan_all_reduce_1d":
+        "74b1673adf9baa67deeda3ae40ed82db0aabfd15c8362bf9e966b71fc31bc97b",
+    "plan_all_reduce_2d":
+        "290a19969444665988f01f87a580ca2192fe42e2e6b6b10325c1d112e33155a7",
+    "mesh_default":
+        "cd994086c156bc8118809ea18684982196e0979d86f325deb502bc201dbdffe4",
+    "mesh_shallow":
+        "72f1bb67a7ab58564153033df100cb7facedc218a4bf36f3bb4d7287f55991c4",
+    "sweep_csv":
+        "48b37afb153b2ca3ee6bd59a0f46f3f153f0459afa8d5ab009bc0f1a14567672",
+}

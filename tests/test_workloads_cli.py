@@ -276,6 +276,24 @@ def test_cli_simulate_kernel(capsys):
     assert "cycles" in out
 
 
+def test_cli_simulate_kernel_skips_thermal_imports():
+    # numpy and scipy load only for the thermal model; a plain simulate run
+    # does not pay for them.
+    import stacksim
+    import subprocess
+    import sys
+    src = os.path.dirname(os.path.dirname(os.path.abspath(stacksim.__file__)))
+    code = ("import sys\n"
+            "from stacksim.cli import main\n"
+            "rc = main(['simulate', '--kernel', 'matmul', '--bind', 'M=8', 'K=32',"
+            " 'N=32', 'tM=8', 'tN=8', 'tK=8'])\n"
+            "print(rc, 'scipy' in sys.modules, 'numpy' in sys.modules)\n")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=120).stdout
+    assert out.splitlines()[-1] == "0 False False"
+
+
 def test_cli_dump_ast(tmp_path, capsys):
     out = tmp_path / "ast.json"
     assert main(["parse", "--kernel", "matmul", "--dump-ast", "--out", str(out)]) == 0

@@ -97,7 +97,6 @@ class NocSpec:
 class InterAccelSpec:
     link_latency_s: float = 1e-6
     bandwidth_gbps: float = 900.0  # GB/s
-    accelerator_count: int = 1
 
 
 @dataclass(frozen=True)
@@ -243,8 +242,6 @@ def validate(cfg: ArchConfig) -> list[str]:
     if cfg.noc.link_delay_cycles < 1:
         v.append("noc.link_delay_cycles >= 1")
     positive(cfg.inter.bandwidth_gbps, "inter.bandwidth_gbps")
-    if cfg.inter.accelerator_count < 1:
-        v.append("inter.accelerator_count >= 1")
     if cfg.inter.link_latency_s < 0:
         v.append("inter.link_latency_s >= 0")
     for name in ("dram_pj_per_bit", "flop_pj", "noc_pj_per_byte_hop"):

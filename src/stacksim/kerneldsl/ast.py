@@ -117,22 +117,6 @@ class VectorOp:
 
 
 @dataclass(frozen=True)
-class Send:
-    src: Expr
-    dst: Expr
-    data: TileRef
-    line: int = 0
-
-
-@dataclass(frozen=True)
-class Recv:
-    src: Expr
-    dst: Expr
-    data: TileRef
-    line: int = 0
-
-
-@dataclass(frozen=True)
 class ForLoop:
     var: str
     lo: Expr
@@ -142,7 +126,7 @@ class ForLoop:
     line: int = 0
 
 
-Stmt = TensorDecl | AllocDecl | Copy | Gemm | VectorOp | Send | Recv | ForLoop
+Stmt = TensorDecl | AllocDecl | Copy | Gemm | VectorOp | ForLoop
 
 
 @dataclass(frozen=True)
@@ -150,7 +134,6 @@ class KernelProgram:
     name: str
     params: tuple[str, ...]
     body: tuple[Stmt, ...]
-    core_id_param: str | None = None
 
     def walk(self):
         def rec(stmts):

@@ -7,7 +7,7 @@ from math import prod
 
 from ..arch import ArchConfig
 from .ast import (
-    AllocDecl, Copy, ForLoop, Gemm, KernelProgram, Recv, Send, Slice, Stmt,
+    AllocDecl, Copy, ForLoop, Gemm, KernelProgram, Slice, Stmt,
     TensorDecl, TileRef, VectorOp, DTYPE_BYTES, evaluate, free_vars,
 )
 
@@ -156,13 +156,6 @@ def typecheck(prog: KernelProgram, cfg: ArchConfig, bindings: dict[str, int]) ->
                     if symbols[ref.name].kind != "alloc":
                         raise TypecheckError(
                             f"vector operand '{ref.name}' must reside in SRAM", stmt.line)
-            elif isinstance(stmt, (Send, Recv)):
-                _ref_shape(stmt.data, symbols, loop_env)
-                for e in (stmt.src, stmt.dst):
-                    unknown = free_vars(e) - set(loop_env)
-                    if unknown:
-                        raise TypecheckError(
-                            f"unbound name(s) in core index: {sorted(unknown)}", stmt.line)
             elif isinstance(stmt, ForLoop):
                 for e in (stmt.lo, stmt.hi, stmt.step):
                     unknown = free_vars(e) - set(loop_env)

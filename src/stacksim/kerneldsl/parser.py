@@ -11,8 +11,8 @@ import json
 import re
 
 from .ast import (
-    AllocDecl, BinOp, Copy, ForLoop, Gemm, KernelProgram, Num, Recv, Send,
-    Slice, Stmt, TensorDecl, TileRef, VectorOp, Var, DTYPE_BYTES,
+    AllocDecl, BinOp, Copy, ForLoop, Gemm, KernelProgram, Num, Slice, Stmt,
+    TensorDecl, TileRef, VectorOp, Var, DTYPE_BYTES,
 )
 from ..logicsim import VECTOR_OP_FLOPS
 
@@ -243,15 +243,6 @@ def _parse_statement(text: str, line: int) -> Stmt:
         if len(refs) < 2:
             raise KernelSyntaxError(f"{prim}() needs operand(s) and an output", line)
         return VectorOp(prim, tuple(refs[:-1]), refs[-1], line)
-    if prim in ("send", "recv"):
-        src = _parse_expr(t)
-        t.expect(",")
-        dst = _parse_expr(t)
-        t.expect(",")
-        data = _parse_ref(t)
-        t.expect(")")
-        cls = Send if prim == "send" else Recv
-        return cls(src, dst, data, line)
     raise KernelSyntaxError(f"unknown primitive {prim!r}", line, col)
 
 
@@ -308,8 +299,7 @@ def parse_kernel(text: str) -> KernelProgram:
         lineno, ind, _ = body_lines[consumed]
         raise KernelSyntaxError("inconsistent indentation", lineno, ind + 1)
     name, params = header
-    core_id = "core_id" if "core_id" in params else None
-    return KernelProgram(name, params, body, core_id_param=core_id)
+    return KernelProgram(name, params, body)
 
 
 def ast_to_json(prog: KernelProgram) -> str:

@@ -6,8 +6,8 @@ from dataclasses import dataclass, field
 from math import prod
 
 from .ast import (
-    AllocDecl, Copy, ForLoop, Gemm, KernelProgram, Recv, Send, Stmt,
-    TensorDecl, TileRef, VectorOp, evaluate,
+    AllocDecl, Copy, ForLoop, Gemm, KernelProgram, Stmt, TensorDecl,
+    TileRef, VectorOp, evaluate,
 )
 from .checker import CheckedProgram, SymbolInfo, TypecheckError
 
@@ -52,32 +52,25 @@ class VectorWork:
     buffers: tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class SendEvent:
-    dst: int  # linearized logical core index
-    bytes: int
-    buffer: str
-
-
-@dataclass(frozen=True)
-class RecvEvent:
-    src: int
-    bytes: int
-    buffer: str
-
-
-Event = DramRead | DramWrite | MatrixWork | VectorWork | SendEvent | RecvEvent
+Event = DramRead | DramWrite | MatrixWork | VectorWork
 
 
 @dataclass
 class OpTrace:
     events: list
 
-    def total_matrix_flops(self) -> int:
-        return sum(2 * e.m * e.n * e.k for e in self.events if isinstance(e, MatrixWork))
 
-    def total_bytes(self, cls) -> int:
-        return sum(e.bytes for e in self.events if isinstance(e, cls))
+def event_totals(events) -> tuple[int, int, int]:
+    """(matrix FLOPs, vector elements, DRAM bytes) of an iterable of events."""
+    m_flops = v_elems = dram_bytes = 0
+    for e in events:
+        if isinstance(e, MatrixWork):
+            m_flops += 2 * e.m * e.n * e.k
+        elif isinstance(e, VectorWork):
+            v_elems += e.elems
+        elif isinstance(e, (DramRead, DramWrite)):
+            dram_bytes += e.bytes
+    return m_flops, v_elems, dram_bytes
 
 
 def strides_elems(info: SymbolInfo, layout: str | None = None) -> tuple[int, ...]:
@@ -205,16 +198,6 @@ def expand(checked: CheckedProgram) -> OpTrace:
                 events.append(VectorWork(
                     stmt.kind, elems, symbols[stmt.out.name].dtype_bytes,
                     tuple(r.name for r in (*stmt.operands, stmt.out))))
-            elif isinstance(stmt, (Send, Recv)):
-                info = symbols[stmt.data.name]
-                slices = _resolve_slices(stmt.data, info, env)
-                nbytes = tile_elems(slices) * info.dtype_bytes
-                src = evaluate(stmt.src, env)
-                dst = evaluate(stmt.dst, env)
-                if isinstance(stmt, Send):
-                    events.append(SendEvent(dst, nbytes, info.name))
-                else:
-                    events.append(RecvEvent(src, nbytes, info.name))
             elif isinstance(stmt, ForLoop):
                 lo = evaluate(stmt.lo, env)
                 hi = evaluate(stmt.hi, env)

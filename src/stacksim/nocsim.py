@@ -41,7 +41,6 @@ class Packet:
     src: tuple[int, int]
     dst: tuple[int, int]
     bytes: int
-    tag: int = 0
     pid: int = -1
     inject_cycle: int = -1
     complete_cycle: int = -1
@@ -75,15 +74,17 @@ class _Router:
     def __init__(self, pos: tuple[int, int], rows: int, cols: int):
         self.pos = pos
         self.queues: list[deque[_Flit]] = [deque() for _ in range(5)]
+        # Flits on the link into each input port: they hold its credits too.
+        self.incoming: list[int] = [0] * 5
         # Wormhole allocation: output port -> (input port, packet) while a
         # packet's worm occupies the crossbar path.
         self.alloc: dict[int, tuple[int, Packet]] = {}
         self.rr: list[int] = [0] * 5  # round-robin pointer per output port
         # Destination router index -> output port.
         self.route = [_xy_port(pos, (m, n)) for m in range(rows) for n in range(cols)]
-        # Output port -> the neighbour's input queue it feeds (None at the
-        # mesh edge and for LOCAL); filled in by MeshSim.
-        self.links: list[deque[_Flit] | None] = [None] * 5
+        # Output port -> (neighbour, its input port) that the port feeds
+        # (None at the mesh edge and for LOCAL); filled in by MeshSim.
+        self.links: list[tuple[_Router, int] | None] = [None] * 5
 
 
 class MeshSim:
@@ -103,13 +104,13 @@ class MeshSim:
                 if 0 <= dm < self.rows and 0 <= dn < self.cols:
                     # The neighbour receives on the opposite side.
                     router.links[out_port] = \
-                        self.routers[dm * self.cols + dn].queues[(out_port + 2) % 4]
+                        (self.routers[dm * self.cols + dn], (out_port + 2) % 4)
         self.start_cycle = self.now = start_cycle
         self.packets: dict[int, Packet] = {}
         self._next_pid = 0
-        # (arrival cycle, input queue, flit) per flit on a link; the link
-        # delay is constant, so arrivals leave in FIFO order.
-        self._inflight: deque[tuple[int, deque[_Flit], _Flit]] = deque()
+        # (arrival cycle, router, input port, flit) per flit on a link; the
+        # link delay is constant, so arrivals leave in FIFO order.
+        self._inflight: deque[tuple[int, _Router, int, _Flit]] = deque()
         self._arrived: dict[tuple[int, int], list[Packet]] = {}
         self._pending_inject: dict[int, list[tuple[Packet, list[_Flit]]]] = {}
         self.injected_flits = 0
@@ -158,16 +159,19 @@ class MeshSim:
         # Deliver in-flight flits arriving this cycle.
         inflight = self._inflight
         while inflight and inflight[0][0] <= now:
-            _, queue, flit = inflight.popleft()
-            queue.append(flit)
+            _, router, in_port, flit = inflight.popleft()
+            router.queues[in_port].append(flit)
+            router.incoming[in_port] -= 1
 
         # Grant phase: decide all moves from the cycle-start state. Each
         # eligible head flit requests the one output port it routes to;
         # the worm holding that output, or else the head flit nearest the
-        # output's round-robin pointer, wins it. Moves apply only after
-        # every router has decided, so credit checks see cycle-start queue
-        # lengths; their order is immaterial, because each input queue,
-        # output port and link carries at most one flit per cycle.
+        # output's round-robin pointer, wins it. A move needs a credit: the
+        # neighbour's input queue plus the flits on the link to it must hold
+        # fewer than input_queue_flits. Moves apply only after every router
+        # has decided, so credit checks see cycle-start queue lengths; their
+        # order is immaterial, because each input queue, output port and
+        # link carries at most one flit per cycle.
         depth = noc.input_queue_flits
         moves = []
         for router in self.routers:
@@ -193,8 +197,10 @@ class MeshSim:
                         winners[out_port] = (rank, in_port, flit)
             for out_port, (_, in_port, flit) in winners.items():
                 link = router.links[out_port]
-                if link is not None and len(link) >= depth:
-                    continue  # no credit
+                if link is not None:
+                    nb, nb_port = link
+                    if len(nb.queues[nb_port]) + nb.incoming[nb_port] >= depth:
+                        continue  # no credit
                 moves.append((router, in_port, out_port, flit))
                 if out_port not in alloc:
                     alloc[out_port] = (in_port, flit.pkt)
@@ -215,7 +221,9 @@ class MeshSim:
                     self._arrived.setdefault(pkt.dst, []).append(pkt)
             else:
                 flit.ready = ready
-                inflight.append((arrival, router.links[out_port], flit))
+                nb, nb_port = router.links[out_port]
+                nb.incoming[nb_port] += 1
+                inflight.append((arrival, nb, nb_port, flit))
         self.now = now + 1
 
     def idle(self) -> bool:
@@ -269,7 +277,7 @@ def run_plan(plan: CommPlan, arr: CoreArray, cfg: ArchConfig, start_cycle: int =
             dst_phys = logical_to_physical(arr, entry.dst)
             h = abs(src_phys[0] - dst_phys[0]) + abs(src_phys[1] - dst_phys[1])
             bytes_hops += entry.bytes * h
-            pkt = sim.inject(Packet(src_phys, dst_phys, entry.bytes, tag=entry.step))
+            pkt = sim.inject(Packet(src_phys, dst_phys, entry.bytes))
             touching.setdefault(entry.src, []).append(pkt)
             touching.setdefault(entry.dst, []).append(pkt)
     makespan = sim.run_until_drained()

@@ -22,13 +22,13 @@ import csv
 import dataclasses
 import io
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .arch import ArchConfig
 from .dramsim import DramSystem, Request, schedule_tile, stats as dram_stats
 from .kerneldsl.checker import CheckedProgram
 from .kerneldsl.trace import (
-    DramRead, DramWrite, MatrixWork, RecvEvent, SendEvent, VectorWork,
+    DramRead, DramWrite, MatrixWork, VectorWork, event_totals,
 )
 from .logicsim import matrix_cost, vector_cost
 from .nocsim import run_plan
@@ -87,7 +87,11 @@ class OperatorResult:
     utilization: float = 1.0
     dram_utilization: float = 0.0
     row_hit_rate: float = 0.0
-    energy_j: float = 0.0
+    energy: dict = field(default_factory=dict)  # component -> joules
+
+    @property
+    def energy_j(self) -> float:
+        return sum(self.energy.values(), 0.0)
 
 
 @dataclass
@@ -119,34 +123,35 @@ class SimReport:
         return buf.getvalue()
 
 
-def _dram_requests(events, placement: TensorPlacement, ready: int) -> list[Request]:
+def dram_requests(events, placement: TensorPlacement, ready: int) -> list[Request]:
+    """The DRAM requests of the reads and writes among `events`, in order."""
     reqs = []
     for e in events:
+        if isinstance(e, DramRead):
+            kind = "R"
+        elif isinstance(e, DramWrite):
+            kind = "W"
+        else:
+            continue
         base = placement.tensors[e.tensor].base_address
-        kind = "R" if isinstance(e, DramRead) else "W"
         for off, length in e.ranges:
             reqs.append(Request(ready, kind, base + off, length))
     return reqs
 
 
-def roofline_cycles(checked: CheckedProgram, desc: ExecutionDescription) -> int:
-    """Lower bound: max of pure compute time and pure DRAM-transfer time."""
-    cfg = checked.cfg
+def _roofline(m_flops: int, dram_bytes: int, cfg: ArchConfig) -> int:
     core = cfg.core
-    m_flops = v_flops = dram_bytes = 0
-    for op in desc.operators:
-        for it in op.iterations:
-            for e in it:
-                if isinstance(e, MatrixWork):
-                    m_flops += 2 * e.m * e.n * e.k
-                elif isinstance(e, VectorWork):
-                    v_flops += e.elems
-                elif isinstance(e, (DramRead, DramWrite)):
-                    dram_bytes += e.bytes
     compute = math.ceil(m_flops / (core.matrix_tflops * 1e3 / core.frequency_ghz))
     peak_bpc = cfg.channel.burst_bytes / cfg.dram_timing.tBURST * core.channels
     traffic = math.ceil(dram_bytes / peak_bpc)
     return max(compute, traffic, 1)
+
+
+def roofline_cycles(checked: CheckedProgram, desc: ExecutionDescription) -> int:
+    """Lower bound at the typecheck config: max of pure compute time and
+    pure DRAM-transfer time."""
+    m_flops, _, dram_bytes = event_totals(desc.events())
+    return _roofline(m_flops, dram_bytes, checked.cfg)
 
 
 def simulate_compute(op: ComputeOp, cfg: ArchConfig) -> OperatorResult:
@@ -155,39 +160,35 @@ def simulate_compute(op: ComputeOp, cfg: ArchConfig) -> OperatorResult:
     placement = body.placement or infer_placement(body.checked, cfg)
     dram = DramSystem(cfg)
     now = 0
-    m_flops = v_flops = dram_bytes = 0
     for desc_op in body.desc.operators:
         for it in desc_op.iterations:
-            mem_events = [e for e in it if isinstance(e, (DramRead, DramWrite))]
             compute_cycles = 0
             for e in it:
                 if isinstance(e, MatrixWork):
                     cost = matrix_cost(e.m, e.n, e.k, e.dtype_bytes, cfg.core,
                                        accumulate=e.accumulate)
                     compute_cycles += cost.latency_cycles
-                    m_flops += 2 * e.m * e.n * e.k
                 elif isinstance(e, VectorWork):
                     cost = vector_cost(e.kind, e.elems, e.dtype_bytes, cfg.core)
                     compute_cycles += cost.latency_cycles
-                    v_flops += e.elems
             mem_done = now
-            if mem_events:
-                reqs = _dram_requests(mem_events, placement, now)
+            reqs = dram_requests(it, placement, now)
+            if reqs:
                 mem_done = dram.run(schedule_tile(reqs, cfg))
-                dram_bytes += sum(e.bytes for e in mem_events)
             now = max(mem_done, now + compute_cycles)
     cycles = now
-    bound = roofline_cycles(body.checked, body.desc)
+    m_flops, v_flops, dram_bytes = event_totals(body.desc.events())
+    bound = _roofline(m_flops, dram_bytes, cfg)
     d = dram_stats(dram)
     en = cfg.energy
-    energy = dram_bytes * 8 * en.dram_pj_per_bit * 1e-12 \
-        + (m_flops + v_flops) * en.flop_pj * 1e-12
+    energy = {"dram": dram_bytes * 8 * en.dram_pj_per_bit * 1e-12,
+              "compute": (m_flops + v_flops) * en.flop_pj * 1e-12}
     return OperatorResult(
         op.name, "compute", cycles, dram_bytes=dram_bytes,
         matrix_flops=m_flops, vector_flops=v_flops,
         utilization=min(1.0, bound / cycles) if cycles else 1.0,
         dram_utilization=d["utilization"], row_hit_rate=d["row_hit_rate"],
-        energy_j=energy)
+        energy=energy)
 
 
 def simulate_collective(op: CollectiveOp, cfg: ArchConfig) -> OperatorResult:
@@ -196,12 +197,11 @@ def simulate_collective(op: CollectiveOp, cfg: ArchConfig) -> OperatorResult:
     # Lower bound: the busiest core's send bytes over one link.
     per_core = max((op.plan.bytes_sent(c) for c in op.array.coords()), default=0)
     bound = math.ceil(per_core / cfg.noc.link_bytes_per_cycle) if per_core else 0
-    energy = result.bytes_hops * cfg.energy.noc_pj_per_byte_hop * 1e-12
     return OperatorResult(
         op.name, "collective", cycles,
         noc_bytes_hops=result.bytes_hops,
         utilization=min(1.0, bound / cycles) if cycles else 1.0,
-        energy_j=energy)
+        energy={"noc": result.bytes_hops * cfg.energy.noc_pj_per_byte_hop * 1e-12})
 
 
 def inter_accel_latency(nbytes: int, link) -> float:
@@ -219,12 +219,12 @@ def inter_accel_cycles(nbytes: int, cfg: ArchConfig) -> int:
 
 def _simulate_once(memo: dict, key, op, simulate, cfg: ArchConfig) -> OperatorResult:
     """`simulate(op, cfg)` for the first operator with `key`; a later one
-    gets a copy of that result under its own name."""
+    gets a copy of that result, and of its energy, under its own name."""
     cached = memo.get(key)
     if cached is None:
         memo[key] = cached = simulate(op, cfg)
         return cached
-    return dataclasses.replace(cached, name=op.name)
+    return dataclasses.replace(cached, name=op.name, energy=dict(cached.energy))
 
 
 def run(operators: list, cfg: ArchConfig) -> SimReport:
@@ -241,18 +241,16 @@ def run(operators: list, cfg: ArchConfig) -> SimReport:
     for op in operators:
         if isinstance(op, ComputeOp):
             res = _simulate_once(memo, op.body, op, simulate_compute, cfg)
-            energy["dram"] += res.dram_bytes * 8 * cfg.energy.dram_pj_per_bit * 1e-12
-            energy["compute"] += (res.matrix_flops + res.vector_flops) \
-                * cfg.energy.flop_pj * 1e-12
         elif isinstance(op, CollectiveOp):
             res = _simulate_once(memo, (op.kind, op.plan, op.array), op,
                                  simulate_collective, cfg)
-            energy["noc"] += res.energy_j
         elif isinstance(op, InterAccelOp):
             cycles = inter_accel_cycles(op.bytes, cfg)
             res = OperatorResult(op.name, "inter_accel", cycles, utilization=1.0)
         else:
             raise TypeError(f"unknown operator {op!r}")
+        for part, joules in res.energy.items():
+            energy[part] += joules
         results.append(res)
         now += res.cycles
     seconds = now / (cfg.core.frequency_ghz * 1e9)

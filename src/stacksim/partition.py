@@ -8,10 +8,8 @@ that the NoC simulator replays.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import prod
-
-from .arch import NocSpec
 
 
 class PartitionError(ValueError):
@@ -28,10 +26,6 @@ class CoreArray:
             raise PartitionError(
                 f"core array {self.shape} does not cover the "
                 f"{self.physical[0]}x{self.physical[1]} mesh")
-
-    @classmethod
-    def from_noc(cls, shape: tuple[int, ...], noc: NocSpec) -> "CoreArray":
-        return cls(tuple(shape), (noc.rows, noc.cols))
 
     @property
     def count(self) -> int:
@@ -150,38 +144,6 @@ def split_gemm(arr: CoreArray, M: int, K: int, N: int,
         reduction = tuple(o for o in coords if same_except(o, k_axes))
         shards[coord] = CoreShard(a_shard, b_shard, out_shard, replication, reduction)
     return GemmPartition(M, K, N, mapping, shards)
-
-
-@dataclass(frozen=True)
-class AttentionPartition:
-    assignments: dict  # logical coord -> list of (token id, slot id)
-
-    def context_length(self, coord) -> int:
-        return len(self.assignments.get(coord, []))
-
-
-def split_attention(arr: CoreArray,
-                    token_slot_list: list[tuple[tuple[int, ...], list[int]]]) -> AttentionPartition:
-    """Distribute request tokens consecutively over per-core KV slots.
-
-    Token t of the request lands in the t-th slot of the concatenated item
-    order; each item names a core's logical coordinate and the KV-cache slot
-    ids it contributes.
-    """
-    assignments: dict[tuple[int, ...], list[tuple[int, int]]] = {}
-    seen_slots: dict[tuple[int, ...], set[int]] = {}
-    token = 0
-    for coord, slots in token_slot_list:
-        coord = tuple(coord)
-        arr.linearize(coord)  # validates the coordinate
-        taken = seen_slots.setdefault(coord, set())
-        for slot in slots:
-            if slot in taken:
-                raise PartitionError(f"duplicate slot {slot} on core {coord}")
-            taken.add(slot)
-            assignments.setdefault(coord, []).append((token, slot))
-            token += 1
-    return AttentionPartition(assignments)
 
 
 @dataclass(frozen=True)

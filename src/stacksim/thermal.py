@@ -41,10 +41,6 @@ class ThermalGrid:
     def nodes(self) -> int:
         return len(self.stack.layers) * self.resolution * self.resolution
 
-    def node(self, layer: int, i: int, j: int) -> int:
-        res = self.resolution
-        return (layer * res + i) * res + j
-
     def steady_state(self, P: np.ndarray) -> np.ndarray:
         """Temperature rise over ambient for constant power P (W per cell)."""
         if self._G_solve is None:

@@ -18,8 +18,8 @@ from .arch import ArchConfig
 from .kerneldsl.ast import Copy, ForLoop, KernelProgram, free_vars
 from .kerneldsl.checker import CheckedProgram, TypecheckError, typecheck
 from .kerneldsl.trace import (
-    DramRead, DramWrite, MatrixWork, OpTrace, RecvEvent, SendEvent,
-    VectorWork, expand, strides_elems,
+    DramRead, DramWrite, MatrixWork, OpTrace, VectorWork, expand,
+    strides_elems,
 )
 
 
@@ -113,6 +113,10 @@ class OperatorDesc:
 class ExecutionDescription:
     operators: list
 
+    def events(self):
+        """Every event of every operator, in iteration order."""
+        return (e for op in self.operators for it in op.iterations for e in it)
+
     def serialize(self) -> str:
         return yaml.safe_dump({"operators": [
             {"name": op.name,
@@ -122,7 +126,7 @@ class ExecutionDescription:
 
 _EVENT_NAMES = {
     DramRead: "dram_read", DramWrite: "dram_write", MatrixWork: "matrix",
-    VectorWork: "vector", SendEvent: "send", RecvEvent: "recv",
+    VectorWork: "vector",
 }
 
 
@@ -133,10 +137,8 @@ def _event_to_dict(e) -> dict:
                  ranges=[list(r) for r in e.ranges])
     elif isinstance(e, MatrixWork):
         d.update(m=e.m, n=e.n, k=e.k, dtype_bytes=e.dtype_bytes, accumulate=e.accumulate)
-    elif isinstance(e, VectorWork):
-        d.update(kind=e.kind, elems=e.elems, dtype_bytes=e.dtype_bytes)
     else:
-        d.update(peer=e.dst if isinstance(e, SendEvent) else e.src, bytes=e.bytes)
+        d.update(kind=e.kind, elems=e.elems, dtype_bytes=e.dtype_bytes)
     return d
 
 

@@ -14,7 +14,10 @@ from .dramsim import Request
 from .kerneldsl.ast import DTYPE_BYTES, KernelProgram
 from .kerneldsl.checker import typecheck
 from .kerneldsl.parser import parse_kernel
-from .orchestrator import CollectiveOp, ComputeBody, ComputeOp, InterAccelOp
+from .kerneldsl.trace import event_totals, expand
+from .orchestrator import (
+    CollectiveOp, ComputeBody, ComputeOp, InterAccelOp, dram_requests,
+)
 from .partition import CoreArray, build_collective
 from .tiler import generate_execution, infer_placement
 
@@ -115,13 +118,12 @@ def model_from_yaml(text: str) -> ModelSpec:
 class DecodingScenario:
     batch: int = 16
     context: int = 1024
-    accelerators: int = 1
     tp: int = 1
     ep: int = 1
 
     def validate(self, model: ModelSpec) -> list[str]:
         v = []
-        for f in ("batch", "context", "accelerators", "tp", "ep"):
+        for f in ("batch", "context", "tp", "ep"):
             if getattr(self, f) < 1:
                 v.append(f"{f} >= 1")
         if self.ep > 1 and model.ffn_type != "moe":
@@ -249,17 +251,8 @@ def build_decoding_graph(model: ModelSpec, scen: DecodingScenario,
 
 def graph_totals(ops: list) -> dict:
     """Aggregate FLOPs and DRAM bytes of a graph (compute operators only)."""
-    flops = nbytes = 0
-    for op in ops:
-        if not isinstance(op, ComputeOp):
-            continue
-        for d in op.desc.operators:
-            for it in d.iterations:
-                for e in it:
-                    if hasattr(e, "m"):
-                        flops += 2 * e.m * e.n * e.k
-                    elif hasattr(e, "ranges"):
-                        nbytes += e.bytes
+    flops, _, nbytes = event_totals(
+        e for op in ops if isinstance(op, ComputeOp) for e in op.desc.events())
     return {"matrix_flops": flops, "dram_bytes": nbytes}
 
 
@@ -272,16 +265,7 @@ def gen_gemm_benchmark(cfg: ArchConfig, M: int = 64, K: int = 8192, N: int = 819
     bindings = {"M": M, "K": K, "N": N}
     bindings.update(tiling or {"tM": min(M, 64), "tN": 256, "tK": 256})
     checked = typecheck(prog, cfg, bindings)
-    placement = infer_placement(checked, cfg)
-    from .kerneldsl.trace import DramRead, DramWrite, expand
-    reqs = []
-    for e in expand(checked).events:
-        if isinstance(e, (DramRead, DramWrite)):
-            base = placement.tensors[e.tensor].base_address
-            kind = "R" if isinstance(e, DramRead) else "W"
-            for off, length in e.ranges:
-                reqs.append(Request(0, kind, base + off, length))
-    return reqs
+    return dram_requests(expand(checked).events, infer_placement(checked, cfg), 0)
 
 
 def gen_paged_attention_benchmark(cfg: ArchConfig, layout: PagedKvLayout,

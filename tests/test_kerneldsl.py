@@ -1,4 +1,5 @@
 import json
+from importlib import resources
 
 import pytest
 from hypothesis import given, strategies as st
@@ -6,8 +7,8 @@ from hypothesis import given, strategies as st
 from stacksim.arch import ArchConfig
 from stacksim.kerneldsl import (
     AllocDecl, DramRead, DramWrite, ForLoop, Gemm, KernelSyntaxError,
-    MatrixWork, TensorDecl, TypecheckError, VectorWork, ast_to_json, expand,
-    parse_kernel, typecheck,
+    MatrixWork, TensorDecl, TypecheckError, VectorWork, ast_to_json,
+    event_totals, expand, parse_kernel, typecheck,
 )
 from stacksim.workloads import load_kernel
 
@@ -55,8 +56,22 @@ def test_ast_json_is_stable_and_loadable():
     text = ast_to_json(prog)
     doc = json.loads(text)
     assert doc["name"] == "matmul"
-    assert ast_to_json(parse_kernel(open(
-        "src/stacksim/kernels/matmul.kl").read())) == text
+    source = resources.files("stacksim").joinpath("kernels/matmul.kl").read_text()
+    assert ast_to_json(parse_kernel(source)) == text
+
+
+@pytest.mark.parametrize("line", ["send(0, 1, buf)", "recv(1, 0, buf)"])
+def test_send_and_recv_are_not_primitives(line):
+    # Collectives are CommPlans replayed on the mesh, not kernel statements.
+    text = ("kernel k(S):\n"
+            "    buf = alloc((S,), fp16)\n"
+            f"    {line}\n")
+    with pytest.raises(KernelSyntaxError, match="line 3.*unknown primitive"):
+        parse_kernel(text)
+
+
+def dram_bytes(events, cls):
+    return event_totals(e for e in events if isinstance(e, cls))[2]
 
 
 def test_typecheck_shape_mismatch():
@@ -100,7 +115,7 @@ def test_matmul_unit_tile_trace_counts():
     assert kinds.count(DramRead) == 16
     assert kinds.count(MatrixWork) == 8
     assert kinds.count(DramWrite) == 4
-    assert trace.total_matrix_flops() == 2 * 2 * 2 * 2
+    assert event_totals(trace.events)[0] == 2 * 2 * 2 * 2
 
 
 def test_trace_byte_ranges_follow_layout():
@@ -146,7 +161,7 @@ def test_total_flops_invariant_under_tiling(shapes):
     (m, tm), (k, tk), (n, tn) = shapes
     prog = load_kernel("matmul")
     checked = typecheck(prog, CFG, dict(M=m, K=k, N=n, tM=tm, tN=tn, tK=tk))
-    assert expand(checked).total_matrix_flops() == 2 * m * n * k
+    assert event_totals(expand(checked).events)[0] == 2 * m * n * k
 
 
 @given(dividing_tilings())
@@ -157,8 +172,8 @@ def test_matmul_read_traffic(shapes):
     trace = expand(checked)
     # Each (i, j) pass reloads the A row-block and B column-block.
     expected = (m // tm) * (n // tn) * (tm * k + k * tn) * 2
-    assert trace.total_bytes(DramRead) == expected
-    assert trace.total_bytes(DramWrite) == m * n * 2
+    assert dram_bytes(trace.events, DramRead) == expected
+    assert dram_bytes(trace.events, DramWrite) == m * n * 2
 
 
 def test_rowblock_kernel_loads_a_once():
@@ -167,7 +182,7 @@ def test_rowblock_kernel_loads_a_once():
     checked = typecheck(prog, CFG, dict(M=m, K=k, N=n, tM=tm, tN=n, tK=k))
     trace = expand(checked)
     # A is loaded once (M*K elements); B is reloaded per row block.
-    assert trace.total_bytes(DramRead) == (m * k + (m // tm) * k * n) * 2
+    assert dram_bytes(trace.events, DramRead) == (m * k + (m // tm) * k * n) * 2
 
 
 def test_non_dividing_tiling_clips_edges():
@@ -179,8 +194,8 @@ def test_non_dividing_tiling_clips_edges():
     a_bytes = sum(e.bytes for e in trace.events
                   if isinstance(e, DramRead) and e.tensor == "A")
     assert a_bytes == 6 * 4 * 2
-    assert trace.total_bytes(DramWrite) == 6 * 4 * 2
-    assert trace.total_matrix_flops() == 2 * 8 * 4 * 4  # M padded to 8
+    assert dram_bytes(trace.events, DramWrite) == 6 * 4 * 2
+    assert event_totals(trace.events)[0] == 2 * 8 * 4 * 4  # M padded to 8
 
 
 def test_fused_attention_round_structure():

@@ -1,4 +1,5 @@
 import dataclasses
+import random
 
 import pytest
 
@@ -58,6 +59,26 @@ def test_flit_conservation():
     expected = sum(p.flit_count(CFG.noc.flit_bytes) for p in pkts)
     assert sim.injected_flits == sim.ejected_flits == expected
     assert all(p.complete_cycle >= 0 for p in pkts)
+
+
+@pytest.mark.parametrize("depth, link_delay", [(2, 3), (4, 4)])
+def test_input_queues_never_exceed_their_depth(depth, link_delay):
+    # Flits on a link hold credits of the queue they are heading for, so a
+    # slow link must not let a queue fill past input_queue_flits.
+    cfg = dataclasses.replace(CFG, noc=dataclasses.replace(
+        CFG.noc, input_queue_flits=depth, link_delay_cycles=link_delay))
+    rng = random.Random(3)
+    sim = MeshSim(cfg)
+    cores = [(m, n) for m in range(4) for n in range(4)]
+    for _ in range(200):
+        sim.inject(Packet(rng.choice(cores), rng.choice(cores),
+                          rng.choice([32, 256, 1024])), cycle=rng.randrange(0, 300))
+    fullest = 0
+    while not sim.idle():
+        sim.tick()
+        fullest = max(fullest, max(len(q) for r in sim.routers for q in r.queues[:4]))
+    assert fullest == depth
+    assert sim.injected_flits == sim.ejected_flits
 
 
 def test_contention_delays_second_packet():

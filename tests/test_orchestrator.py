@@ -11,7 +11,9 @@ from stacksim.orchestrator import (
 )
 from stacksim.partition import CoreArray, build_collective
 from stacksim.tiler import ExecutionDescription, OperatorDesc, generate_execution
-from stacksim.workloads import load_kernel
+from stacksim.workloads import (
+    DecodingScenario, build_decoding_graph, load_kernel, load_model,
+)
 
 CFG = ArchConfig()
 
@@ -151,6 +153,46 @@ def test_energy_accounting():
     assert report.energy_j["dram"] == pytest.approx(0.77e-3, rel=1e-6)
     assert report.energy_j["compute"] == 0.0
     assert report.total_energy_j == pytest.approx(sum(report.energy_j.values()))
+
+
+def test_report_energy_is_the_sum_of_operator_energy():
+    op = compute_op(
+        "kernel k(N):\n"
+        "    X = tensor((N, N), fp16)\n"
+        "    x = alloc((N, N), fp16)\n"
+        "    y = alloc((N, N), fp16)\n"
+        "    copy(X, x)\n"
+        "    gemm(x, x, y)\n"
+        "    exp(y, y)\n", N=64)
+    arr = CoreArray((16,), (4, 4))
+    coll = CollectiveOp("ar", "all_reduce_1d",
+                        build_collective(arr, "all_reduce_1d", 16384), arr)
+    report = run([op, coll, InterAccelOp("link", 4096), op, coll], CFG)
+    expected = {"dram": 0.0, "compute": 0.0, "noc": 0.0, "inter": 0.0}
+    for res in report.operators:
+        assert res.energy_j == sum(res.energy.values(), 0.0)
+        for part, joules in res.energy.items():
+            expected[part] += joules
+    assert report.energy_j == expected
+    assert min(expected["dram"], expected["compute"], expected["noc"]) > 0.0
+    assert report.energy_j["inter"] == 0.0  # link energy is not modelled yet
+    assert report.operators[2].energy == {}
+    # A repeat's energy is its own copy, not the first result's dict.
+    assert report.operators[3].energy == report.operators[0].energy
+    assert report.operators[3].energy is not report.operators[0].energy
+
+
+def test_utilization_bound_uses_the_simulated_clock():
+    # Typechecked at 1 GHz and simulated at 0.5 GHz, as after thermal
+    # regulation: the bound must be the one at the simulated clock.
+    ops = build_decoding_graph(load_model("llama3.2-1b"), DecodingScenario(batch=64),
+                               CFG, layers=1)
+    qkv = next(op for op in ops if op.name == "layer0.qkv_fc")
+    slow = dataclasses.replace(CFG, core=dataclasses.replace(CFG.core, frequency_ghz=0.5))
+    res = simulate_compute(qkv, slow)
+    bound = roofline_cycles(dataclasses.replace(qkv.checked, cfg=slow), qkv.desc)
+    assert res.cycles >= bound
+    assert res.utilization == bound / res.cycles < 1.0
 
 
 def test_report_deterministic_and_csv():

@@ -3,7 +3,7 @@ from hypothesis import given, strategies as st
 
 from stacksim.partition import (
     CommPlan, CoreArray, PartitionError, build_collective, logical_to_physical,
-    split_attention, split_gemm,
+    split_gemm,
 )
 
 MESH44 = (4, 4)
@@ -83,28 +83,6 @@ def test_split_gemm_rejects_reused_axis():
         split_gemm(arr, 8, 8, 8, {"K": [0], "N": [0]})
     with pytest.raises(PartitionError):
         split_gemm(arr, 8, 8, 8, {"K": [5]})
-
-
-def test_split_attention_consecutive_tokens():
-    arr = CoreArray((4,), (2, 2))
-    part = split_attention(arr, [((0,), [0, 1]), ((1,), [0]), ((0,), [2])])
-    assert part.assignments[(0,)] == [(0, 0), (1, 1), (3, 2)]
-    assert part.assignments[(1,)] == [(2, 0)]
-    assert part.context_length((0,)) == 3
-    assert part.context_length((2,)) == 0
-
-
-def test_split_attention_even_spread():
-    arr = CoreArray((16,), MESH44)
-    items = [((c,), list(range(64))) for c in range(16)]
-    part = split_attention(arr, items)
-    assert all(part.context_length((c,)) == 64 for c in range(16))
-
-
-def test_split_attention_duplicate_slot():
-    arr = CoreArray((4,), (2, 2))
-    with pytest.raises(PartitionError, match="duplicate slot"):
-        split_attention(arr, [((0,), [3]), ((0,), [3])])
 
 
 MB = 1024 * 1024

@@ -155,7 +155,7 @@ PINS = {
     "mesh_default":
         "cd994086c156bc8118809ea18684982196e0979d86f325deb502bc201dbdffe4",
     "mesh_shallow":
-        "72f1bb67a7ab58564153033df100cb7facedc218a4bf36f3bb4d7287f55991c4",
+        "c809c06844bc809804e2a969091061d28e01925e1073f786f742038f2ba3c6f2",
     "sweep_csv":
         "48b37afb153b2ca3ee6bd59a0f46f3f153f0459afa8d5ab009bc0f1a14567672",
 }

@@ -116,8 +116,8 @@ def cmd_simulate(args) -> int:
                                                 infer_placement(checked, cfg)))]
     if args.regulate:
         import dataclasses
-        from .thermal import regulate  # numpy and scipy load only when regulating
-        reg = regulate(cfg, default_power_model(cfg), resolution=16)
+        from .thermal import regulate  # numpy loads only when regulating
+        reg = regulate(cfg, default_power_model(cfg))
         cfg = dataclasses.replace(cfg, core=dataclasses.replace(
             cfg.core, frequency_ghz=reg.frequency_ghz))
         report = run(ops, cfg)
@@ -137,8 +137,7 @@ def cmd_simulate(args) -> int:
 def cmd_sweep(args) -> int:
     cfg = _load_config(args.config)
     grid = [float(v) if "." in v else int(v) for v in args.grid]
-    rows = sweep_mod.sweep(args.dimension, grid, cfg,
-                           thermal_resolution=args.thermal_resolution)
+    rows = sweep_mod.sweep(args.dimension, grid, cfg)
     _write_out(sweep_mod.rows_to_csv(rows), args.out)
     return 0
 
@@ -220,7 +219,8 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("dimension", choices=sweep_mod.SWEEP_DIMENSIONS)
     p.add_argument("grid", nargs="+")
-    p.add_argument("--thermal-resolution", type=int, default=16)
+    p.add_argument("--thermal-resolution", type=int,
+                   help="ignored: the thermal model has one node per layer")
     p.set_defaults(fn=cmd_sweep)
 
     p = sub.add_parser("trace-gen", help="generate DRAM benchmark traces")

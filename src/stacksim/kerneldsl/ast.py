@@ -135,13 +135,5 @@ class KernelProgram:
     params: tuple[str, ...]
     body: tuple[Stmt, ...]
 
-    def walk(self):
-        def rec(stmts):
-            for s in stmts:
-                yield s
-                if isinstance(s, ForLoop):
-                    yield from rec(s.body)
-        yield from rec(self.body)
-
 
 DTYPE_BYTES = {"fp16": 2, "fp32": 4, "int8": 1}

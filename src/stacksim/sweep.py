@@ -103,15 +103,13 @@ CSV_FIELDS = ("dimension", "value", "frequency_ghz", "peak_temperature_c",
               "dram_utilization", "row_hit_rate", "energy_j", "status")
 
 
-def evaluate_point(cfg: ArchConfig, power_model=None,
-                   thermal_resolution: int = 16) -> dict:
+def evaluate_point(cfg: ArchConfig, power_model=None) -> dict:
     """Regulate, autotune the probe GEMM, simulate; one result record."""
     problems = validate(cfg)
     if problems:
         return {"status": "invalid: " + problems[0]}
-    from .thermal import regulate  # numpy and scipy load only when a sweep runs
-    reg = regulate(cfg, power_model or default_power_model(cfg),
-                   resolution=thermal_resolution)
+    from .thermal import regulate  # numpy loads only when a sweep runs
+    reg = regulate(cfg, power_model or default_power_model(cfg))
     cfg = dataclasses.replace(cfg, core=dataclasses.replace(
         cfg.core, frequency_ghz=reg.frequency_ghz))
     prog = load_kernel("matmul")
@@ -144,20 +142,13 @@ def evaluate_point(cfg: ArchConfig, power_model=None,
     }
 
 
-def _evaluate_star(args):
-    cfg, resolution = args
-    return evaluate_point(cfg, None, resolution)
-
-
 def sweep(dimension: str, grid: list, base: ArchConfig,
-          power_model=None, thermal_resolution: int = 16,
-          workers: int = 1) -> list[dict]:
+          power_model=None, workers: int = 1) -> list[dict]:
     """Evaluate every grid point; `workers` > 1 distributes points over
     processes and must produce exactly the serial result."""
     if not grid:
         raise SweepError("sweep grid must be nonempty")
     points = []
-    rows = []
     for value in grid:
         record = {"dimension": dimension, "value": value}
         try:
@@ -169,11 +160,9 @@ def sweep(dimension: str, grid: list, base: ArchConfig,
     if workers > 1 and power_model is None and todo:
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as ex:
-            results = list(ex.map(_evaluate_star,
-                                  [(cfg, thermal_resolution) for _, cfg in todo]))
+            results = list(ex.map(evaluate_point, [cfg for _, cfg in todo]))
     else:
-        results = [evaluate_point(cfg, power_model, thermal_resolution)
-                   for _, cfg in todo]
+        results = [evaluate_point(cfg, power_model) for _, cfg in todo]
     for (rec, _), result in zip(todo, results):
         rec.update(result)
     rows = [rec for rec, _ in points]
@@ -216,13 +205,3 @@ def report(csv_text: str) -> str:
     if skipped:
         w.writerow([f"# {skipped} point(s) not ok (flagged in the sweep CSV)"])
     return out.getvalue()
-
-
-def latency_weighted_average(latencies: dict[str, float]) -> float:
-    """Average of per-model latencies weighted by the latencies themselves:
-    sum(l_i^2) / sum(l_i). Slow models dominate, matching a wall-clock view
-    of a mixed serving pool."""
-    total = sum(latencies.values())
-    if total == 0:
-        return 0.0
-    return sum(v * v for v in latencies.values()) / total

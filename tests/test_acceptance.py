@@ -186,7 +186,7 @@ def test_c07_thermal_solver_and_regulation():
         layers=(LayerSpec("logic", 100e-6, k_hi, 1.6e6, power_layer=True),
                 LayerSpec("dram0", 50e-6, k_hi, 1.6e6, power_layer=True)),
         htc_w_m2k=htc, chip_area_m2=area)
-    grid1 = build_matrices(pole_stack, resolution=1)
+    grid1 = build_matrices(pole_stack)
     g_b = 1.0 / (25e-6 / (k_hi * area) + 1.0 / (htc * area))
     c_tot = 1.6e6 * area * 150e-6
     T = np.full(grid1.nodes, 40.0)
@@ -198,7 +198,7 @@ def test_c07_thermal_solver_and_regulation():
         exact = 40.0 * math.exp(-g_b * n * dt / c_tot)
         worst = max(worst, abs(float(T[0]) - exact) / exact)
     assert worst <= 1e-6
-    grid = build_matrices(StackDescription(), resolution=4)
+    grid = build_matrices(StackDescription())
     P = power_map(grid, 250.0, 60.0)
     target = grid.steady_state(P)
     T = np.zeros(grid.nodes)
@@ -213,7 +213,7 @@ def test_c07_thermal_solver_and_regulation():
                 LayerSpec("dram0", 50e-6, 120.0, 1.6e6, power_layer=True)),
         htc_w_m2k=10000.0, chip_area_m2=1e-4)
     cfg = dataclasses.replace(ArchConfig(), thermal_stack=stack)
-    res = regulate(cfg, lambda f: (70.0 * f, 0.0), resolution=4)
+    res = regulate(cfg, lambda f: (70.0 * f, 0.0))
     assert res.feasible and res.peak_temperature_c <= 85.0
     assert res.frequency_ghz == pytest.approx(0.85)
     assert all(t > 85.0 for _, t in res.trace[:-1])
@@ -331,8 +331,8 @@ def test_c11_results_are_deterministic():
 
     a, b = once(), once()
     assert a == b  # byte-identical report
-    serial = sweep("interleave_x", [0, 5], cfg, thermal_resolution=4, workers=1)
-    parallel = sweep("interleave_x", [0, 5], cfg, thermal_resolution=4, workers=2)
+    serial = sweep("interleave_x", [0, 5], cfg, workers=1)
+    parallel = sweep("interleave_x", [0, 5], cfg, workers=2)
     assert serial == parallel
     print("\nPASS c11: repeated runs byte-identical; parallel sweep equals "
           "serial")

@@ -1,10 +1,14 @@
+import dataclasses
+from importlib import resources
+
 import numpy as np
 import pytest
 
-from stacksim.arch import ArchConfig, LayerSpec, StackDescription
+from stacksim.arch import ArchConfig, LayerSpec, StackDescription, load_arch
+from stacksim.sweep import default_power_model
 from stacksim.thermal import (
     FREQ_FLOOR_GHZ, FREQ_STEP_GHZ, ThermalError, build_matrices, power_map,
-    regulate, temperature_field_csv,
+    regulate,
 )
 
 AREA = 1e-4  # 100 mm^2
@@ -20,10 +24,10 @@ def two_layer_stack(t1=100e-6, t2=50e-6, k1=120.0, k2=120.0, htc=10000.0):
 
 def test_two_cell_conductances_by_hand():
     stack = two_layer_stack()
-    grid = build_matrices(stack, resolution=1)
+    grid = build_matrices(stack)
     g_v = 1.0 / (50e-6 / (120.0 * AREA) + 25e-6 / (120.0 * AREA))
     g_b = 1.0 / (25e-6 / (120.0 * AREA) + 1.0 / (10000.0 * AREA))
-    G = grid.G.toarray()
+    G = grid.G
     assert G[0, 1] == pytest.approx(-g_v)
     assert G[0, 0] == pytest.approx(g_v)
     assert G[1, 1] == pytest.approx(g_v + g_b)
@@ -34,15 +38,15 @@ def test_two_cell_conductances_by_hand():
 
 
 def test_matrices_are_symmetric_and_capacitance_positive():
-    grid = build_matrices(StackDescription(), resolution=6)
+    grid = build_matrices(StackDescription())
     G = grid.G
     assert abs(G - G.T).max() < 1e-12
     assert (grid.C.diagonal() > 0).all()
 
 
 def test_halving_top_thickness_raises_escape_conductance():
-    thick = build_matrices(two_layer_stack(t2=50e-6), resolution=1).G.toarray()
-    thin = build_matrices(two_layer_stack(t2=25e-6), resolution=1).G.toarray()
+    thick = build_matrices(two_layer_stack(t2=50e-6)).G
+    thin = build_matrices(two_layer_stack(t2=25e-6)).G
     # Boundary term on the top-cell diagonal grows as the half-slab shrinks.
     g_b_thick = thick[1, 1] + thick[1, 0]
     g_b_thin = thin[1, 1] + thin[1, 0]
@@ -50,7 +54,7 @@ def test_halving_top_thickness_raises_escape_conductance():
 
 
 def test_steady_state_is_step_fixed_point():
-    grid = build_matrices(StackDescription(), resolution=4)
+    grid = build_matrices(StackDescription())
     P = power_map(grid, 200.0, 50.0)
     T = grid.steady_state(P)
     T2 = grid.step(T, P, dt=1e-3)
@@ -58,18 +62,18 @@ def test_steady_state_is_step_fixed_point():
 
 
 def test_step_matches_dense_backward_euler():
-    grid = build_matrices(two_layer_stack(), resolution=2)
+    grid = build_matrices(two_layer_stack())
     P = power_map(grid, 50.0, 20.0)
     T0 = np.zeros(grid.nodes)
     dt = 1e-4
     T1 = grid.step(T0, P, dt)
-    A = grid.C.toarray() / dt + grid.G.toarray()
-    expected = np.linalg.solve(A, P + grid.C.toarray().dot(T0) / dt)
+    A = grid.C / dt + grid.G
+    expected = np.linalg.solve(A, P + grid.C.dot(T0) / dt)
     assert np.allclose(T1, expected, rtol=1e-10)
 
 
 def test_transient_decays_to_ambient():
-    grid = build_matrices(two_layer_stack(), resolution=1)
+    grid = build_matrices(two_layer_stack())
     T = np.full(grid.nodes, 40.0)
     P = np.zeros(grid.nodes)
     for _ in range(300):
@@ -78,7 +82,7 @@ def test_transient_decays_to_ambient():
 
 
 def test_transient_converges_to_steady_state():
-    grid = build_matrices(StackDescription(), resolution=4)
+    grid = build_matrices(StackDescription())
     P = power_map(grid, 300.0, 80.0)
     target = grid.steady_state(P)
     T = np.zeros(grid.nodes)
@@ -88,19 +92,19 @@ def test_transient_converges_to_steady_state():
 
 
 def test_nonnegative_power_keeps_grid_above_ambient():
-    grid = build_matrices(StackDescription(), resolution=4)
+    grid = build_matrices(StackDescription())
     T = grid.steady_state(power_map(grid, 150.0, 30.0))
     assert (T > 0).all()
 
 
 def test_power_map_conserves_power():
-    grid = build_matrices(StackDescription(), resolution=8)
+    grid = build_matrices(StackDescription())
     P = power_map(grid, 123.0, 45.0)
     assert P.sum() == pytest.approx(168.0)
 
 
 def test_step_rejects_bad_dt():
-    grid = build_matrices(two_layer_stack(), resolution=1)
+    grid = build_matrices(two_layer_stack())
     with pytest.raises(ThermalError):
         grid.step(np.zeros(grid.nodes), np.zeros(grid.nodes), 0.0)
 
@@ -108,11 +112,10 @@ def test_step_rejects_bad_dt():
 def test_build_needs_two_layers():
     stack = StackDescription(layers=(LayerSpec("logic", 1e-4, 120.0, 1.6e6, True),))
     with pytest.raises(ThermalError):
-        build_matrices(stack, resolution=2)
+        build_matrices(stack)
 
 
 def small_cfg():
-    import dataclasses
     cfg = ArchConfig()
     return dataclasses.replace(cfg, thermal_stack=two_layer_stack())
 
@@ -125,7 +128,7 @@ def test_regulate_steps_down_to_threshold():
     def power(freq):
         return 70.0 * freq, 0.0
 
-    res = regulate(cfg, power, resolution=4)
+    res = regulate(cfg, power)
     assert res.feasible
     assert res.frequency_ghz == pytest.approx(0.85)
     assert FREQ_FLOOR_GHZ <= res.frequency_ghz < cfg.core.frequency_ghz
@@ -145,24 +148,71 @@ def test_regulate_steps_down_to_threshold():
 
 def test_regulate_cool_chip_keeps_nominal_frequency():
     cfg = small_cfg()
-    res = regulate(cfg, lambda f: (1.0, 0.5), resolution=4)
+    res = regulate(cfg, lambda f: (1.0, 0.5))
     assert res.feasible and res.frequency_ghz == cfg.core.frequency_ghz
     assert len(res.trace) == 1
 
 
 def test_regulate_infeasible_at_floor():
     cfg = small_cfg()
-    res = regulate(cfg, lambda f: (1e6, 0.0), resolution=4)
+    res = regulate(cfg, lambda f: (1e6, 0.0))
     assert not res.feasible
     assert res.frequency_ghz == FREQ_FLOOR_GHZ
     assert res.peak_temperature_c > 85.0
 
 
-def test_temperature_field_csv_shape():
-    grid = build_matrices(two_layer_stack(), resolution=3)
-    T = np.zeros(grid.nodes)
-    text = temperature_field_csv(grid, T, ambient_c=25.0)
-    lines = text.strip().splitlines()
-    assert len(lines) == 2 * (1 + 3)
-    assert lines[0].startswith("# layer 0 logic")
-    assert lines[1] == "25.0000,25.0000,25.0000"
+def test_regulate_never_raises_the_clock_above_nominal():
+    # A nominal clock below the floor is the only candidate: stepping up to
+    # the floor would run the chip faster than it was designed for.
+    cfg = ArchConfig()
+    cfg = dataclasses.replace(cfg, core=dataclasses.replace(cfg.core, frequency_ghz=0.07))
+    res = regulate(cfg, lambda f: (10000.0 * f, 0.0))
+    assert not res.feasible
+    assert res.frequency_ghz == 0.07
+    assert [f for f, _ in res.trace] == [0.07]
+    assert res.peak_temperature_c == res.trace[0][1] > 85.0
+
+
+def _shipped(name):
+    return load_arch(str(resources.files("stacksim").joinpath(f"configs/{name}.yaml")))
+
+
+# Regulation of the shipped configs under the default power model,
+# computed with the 16x16-cells-per-layer grid that the layer column
+# replaced; (frequency GHz, peak C rounded to 6 decimals) per step.
+BW8192_TRACE = [
+    (1.0, 158.957589), (0.95, 157.537269), (0.9, 156.116949),
+    (0.85, 154.696629), (0.8, 153.276309), (0.75, 151.855989),
+    (0.7, 150.435669), (0.65, 149.015349), (0.6, 147.595029),
+    (0.55, 146.174709), (0.5, 144.754389), (0.45, 143.334069),
+    (0.4, 141.913749), (0.35, 140.493429), (0.3, 139.073109),
+    (0.25, 137.652789), (0.2, 136.232469), (0.15, 134.812149),
+    (0.1, 133.391829),
+]
+EDGE_TRACE = [
+    (1.0, 221.020455), (0.95, 214.38058), (0.9, 207.740705),
+    (0.85, 201.10083), (0.8, 194.460955), (0.75, 187.82108),
+    (0.7, 181.181205), (0.65, 174.54133), (0.6, 167.901455),
+    (0.55, 161.26158), (0.5, 154.621705), (0.45, 147.98183),
+    (0.4, 141.341955), (0.35, 134.70208), (0.3, 128.062205),
+    (0.25, 121.42233), (0.2, 114.782455), (0.15, 108.14258),
+    (0.1, 101.502705),
+]
+
+
+def _bandwidth_8192():
+    cfg = _shipped("default")
+    return dataclasses.replace(cfg, channel=dataclasses.replace(cfg.channel, io_pins=8192))
+
+
+@pytest.mark.parametrize("make_cfg, feasible, trace", [
+    (lambda: _shipped("default"), True, [(1.0, 66.600299)]),
+    (_bandwidth_8192, False, BW8192_TRACE),
+    (lambda: _shipped("edge"), False, EDGE_TRACE),
+], ids=["default", "default-bw8192", "edge"])
+def test_regulation_of_shipped_configs_pinned(make_cfg, feasible, trace):
+    cfg = make_cfg()
+    res = regulate(cfg, default_power_model(cfg))
+    assert res.feasible is feasible
+    assert res.frequency_ghz == trace[-1][0]
+    assert [(f, round(t, 6)) for f, t in res.trace] == trace

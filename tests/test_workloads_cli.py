@@ -8,9 +8,7 @@ from stacksim import orchestrator
 from stacksim.arch import ArchConfig
 from stacksim.cli import main
 from stacksim.orchestrator import CollectiveOp, ComputeOp, InterAccelOp, run
-from stacksim.sweep import (
-    apply_dimension, latency_weighted_average, report, rows_to_csv, sweep,
-)
+from stacksim.sweep import apply_dimension, report, rows_to_csv, sweep
 from stacksim.workloads import (
     DecodingScenario, PagedKvLayout, WorkloadError, build_decoding_graph,
     gen_gemm_benchmark, gen_paged_attention_benchmark, graph_totals,
@@ -238,20 +236,14 @@ def test_apply_dimension_keeps_capacity():
 
 def test_sweep_reproducible_and_reported(tmp_path):
     base = ArchConfig()
-    rows = sweep("interleave_x", [0, 5], base, thermal_resolution=4)
-    again = sweep("interleave_x", [0, 5], base, thermal_resolution=4)
+    rows = sweep("interleave_x", [0, 5], base)
+    again = sweep("interleave_x", [0, 5], base)
     assert rows == again
     csv_text = rows_to_csv(rows)
     assert csv_text.count("\n") == 3  # header + 2 points
     summary = report(csv_text)
     assert "interleave_x" in summary and "yes" in summary
     assert report("") == "empty sweep\n"
-
-
-def test_latency_weighted_average():
-    assert latency_weighted_average({"a": 1.0, "b": 3.0}) == pytest.approx(2.5)
-    assert latency_weighted_average({}) == 0.0
-    assert latency_weighted_average({"a": 4.0}) == 4.0
 
 
 def test_cli_validate_and_parse(capsys):
@@ -277,21 +269,28 @@ def test_cli_simulate_kernel(capsys):
 
 
 def test_cli_simulate_kernel_skips_thermal_imports():
-    # numpy and scipy load only for the thermal model; a plain simulate run
-    # does not pay for them.
+    # numpy loads only for the thermal model; a plain simulate run does not
+    # pay for it, and no run loads scipy.
     import stacksim
     import subprocess
     import sys
     src = os.path.dirname(os.path.dirname(os.path.abspath(stacksim.__file__)))
-    code = ("import sys\n"
-            "from stacksim.cli import main\n"
-            "rc = main(['simulate', '--kernel', 'matmul', '--bind', 'M=8', 'K=32',"
-            " 'N=32', 'tM=8', 'tN=8', 'tK=8'])\n"
-            "print(rc, 'scipy' in sys.modules, 'numpy' in sys.modules)\n")
+    simulate = ("['simulate', '--kernel', 'matmul', '--bind', 'M=8', 'K=32',"
+                " 'N=32', 'tM=8', 'tN=8', 'tK=8']")
+    cases = [(simulate, "0 False False"),
+             (simulate[:-1] + ", '--regulate']", "0 False True"),
+             ("['sweep', 'bandwidth_alloc', '512', '--out', sys.argv[1]]",
+              "0 False True")]
     env = dict(os.environ, PYTHONPATH=src)
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True, timeout=120).stdout
-    assert out.splitlines()[-1] == "0 False False"
+    for argv, expected in cases:
+        code = ("import sys\n"
+                "from stacksim.cli import main\n"
+                f"rc = main({argv})\n"
+                "print(rc, 'scipy' in sys.modules, 'numpy' in sys.modules)\n")
+        out = subprocess.run([sys.executable, "-c", code, os.devnull], env=env,
+                             check=True, capture_output=True, text=True,
+                             timeout=120).stdout
+        assert out.splitlines()[-1] == expected, argv
 
 
 def test_cli_dump_ast(tmp_path, capsys):

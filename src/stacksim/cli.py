@@ -1,6 +1,8 @@
 """Command-line driver: validate configs, inspect kernels, tune, simulate, sweep.
 
-Exit codes: 0 on success, 2 on validation/usage failure.
+Exit codes: 0 on success, 1 when `simulate --regulate` finds no clock that
+meets the temperature limit (the report is still written), 2 on
+validation/usage failure.
 """
 
 from __future__ import annotations
@@ -114,6 +116,7 @@ def cmd_simulate(args) -> int:
         desc = generate_execution(checked, cfg)
         ops = [ComputeOp(prog.name, ComputeBody(checked, desc,
                                                 infer_placement(checked, cfg)))]
+    reg = None
     if args.regulate:
         import dataclasses
         from .thermal import regulate  # numpy loads only when regulating
@@ -131,6 +134,12 @@ def cmd_simulate(args) -> int:
         print(f"peak temperature: {report.peak_temperature_c:.1f} C")
     if args.out:
         _write_out(report.to_csv(), args.out)
+    if reg is not None and not reg.feasible:
+        from .thermal import RETENTION_LIMIT_C
+        print(f"thermally infeasible: {reg.frequency_ghz:.2f} GHz still peaks at "
+              f"{reg.peak_temperature_c:.1f} C, over the {RETENTION_LIMIT_C:.1f} C limit",
+              file=sys.stderr)
+        return 1
     return 0
 
 

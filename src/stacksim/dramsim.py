@@ -23,13 +23,12 @@ Command timing protocol (all times in DRAM-clock cycles):
   read's data end; write-to-read adds tWTR.
 * A chunk completes when its last burst's data finishes (start + tBURST).
 
-The tile-level scheduler reorders the requests of one work item to batch
-same-row accesses per channel, which preserves per-address ordering (equal
-addresses share a row and the grouping is stable). A work item whose
-same-row groups are already contiguous keeps its order without being
-simulated. Otherwise the scheduler simulates both orders on fresh channels
-and keeps the grouped one unless FCFS is faster, so it is never slower
-than FCFS.
+The scheduling policy is same-row-first batching within a work item, the
+batching idea of FR-FCFS: `schedule_tile` stably groups one work item's
+requests by the (channel, row) of each request's first byte, groups in
+first-appearance order, and the channels then service that order. The
+grouping is stable and equal addresses share a row, so per-address order is
+preserved.
 """
 
 from __future__ import annotations
@@ -49,25 +48,6 @@ class Request:
     kind: str  # "R" or "W"
     addr: int
     bytes: int
-
-
-def map_address(addr: int, cfg: ArchConfig) -> tuple[int, int, int, int]:
-    """Map a byte address to (channel, logical_row, pb_index, column).
-
-    `column` is the byte offset within the logical row; `pb_index` is the
-    physical bank serving that column.
-    """
-    chans = cfg.core.channels
-    ib = cfg.channel.interleave_bytes
-    capacity = cfg.channel_capacity_bytes * chans
-    if not 0 <= addr < capacity:
-        raise AddressError(f"address {addr} outside core capacity {capacity}")
-    chunk_idx, offset = divmod(addr, ib)
-    channel = chunk_idx % chans
-    local = (chunk_idx // chans) * ib + offset
-    row, column = divmod(local, cfg.logical_row_bytes)
-    pb_index = column // cfg.pb.row_size_bytes
-    return channel, row, pb_index, column
 
 
 def split_range(addr: int, nbytes: int, cfg: ArchConfig) -> list[tuple[int, int, int, int]]:
@@ -138,10 +118,9 @@ class DramSystem:
     def __init__(self, cfg: ArchConfig):
         self.cfg = cfg
         self.channels = [ChannelSim() for _ in range(cfg.core.channels)]
-        self._pending: list[Request] = []
 
-    def drain(self) -> int:
-        """Service all pending requests in order; returns the last completion."""
+    def drain(self, requests: list[Request]) -> int:
+        """Service `requests` in order; returns the last completion."""
         cfg = self.cfg
         tm = cfg.dram_timing
         tRAS, tRP, tRCD, tBURST = tm.tRAS, tm.tRP, tm.tRCD, tm.tBURST
@@ -154,7 +133,7 @@ class DramSystem:
         capacity = cfg.channel_capacity_bytes * chans
         channels = self.channels
         completion = 0
-        for req in self._pending:
+        for req in requests:
             addr = req.addr
             nbytes = req.bytes
             if addr < 0 or addr + nbytes > capacity:
@@ -213,37 +192,31 @@ class DramSystem:
                     st.latency_max = latency
                 if done > completion:
                     completion = done
-        self._pending.clear()
         return completion
 
     def run(self, requests: list[Request]) -> int:
-        """Queue `requests` and drain them; returns the last completion."""
-        self._pending.extend(requests)
-        return self.drain()
+        """Service `requests` in order; returns the last completion."""
+        return self.drain(requests)
 
 
 def schedule_tile(requests: list[Request], cfg: ArchConfig) -> list[Request]:
-    """Reorder one work item's requests to batch same-row accesses.
+    """Order one work item's requests same-row first.
 
-    Stable grouping by the (channel, row) of each request's first byte,
-    keyed in first-appearance order. When every group is already contiguous,
-    the grouped order is the input order and comes back as it is. Otherwise
-    the grouped order is kept only if it is no slower than FCFS on fresh
-    channel state.
+    A stable sort by the (channel, row) of each request's first byte, with
+    groups in first-appearance order; already-grouped requests keep their
+    order. The key is the first chunk's location as `DramSystem.drain`
+    computes it.
     """
+    ib = cfg.channel.interleave_bytes
+    row_bytes = cfg.logical_row_bytes
+    chans = cfg.core.channels
     order: dict[tuple[int, int], int] = {}
     keys = []
     for req in requests:
-        channel, row, _, _ = map_address(req.addr, cfg)
-        keys.append(order.setdefault((channel, row), len(order)))
-    if keys == sorted(keys):
-        return list(requests)
-    grouped = [req for _, req in sorted(enumerate(requests), key=lambda p: (keys[p[0]], p[0]))]
-
-    def cost(seq):
-        return DramSystem(cfg).run(list(seq))
-
-    return grouped if cost(grouped) <= cost(requests) else list(requests)
+        run, offset = divmod(req.addr, ib)
+        location = (run % chans, ((run // chans) * ib + offset) // row_bytes)
+        keys.append(order.setdefault(location, len(order)))
+    return [requests[i] for i in sorted(range(len(requests)), key=keys.__getitem__)]
 
 
 def stats(system: DramSystem, start_cycle: int = 0) -> dict:

@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 from .arch import CoreSpec
 
-# FLOPs charged per element for each vector primitive. Transcendental cost
-# is hardware specific, so `exp` carries a configurable multiplier.
+# FLOPs charged per element for each vector primitive; `exp` is charged as
+# four FLOPs.
 VECTOR_OP_FLOPS = {
     "reduce_max": 1,
     "reduce_sum": 1,
@@ -63,14 +63,10 @@ def matrix_cost(m: int, n: int, k: int, dtype_bytes: int, core: CoreSpec,
     return WorkItemCost(compute, sram)
 
 
-def vector_cost(kind: str, elems: int, dtype_bytes: int, core: CoreSpec,
-                exp_flops: int | None = None) -> WorkItemCost:
+def vector_cost(kind: str, elems: int, dtype_bytes: int, core: CoreSpec) -> WorkItemCost:
     if kind not in VECTOR_OP_FLOPS:
         raise UnknownVectorOp(kind)
-    per_elem = VECTOR_OP_FLOPS[kind]
-    if kind == "exp" and exp_flops is not None:
-        per_elem = exp_flops
-    flops = elems * per_elem
+    flops = elems * VECTOR_OP_FLOPS[kind]
     traffic = 2 * elems * dtype_bytes  # operand in + result out
     compute = math.ceil(flops / vector_flops_per_cycle(core)) if flops else 0
     sram = math.ceil(traffic / core.sram_bytes_per_cycle) if traffic else 0

@@ -14,7 +14,7 @@ import dataclasses
 import io
 import math
 
-from .arch import ArchConfig, validate
+from .arch import ArchConfig, derived_metrics, validate
 from .kerneldsl.checker import typecheck
 from .orchestrator import ComputeBody, ComputeOp, simulate_compute
 from .tiler import TilerError, autotune, infer_placement
@@ -85,8 +85,7 @@ def default_power_model(cfg: ArchConfig):
     base_freq = cfg.core.frequency_ghz
     compute_peak = (cfg.core.matrix_tflops + cfg.core.vector_tflops) \
         * cfg.energy.flop_pj * cores  # TFLOPS * pJ/FLOP = W
-    core_gbps = cfg.channel.io_pins * cfg.channel.pin_rate_gbps / 8.0 * cfg.core.channels
-    dram_w = core_gbps * cores * 8 * cfg.energy.dram_pj_per_bit * 1e-3
+    dram_w = derived_metrics(cfg).core_gbps * cores * 8 * cfg.energy.dram_pj_per_bit * 1e-3
 
     def model(freq_ghz: float):
         return compute_peak * freq_ghz / base_freq, dram_w

@@ -4,7 +4,8 @@ Deliberately independent of the production implementation: addresses are
 split byte-by-byte into same-(channel, row) runs, and every burst is
 scheduled individually against explicit per-channel command timelines.
 Only the documented protocol is shared; none of the incremental state
-machinery is. Intended for small traces.
+machinery is. `reference_schedule` states the same-row-first policy as
+per-group lists rather than a sort. Intended for small traces.
 """
 
 from __future__ import annotations
@@ -48,6 +49,15 @@ def _runs(addr: int, nbytes: int, cfg):
     if cur is not None:
         runs.append(cur)
     return [tuple(r) for r in runs]
+
+
+def reference_schedule(requests, cfg) -> list:
+    """One work item's requests grouped by the (channel, row) of their first
+    byte: groups in first-appearance order, arrival order within a group."""
+    groups: dict[tuple[int, int], list] = {}
+    for req in requests:
+        groups.setdefault(_byte_location(req.addr, cfg), []).append(req)
+    return [req for group in groups.values() for req in group]
 
 
 def reference_run(requests, cfg) -> int:

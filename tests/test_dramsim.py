@@ -1,5 +1,6 @@
 import dataclasses
 import random
+from collections import Counter
 
 import pytest
 
@@ -8,10 +9,9 @@ from stacksim.arch import (
     PhysicalBankSpec,
 )
 from stacksim.dramsim import (
-    AddressError, DramSystem, Request, map_address, schedule_tile, split_range,
-    stats,
+    AddressError, DramSystem, Request, schedule_tile, split_range, stats,
 )
-from dram_reference import reference_run
+from dram_reference import _byte_location, reference_run, reference_schedule
 
 T = DramTiming()  # tRCD=18 tRP=18 tRAS=42 tCCD=4 tBURST=4 tRTW=8 tWTR=8
 
@@ -28,32 +28,38 @@ def small_cfg(channels=2, timing=T):
     )
 
 
-def test_map_address_examples():
+def test_split_range_examples():
     cfg = small_cfg()
-    assert map_address(0, cfg) == (0, 0, 0, 0)
-    assert map_address(64, cfg) == (1, 0, 0, 0)     # next interleave run
-    assert map_address(128, cfg) == (0, 0, 1, 64)   # back to ch0, 2nd bank
-    assert map_address(256, cfg) == (0, 1, 0, 0)    # ch0 row rolls over
+    assert split_range(0, 1, cfg) == [(0, 0, 1, 1)]
+    assert split_range(64, 1, cfg) == [(1, 0, 1, 1)]     # next interleave run
+    assert split_range(128, 1, cfg) == [(0, 0, 1, 1)]    # back to ch0, same row
+    assert split_range(256, 1, cfg) == [(0, 1, 1, 1)]    # ch0 row rolls over
 
 
-def test_map_address_bijective_exhaustive():
+def test_split_range_locates_every_byte_exhaustive():
     cfg = small_cfg()
     capacity = cfg.channel_capacity_bytes * cfg.core.channels
-    seen = set()
+    per_row = Counter()
     for addr in range(capacity):
-        channel, row, _, column = map_address(addr, cfg)
+        chunks = split_range(addr, 1, cfg)
+        assert chunks == [(*_byte_location(addr, cfg), 1, 1)]
+        channel, row, _, _ = chunks[0]
         assert 0 <= row < cfg.logical_rows_per_channel
-        assert 0 <= column < cfg.logical_row_bytes
-        seen.add((channel, row, column))
-    assert len(seen) == capacity
+        per_row[channel, row] += 1
+    assert len(per_row) == cfg.core.channels * cfg.logical_rows_per_channel
+    assert set(per_row.values()) == {cfg.logical_row_bytes}
 
 
 def test_map_address_out_of_range():
+    # The first byte past the core and the byte before address 0 are each
+    # rejected as one-byte requests.
     cfg = small_cfg()
+    capacity = cfg.channel_capacity_bytes * cfg.core.channels
     with pytest.raises(AddressError):
-        map_address(cfg.channel_capacity_bytes * cfg.core.channels, cfg)
+        DramSystem(cfg).run([Request(0, "R", capacity, 1)])
     with pytest.raises(AddressError):
-        map_address(-1, cfg)
+        DramSystem(cfg).run([Request(0, "R", -1, 1)])
+    assert DramSystem(cfg).run([Request(0, "R", capacity - 1, 1)]) > 0
 
 
 def test_split_range_counts_bursts_and_merges_rows():
@@ -181,39 +187,36 @@ def test_schedule_tile_groups_rows_stably():
     assert DramSystem(cfg).run(out) < DramSystem(cfg).run(reqs)
 
 
-def test_schedule_tile_keeps_grouped_tiles_without_simulating(monkeypatch):
+def test_schedule_tile_keeps_grouped_tiles_without_simulating():
     cfg = small_cfg(channels=1)
-    runs = []
-    real_run = DramSystem.run
-    monkeypatch.setattr(DramSystem, "run",
-                        lambda self, reqs: runs.append(reqs) or real_run(self, reqs))
     # Rows 0, 0, 2, 2: the same-row groups are already contiguous, so the
-    # input order comes back with no trial simulation.
+    # input order comes back, as a new list of the same requests.
     grouped = [Request(0, "R", 0, 32), Request(0, "W", 32, 32),
                Request(0, "R", 256, 32), Request(0, "R", 300, 8)]
     out = schedule_tile(grouped, cfg)
     assert out == grouped and out is not grouped
     assert all(a is b for a, b in zip(out, grouped))
-    assert runs == []
-    # An interleaved tile still pays for both trial simulations.
-    schedule_tile([grouped[0], grouped[2], grouped[1]], cfg)
-    assert len(runs) == 2
 
 
-def test_schedule_tile_never_slower_than_fcfs():
-    cfg = small_cfg()
+@pytest.mark.parametrize("channels", [2, 4])
+def test_schedule_tile_matches_reference_grouping(channels):
+    cfg = small_cfg(channels=channels)
     capacity = cfg.channel_capacity_bytes * cfg.core.channels
     rng = random.Random(11)
-    for _ in range(40):
+    reordered = 0
+    for _ in range(60):
         reqs = []
         for _ in range(rng.randint(1, 12)):
             addr = rng.randrange(0, capacity - 64)
             reqs.append(Request(0, rng.choice("RW"), addr,
                                 rng.randint(1, min(64, capacity - addr))))
+        expected = reference_schedule(reqs, cfg)
         out = schedule_tile(reqs, cfg)
-        assert sorted((r.addr, r.bytes, r.kind) for r in out) \
-            == sorted((r.addr, r.bytes, r.kind) for r in reqs)
-        assert DramSystem(cfg).run(out) <= DramSystem(cfg).run(list(reqs))
+        assert len(out) == len(expected)
+        assert all(a is b for a, b in zip(out, expected))
+        assert DramSystem(cfg).run(out) == reference_run(expected, cfg)
+        reordered += expected != reqs
+    assert reordered > 0
 
 
 def test_utilization_never_exceeds_peak():

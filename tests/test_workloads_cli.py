@@ -137,6 +137,14 @@ def test_decoding_report_matches_pinned_csv(name):
     assert hashlib.sha256(text.encode()).hexdigest() == PINNED_CSV_SHA256[name]
 
 
+# sha256 of the report CSV of a full decoding step at batch 16, context 1024.
+FULL_STEP_CSV_SHA256 = {
+    "llama3.2-1b": "3222033873bdfde763a7429d1f6e5c72f4f2312960ca14307561ab6a989bb7b9",
+    "llama3-70b": "311c7064599bb4c2863b22a4c07bbdad6711cf84ae30d7b546b755f959d762fc",
+    "qwen3-235b-a22b": "b5439cb44722e768526797bea7892d5bd8fe574cf60c3e89e4ba5526400f323a",
+}
+
+
 @pytest.mark.parametrize("name", ["llama3-70b", "qwen3-235b-a22b"])
 def test_full_model_decoding_step_completes(name):
     model = load_model(name)
@@ -149,6 +157,16 @@ def test_full_model_decoding_step_completes(name):
     assert [r.kind for r in report.operators] == [kinds[type(op)] for op in ops]
     assert report.cycles == sum(r.cycles for r in report.operators)
     assert report.cycles > 10_000_000  # past the NoC drain limit
+    digest = hashlib.sha256(report.to_csv().encode()).hexdigest()
+    assert digest == FULL_STEP_CSV_SHA256[name]
+
+
+def test_cli_full_decoding_step_matches_pinned_csv(tmp_path, capsys):
+    out = tmp_path / "step.csv"
+    assert main(["simulate", "--model", "llama3.2-1b", "--batch", "16",
+                 "--context", "1024", "--out", str(out)]) == 0
+    digest = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digest == FULL_STEP_CSV_SHA256["llama3.2-1b"]
 
 
 def test_interned_operators_share_one_simulation(monkeypatch):
@@ -291,6 +309,21 @@ def test_cli_simulate_kernel_skips_thermal_imports():
                              check=True, capture_output=True, text=True,
                              timeout=120).stdout
         assert out.splitlines()[-1] == expected, argv
+
+
+def test_cli_simulate_regulate_fails_when_no_clock_meets_the_limit(tmp_path, capsys):
+    # The shipped edge config is still over the temperature limit at the
+    # 0.1 GHz floor: the report is written, and the run says so and fails.
+    edge = os.path.join(MODELS_DIR, "..", "configs", "edge.yaml")
+    out = tmp_path / "report.csv"
+    rc = main(["simulate", "--kernel", "matmul", "--bind", "M=8", "K=32", "N=32",
+               "tM=8", "tN=8", "tK=8", "--regulate", "--config", edge,
+               "--out", str(out)])
+    assert rc == 1
+    assert out.read_text().startswith("operator,")
+    err = capsys.readouterr().err
+    assert "infeasible" in err
+    assert "0.10 GHz" in err and "101.5 C" in err and "85.0 C limit" in err
 
 
 def test_cli_dump_ast(tmp_path, capsys):

@@ -9,10 +9,13 @@ row index increments.
 
 Command timing protocol (all times in DRAM-clock cycles):
 
-* Requests are serviced strictly in issue order, and a request must lie
-  inside the core's capacity. The front end splits each byte range into
-  per-channel chunks, each confined to one logical row and transferred as
-  ceil(len / burst_bytes) bursts.
+* A request is the named tuple `Request(ready, kind, addr, bytes)`, and it
+  must lie inside the core's capacity. The front end splits each byte
+  range into per-channel chunks, each confined to one logical row and
+  transferred as ceil(len / burst_bytes) bursts.
+* Channels are independent: each services its own chunks in issue order,
+  and its state depends on nothing else, so `DramSystem.drain` services
+  one channel's queue after another.
 * Servicing a chunk starts at t = max(request ready cycle, start cycle of
   the previously issued burst on this channel).
 * Row miss: if a row is open, PRE issues at max(t, last ACT + tRAS) and
@@ -34,6 +37,7 @@ preserved.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .arch import ArchConfig
 
@@ -42,8 +46,9 @@ class AddressError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class Request:
+class Request(NamedTuple):
+    """One DRAM request: `bytes` bytes at `addr`, issued no earlier than
+    cycle `ready`."""
     ready: int
     kind: str  # "R" or "W"
     addr: int
@@ -83,7 +88,7 @@ def split_range(addr: int, nbytes: int, cfg: ArchConfig) -> list[tuple[int, int,
     return chunks
 
 
-@dataclass
+@dataclass(slots=True)
 class ChannelStats:
     bytes_read: int = 0
     bytes_written: int = 0
@@ -100,6 +105,9 @@ class ChannelStats:
 
 class ChannelSim:
     """State of one single-logical-bank channel; `DramSystem.drain` advances it."""
+
+    __slots__ = ("open_row", "t_act", "t_row_ready", "t_bus", "t_data_end",
+                 "t_issue", "last_kind", "stats")
 
     def __init__(self):
         self.open_row: int | None = None
@@ -120,7 +128,13 @@ class DramSystem:
         self.channels = [ChannelSim() for _ in range(cfg.core.channels)]
 
     def drain(self, requests: list[Request]) -> int:
-        """Service `requests` in order; returns the last completion."""
+        """Service `requests`; returns the last completion among them.
+
+        Each channel services its chunks in issue order. A channel's state
+        depends only on its own chunks, so the channels run one after
+        another over per-channel queues. Every request is checked before
+        any channel state changes.
+        """
         cfg = self.cfg
         tm = cfg.dram_timing
         tRAS, tRP, tRCD, tBURST = tm.tRAS, tm.tRP, tm.tRCD, tm.tBURST
@@ -131,71 +145,100 @@ class DramSystem:
         row_bytes = cfg.logical_row_bytes
         chans = cfg.core.channels
         capacity = cfg.channel_capacity_bytes * chans
-        channels = self.channels
-        completion = 0
+
+        # Pass 1: check every request and queue its chunks per channel. A
+        # request that fits one interleave run and one row, as every GEMM
+        # and paged-KV request does, is one chunk: its queue holds the
+        # request itself, and pass 2 locates it again. Other requests queue
+        # split_range's (ready, kind, row, bursts, nbytes) chunks.
+        queues: list[list] = [[] for _ in range(chans)]
         for req in requests:
-            addr = req.addr
-            nbytes = req.bytes
+            ready, kind, addr, nbytes = req
             if addr < 0 or addr + nbytes > capacity:
                 raise AddressError(f"request [{addr}, {addr + nbytes}) outside "
                                    f"core capacity {capacity}")
-            # The first chunk as in split_range; when it covers the whole
-            # request, as it does for every GEMM and paged-KV request, the
-            # request needs no further splitting.
             run, offset = divmod(addr, ib)
-            row, column = divmod((run // chans) * ib + offset, row_bytes)
-            if 0 < nbytes <= ib - offset and nbytes <= row_bytes - column:
-                chunks = ((run % chans, row, (addr + nbytes - 1) // bl - addr // bl + 1,
-                           nbytes),)
+            if (0 < nbytes <= ib - offset
+                    and nbytes <= row_bytes - ((run // chans) * ib + offset) % row_bytes):
+                queues[run % chans].append(req)
             else:
-                chunks = split_range(addr, nbytes, cfg)
-            ready = req.ready
-            kind = req.kind
-            for channel, row, bursts, take in chunks:
-                ch = channels[channel]
-                st = ch.stats
-                t = max(ready, ch.t_issue)
-                if ch.open_row != row:
-                    if ch.open_row is not None:
-                        closed = max(t, ch.t_act + tRAS) + tRP
-                        st.row_misses += 1
+                for channel, row, bursts, take in split_range(addr, nbytes, cfg):
+                    queues[channel].append((ready, kind, row, bursts, take))
+
+        # Pass 2: run each queue with its channel's state in locals.
+        completion = 0
+        for ch, queue in zip(self.channels, queues):
+            if not queue:
+                continue
+            open_row, t_act, t_row_ready = ch.open_row, ch.t_act, ch.t_row_ready
+            t_bus, t_data_end, t_issue = ch.t_bus, ch.t_data_end, ch.t_issue
+            last_kind = ch.last_kind
+            st = ch.stats
+            hits = misses = acts = bursts_sum = read = written = 0
+            latency_sum, latency_max = 0, st.latency_max
+            last_done = 0
+            for item in queue:
+                if len(item) == 4:
+                    ready, kind, addr, take = item
+                    run, offset = divmod(addr, ib)
+                    row = ((run // chans) * ib + offset) // row_bytes
+                    bursts = (addr + take - 1) // bl - addr // bl + 1
+                else:
+                    ready, kind, row, bursts, take = item
+                t = ready if ready > t_issue else t_issue
+                if row != open_row:
+                    if open_row is not None:
+                        t_act = (t if t > t_act + tRAS else t_act + tRAS) + tRP
+                        misses += 1
                     else:
-                        closed = t
-                    ch.t_act = max(closed, t)
-                    ch.t_row_ready = ch.t_act + tRCD
-                    ch.open_row = row
-                    st.act_count += 1
+                        t_act = t
+                    t_row_ready = t_act + tRCD
+                    open_row = row
+                    acts += 1
                 else:
-                    st.row_hits += 1
-                first = max(ch.t_row_ready, ch.t_bus, t)
-                last_kind = ch.last_kind
-                if last_kind != kind and last_kind is not None:
-                    turn = tRTW if last_kind == "R" else tWTR
-                    first = max(first, ch.t_data_end + turn)
-                last = first + (bursts - 1) * spacing
-                done = last + tBURST
-                ch.t_bus = last + spacing
-                ch.t_data_end = done
-                ch.t_issue = last
-                ch.last_kind = kind
-                st.bursts += bursts
+                    hits += 1
+                first = t_row_ready if t_row_ready > t_bus else t_bus
+                if t > first:
+                    first = t
+                if kind != last_kind and last_kind is not None:
+                    turn = t_data_end + (tRTW if last_kind == "R" else tWTR)
+                    if turn > first:
+                        first = turn
+                t_issue = first + (bursts - 1) * spacing
+                t_bus = t_issue + spacing
+                t_data_end = done = t_issue + tBURST
+                last_kind = kind
+                bursts_sum += bursts
                 if kind == "R":
-                    st.bytes_read += take
+                    read += take
                 else:
-                    st.bytes_written += take
-                if done > st.last_completion:
-                    st.last_completion = done
+                    written += take
+                if done > last_done:
+                    last_done = done
                 latency = done - ready
-                st.latency_count += 1
-                st.latency_sum += latency
-                if latency > st.latency_max:
-                    st.latency_max = latency
-                if done > completion:
-                    completion = done
+                latency_sum += latency
+                if latency > latency_max:
+                    latency_max = latency
+            ch.open_row, ch.t_act, ch.t_row_ready = open_row, t_act, t_row_ready
+            ch.t_bus, ch.t_data_end, ch.t_issue = t_bus, t_data_end, t_issue
+            ch.last_kind = last_kind
+            st.bytes_read += read
+            st.bytes_written += written
+            st.bursts += bursts_sum
+            st.act_count += acts
+            st.row_hits += hits
+            st.row_misses += misses
+            if last_done > st.last_completion:
+                st.last_completion = last_done
+            st.latency_count += len(queue)
+            st.latency_sum += latency_sum
+            st.latency_max = latency_max
+            if last_done > completion:
+                completion = last_done
         return completion
 
     def run(self, requests: list[Request]) -> int:
-        """Service `requests` in order; returns the last completion."""
+        """Service `requests`; returns the last completion among them."""
         return self.drain(requests)
 
 

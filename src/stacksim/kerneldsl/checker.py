@@ -24,7 +24,7 @@ class SymbolInfo:
     kind: str  # "tensor" (DRAM) or "alloc" (SRAM)
     shape: tuple[int, ...]
     dtype: str
-    layout: str | None  # tensors only
+    layout: str  # "row" or "col"; allocs are "row"
 
     @property
     def dtype_bytes(self) -> int:
@@ -44,6 +44,38 @@ class CheckedProgram:
 
     def symbol(self, name: str) -> SymbolInfo:
         return self.symbols[name]
+
+
+def _infer_layouts(stmts, loop_vars: tuple[str, ...] = (),
+                   layouts: dict[str, str] | None = None) -> dict[str, str]:
+    """Pick the contiguous dimension per referenced tensor from its access
+    pattern; the first reference that uses a loop variable decides.
+
+    The dimension whose slice indices depend on the innermost enclosing loop
+    variable is traversed fastest and becomes unit-stride: dimension 0 fast
+    means column-major, otherwise row-major.
+    """
+    if layouts is None:
+        layouts = {}
+    for s in stmts:
+        if isinstance(s, ForLoop):
+            _infer_layouts(s.body, loop_vars + (s.var,), layouts)
+        elif isinstance(s, Copy):
+            for ref in (s.src, s.dst):
+                if ref.name in layouts or not ref.indices or not loop_vars:
+                    continue
+                dim_vars = [free_vars(sl.lo) | free_vars(sl.hi) for sl in ref.indices]
+                # Innermost loop variable actually used by this reference.
+                used = [v for v in loop_vars if any(v in dv for dv in dim_vars)]
+                if not used:
+                    continue
+                fastest = used[-1]
+                dims = [d for d, dv in enumerate(dim_vars) if fastest in dv]
+                if dims == [0] and len(ref.indices) > 1:
+                    layouts[ref.name] = "col"
+                else:
+                    layouts[ref.name] = "row"
+    return layouts
 
 
 def _ref_shape(ref: TileRef, symbols: dict, env: dict) -> tuple[int, ...]:
@@ -88,12 +120,17 @@ def _broadcast(shapes: list[tuple[int, ...]], line: int) -> tuple[int, ...]:
 
 
 def typecheck(prog: KernelProgram, cfg: ArchConfig, bindings: dict[str, int]) -> CheckedProgram:
-    """Verify declarations, shapes, and SRAM/DRAM capacity under bindings."""
+    """Verify declarations, shapes, and SRAM/DRAM capacity under bindings.
+
+    Every tensor gets its layout here: the declared one, else the one its
+    access pattern implies (`_infer_layouts`), else row-major.
+    """
     missing = [p for p in prog.params if p not in bindings]
     if missing:
         raise TypecheckError(f"unbound kernel parameter(s): {missing}")
     env = dict(bindings)
     symbols: dict[str, SymbolInfo] = {}
+    inferred = _infer_layouts(prog.body)
 
     def eval_shape(decl) -> tuple[int, ...]:
         dims = []
@@ -114,8 +151,11 @@ def typecheck(prog: KernelProgram, cfg: ArchConfig, bindings: dict[str, int]) ->
             if isinstance(stmt, (TensorDecl, AllocDecl)):
                 if stmt.name in symbols:
                     raise TypecheckError(f"redeclaration of '{stmt.name}'", stmt.line)
-                kind = "tensor" if isinstance(stmt, TensorDecl) else "alloc"
-                layout = stmt.layout if isinstance(stmt, TensorDecl) else "row"
+                if isinstance(stmt, TensorDecl):
+                    kind = "tensor"
+                    layout = stmt.layout or inferred.get(stmt.name, "row")
+                else:
+                    kind, layout = "alloc", "row"
                 symbols[stmt.name] = SymbolInfo(
                     stmt.name, kind, eval_shape(stmt), stmt.dtype, layout)
             elif isinstance(stmt, Copy):

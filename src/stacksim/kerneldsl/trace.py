@@ -2,14 +2,14 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import prod
 
 from .ast import (
-    AllocDecl, Copy, ForLoop, Gemm, KernelProgram, Stmt, TensorDecl,
+    AllocDecl, Copy, ForLoop, Gemm, Stmt, TensorDecl,
     TileRef, VectorOp, evaluate,
 )
-from .checker import CheckedProgram, SymbolInfo, TypecheckError
+from .checker import CheckedProgram, SymbolInfo
 
 
 class ExpandError(ValueError):
@@ -73,58 +73,51 @@ def event_totals(events) -> tuple[int, int, int]:
     return m_flops, v_elems, dram_bytes
 
 
-def strides_elems(info: SymbolInfo, layout: str | None = None) -> tuple[int, ...]:
-    """Element strides for a symbol under its (or an overriding) layout.
+def _dims_fastest_first(info: SymbolInfo) -> range:
+    """Dimension indices from the unit-stride one outward: `row` makes the
+    last dimension contiguous, `col` the first."""
+    n = len(info.shape)
+    return range(n) if info.layout == "col" else range(n - 1, -1, -1)
 
-    `row` makes the last dimension contiguous, `col` the first.
-    """
-    layout = layout or info.layout or "row"
-    shape = info.shape
-    strides = [0] * len(shape)
-    if layout == "col":
-        acc = 1
-        for d in range(len(shape)):
-            strides[d] = acc
-            acc *= shape[d]
-    else:
-        acc = 1
-        for d in reversed(range(len(shape))):
-            strides[d] = acc
-            acc *= shape[d]
+
+def strides_elems(info: SymbolInfo) -> tuple[int, ...]:
+    """Element strides for a symbol under its layout."""
+    strides = [0] * len(info.shape)
+    acc = 1
+    for d in _dims_fastest_first(info):
+        strides[d] = acc
+        acc *= info.shape[d]
     return tuple(strides)
 
 
-def byte_ranges(info: SymbolInfo, slices: tuple[tuple[int, int], ...],
-                layout: str | None = None) -> tuple[tuple[int, int], ...]:
-    """Contiguous (offset, length) byte runs of a tile within its tensor."""
+def byte_ranges(info: SymbolInfo,
+                slices: tuple[tuple[int, int], ...]) -> tuple[tuple[int, int], ...]:
+    """Contiguous (offset, length) byte runs of a tile within its tensor, in
+    increasing offset order.
+
+    A run covers the unit-stride dimension's slice and extends over each
+    next dimension while the tile spans the whole extent of the ones before
+    it. Every index of the dimensions after that starts a new run; their
+    strides are mixed-radix, so nesting their ranges slowest-outermost lists
+    the runs in increasing order, each separated from the next by a gap.
+    """
     dt = info.dtype_bytes
-    strides = strides_elems(info, layout)
-    order = sorted(range(len(strides)), key=lambda d: -strides[d])
-    contig = order[-1]  # unit-stride dimension
-    runs: list[tuple[int, int]] = []
-
-    def rec(dim_idx: int, offset: int):
-        if dim_idx == len(order):
-            return
-        d = order[dim_idx]
+    strides = strides_elems(info)
+    dims = iter(_dims_fastest_first(info))
+    start = 0
+    run = dt
+    for d in dims:
         lo, hi = slices[d]
-        if d == contig:
-            runs.append(((offset + lo * strides[d]) * dt, (hi - lo) * dt))
-            return
-        for i in range(lo, hi):
-            rec(dim_idx + 1, offset + i * strides[d])
-
-    full = tuple((0, s) for s in info.shape) if not slices else slices
-    rec(0, 0)
-    # Merge adjacent runs (e.g. a tile spanning full rows).
-    runs.sort()
-    merged: list[list[int]] = []
-    for off, length in runs:
-        if merged and merged[-1][0] + merged[-1][1] == off:
-            merged[-1][1] += length
-        else:
-            merged.append([off, length])
-    return tuple((o, l) for o, l in merged)
+        start += lo * strides[d] * dt
+        run *= hi - lo
+        if hi - lo != info.shape[d]:
+            break
+    offsets = [start]
+    for d in dims:  # the dimensions after the run, fastest first
+        lo, hi = slices[d]
+        step = strides[d] * dt
+        offsets = [o + i for i in range(lo * step, hi * step, step) for o in offsets]
+    return tuple([(o, run) for o in offsets])
 
 
 def _resolve_slices(ref: TileRef, info: SymbolInfo, env: dict) -> tuple[tuple[int, int], ...]:
@@ -142,72 +135,77 @@ def _resolve_slices(ref: TileRef, info: SymbolInfo, env: dict) -> tuple[tuple[in
     return tuple(out)
 
 
+def _tile_elems(slices) -> int:
+    return prod(hi - lo for lo, hi in slices)
+
+
+def _walk(stmts: tuple[Stmt, ...], env: dict, symbols: dict, events: list) -> None:
+    """Append the events of `stmts` under `env` to `events`, in program order.
+
+    A module-level function rather than a closure inside `expand`: a
+    recursive closure is a reference cycle, which would keep every expanded
+    trace alive until the cyclic garbage collector ran.
+    """
+    for stmt in stmts:
+        if isinstance(stmt, (TensorDecl, AllocDecl)):
+            continue
+        if isinstance(stmt, Copy):
+            src_i = symbols[stmt.src.name]
+            dst_i = symbols[stmt.dst.name]
+            if src_i.kind == "tensor" and dst_i.kind == "alloc":
+                slices = _resolve_slices(stmt.src, src_i, env)
+                ranges = byte_ranges(src_i, slices)
+                events.append(DramRead(
+                    src_i.name, slices, ranges, _tile_elems(slices) * src_i.dtype_bytes,
+                    dst_i.name))
+            elif src_i.kind == "alloc" and dst_i.kind == "tensor":
+                slices = _resolve_slices(stmt.dst, dst_i, env)
+                ranges = byte_ranges(dst_i, slices)
+                events.append(DramWrite(
+                    dst_i.name, slices, ranges, _tile_elems(slices) * dst_i.dtype_bytes,
+                    src_i.name))
+            else:  # SRAM-to-SRAM buffer copy
+                slices = _resolve_slices(stmt.src, src_i, env)
+                events.append(VectorWork(
+                    "copy", _tile_elems(slices), src_i.dtype_bytes,
+                    (src_i.name, dst_i.name)))
+        elif isinstance(stmt, Gemm):
+            a = _resolve_slices(stmt.a, symbols[stmt.a.name], env)
+            b = _resolve_slices(stmt.b, symbols[stmt.b.name], env)
+            m = a[0][1] - a[0][0]
+            k = a[1][1] - a[1][0]
+            bk, bn = b if not stmt.transpose_b else (b[1], b[0])
+            n = bn[1] - bn[0]
+            # accumulate=True adds partial-sum read traffic in the cost
+            # model; it does not change the event structure.
+            events.append(MatrixWork(
+                m, n, k, symbols[stmt.a.name].dtype_bytes, stmt.accumulate,
+                (stmt.a.name, stmt.b.name, stmt.out.name)))
+        elif isinstance(stmt, VectorOp):
+            shapes = [_tile_elems(_resolve_slices(r, symbols[r.name], env))
+                      for r in (*stmt.operands, stmt.out)]
+            elems = max(shapes)
+            events.append(VectorWork(
+                stmt.kind, elems, symbols[stmt.out.name].dtype_bytes,
+                tuple(r.name for r in (*stmt.operands, stmt.out))))
+        elif isinstance(stmt, ForLoop):
+            lo = evaluate(stmt.lo, env)
+            hi = evaluate(stmt.hi, env)
+            step = evaluate(stmt.step, env)
+            for v in range(lo, hi, step):
+                inner = dict(env)
+                inner[stmt.var] = v
+                _walk(stmt.body, inner, symbols, events)
+        else:
+            raise ExpandError(f"unsupported statement {stmt!r}")
+
+
 def expand(checked: CheckedProgram) -> OpTrace:
     """Unroll loops into a deterministic event trace in program order."""
     symbols = checked.symbols
-    cfg = checked.cfg
-    events: list[Event] = []
-
     sram_total = sum(s.size_bytes for s in symbols.values() if s.kind == "alloc")
-    if sram_total > cfg.core.sram_bytes:
+    if sram_total > checked.cfg.core.sram_bytes:
         raise ExpandError("SRAM allocations exceed capacity")
-
-    def tile_elems(slices):
-        return prod(hi - lo for lo, hi in slices)
-
-    def run_block(stmts: tuple[Stmt, ...], env: dict):
-        for stmt in stmts:
-            if isinstance(stmt, (TensorDecl, AllocDecl)):
-                continue
-            if isinstance(stmt, Copy):
-                src_i = symbols[stmt.src.name]
-                dst_i = symbols[stmt.dst.name]
-                if src_i.kind == "tensor" and dst_i.kind == "alloc":
-                    slices = _resolve_slices(stmt.src, src_i, env)
-                    ranges = byte_ranges(src_i, slices)
-                    events.append(DramRead(
-                        src_i.name, slices, ranges, tile_elems(slices) * src_i.dtype_bytes,
-                        dst_i.name))
-                elif src_i.kind == "alloc" and dst_i.kind == "tensor":
-                    slices = _resolve_slices(stmt.dst, dst_i, env)
-                    ranges = byte_ranges(dst_i, slices)
-                    events.append(DramWrite(
-                        dst_i.name, slices, ranges, tile_elems(slices) * dst_i.dtype_bytes,
-                        src_i.name))
-                else:  # SRAM-to-SRAM buffer copy
-                    slices = _resolve_slices(stmt.src, src_i, env)
-                    events.append(VectorWork(
-                        "copy", tile_elems(slices), src_i.dtype_bytes,
-                        (src_i.name, dst_i.name)))
-            elif isinstance(stmt, Gemm):
-                a = _resolve_slices(stmt.a, symbols[stmt.a.name], env)
-                b = _resolve_slices(stmt.b, symbols[stmt.b.name], env)
-                m = a[0][1] - a[0][0]
-                k = a[1][1] - a[1][0]
-                bk, bn = b if not stmt.transpose_b else (b[1], b[0])
-                n = bn[1] - bn[0]
-                # accumulate=True adds partial-sum read traffic in the cost
-                # model; it does not change the event structure.
-                events.append(MatrixWork(
-                    m, n, k, symbols[stmt.a.name].dtype_bytes, stmt.accumulate,
-                    (stmt.a.name, stmt.b.name, stmt.out.name)))
-            elif isinstance(stmt, VectorOp):
-                shapes = [tile_elems(_resolve_slices(r, symbols[r.name], env))
-                          for r in (*stmt.operands, stmt.out)]
-                elems = max(shapes)
-                events.append(VectorWork(
-                    stmt.kind, elems, symbols[stmt.out.name].dtype_bytes,
-                    tuple(r.name for r in (*stmt.operands, stmt.out))))
-            elif isinstance(stmt, ForLoop):
-                lo = evaluate(stmt.lo, env)
-                hi = evaluate(stmt.hi, env)
-                step = evaluate(stmt.step, env)
-                for v in range(lo, hi, step):
-                    inner = dict(env)
-                    inner[stmt.var] = v
-                    run_block(stmt.body, inner)
-            else:
-                raise ExpandError(f"unsupported statement {stmt!r}")
-
-    run_block(checked.program.body, dict(checked.bindings))
+    events: list[Event] = []
+    _walk(checked.program.body, dict(checked.bindings), symbols, events)
     return OpTrace(events)

@@ -134,8 +134,7 @@ def dram_requests(events, placement: TensorPlacement, ready: int) -> list[Reques
         else:
             continue
         base = placement.tensors[e.tensor].base_address
-        for off, length in e.ranges:
-            reqs.append(Request(ready, kind, base + off, length))
+        reqs.extend([Request(ready, kind, base + off, length) for off, length in e.ranges])
     return reqs
 
 

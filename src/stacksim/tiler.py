@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import yaml
 
 from .arch import ArchConfig
-from .kerneldsl.ast import Copy, ForLoop, KernelProgram, free_vars
+from .kerneldsl.ast import KernelProgram
 from .kerneldsl.checker import CheckedProgram, TypecheckError, typecheck
 from .kerneldsl.trace import (
     DramRead, DramWrite, MatrixWork, OpTrace, VectorWork, expand,
@@ -50,50 +50,16 @@ class TensorPlacement:
         return yaml.safe_dump(doc, sort_keys=False)
 
 
-def _infer_layouts(prog: KernelProgram) -> dict[str, str]:
-    """Pick the contiguous dimension per tensor from its access pattern.
-
-    The dimension whose slice indices depend on the innermost enclosing loop
-    variable is traversed fastest and becomes unit-stride: dimension 0 fast
-    means column-major, otherwise row-major.
-    """
-    layouts: dict[str, str] = {}
-
-    def visit(stmts, loop_vars: list[str]):
-        for s in stmts:
-            if isinstance(s, ForLoop):
-                visit(s.body, loop_vars + [s.var])
-            elif isinstance(s, Copy):
-                for ref in (s.src, s.dst):
-                    if ref.name in layouts or not ref.indices or not loop_vars:
-                        continue
-                    dim_vars = [free_vars(sl.lo) | free_vars(sl.hi) for sl in ref.indices]
-                    # Innermost loop variable actually used by this reference.
-                    used = [v for v in loop_vars if any(v in dv for dv in dim_vars)]
-                    if not used:
-                        continue
-                    fastest = used[-1]
-                    dims = [d for d, dv in enumerate(dim_vars) if fastest in dv]
-                    if dims == [0] and len(ref.indices) > 1:
-                        layouts[ref.name] = "col"
-                    else:
-                        layouts[ref.name] = "row"
-    visit(prog.body, [])
-    return layouts
-
-
 def infer_placement(checked: CheckedProgram, cfg: ArchConfig) -> TensorPlacement:
     """Assign logical-row-aligned base addresses and strides to DRAM tensors."""
     align = cfg.logical_row_bytes
-    inferred = _infer_layouts(checked.program)
     entries: dict[str, PlacementEntry] = {}
     offset = 0
     for name, info in checked.symbols.items():
         if info.kind != "tensor":
             continue
-        layout = info.layout or inferred.get(name, "row")
-        strides = tuple(s * info.dtype_bytes for s in strides_elems(info, layout))
-        entries[name] = PlacementEntry(offset, strides, layout, info.size_bytes)
+        strides = tuple(s * info.dtype_bytes for s in strides_elems(info))
+        entries[name] = PlacementEntry(offset, strides, info.layout, info.size_bytes)
         offset += -(-info.size_bytes // align) * align
     capacity = cfg.channel_capacity_bytes * cfg.core.channels
     if offset > capacity:

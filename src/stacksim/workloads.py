@@ -276,19 +276,14 @@ def gen_paged_attention_benchmark(cfg: ArchConfig, layout: PagedKvLayout,
     if problems:
         raise WorkloadError("; ".join(problems))
     rng = random.Random(seed)
-    block_bytes = layout.slots_per_block * layout.kv_vector_bytes
-    out = []
-    for _ in range(runs):
-        reqs = []
-        remaining = context
-        for block in layout.block_sequence(context, rng):
-            take = min(remaining, layout.slots_per_block)
-            for slot in range(take):
-                addr = block * block_bytes + slot * layout.kv_vector_bytes
-                reqs.append(Request(0, "R", addr, layout.kv_vector_bytes))
-            remaining -= take
-        out.append(reqs)
-    return out
+    slots = layout.slots_per_block
+    vector = layout.kv_vector_bytes
+    block_bytes = slots * vector
+    # Blocks in shuffled order, each block's slots in order, cut at `context`.
+    return [[Request(0, "R", block * block_bytes + slot * vector, vector)
+             for block in layout.block_sequence(context, rng)
+             for slot in range(slots)][:context]
+            for _ in range(runs)]
 
 
 def serialize_trace(reqs: list[Request]) -> str:

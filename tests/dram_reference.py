@@ -22,6 +22,11 @@ class _Channel:
     data_end: int = 0          # end of the most recent burst's data
     last_start: int = 0        # start cycle of the most recently issued burst
     last_kind: str | None = None
+    # Counters, named as the fields of dramsim.ChannelStats.
+    counts: dict = field(default_factory=lambda: dict.fromkeys(
+        ("bytes_read", "bytes_written", "bursts", "act_count", "row_hits",
+         "row_misses", "last_completion", "latency_count", "latency_sum",
+         "latency_max"), 0))
 
 
 def _byte_location(addr: int, cfg) -> tuple[int, int]:
@@ -60,8 +65,9 @@ def reference_schedule(requests, cfg) -> list:
     return [req for group in groups.values() for req in group]
 
 
-def reference_run(requests, cfg) -> int:
-    """Completion cycle of the whole trace under the documented protocol."""
+def reference_trace(requests, cfg) -> tuple[list[int], list[_Channel]]:
+    """Per-request completion cycles (0 for a request with no bytes) and the
+    final channels, counters included, under the documented protocol."""
     tm = cfg.dram_timing
     bl = cfg.channel.burst_bytes
     spacing = max(tm.tCCD, tm.tBURST)
@@ -70,8 +76,9 @@ def reference_run(requests, cfg) -> int:
     ]
     # Merge consecutive same-row runs per channel, preserving arrival order,
     # exactly as the front end does.
-    done = 0
+    dones = []
     for req in requests:
+        done = 0
         per_channel_chunks: dict[int, list] = {}
         order: list[int] = []
         for (channel, row), start, length in _runs(req.addr, req.bytes, cfg):
@@ -83,21 +90,27 @@ def reference_run(requests, cfg) -> int:
                 order.append(channel)
             if lst and lst[-1][0] == row:
                 lst[-1][1] += bursts
+                lst[-1][2] += length
             else:
-                lst.append([row, bursts])
+                lst.append([row, bursts, length])
         for channel in order:
             ch = channels[channel]
-            for row, bursts in per_channel_chunks[channel]:
+            counts = ch.counts
+            for row, bursts, length in per_channel_chunks[channel]:
                 t = max(req.ready, ch.last_start)
-                if ch.open_row != row:
+                if ch.open_row == row:
+                    counts["row_hits"] += 1
+                else:
                     if ch.open_row is not None:
                         pre_issue = max(t, ch.act_time + tm.tRAS)
                         row_closed = pre_issue + tm.tRP
+                        counts["row_misses"] += 1
                     else:
                         row_closed = t
                     ch.act_time = max(row_closed, t)
                     ch.row_ready = ch.act_time + tm.tRCD
                     ch.open_row = row
+                    counts["act_count"] += 1
                 # Schedule every burst individually.
                 start = None
                 for b in range(bursts):
@@ -110,5 +123,18 @@ def reference_run(requests, cfg) -> int:
                     ch.data_end = start + tm.tBURST
                     ch.last_start = start
                 ch.last_kind = req.kind
-                done = max(done, start + tm.tBURST)
-    return done
+                chunk_done = start + tm.tBURST
+                done = max(done, chunk_done)
+                counts["bytes_read" if req.kind == "R" else "bytes_written"] += length
+                counts["bursts"] += bursts
+                counts["last_completion"] = max(counts["last_completion"], chunk_done)
+                counts["latency_count"] += 1
+                counts["latency_sum"] += chunk_done - req.ready
+                counts["latency_max"] = max(counts["latency_max"], chunk_done - req.ready)
+        dones.append(done)
+    return dones, channels
+
+
+def reference_run(requests, cfg) -> int:
+    """Completion cycle of the whole trace under the documented protocol."""
+    return max(reference_trace(requests, cfg)[0], default=0)

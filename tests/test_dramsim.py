@@ -11,7 +11,9 @@ from stacksim.arch import (
 from stacksim.dramsim import (
     AddressError, DramSystem, Request, schedule_tile, split_range, stats,
 )
-from dram_reference import _byte_location, reference_run, reference_schedule
+from dram_reference import (
+    _byte_location, reference_run, reference_schedule, reference_trace,
+)
 
 T = DramTiming()  # tRCD=18 tRP=18 tRAS=42 tCCD=4 tBURST=4 tRTW=8 tWTR=8
 
@@ -247,3 +249,71 @@ def test_matches_independent_reference_on_random_traces():
                                 rng.randint(1, min(64, capacity - addr))))
             ready += rng.randint(0, 40)
         assert DramSystem(cfg).run(reqs) == reference_run(reqs, cfg)
+
+
+def _random_trace(rng, cfg, n):
+    """`n` requests mixing reads and writes, single-chunk and multi-chunk
+    (up to four interleave runs), with non-decreasing ready cycles."""
+    capacity = cfg.channel_capacity_bytes * cfg.core.channels
+    span = 4 * cfg.channel.interleave_bytes
+    reqs, ready = [], 0
+    for _ in range(n):
+        addr = rng.randrange(0, capacity)
+        nbytes = rng.randint(1, min(rng.choice((32, span)), capacity - addr))
+        reqs.append(Request(ready, rng.choice("RW"), addr, nbytes))
+        ready += rng.randint(0, 40)
+    return reqs
+
+
+def _channel_counts(system):
+    return [dataclasses.asdict(ch.stats) for ch in system.channels]
+
+
+@pytest.mark.parametrize("channels", [2, 4])
+def test_drains_carry_state_like_one_reference_trace(channels):
+    # Several drains on one system service their concatenation: each call
+    # returns the last completion of its own requests, and the channel
+    # counters end where the reference's do.
+    cfg = small_cfg(channels=channels)
+    rng = random.Random(21 + channels)
+    multi = 0
+    for _ in range(25):
+        system = DramSystem(cfg)
+        calls = [_random_trace(rng, cfg, rng.randint(0, 10)) for _ in range(4)]
+        trace = [req for call in calls for req in call]
+        dones, ref_channels = reference_trace(trace, cfg)
+        start = 0
+        for call in calls:
+            assert system.drain(call) == max(dones[start:start + len(call)], default=0)
+            start += len(call)
+        assert _channel_counts(system) == [ch.counts for ch in ref_channels]
+        whole = DramSystem(cfg)
+        assert whole.drain(trace) == reference_run(trace, cfg)
+        assert stats(system) == stats(whole)
+        multi += sum(len(split_range(r.addr, r.bytes, cfg)) > 1 for r in trace)
+    assert multi > 0
+
+
+def test_rejected_drain_changes_no_channel():
+    cfg = small_cfg(channels=4)
+    capacity = cfg.channel_capacity_bytes * cfg.core.channels
+    system = DramSystem(cfg)
+    system.drain(_random_trace(random.Random(5), cfg, 12))
+
+    def state():
+        return [({k: getattr(ch, k) for k in ch.__slots__ if k != "stats"},
+                 dataclasses.asdict(ch.stats)) for ch in system.channels]
+
+    before = state()
+    # Valid requests to every channel precede the one past the core's end.
+    good = [Request(1000, "W", c * cfg.channel.interleave_bytes, 32)
+            for c in range(cfg.core.channels)]
+    with pytest.raises(AddressError):
+        system.drain(good + [Request(1000, "R", capacity - 16, 32)])
+    assert state() == before
+
+
+def test_request_is_a_named_tuple():
+    req = Request(3, "W", 64, 32)
+    assert req == (3, "W", 64, 32)
+    assert (req.ready, req.kind, req.addr, req.bytes) == (3, "W", 64, 32)

@@ -1,4 +1,6 @@
+import gc
 import json
+import random
 from importlib import resources
 
 import pytest
@@ -10,6 +12,9 @@ from stacksim.kerneldsl import (
     MatrixWork, TensorDecl, TypecheckError, VectorWork, ast_to_json,
     event_totals, expand, parse_kernel, typecheck,
 )
+from stacksim.kerneldsl.checker import SymbolInfo
+from stacksim.kerneldsl.trace import byte_ranges
+from stacksim.tiler import infer_placement
 from stacksim.workloads import load_kernel
 
 CFG = ArchConfig()
@@ -132,6 +137,85 @@ def test_trace_byte_ranges_follow_layout():
         e for e in trace.events
         if isinstance(e, DramRead) and e.tensor == "A" and e.slices[1] == (4, 8))
     assert full_row_tile.ranges[0][0] == 8  # offset past the first 4 elements
+
+
+def _brute_force_runs(slices, strides_bytes, dtype_bytes):
+    """Byte runs of a tile from its elements: every element's offset under
+    the given strides, sorted, with touching elements merged."""
+    offsets = [0]
+    for (lo, hi), stride in zip(slices, strides_bytes):
+        offsets = [o + i * stride for o in offsets for i in range(lo, hi)]
+    runs = []
+    for off in sorted(offsets):
+        if runs and runs[-1][0] + runs[-1][1] == off:
+            runs[-1][1] += dtype_bytes
+        else:
+            runs.append([off, dtype_bytes])
+    return tuple((off, length) for off, length in runs)
+
+
+def _layout_strides(shape, layout, dtype_bytes):
+    dims = range(len(shape)) if layout == "col" else reversed(range(len(shape)))
+    strides = [0] * len(shape)
+    acc = dtype_bytes
+    for d in dims:
+        strides[d] = acc
+        acc *= shape[d]
+    return strides
+
+
+def test_byte_ranges_match_brute_force():
+    rng = random.Random(13)
+    for _ in range(400):
+        shape = tuple(rng.randint(1, 6) for _ in range(rng.randint(1, 3)))
+        layout = rng.choice(("row", "col"))
+        dtype = rng.choice(("fp16", "fp32", "int8"))
+        info = SymbolInfo("T", "tensor", shape, dtype, layout)
+        slices = []
+        for extent in shape:
+            # The full extent, a tile at a multiple of its size clipped at
+            # the edge as expand clips it, or any non-empty slice.
+            tile = rng.randint(1, extent)
+            lo = tile * rng.randrange(-(-extent // tile))
+            any_lo = rng.randrange(extent)
+            slices.append(rng.choice(((0, extent), (lo, min(lo + tile, extent)),
+                                      (any_lo, rng.randint(any_lo + 1, extent)))))
+        slices = tuple(slices)
+        expected = _brute_force_runs(
+            slices, _layout_strides(shape, layout, info.dtype_bytes), info.dtype_bytes)
+        assert byte_ranges(info, slices) == expected, (shape, layout, slices)
+
+
+def test_undeclared_layout_trace_follows_placement():
+    # X has no declared layout; the inner loop walks dimension 0, so X is
+    # column-major, and the trace addresses it with the placement's strides.
+    text = ("kernel k(M, N, tM):\n"
+            "    X = tensor((M, N), fp16)\n"
+            "    x = alloc((tM, 1), fp16)\n"
+            "    for j in range(0, N, 1):\n"
+            "        for i in range(0, M, tM):\n"
+            "            copy(X[i:i+tM, j:j+1], x)\n")
+    checked = typecheck(parse_kernel(text), CFG, dict(M=4, N=4, tM=4))
+    entry = infer_placement(checked, CFG).tensors["X"]
+    assert (entry.layout, entry.strides_bytes) == ("col", (2, 8))
+    reads = expand(checked).events
+    assert [e.ranges for e in reads] == [((8 * j, 8),) for j in range(4)]
+    for e in reads:
+        assert e.ranges == _brute_force_runs(e.slices, entry.strides_bytes, 2)
+
+
+def test_dropped_trace_is_freed_without_the_cycle_collector():
+    checked = typecheck(load_kernel("matmul"), CFG,
+                        dict(M=8, K=8, N=8, tM=4, tN=4, tK=4))
+    gc.collect()
+    gc.disable()
+    try:
+        trace = expand(checked)
+        assert trace.events
+        del trace
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_full_width_tile_merges_to_one_run():

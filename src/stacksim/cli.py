@@ -8,6 +8,7 @@ validation/usage failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 from importlib import resources
 
@@ -19,6 +20,7 @@ from .kerneldsl.checker import TypecheckError, typecheck
 from .kerneldsl.parser import KernelSyntaxError, ast_to_json, parse_kernel
 from .orchestrator import ComputeBody, ComputeOp, run, simulate_compute
 from .sweep import default_power_model
+from .thermal import RETENTION_LIMIT_C, regulate
 from .tiler import TilerError, autotune, generate_execution, infer_placement
 from .workloads import (
     DecodingScenario, PagedKvLayout, WorkloadError, build_decoding_graph,
@@ -118,8 +120,6 @@ def cmd_simulate(args) -> int:
                                                 infer_placement(checked, cfg)))]
     reg = None
     if args.regulate:
-        import dataclasses
-        from .thermal import regulate  # numpy loads only when regulating
         reg = regulate(cfg, default_power_model(cfg))
         cfg = dataclasses.replace(cfg, core=dataclasses.replace(
             cfg.core, frequency_ghz=reg.frequency_ghz))
@@ -135,7 +135,6 @@ def cmd_simulate(args) -> int:
     if args.out:
         _write_out(report.to_csv(), args.out)
     if reg is not None and not reg.feasible:
-        from .thermal import RETENTION_LIMIT_C
         print(f"thermally infeasible: {reg.frequency_ghz:.2f} GHz still peaks at "
               f"{reg.peak_temperature_c:.1f} C, over the {RETENTION_LIMIT_C:.1f} C limit",
               file=sys.stderr)
@@ -193,7 +192,6 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p, kernel=False):
         p.add_argument("--config", help="architecture YAML (default: built-in cloud config)")
         p.add_argument("--out", help="output file (default: stdout)")
-        p.add_argument("--seed", type=int, default=0)
         if kernel:
             p.add_argument("--kernel", help="kernel file path or shipped kernel name")
             p.add_argument("--bind", nargs="*", default=[], metavar="NAME=VALUE")
@@ -243,6 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kv-bytes", type=int, default=256)
     p.add_argument("--context", type=int, default=1024)
     p.add_argument("--runs", type=int, default=10)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--run", action="store_true",
                    help="also simulate the trace and print utilization")
     p.set_defaults(fn=cmd_trace_gen)

@@ -41,6 +41,7 @@ class CheckedProgram:
     bindings: dict
     symbols: dict  # name -> SymbolInfo
     cfg: ArchConfig
+    events: int  # trace events the loops unroll to (see `_check_block`)
 
     def symbol(self, name: str) -> SymbolInfo:
         return self.symbols[name]
@@ -119,6 +120,103 @@ def _broadcast(shapes: list[tuple[int, ...]], line: int) -> tuple[int, ...]:
     return tuple(out)
 
 
+def _eval_shape(decl, env: dict) -> tuple[int, ...]:
+    dims = []
+    for e in decl.shape:
+        unknown = free_vars(e) - set(env)
+        if unknown:
+            raise TypecheckError(
+                f"shape of '{decl.name}' uses unbound name(s) {sorted(unknown)}",
+                decl.line)
+        v = evaluate(e, env)
+        if v <= 0:
+            raise TypecheckError(f"non-positive dimension {v} in '{decl.name}'", decl.line)
+        dims.append(v)
+    return tuple(dims)
+
+
+def _check_block(stmts: tuple[Stmt, ...], loop_env: dict, env: dict,
+                 symbols: dict, inferred: dict) -> int:
+    """Check `stmts` under `loop_env`, declaring into `symbols`; returns the
+    number of trace events they expand to.
+
+    Each loop body is checked once, with the loop variable at its lower
+    bound, and counts once per trip. Declared shapes see only the kernel
+    parameters in `env`. A module-level function rather than a closure
+    inside `typecheck`: a recursive closure is a reference cycle, left for
+    the cyclic garbage collector after every call.
+    """
+    events = 0
+    for stmt in stmts:
+        if isinstance(stmt, (TensorDecl, AllocDecl)):
+            if stmt.name in symbols:
+                raise TypecheckError(f"redeclaration of '{stmt.name}'", stmt.line)
+            if isinstance(stmt, TensorDecl):
+                kind = "tensor"
+                layout = stmt.layout or inferred.get(stmt.name, "row")
+            else:
+                kind, layout = "alloc", "row"
+            symbols[stmt.name] = SymbolInfo(
+                stmt.name, kind, _eval_shape(stmt, env), stmt.dtype, layout)
+        elif isinstance(stmt, Copy):
+            s_shape = _ref_shape(stmt.src, symbols, loop_env)
+            d_shape = _ref_shape(stmt.dst, symbols, loop_env)
+            if prod(s_shape) != prod(d_shape):
+                raise TypecheckError(
+                    f"copy extent mismatch: {s_shape} vs {d_shape}", stmt.line)
+            src_k = symbols[stmt.src.name].kind
+            dst_k = symbols[stmt.dst.name].kind
+            if (src_k, dst_k) == ("tensor", "tensor"):
+                raise TypecheckError("copy cannot move DRAM to DRAM directly", stmt.line)
+            events += 1
+        elif isinstance(stmt, Gemm):
+            for ref in (stmt.a, stmt.b, stmt.out):
+                if symbols.get(ref.name) is None:
+                    raise TypecheckError(f"use of undeclared name '{ref.name}'", ref.line)
+                if symbols[ref.name].kind != "alloc":
+                    raise TypecheckError(
+                        f"gemm operand '{ref.name}' must reside in SRAM", stmt.line)
+            a = _ref_shape(stmt.a, symbols, loop_env)
+            b = _ref_shape(stmt.b, symbols, loop_env)
+            out = _ref_shape(stmt.out, symbols, loop_env)
+            if len(a) != 2 or len(b) != 2 or len(out) != 2:
+                raise TypecheckError("gemm operands must be 2D", stmt.line)
+            bk, bn = (b[1], b[0]) if stmt.transpose_b else (b[0], b[1])
+            if a[1] != bk:
+                raise TypecheckError(
+                    f"gemm inner dimensions differ: {a} x {b}"
+                    f"{' (transposed B)' if stmt.transpose_b else ''}", stmt.line)
+            if out != (a[0], bn):
+                raise TypecheckError(
+                    f"gemm output shape {out} != ({a[0]}, {bn})", stmt.line)
+            events += 1
+        elif isinstance(stmt, VectorOp):
+            shapes = [_ref_shape(r, symbols, loop_env) for r in stmt.operands]
+            _broadcast(shapes, stmt.line)
+            _ref_shape(stmt.out, symbols, loop_env)
+            for ref in (*stmt.operands, stmt.out):
+                if symbols[ref.name].kind != "alloc":
+                    raise TypecheckError(
+                        f"vector operand '{ref.name}' must reside in SRAM", stmt.line)
+            events += 1
+        elif isinstance(stmt, ForLoop):
+            for e in (stmt.lo, stmt.hi, stmt.step):
+                unknown = free_vars(e) - set(loop_env)
+                if unknown:
+                    raise TypecheckError(
+                        f"unbound name(s) in loop bounds: {sorted(unknown)}", stmt.line)
+            lo, hi, step = (evaluate(e, loop_env) for e in (stmt.lo, stmt.hi, stmt.step))
+            if step <= 0:
+                raise TypecheckError("loop step must be positive", stmt.line)
+            inner = dict(loop_env)
+            inner[stmt.var] = lo
+            events += len(range(lo, hi, step)) * _check_block(
+                stmt.body, inner, env, symbols, inferred)
+        else:
+            raise TypecheckError(f"unsupported statement {stmt!r}")
+    return events
+
+
 def typecheck(prog: KernelProgram, cfg: ArchConfig, bindings: dict[str, int]) -> CheckedProgram:
     """Verify declarations, shapes, and SRAM/DRAM capacity under bindings.
 
@@ -130,87 +228,7 @@ def typecheck(prog: KernelProgram, cfg: ArchConfig, bindings: dict[str, int]) ->
         raise TypecheckError(f"unbound kernel parameter(s): {missing}")
     env = dict(bindings)
     symbols: dict[str, SymbolInfo] = {}
-    inferred = _infer_layouts(prog.body)
-
-    def eval_shape(decl) -> tuple[int, ...]:
-        dims = []
-        for e in decl.shape:
-            unknown = free_vars(e) - set(env)
-            if unknown:
-                raise TypecheckError(
-                    f"shape of '{decl.name}' uses unbound name(s) {sorted(unknown)}",
-                    decl.line)
-            v = evaluate(e, env)
-            if v <= 0:
-                raise TypecheckError(f"non-positive dimension {v} in '{decl.name}'", decl.line)
-            dims.append(v)
-        return tuple(dims)
-
-    def check_block(stmts: tuple[Stmt, ...], loop_env: dict):
-        for stmt in stmts:
-            if isinstance(stmt, (TensorDecl, AllocDecl)):
-                if stmt.name in symbols:
-                    raise TypecheckError(f"redeclaration of '{stmt.name}'", stmt.line)
-                if isinstance(stmt, TensorDecl):
-                    kind = "tensor"
-                    layout = stmt.layout or inferred.get(stmt.name, "row")
-                else:
-                    kind, layout = "alloc", "row"
-                symbols[stmt.name] = SymbolInfo(
-                    stmt.name, kind, eval_shape(stmt), stmt.dtype, layout)
-            elif isinstance(stmt, Copy):
-                s_shape = _ref_shape(stmt.src, symbols, loop_env)
-                d_shape = _ref_shape(stmt.dst, symbols, loop_env)
-                if prod(s_shape) != prod(d_shape):
-                    raise TypecheckError(
-                        f"copy extent mismatch: {s_shape} vs {d_shape}", stmt.line)
-                src_k = symbols[stmt.src.name].kind
-                dst_k = symbols[stmt.dst.name].kind
-                if (src_k, dst_k) == ("tensor", "tensor"):
-                    raise TypecheckError("copy cannot move DRAM to DRAM directly", stmt.line)
-            elif isinstance(stmt, Gemm):
-                for ref in (stmt.a, stmt.b, stmt.out):
-                    if symbols.get(ref.name) is None:
-                        raise TypecheckError(f"use of undeclared name '{ref.name}'", ref.line)
-                    if symbols[ref.name].kind != "alloc":
-                        raise TypecheckError(
-                            f"gemm operand '{ref.name}' must reside in SRAM", stmt.line)
-                a = _ref_shape(stmt.a, symbols, loop_env)
-                b = _ref_shape(stmt.b, symbols, loop_env)
-                out = _ref_shape(stmt.out, symbols, loop_env)
-                if len(a) != 2 or len(b) != 2 or len(out) != 2:
-                    raise TypecheckError("gemm operands must be 2D", stmt.line)
-                bk, bn = (b[1], b[0]) if stmt.transpose_b else (b[0], b[1])
-                if a[1] != bk:
-                    raise TypecheckError(
-                        f"gemm inner dimensions differ: {a} x {b}"
-                        f"{' (transposed B)' if stmt.transpose_b else ''}", stmt.line)
-                if out != (a[0], bn):
-                    raise TypecheckError(
-                        f"gemm output shape {out} != ({a[0]}, {bn})", stmt.line)
-            elif isinstance(stmt, VectorOp):
-                shapes = [_ref_shape(r, symbols, loop_env) for r in stmt.operands]
-                _broadcast(shapes, stmt.line)
-                _ref_shape(stmt.out, symbols, loop_env)
-                for ref in (*stmt.operands, stmt.out):
-                    if symbols[ref.name].kind != "alloc":
-                        raise TypecheckError(
-                            f"vector operand '{ref.name}' must reside in SRAM", stmt.line)
-            elif isinstance(stmt, ForLoop):
-                for e in (stmt.lo, stmt.hi, stmt.step):
-                    unknown = free_vars(e) - set(loop_env)
-                    if unknown:
-                        raise TypecheckError(
-                            f"unbound name(s) in loop bounds: {sorted(unknown)}", stmt.line)
-                if evaluate(stmt.step, loop_env) <= 0:
-                    raise TypecheckError("loop step must be positive", stmt.line)
-                inner = dict(loop_env)
-                inner[stmt.var] = evaluate(stmt.lo, loop_env)
-                check_block(stmt.body, inner)
-            else:
-                raise TypecheckError(f"unsupported statement {stmt!r}")
-
-    check_block(prog.body, env)
+    events = _check_block(prog.body, env, env, symbols, _infer_layouts(prog.body))
 
     sram_total = sum(s.size_bytes for s in symbols.values() if s.kind == "alloc")
     if sram_total > cfg.core.sram_bytes:
@@ -222,4 +240,4 @@ def typecheck(prog: KernelProgram, cfg: ArchConfig, bindings: dict[str, int]) ->
     if dram_total > core_capacity:
         raise TypecheckError(
             f"DRAM tensors need {dram_total} bytes, core capacity is {core_capacity}")
-    return CheckedProgram(prog, dict(bindings), symbols, cfg)
+    return CheckedProgram(prog, dict(bindings), symbols, cfg, events)

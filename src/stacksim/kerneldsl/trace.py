@@ -12,6 +12,12 @@ from .ast import (
 from .checker import CheckedProgram, SymbolInfo
 
 
+# The most events one trace may hold. Each costs a few hundred bytes of host
+# memory once expanded and pipelined, so a tiling that unrolls past this
+# fails cleanly instead of thrashing the host.
+MAX_TRACE_EVENTS = 1 << 20
+
+
 class ExpandError(ValueError):
     pass
 
@@ -206,6 +212,9 @@ def expand(checked: CheckedProgram) -> OpTrace:
     sram_total = sum(s.size_bytes for s in symbols.values() if s.kind == "alloc")
     if sram_total > checked.cfg.core.sram_bytes:
         raise ExpandError("SRAM allocations exceed capacity")
+    if checked.events > MAX_TRACE_EVENTS:
+        raise ExpandError(f"loops unroll to {checked.events} trace events, "
+                          f"over the limit of {MAX_TRACE_EVENTS}")
     events: list[Event] = []
     _walk(checked.program.body, dict(checked.bindings), symbols, events)
     return OpTrace(events)

@@ -15,9 +15,9 @@ import io
 import math
 
 from .arch import ArchConfig, derived_metrics, validate
-from .kerneldsl.checker import typecheck
 from .orchestrator import ComputeBody, ComputeOp, simulate_compute
-from .tiler import TilerError, autotune, infer_placement
+from .thermal import regulate
+from .tiler import TilerError, autotune
 from .workloads import load_kernel
 
 SWEEP_DIMENSIONS = (
@@ -102,19 +102,25 @@ CSV_FIELDS = ("dimension", "value", "frequency_ghz", "peak_temperature_c",
               "dram_utilization", "row_hit_rate", "energy_j", "status")
 
 
-def evaluate_point(cfg: ArchConfig, power_model=None) -> dict:
-    """Regulate, autotune the probe GEMM, simulate; one result record."""
+def evaluate_point(cfg: ArchConfig) -> dict:
+    """Regulate, autotune the probe GEMM, simulate; one result record.
+
+    The winner's record is the one its autotune evaluation produced: each
+    candidate is simulated once.
+    """
     problems = validate(cfg)
     if problems:
         return {"status": "invalid: " + problems[0]}
-    from .thermal import regulate  # numpy loads only when a sweep runs
-    reg = regulate(cfg, power_model or default_power_model(cfg))
+    reg = regulate(cfg, default_power_model(cfg))
     cfg = dataclasses.replace(cfg, core=dataclasses.replace(
         cfg.core, frequency_ghz=reg.frequency_ghz))
     prog = load_kernel("matmul")
+    results = {}  # candidate's full bindings -> its simulated result
 
     def sim_latency(checked, desc):
-        return simulate_compute(ComputeOp("probe", ComputeBody(checked, desc)), cfg).cycles
+        res = simulate_compute(ComputeOp("probe", ComputeBody(checked, desc)), cfg)
+        results[frozenset(checked.bindings.items())] = res
+        return res.cycles
 
     try:
         tiling, desc = autotune(prog, cfg, dict(PROBE_SHAPE), sim_latency)
@@ -123,9 +129,7 @@ def evaluate_point(cfg: ArchConfig, power_model=None) -> dict:
                 "frequency_ghz": reg.frequency_ghz,
                 "peak_temperature_c": reg.peak_temperature_c,
                 "thermally_feasible": reg.feasible}
-    checked = typecheck(prog, cfg, dict(PROBE_SHAPE, **tiling))
-    res = simulate_compute(ComputeOp("probe", ComputeBody(
-        checked, desc, infer_placement(checked, cfg))), cfg)
+    res = results[frozenset(dict(PROBE_SHAPE, **tiling).items())]
     seconds = res.cycles / (cfg.core.frequency_ghz * 1e9)
     return {
         "frequency_ghz": reg.frequency_ghz,
@@ -142,7 +146,7 @@ def evaluate_point(cfg: ArchConfig, power_model=None) -> dict:
 
 
 def sweep(dimension: str, grid: list, base: ArchConfig,
-          power_model=None, workers: int = 1) -> list[dict]:
+          workers: int = 1) -> list[dict]:
     """Evaluate every grid point; `workers` > 1 distributes points over
     processes and must produce exactly the serial result."""
     if not grid:
@@ -156,12 +160,12 @@ def sweep(dimension: str, grid: list, base: ArchConfig,
             record["status"] = f"invalid: {e}"
         points.append((record, cfg if "status" not in record else None))
     todo = [(rec, cfg) for rec, cfg in points if cfg is not None]
-    if workers > 1 and power_model is None and todo:
+    if workers > 1 and todo:
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as ex:
             results = list(ex.map(evaluate_point, [cfg for _, cfg in todo]))
     else:
-        results = [evaluate_point(cfg, power_model) for _, cfg in todo]
+        results = [evaluate_point(cfg) for _, cfg in todo]
     for (rec, _), result in zip(todo, results):
         rec.update(result)
     rows = [rec for rec, _ in points]

@@ -6,16 +6,20 @@ the temperature is uniform within each layer and one node per layer is exact
 (the layer column of HotSpot's compact model). Adjacent layers couple through
 the series conductance of their half-thickness slabs; the top layer reaches
 ambient through its half slab in series with the boundary heat-transfer
-coefficient. Temperatures are solved relative to ambient, so the governing
-systems are G T = P (steady state) and (C/dt + G) T' = P + (C/dt) T
-(backward Euler transient step).
+coefficient. Temperatures are solved relative to ambient.
+
+Layer 0 is the bottom of the stack and heat leaves only through the top, so
+in steady state the interface above layer i carries all the power of layers
+0..i: the steady state is that cumulative flux through series conductances,
+with no solve. A backward-Euler step (C/dt + G) T' = P + (C/dt) T couples
+each layer to its neighbours only, a tridiagonal system solved by one
+forward and one backward sweep (the Thomas algorithm).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
+from itertools import accumulate
 
 from .arch import ArchConfig, StackDescription
 
@@ -28,54 +32,80 @@ class ThermalError(ValueError):
     pass
 
 
-@dataclass
+@dataclass(frozen=True)
 class ThermalGrid:
     stack: StackDescription
-    C: np.ndarray  # capacitance (diagonal, J/K per layer)
-    G: np.ndarray  # conductance (W/K), boundary term on the top diagonal
+    capacitance: tuple[float, ...]  # J/K per layer, bottom to top
+    conductance: tuple[float, ...]  # W/K between layer i and i+1
+    top_conductance: float  # W/K from the top layer to ambient
 
     @property
     def nodes(self) -> int:
-        return len(self.stack.layers)
+        return len(self.capacitance)
 
-    def steady_state(self, P: np.ndarray) -> np.ndarray:
+    def _check(self, values, what: str) -> None:
+        if len(values) != self.nodes:
+            raise ThermalError(f"{what} has {len(values)} entries, "
+                               f"stack has {self.nodes} layers")
+
+    def steady_state(self, P) -> list[float]:
         """Temperature rise over ambient for constant power P (W per layer)."""
-        return np.linalg.solve(self.G, np.asarray(P, dtype=float))
+        self._check(P, "power")
+        flux = list(accumulate(P))  # W through the interface above each layer
+        T = [0.0] * self.nodes
+        T[-1] = flux[-1] / self.top_conductance
+        for i in range(self.nodes - 2, -1, -1):
+            T[i] = T[i + 1] + flux[i] / self.conductance[i]
+        return T
 
-    def step(self, T: np.ndarray, P: np.ndarray, dt: float) -> np.ndarray:
+    def step(self, T, P, dt: float) -> list[float]:
         """One backward-Euler step of length dt (seconds)."""
         if dt <= 0:
             raise ThermalError(f"dt must be positive (got {dt})")
-        rhs = np.asarray(P, dtype=float) + self.C.dot(np.asarray(T, dtype=float)) / dt
-        return np.linalg.solve(self.C / dt + self.G, rhs)
+        self._check(T, "temperature")
+        self._check(P, "power")
+        # Forward sweep: once the layer below is eliminated, layer i reads
+        # T'[i] = rhs[i] + upper[i] * T'[i+1].
+        upper, rhs = [], []
+        u = r = below = 0.0
+        for c, above, p, t in zip(self.capacitance,
+                                  (*self.conductance, self.top_conductance), P, T):
+            c_dt = c / dt
+            m = c_dt + below - below * u + above
+            r = (p + c_dt * t + below * r) / m
+            u = above / m
+            upper.append(u)
+            rhs.append(r)
+            below = above
+        # Backward sweep from the top layer, whose upper neighbour is ambient.
+        out = [rhs[-1]]
+        for u, r in zip(upper[-2::-1], rhs[-2::-1]):
+            out.append(r + u * out[-1])
+        return out[::-1]
 
 
 def build_matrices(stack: StackDescription) -> ThermalGrid:
-    """Assemble the per-layer capacitance and conductance matrices."""
+    """Assemble the layer column: per-layer capacitances and the series
+    conductances between layers and from the top layer to ambient."""
     if len(stack.layers) < 2:
         raise ThermalError("stack needs at least 2 layers")
     area = stack.chip_area_m2
-    n = len(stack.layers)
-    C = np.diag([layer.vol_heat_capacity_j_m3k * area * layer.thickness_m
-                 for layer in stack.layers])
+    capacitance = tuple(layer.vol_heat_capacity_j_m3k * area * layer.thickness_m
+                        for layer in stack.layers)
     # Conductance of each layer's half-thickness slab over the chip area.
     half = [layer.conductivity_w_mk * area / (layer.thickness_m / 2)
             for layer in stack.layers]
-    G = np.zeros((n, n))
-    for li in range(n - 1):
-        g_v = 1.0 / (1.0 / half[li] + 1.0 / half[li + 1])
-        G[li, li + 1] = G[li + 1, li] = -g_v
-        G[li, li] += g_v
-        G[li + 1, li + 1] += g_v
+    conductance = tuple(1.0 / (1.0 / lower + 1.0 / upper)
+                        for lower, upper in zip(half, half[1:]))
     # Boundary: top layer to ambient through half-slab conduction + HTC.
-    G[-1, -1] += 1.0 / (1.0 / half[-1] + 1.0 / (stack.htc_w_m2k * area))
-    return ThermalGrid(stack, C, G)
+    top = 1.0 / (1.0 / half[-1] + 1.0 / (stack.htc_w_m2k * area))
+    return ThermalGrid(stack, capacitance, conductance, top)
 
 
-def power_map(grid: ThermalGrid, compute_w: float, dram_w: float) -> np.ndarray:
+def power_map(grid: ThermalGrid, compute_w: float, dram_w: float) -> list[float]:
     """Spread compute power over the power-carrying logic layers and DRAM
     power over the power-carrying DRAM dies (evenly within each group)."""
-    P = np.zeros(grid.nodes)
+    P = [0.0] * grid.nodes
     logic_layers = [i for i, l in enumerate(grid.stack.layers)
                     if l.power_layer and l.name.startswith("logic")]
     dram_layers = [i for i, l in enumerate(grid.stack.layers)
@@ -119,7 +149,7 @@ def regulate(cfg: ArchConfig, power_model,
     trace = []
     for freq in freqs:
         P = power_map(grid, *power_model(freq))
-        peak = float(grid.steady_state(P).max()) + ambient
+        peak = max(grid.steady_state(P)) + ambient
         trace.append((freq, peak))
         if peak <= limit_c:
             return RegulationResult(freq, peak, True, tuple(trace))

@@ -18,7 +18,7 @@ from .arch import ArchConfig
 from .kerneldsl.ast import KernelProgram
 from .kerneldsl.checker import CheckedProgram, TypecheckError, typecheck
 from .kerneldsl.trace import (
-    DramRead, DramWrite, MatrixWork, OpTrace, VectorWork, expand,
+    DramRead, DramWrite, ExpandError, MatrixWork, OpTrace, VectorWork, expand,
     strides_elems,
 )
 
@@ -231,9 +231,11 @@ def autotune(prog: KernelProgram, cfg: ArchConfig, bindings: dict[str, int],
     """Pick the tiling with minimal simulated latency.
 
     `simulate(checked, desc) -> latency` is the cycle-level evaluation
-    callback. Ties break toward the lexicographically smallest tiling; the
-    result equals sequential exhaustive evaluation regardless of callback
-    evaluation order.
+    callback. A candidate that fails to typecheck or expand is skipped: it
+    does not fit SRAM, or its trace would exceed `MAX_TRACE_EVENTS` (refused
+    before any event is built). Ties break toward the lexicographically
+    smallest tiling; the result equals sequential exhaustive evaluation
+    regardless of callback evaluation order.
     """
     best = None
     for tiling in tiling_candidates(prog, bindings, limit):
@@ -241,7 +243,7 @@ def autotune(prog: KernelProgram, cfg: ArchConfig, bindings: dict[str, int],
         try:
             checked = typecheck(prog, cfg, full)
             desc = generate_execution(checked, cfg)
-        except (TypecheckError, TilerError):
+        except (TypecheckError, TilerError, ExpandError):
             continue
         latency = simulate(checked, desc)
         key = (latency, tuple(sorted(tiling.items())))

@@ -13,7 +13,7 @@ from stacksim.kerneldsl import (
     event_totals, expand, parse_kernel, typecheck,
 )
 from stacksim.kerneldsl.checker import SymbolInfo
-from stacksim.kerneldsl.trace import byte_ranges
+from stacksim.kerneldsl.trace import ExpandError, byte_ranges
 from stacksim.tiler import infer_placement
 from stacksim.workloads import load_kernel
 
@@ -216,6 +216,40 @@ def test_dropped_trace_is_freed_without_the_cycle_collector():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def test_typecheck_leaves_nothing_for_the_cycle_collector():
+    prog = load_kernel("matmul")
+    gc.collect()
+    gc.disable()
+    try:
+        checked = typecheck(prog, CFG, dict(M=8, K=8, N=8, tM=4, tN=4, tK=4))
+        del checked
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def test_typecheck_counts_the_events_expand_builds():
+    for name, bind in (("matmul", dict(M=8, K=12, N=8, tM=4, tN=8, tK=5)),
+                       ("matmul_rowblock", dict(M=8, K=16, N=8, tM=4, tN=2, tK=8))):
+        checked = typecheck(load_kernel(name), CFG, bind)
+        assert checked.events == len(expand(checked).events)
+
+
+def test_expand_refuses_a_trace_over_the_event_limit(monkeypatch):
+    from stacksim.kerneldsl import trace as trace_mod
+    checked = typecheck(load_kernel("matmul"), CFG,
+                        dict(M=8, K=8, N=8, tM=4, tN=4, tK=4))
+    limit = len(expand(checked).events)
+    monkeypatch.setattr(trace_mod, "MAX_TRACE_EVENTS", limit)
+    assert len(expand(checked).events) == limit
+    monkeypatch.setattr(trace_mod, "MAX_TRACE_EVENTS", limit - 1)
+    walked = []
+    monkeypatch.setattr(trace_mod, "_walk", lambda *a: walked.append(a))
+    with pytest.raises(ExpandError, match="trace events"):
+        expand(checked)
+    assert not walked  # refused before building any event
 
 
 def test_full_width_tile_merges_to_one_run():

@@ -1,8 +1,8 @@
 import dataclasses
 from importlib import resources
 
-import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from stacksim.arch import ArchConfig, LayerSpec, StackDescription, load_arch
 from stacksim.sweep import default_power_model
@@ -10,8 +10,13 @@ from stacksim.thermal import (
     FREQ_FLOOR_GHZ, FREQ_STEP_GHZ, ThermalError, build_matrices, power_map,
     regulate,
 )
+from thermal_reference import (
+    dense_matrices, reference_step, reference_steady_state, relative_error,
+    stiffness,
+)
 
 AREA = 1e-4  # 100 mm^2
+REL_TOL = 1e-12  # closed form and tridiagonal sweep vs the dense LU solve
 
 
 def two_layer_stack(t1=100e-6, t2=50e-6, k1=120.0, k2=120.0, htc=10000.0):
@@ -27,30 +32,41 @@ def test_two_cell_conductances_by_hand():
     grid = build_matrices(stack)
     g_v = 1.0 / (50e-6 / (120.0 * AREA) + 25e-6 / (120.0 * AREA))
     g_b = 1.0 / (25e-6 / (120.0 * AREA) + 1.0 / (10000.0 * AREA))
-    G = grid.G
+    assert grid.conductance == (pytest.approx(g_v),)
+    assert grid.top_conductance == pytest.approx(g_b)
+    G, _ = dense_matrices(stack)
     assert G[0, 1] == pytest.approx(-g_v)
     assert G[0, 0] == pytest.approx(g_v)
     assert G[1, 1] == pytest.approx(g_v + g_b)
     # Steady state with 10 W in the logic cell: T1 = P/g_b, T0 = T1 + P/g_v.
-    T = grid.steady_state(np.array([10.0, 0.0]))
+    T = grid.steady_state([10.0, 0.0])
     assert T[1] == pytest.approx(10.0 / g_b)
     assert T[0] == pytest.approx(10.0 / g_b + 10.0 / g_v)
 
 
 def test_matrices_are_symmetric_and_capacitance_positive():
-    grid = build_matrices(StackDescription())
-    G = grid.G
+    stack = StackDescription()
+    grid = build_matrices(stack)
+    G, C = dense_matrices(stack)
+    # The grid's conductances are the reference's off-diagonal couplings,
+    # and each row of G sums to the heat that leaves the stack from it.
     assert abs(G - G.T).max() < 1e-12
-    assert (grid.C.diagonal() > 0).all()
+    n = grid.nodes
+    assert [-G[i, i + 1] for i in range(n - 1)] == pytest.approx(list(grid.conductance))
+    assert G.sum(axis=1)[:-1] == pytest.approx([0.0] * (n - 1), abs=1e-9)
+    assert G.sum(axis=1)[-1] == pytest.approx(grid.top_conductance)
+    assert list(grid.capacitance) == pytest.approx(list(C.diagonal()))
+    assert all(c > 0 for c in grid.capacitance)
+    assert all(g > 0 for g in (*grid.conductance, grid.top_conductance))
 
 
 def test_halving_top_thickness_raises_escape_conductance():
-    thick = build_matrices(two_layer_stack(t2=50e-6)).G
-    thin = build_matrices(two_layer_stack(t2=25e-6)).G
-    # Boundary term on the top-cell diagonal grows as the half-slab shrinks.
-    g_b_thick = thick[1, 1] + thick[1, 0]
-    g_b_thin = thin[1, 1] + thin[1, 0]
-    assert g_b_thin > g_b_thick
+    thick = build_matrices(two_layer_stack(t2=50e-6)).top_conductance
+    thin = build_matrices(two_layer_stack(t2=25e-6)).top_conductance
+    # The escape path is the top half-slab in series with the HTC: it
+    # conducts more as the half-slab shrinks.
+    assert thin > thick
+    assert thin == pytest.approx(1.0 / (12.5e-6 / (120.0 * AREA) + 1.0 / (10000.0 * AREA)))
 
 
 def test_steady_state_is_step_fixed_point():
@@ -58,55 +74,110 @@ def test_steady_state_is_step_fixed_point():
     P = power_map(grid, 200.0, 50.0)
     T = grid.steady_state(P)
     T2 = grid.step(T, P, dt=1e-3)
-    assert np.allclose(T2, T, rtol=1e-9, atol=1e-9)
+    assert T2 == pytest.approx(T, rel=1e-9, abs=1e-9)
 
 
 def test_step_matches_dense_backward_euler():
-    grid = build_matrices(two_layer_stack())
+    stack = two_layer_stack()
+    grid = build_matrices(stack)
     P = power_map(grid, 50.0, 20.0)
-    T0 = np.zeros(grid.nodes)
+    T0 = [0.0] * grid.nodes
     dt = 1e-4
     T1 = grid.step(T0, P, dt)
-    A = grid.C / dt + grid.G
-    expected = np.linalg.solve(A, P + grid.C.dot(T0) / dt)
-    assert np.allclose(T1, expected, rtol=1e-10)
+    assert relative_error(T1, reference_step(stack, T0, P, dt)) <= REL_TOL
+
+
+def _shipped_stack(name):
+    return _shipped(name).thermal_stack
+
+
+@pytest.mark.parametrize("name", ["default", "edge"])
+def test_shipped_stacks_match_dense_reference(name):
+    stack = _shipped_stack(name)
+    grid = build_matrices(stack)
+    P = power_map(grid, 250.0, 60.0)
+    T = grid.steady_state(P)
+    assert relative_error(T, reference_steady_state(stack, P)) <= REL_TOL
+    warm = [t / 2 for t in T]
+    for dt in (1e-6, 1e-3, 1.0):
+        assert relative_error(grid.step(warm, P, dt),
+                              reference_step(stack, warm, P, dt)) <= REL_TOL
+
+
+_layer = st.builds(
+    LayerSpec, name=st.sampled_from(["logic", "bond", "dram"]),
+    thickness_m=st.floats(5e-6, 5e-4),
+    conductivity_w_mk=st.floats(1.0, 400.0),
+    vol_heat_capacity_j_m3k=st.floats(1e6, 4e6),
+    power_layer=st.booleans())
+_value = st.one_of(st.just(0.0), st.floats(1e-3, 500.0))
+
+
+@st.composite
+def _column(draw):
+    layers = tuple(draw(st.lists(_layer, min_size=2, max_size=12)))
+    stack = StackDescription(layers=layers, htc_w_m2k=draw(st.floats(500.0, 1e5)),
+                             chip_area_m2=draw(st.floats(1e-5, 1e-3)))
+    n = len(layers)
+    P = draw(st.lists(_value, min_size=n, max_size=n))
+    T = draw(st.lists(_value, min_size=n, max_size=n))
+    return stack, P, T, draw(st.floats(1e-7, 10.0))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_column())
+def test_random_columns_match_dense_reference(column):
+    stack, P, T, dt = column
+    # Beyond this the dense LU solve itself is off by more than the tolerance.
+    assume(stiffness(stack) <= 1e3)
+    grid = build_matrices(stack)
+    assert relative_error(grid.steady_state(P), reference_steady_state(stack, P)) <= REL_TOL
+    assert relative_error(grid.step(T, P, dt), reference_step(stack, T, P, dt)) <= REL_TOL
 
 
 def test_transient_decays_to_ambient():
     grid = build_matrices(two_layer_stack())
-    T = np.full(grid.nodes, 40.0)
-    P = np.zeros(grid.nodes)
+    T = [40.0] * grid.nodes
+    P = [0.0] * grid.nodes
     for _ in range(300):
         T = grid.step(T, P, dt=5e-2)
-    assert np.abs(T).max() < 1e-6 * 40.0
+    assert max(map(abs, T)) < 1e-6 * 40.0
 
 
 def test_transient_converges_to_steady_state():
     grid = build_matrices(StackDescription())
     P = power_map(grid, 300.0, 80.0)
     target = grid.steady_state(P)
-    T = np.zeros(grid.nodes)
+    T = [0.0] * grid.nodes
     for _ in range(400):
         T = grid.step(T, P, dt=5e-3)
-    assert np.abs(T - target).max() <= 1e-6 * np.abs(target).max()
+    assert relative_error(T, target) <= 1e-6
 
 
 def test_nonnegative_power_keeps_grid_above_ambient():
     grid = build_matrices(StackDescription())
     T = grid.steady_state(power_map(grid, 150.0, 30.0))
-    assert (T > 0).all()
+    assert all(t > 0 for t in T)
 
 
 def test_power_map_conserves_power():
     grid = build_matrices(StackDescription())
     P = power_map(grid, 123.0, 45.0)
-    assert P.sum() == pytest.approx(168.0)
+    assert sum(P) == pytest.approx(168.0)
 
 
 def test_step_rejects_bad_dt():
     grid = build_matrices(two_layer_stack())
     with pytest.raises(ThermalError):
-        grid.step(np.zeros(grid.nodes), np.zeros(grid.nodes), 0.0)
+        grid.step([0.0] * grid.nodes, [0.0] * grid.nodes, 0.0)
+
+
+def test_solver_rejects_a_power_map_of_the_wrong_length():
+    grid = build_matrices(two_layer_stack())
+    with pytest.raises(ThermalError):
+        grid.steady_state([1.0])
+    with pytest.raises(ThermalError):
+        grid.step([0.0, 0.0, 0.0], [1.0, 1.0], 1e-3)
 
 
 def test_build_needs_two_layers():

@@ -181,6 +181,28 @@ def test_autotune_raises_when_nothing_fits():
         autotune(prog, tiny, dict(M=64, K=64, N=64), lambda c, d: 0)
 
 
+def test_autotune_skips_tilings_over_the_trace_limit(monkeypatch):
+    from stacksim.kerneldsl import trace as trace_mod
+    prog = load_kernel("matmul")
+    bindings = dict(M=8, K=8, N=8, tM=8)
+    sizes = {}
+
+    def simulate(checked, desc):
+        sizes[(checked.bindings["tN"], checked.bindings["tK"])] = checked.events
+        return 1000 // checked.events  # finer tiles would win
+
+    autotune(prog, CFG, bindings, simulate)
+    limit = sorted(sizes.values())[len(sizes) // 2]
+    monkeypatch.setattr(trace_mod, "MAX_TRACE_EVENTS", limit)
+    sizes.clear()
+    tiling, desc = autotune(prog, CFG, bindings, simulate)
+    assert sizes and max(sizes.values()) <= limit
+    assert sizes[(tiling["tN"], tiling["tK"])] <= limit
+    monkeypatch.setattr(trace_mod, "MAX_TRACE_EVENTS", 1)
+    with pytest.raises(TilerError, match="no feasible tiling"):
+        autotune(prog, CFG, bindings, simulate)
+
+
 def test_execution_serializes_to_yaml():
     checked = checked_matmul(M=64, K=128, N=64, tM=64, tN=64, tK=64)
     doc = yaml.safe_load(generate_execution(checked, CFG).serialize())

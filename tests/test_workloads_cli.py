@@ -286,9 +286,9 @@ def test_cli_simulate_kernel(capsys):
     assert "cycles" in out
 
 
-def test_cli_simulate_kernel_skips_thermal_imports():
-    # numpy loads only for the thermal model; a plain simulate run does not
-    # pay for it, and no run loads scipy.
+def test_cli_runs_import_neither_numpy_nor_scipy():
+    # The thermal model is plain Python: no CLI run, regulated or swept,
+    # pays for numpy's import.
     import stacksim
     import subprocess
     import sys
@@ -296,9 +296,9 @@ def test_cli_simulate_kernel_skips_thermal_imports():
     simulate = ("['simulate', '--kernel', 'matmul', '--bind', 'M=8', 'K=32',"
                 " 'N=32', 'tM=8', 'tN=8', 'tK=8']")
     cases = [(simulate, "0 False False"),
-             (simulate[:-1] + ", '--regulate']", "0 False True"),
+             (simulate[:-1] + ", '--regulate']", "0 False False"),
              ("['sweep', 'bandwidth_alloc', '512', '--out', sys.argv[1]]",
-              "0 False True")]
+              "0 False False")]
     env = dict(os.environ, PYTHONPATH=src)
     for argv, expected in cases:
         code = ("import sys\n"
@@ -324,6 +324,35 @@ def test_cli_simulate_regulate_fails_when_no_clock_meets_the_limit(tmp_path, cap
     err = capsys.readouterr().err
     assert "infeasible" in err
     assert "0.10 GHz" in err and "101.5 C" in err and "85.0 C limit" in err
+
+
+def test_cli_seed_belongs_to_trace_gen_only(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--seed", "1", "--kernel", "matmul", "--bind",
+              "M=8", "K=32", "N=32", "tM=8", "tN=8", "tK=8"])
+    assert exc.value.code == 2
+    assert "--seed" in capsys.readouterr().err
+
+
+def test_sweep_simulates_each_candidate_once(monkeypatch):
+    from stacksim import sweep as sweep_mod, tiler
+    simulated, candidates = [], []
+    real_simulate, real_candidates = sweep_mod.simulate_compute, tiler.tiling_candidates
+
+    def simulate(op, cfg):
+        simulated.append(op)
+        return real_simulate(op, cfg)
+
+    def tiling_candidates(*args):
+        out = real_candidates(*args)
+        candidates.extend(out)
+        return out
+
+    monkeypatch.setattr(sweep_mod, "simulate_compute", simulate)
+    monkeypatch.setattr(tiler, "tiling_candidates", tiling_candidates)
+    rows = sweep("bandwidth_alloc", [512, 1024], ArchConfig())
+    assert all(r["status"] in ("ok", "thermal-infeasible") for r in rows)
+    assert candidates and len(simulated) == len(candidates)
 
 
 def test_cli_dump_ast(tmp_path, capsys):

@@ -164,6 +164,22 @@ class ArchConfig:
         return self.lb.R * self.pb.row_count
 
 
+def matrix_flops_per_cycle(core: CoreSpec) -> float:
+    """Peak matrix-engine FLOPs per core cycle."""
+    return core.matrix_tflops * 1e3 / core.frequency_ghz
+
+
+def vector_flops_per_cycle(core: CoreSpec) -> float:
+    """Peak vector-engine FLOPs per core cycle."""
+    return core.vector_tflops * 1e3 / core.frequency_ghz
+
+
+def peak_dram_bytes_per_cycle(cfg: ArchConfig) -> float:
+    """Peak DRAM bytes per cycle of one core: a burst every tBURST on each
+    of its channels."""
+    return cfg.channel.burst_bytes / cfg.dram_timing.tBURST * cfg.core.channels
+
+
 @dataclass(frozen=True)
 class DerivedMetrics:
     channel_gbps: float
@@ -191,8 +207,8 @@ def derived_metrics(cfg: ArchConfig) -> DerivedMetrics:
         channel_capacity_bytes=cfg.channel_capacity_bytes,
         core_capacity_bytes=core_cap,
         chip_capacity_bytes=core_cap * cores,
-        peak_matrix_flops_per_cycle=cfg.core.matrix_tflops * 1e3 / cfg.core.frequency_ghz,
-        peak_vector_flops_per_cycle=cfg.core.vector_tflops * 1e3 / cfg.core.frequency_ghz,
+        peak_matrix_flops_per_cycle=matrix_flops_per_cycle(cfg.core),
+        peak_vector_flops_per_cycle=vector_flops_per_cycle(cfg.core),
         logical_row_bytes=cfg.logical_row_bytes,
         burst_bytes=cfg.channel.burst_bytes,
         interleave_bytes=cfg.channel.interleave_bytes,

@@ -18,10 +18,10 @@ from .arch import ArchConfig, ArchError, derived_metrics, parse_arch
 from .dramsim import DramSystem, stats as dram_stats
 from .kerneldsl.checker import TypecheckError, typecheck
 from .kerneldsl.parser import KernelSyntaxError, ast_to_json, parse_kernel
-from .orchestrator import ComputeBody, ComputeOp, run, simulate_compute
+from .orchestrator import ComputeOp, run, simulate_compute
 from .sweep import default_power_model
 from .thermal import RETENTION_LIMIT_C, regulate
-from .tiler import TilerError, autotune, generate_execution, infer_placement
+from .tiler import TilerError, autotune, build_body
 from .workloads import (
     DecodingScenario, PagedKvLayout, WorkloadError, build_decoding_graph,
     load_model,
@@ -90,15 +90,12 @@ def cmd_parse(args) -> int:
 def cmd_tune(args) -> int:
     cfg = _load_config(args.config)
     prog = _load_kernel_arg(args.kernel)
-    bindings = _parse_bindings(args.bind)
-
-    def sim_latency(checked, desc):
-        return simulate_compute(ComputeOp(prog.name, ComputeBody(checked, desc)), cfg).cycles
-
-    tiling, desc = autotune(prog, cfg, bindings, sim_latency, limit=args.limit)
+    tiling, body, _ = autotune(
+        prog, cfg, _parse_bindings(args.bind),
+        lambda body: simulate_compute(ComputeOp(prog.name, body), cfg), limit=args.limit)
     print("best tiling: " + " ".join(f"{k}={v}" for k, v in sorted(tiling.items())))
     if args.out:
-        _write_out(desc.serialize(), args.out)
+        _write_out(body.desc.serialize(), args.out)
     return 0
 
 
@@ -114,10 +111,7 @@ def cmd_simulate(args) -> int:
             print("simulate needs --model or --kernel", file=sys.stderr)
             return 2
         prog = _load_kernel_arg(args.kernel)
-        checked = typecheck(prog, cfg, _parse_bindings(args.bind))
-        desc = generate_execution(checked, cfg)
-        ops = [ComputeOp(prog.name, ComputeBody(checked, desc,
-                                                infer_placement(checked, cfg)))]
+        ops = [ComputeOp(prog.name, build_body(prog, cfg, _parse_bindings(args.bind)))]
     reg = None
     if args.regulate:
         reg = regulate(cfg, default_power_model(cfg))

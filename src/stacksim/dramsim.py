@@ -39,7 +39,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .arch import ArchConfig
+from .arch import ArchConfig, peak_dram_bytes_per_cycle
 
 
 class AddressError(ValueError):
@@ -264,14 +264,10 @@ def schedule_tile(requests: list[Request], cfg: ArchConfig) -> list[Request]:
 
 def stats(system: DramSystem, start_cycle: int = 0) -> dict:
     """Aggregate channel statistics after a drain."""
-    tm = system.cfg.dram_timing
-    bl = system.cfg.channel.burst_bytes
-    peak_bytes_per_cycle = bl / tm.tBURST
     total_bytes = sum(c.stats.bytes_read + c.stats.bytes_written for c in system.channels)
     elapsed = max((c.stats.last_completion for c in system.channels), default=0) - start_cycle
-    n = len(system.channels)
     achieved = total_bytes / elapsed if elapsed > 0 else 0.0
-    util = achieved / (peak_bytes_per_cycle * n) if elapsed > 0 else 0.0
+    util = achieved / peak_dram_bytes_per_cycle(system.cfg) if elapsed > 0 else 0.0
     hits = sum(c.stats.row_hits for c in system.channels)
     misses = sum(c.stats.row_misses for c in system.channels)
     lat_count = sum(c.stats.latency_count for c in system.channels)

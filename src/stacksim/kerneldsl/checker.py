@@ -43,9 +43,6 @@ class CheckedProgram:
     cfg: ArchConfig
     events: int  # trace events the loops unroll to (see `_check_block`)
 
-    def symbol(self, name: str) -> SymbolInfo:
-        return self.symbols[name]
-
 
 def _infer_layouts(stmts, loop_vars: tuple[str, ...] = (),
                    layouts: dict[str, str] | None = None) -> dict[str, str]:

@@ -208,13 +208,9 @@ def _walk(stmts: tuple[Stmt, ...], env: dict, symbols: dict, events: list) -> No
 
 def expand(checked: CheckedProgram) -> OpTrace:
     """Unroll loops into a deterministic event trace in program order."""
-    symbols = checked.symbols
-    sram_total = sum(s.size_bytes for s in symbols.values() if s.kind == "alloc")
-    if sram_total > checked.cfg.core.sram_bytes:
-        raise ExpandError("SRAM allocations exceed capacity")
     if checked.events > MAX_TRACE_EVENTS:
         raise ExpandError(f"loops unroll to {checked.events} trace events, "
                           f"over the limit of {MAX_TRACE_EVENTS}")
     events: list[Event] = []
-    _walk(checked.program.body, dict(checked.bindings), symbols, events)
+    _walk(checked.program.body, dict(checked.bindings), checked.symbols, events)
     return OpTrace(events)

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .arch import CoreSpec
+from .arch import CoreSpec, matrix_flops_per_cycle, vector_flops_per_cycle
 
 # FLOPs charged per element for each vector primitive; `exp` is charged as
 # four FLOPs.
@@ -38,14 +38,6 @@ class WorkItemCost:
     @property
     def latency_cycles(self) -> int:
         return max(self.compute_cycles, self.sram_cycles)
-
-
-def matrix_flops_per_cycle(core: CoreSpec) -> float:
-    return core.matrix_tflops * 1e3 / core.frequency_ghz
-
-
-def vector_flops_per_cycle(core: CoreSpec) -> float:
-    return core.vector_tflops * 1e3 / core.frequency_ghz
 
 
 def matrix_cost(m: int, n: int, k: int, dtype_bytes: int, core: CoreSpec,

@@ -1,12 +1,13 @@
 """Whole-chip simulation driver.
 
-Runs an operator graph on one accelerator: compute operators execute their
-pipelined execution description on a representative core (all cores run the
-same program on equally sized shards), collectives replay their explicit
-send/recv schedules on the mesh, and inter-accelerator transfers use the
-analytic link model. Operators are separated by global barriers; inside an
-operator, each pipeline iteration advances time by the slowest engine, so
-overlapped loads and compute cost max(load, compute) rather than their sum.
+Runs an operator graph on one accelerator: compute operators execute the
+pipelined execution of their body (built by `tiler.build_body`) against its
+tensor placement on a representative core (all cores run the same program on
+equally sized shards), collectives replay their explicit send/recv schedules
+on the mesh, and inter-accelerator transfers use the analytic link model.
+Operators are separated by global barriers; inside an operator, each pipeline
+iteration advances time by the slowest engine, so overlapped loads and
+compute cost max(load, compute) rather than their sum.
 
 Because of the barriers, every operator starts on fresh DRAM channel state
 and an empty mesh, so its cycles and statistics depend only on what it runs
@@ -24,7 +25,7 @@ import io
 import math
 from dataclasses import dataclass, field
 
-from .arch import ArchConfig
+from .arch import ArchConfig, matrix_flops_per_cycle, peak_dram_bytes_per_cycle
 from .dramsim import DramSystem, Request, schedule_tile, stats as dram_stats
 from .kerneldsl.checker import CheckedProgram
 from .kerneldsl.trace import (
@@ -33,16 +34,7 @@ from .kerneldsl.trace import (
 from .logicsim import matrix_cost, vector_cost
 from .nocsim import run_plan
 from .partition import CommPlan, CoreArray
-from .tiler import ExecutionDescription, TensorPlacement, infer_placement
-
-
-@dataclass(frozen=True, eq=False)
-class ComputeBody:
-    """What a compute operator simulates. Compared and hashed by identity:
-    operators that share a body share one simulation in `run`."""
-    checked: CheckedProgram
-    desc: ExecutionDescription
-    placement: TensorPlacement | None = None
+from .tiler import ComputeBody, ExecutionDescription, TensorPlacement
 
 
 @dataclass(frozen=True)
@@ -139,10 +131,8 @@ def dram_requests(events, placement: TensorPlacement, ready: int) -> list[Reques
 
 
 def _roofline(m_flops: int, dram_bytes: int, cfg: ArchConfig) -> int:
-    core = cfg.core
-    compute = math.ceil(m_flops / (core.matrix_tflops * 1e3 / core.frequency_ghz))
-    peak_bpc = cfg.channel.burst_bytes / cfg.dram_timing.tBURST * core.channels
-    traffic = math.ceil(dram_bytes / peak_bpc)
+    compute = math.ceil(m_flops / matrix_flops_per_cycle(cfg.core))
+    traffic = math.ceil(dram_bytes / peak_dram_bytes_per_cycle(cfg))
     return max(compute, traffic, 1)
 
 
@@ -156,25 +146,23 @@ def roofline_cycles(checked: CheckedProgram, desc: ExecutionDescription) -> int:
 def simulate_compute(op: ComputeOp, cfg: ArchConfig) -> OperatorResult:
     """Execute one pipelined kernel on a representative core."""
     body = op.body
-    placement = body.placement or infer_placement(body.checked, cfg)
     dram = DramSystem(cfg)
     now = 0
-    for desc_op in body.desc.operators:
-        for it in desc_op.iterations:
-            compute_cycles = 0
-            for e in it:
-                if isinstance(e, MatrixWork):
-                    cost = matrix_cost(e.m, e.n, e.k, e.dtype_bytes, cfg.core,
-                                       accumulate=e.accumulate)
-                    compute_cycles += cost.latency_cycles
-                elif isinstance(e, VectorWork):
-                    cost = vector_cost(e.kind, e.elems, e.dtype_bytes, cfg.core)
-                    compute_cycles += cost.latency_cycles
-            mem_done = now
-            reqs = dram_requests(it, placement, now)
-            if reqs:
-                mem_done = dram.run(schedule_tile(reqs, cfg))
-            now = max(mem_done, now + compute_cycles)
+    for it in body.desc.iterations:
+        compute_cycles = 0
+        for e in it:
+            if isinstance(e, MatrixWork):
+                cost = matrix_cost(e.m, e.n, e.k, e.dtype_bytes, cfg.core,
+                                   accumulate=e.accumulate)
+                compute_cycles += cost.latency_cycles
+            elif isinstance(e, VectorWork):
+                cost = vector_cost(e.kind, e.elems, e.dtype_bytes, cfg.core)
+                compute_cycles += cost.latency_cycles
+        mem_done = now
+        reqs = dram_requests(it, body.placement, now)
+        if reqs:
+            mem_done = dram.run(schedule_tile(reqs, cfg))
+        now = max(mem_done, now + compute_cycles)
     cycles = now
     m_flops, v_flops, dram_bytes = event_totals(body.desc.events())
     bound = _roofline(m_flops, dram_bytes, cfg)

@@ -15,7 +15,7 @@ import io
 import math
 
 from .arch import ArchConfig, derived_metrics, validate
-from .orchestrator import ComputeBody, ComputeOp, simulate_compute
+from .orchestrator import ComputeOp, simulate_compute
 from .thermal import regulate
 from .tiler import TilerError, autotune
 from .workloads import load_kernel
@@ -114,22 +114,15 @@ def evaluate_point(cfg: ArchConfig) -> dict:
     reg = regulate(cfg, default_power_model(cfg))
     cfg = dataclasses.replace(cfg, core=dataclasses.replace(
         cfg.core, frequency_ghz=reg.frequency_ghz))
-    prog = load_kernel("matmul")
-    results = {}  # candidate's full bindings -> its simulated result
-
-    def sim_latency(checked, desc):
-        res = simulate_compute(ComputeOp("probe", ComputeBody(checked, desc)), cfg)
-        results[frozenset(checked.bindings.items())] = res
-        return res.cycles
-
     try:
-        tiling, desc = autotune(prog, cfg, dict(PROBE_SHAPE), sim_latency)
+        tiling, _, res = autotune(
+            load_kernel("matmul"), cfg, dict(PROBE_SHAPE),
+            lambda body: simulate_compute(ComputeOp("probe", body), cfg))
     except TilerError as e:
         return {"status": f"no-tiling: {e}",
                 "frequency_ghz": reg.frequency_ghz,
                 "peak_temperature_c": reg.peak_temperature_c,
                 "thermally_feasible": reg.feasible}
-    res = results[frozenset(dict(PROBE_SHAPE, **tiling).items())]
     seconds = res.cycles / (cfg.core.frequency_ghz * 1e9)
     return {
         "frequency_ghz": reg.frequency_ghz,

@@ -1,4 +1,10 @@
-"""Tiling layer: tensor placement, pipelined execution descriptions, autotune.
+"""Tiling layer: tensor placement, pipelined execution, compute bodies, autotune.
+
+`build_body` is the one place a kernel invocation becomes what the
+orchestrator simulates (`ComputeBody`): it typechecks the kernel at its
+bindings, pipelines its trace (`generate_execution`) and places its DRAM
+tensors (`infer_placement`). `autotune` builds one body per tiling candidate
+and keeps the one with the fewest simulated cycles.
 
 Execution generation turns the flat kernel trace into a double-buffered
 software pipeline: iteration i issues DRAM loads for tile i together with
@@ -18,8 +24,7 @@ from .arch import ArchConfig
 from .kerneldsl.ast import KernelProgram
 from .kerneldsl.checker import CheckedProgram, TypecheckError, typecheck
 from .kerneldsl.trace import (
-    DramRead, DramWrite, ExpandError, MatrixWork, OpTrace, VectorWork, expand,
-    strides_elems,
+    DramRead, DramWrite, ExpandError, MatrixWork, VectorWork, expand, strides_elems,
 )
 
 
@@ -70,24 +75,22 @@ def infer_placement(checked: CheckedProgram, cfg: ArchConfig) -> TensorPlacement
 
 
 @dataclass
-class OperatorDesc:
+class ExecutionDescription:
+    """One kernel's pipelined execution: `iterations[i]` lists the trace
+    events issued in pipeline iteration i."""
     name: str
     iterations: list  # list of lists of trace events
 
-
-@dataclass
-class ExecutionDescription:
-    operators: list
-
     def events(self):
-        """Every event of every operator, in iteration order."""
-        return (e for op in self.operators for it in op.iterations for e in it)
+        """Every event, in iteration order."""
+        return (e for it in self.iterations for e in it)
 
     def serialize(self) -> str:
+        # The file format is a list of operators; one description is one.
         return yaml.safe_dump({"operators": [
-            {"name": op.name,
-             "execution": [[_event_to_dict(e) for e in it] for it in op.iterations]}
-            for op in self.operators]}, sort_keys=False)
+            {"name": self.name,
+             "execution": [[_event_to_dict(e) for e in it] for it in self.iterations]}]},
+            sort_keys=False)
 
 
 _EVENT_NAMES = {
@@ -108,89 +111,57 @@ def _event_to_dict(e) -> dict:
     return d
 
 
-def _group_steps(trace: OpTrace) -> list[dict]:
-    """Split the flat trace into pipeline steps.
+def generate_execution(checked: CheckedProgram, cfg: ArchConfig) -> ExecutionDescription:
+    """Build the double-buffered execution description of one kernel.
 
-    A step starts at each load run: DRAM reads open a new step once the
-    current one already holds compute or store work.
+    The trace splits into steps: a step starts at each run of DRAM reads
+    that follows compute or store work (or at the first event). Step j's
+    loads land in iteration j, its compute in iteration j+1 and its stores in
+    iteration j+2, so loads of tile j overlap compute on tile j-1. Every
+    loaded buffer needs a second SRAM copy for the load in flight.
     """
-    steps: list[dict] = []
-
-    def new_step():
-        steps.append({"loads": [], "compute": [], "stores": []})
-
-    for event in trace.events:
-        if isinstance(event, DramRead):
-            if not steps or steps[-1]["compute"] or steps[-1]["stores"]:
-                new_step()
-            steps[-1]["loads"].append(event)
-        elif isinstance(event, DramWrite):
-            if not steps:
-                new_step()
-            steps[-1]["stores"].append(event)
+    iterations: list[list] = []
+    load_bufs = set()
+    step = -1
+    loading = False  # the current step holds only loads so far
+    for e in expand(checked).events:
+        if isinstance(e, DramRead):
+            if not loading:
+                step += 1
+                loading = True
+            slot = step
+            load_bufs.add(e.buffer)
         else:
-            if not steps:
-                new_step()
-            steps[-1]["compute"].append(event)
-    return steps
+            step = max(step, 0)
+            loading = False
+            slot = step + (2 if isinstance(e, DramWrite) else 1)
+        while len(iterations) <= slot:
+            iterations.append([])
+        iterations[slot].append(e)
+    symbols = checked.symbols
+    need = sum(s.size_bytes for s in symbols.values() if s.kind == "alloc") \
+        + sum(symbols[b].size_bytes for b in load_bufs)
+    if need > cfg.core.sram_bytes:
+        raise TilerError(f"double buffering needs {need} bytes of SRAM, "
+                         f"core has {cfg.core.sram_bytes}")
+    return ExecutionDescription(checked.program.name, iterations)
 
 
-def generate_execution(checked: CheckedProgram, cfg: ArchConfig,
-                       name: str | None = None,
-                       pipeline_depth: int = 2) -> ExecutionDescription:
-    """Build the software-pipelined execution description for one kernel.
-
-    With the default depth of 2 (double buffering), step j's loads land in
-    iteration j, its compute in iteration j+1, and its stores in iteration
-    j+2, so loads of tile j overlap compute on tile j-1.
-    """
-    if pipeline_depth < 1:
-        raise TilerError("pipeline_depth must be >= 1")
-    trace = expand(checked)
-    steps = _group_steps(trace)
-    overlap = pipeline_depth - 1
-
-    if overlap:
-        load_bufs = {e.buffer for s in steps for e in s["loads"]}
-        base = sum(s.size_bytes for s in checked.symbols.values() if s.kind == "alloc")
-        extra = sum(checked.symbols[b].size_bytes for b in load_bufs) * overlap
-        if base + extra > cfg.core.sram_bytes:
-            raise TilerError(
-                f"double buffering needs {base + extra} bytes of SRAM, "
-                f"core has {cfg.core.sram_bytes}")
-
-    n = len(steps)
-    iterations: list[list] = [[] for _ in range(n + 2 * overlap)] if n else []
-    for j, step in enumerate(steps):
-        iterations[j].extend(step["loads"])
-        iterations[j + overlap].extend(step["compute"])
-        iterations[j + 2 * overlap].extend(step["stores"])
-    while iterations and not iterations[-1]:
-        iterations.pop()
-    op = OperatorDesc(name or checked.program.name, iterations)
-    return ExecutionDescription([op])
+@dataclass(frozen=True, eq=False)
+class ComputeBody:
+    """What a compute operator simulates; `build_body` makes every one.
+    Compared and hashed by identity: operators that share a body share one
+    simulation in `orchestrator.run`."""
+    checked: CheckedProgram
+    desc: ExecutionDescription
+    placement: TensorPlacement
 
 
-def validate_execution(desc: ExecutionDescription) -> list[str]:
-    """Structural pipeline checks: consumers run strictly after their loads."""
-    problems = []
-    for op in desc.operators:
-        loaded_at: dict[str, int] = {}
-        for i, items in enumerate(op.iterations):
-            for e in items:
-                if isinstance(e, (MatrixWork, VectorWork)):
-                    for buf in e.buffers:
-                        if buf in loaded_at and loaded_at[buf] >= i:
-                            problems.append(
-                                f"{op.name}: iteration {i} consumes '{buf}' "
-                                f"loaded in iteration {loaded_at[buf]}")
-            for e in items:
-                if isinstance(e, DramRead):
-                    loaded_at[e.buffer] = i
-        if op.iterations:
-            if any(not isinstance(e, DramRead) for e in op.iterations[0]):
-                problems.append(f"{op.name}: prologue iteration contains non-load work")
-    return problems
+def build_body(prog: KernelProgram, cfg: ArchConfig, bindings: dict[str, int]) -> ComputeBody:
+    """Typecheck `prog` at `bindings`, pipeline it and place its tensors."""
+    checked = typecheck(prog, cfg, bindings)
+    return ComputeBody(checked, generate_execution(checked, cfg),
+                       infer_placement(checked, cfg))
 
 
 def _candidate_values(extent: int) -> list[int]:
@@ -210,45 +181,39 @@ def tiling_candidates(prog: KernelProgram, bindings: dict[str, int],
     Candidate values are divisors and powers of two of the corresponding
     full extent; enumeration order is lexicographic and capped at `limit`.
     """
+    if limit < 1:
+        raise TilerError(f"candidate limit must be >= 1, got {limit}")
     tiling_params = [p for p in prog.params
                      if p.startswith("t") and p[1:] in prog.params and p not in bindings]
     if not tiling_params:
         return [{}]
-    spaces = []
-    for p in tiling_params:
-        extent = bindings[p[1:]]
-        spaces.append(_candidate_values(extent))
-    out = []
-    for combo in itertools.product(*spaces):
-        out.append(dict(zip(tiling_params, combo)))
-        if len(out) >= limit:
-            break
-    return out
+    spaces = [_candidate_values(bindings[p[1:]]) for p in tiling_params]
+    return [dict(zip(tiling_params, combo))
+            for combo in itertools.islice(itertools.product(*spaces), limit)]
 
 
 def autotune(prog: KernelProgram, cfg: ArchConfig, bindings: dict[str, int],
              simulate, limit: int = 256):
-    """Pick the tiling with minimal simulated latency.
+    """Pick the tiling with the fewest simulated cycles.
 
-    `simulate(checked, desc) -> latency` is the cycle-level evaluation
-    callback. A candidate that fails to typecheck or expand is skipped: it
-    does not fit SRAM, or its trace would exceed `MAX_TRACE_EVENTS` (refused
-    before any event is built). Ties break toward the lexicographically
-    smallest tiling; the result equals sequential exhaustive evaluation
-    regardless of callback evaluation order.
+    `simulate(body)` is the cycle-level evaluation callback and returns a
+    result with `.cycles`. A candidate that `build_body` refuses is skipped:
+    it does not fit SRAM, or its trace would exceed `MAX_TRACE_EVENTS`
+    (refused before any event is built). Ties break toward the
+    lexicographically smallest tiling; the result equals sequential
+    exhaustive evaluation regardless of callback evaluation order. Returns
+    the winner's (tiling, body, result).
     """
     best = None
     for tiling in tiling_candidates(prog, bindings, limit):
-        full = dict(bindings, **tiling)
         try:
-            checked = typecheck(prog, cfg, full)
-            desc = generate_execution(checked, cfg)
+            body = build_body(prog, cfg, dict(bindings, **tiling))
         except (TypecheckError, TilerError, ExpandError):
             continue
-        latency = simulate(checked, desc)
-        key = (latency, tuple(sorted(tiling.items())))
+        result = simulate(body)
+        key = (result.cycles, tuple(sorted(tiling.items())))
         if best is None or key < best[0]:
-            best = (key, tiling, desc)
+            best = (key, tiling, body, result)
     if best is None:
         raise TilerError("no feasible tiling fits SRAM")
-    return best[1], best[2]
+    return best[1:]

@@ -15,11 +15,9 @@ from .kerneldsl.ast import DTYPE_BYTES, KernelProgram
 from .kerneldsl.checker import typecheck
 from .kerneldsl.parser import parse_kernel
 from .kerneldsl.trace import event_totals, expand
-from .orchestrator import (
-    CollectiveOp, ComputeBody, ComputeOp, InterAccelOp, dram_requests,
-)
+from .orchestrator import CollectiveOp, ComputeOp, InterAccelOp, dram_requests
 from .partition import CoreArray, build_collective
-from .tiler import generate_execution, infer_placement
+from .tiler import build_body, infer_placement
 
 
 class WorkloadError(ValueError):
@@ -189,6 +187,8 @@ def build_decoding_graph(model: ModelSpec, scen: DecodingScenario,
     `CommPlan`, so each is built once per call.
     """
     problems = model.validate() + scen.validate(model)
+    if layers is not None and layers < 1:
+        problems.append("layers >= 1")
     if problems:
         raise WorkloadError("; ".join(problems))
     rows, cols = cfg.noc.rows, cfg.noc.cols
@@ -204,9 +204,7 @@ def build_decoding_graph(model: ModelSpec, scen: DecodingScenario,
     def compute(name: str, kernel: str, bindings: dict[str, int]) -> ComputeOp:
         key = (kernel, tuple(sorted(bindings.items())))
         if key not in bodies:
-            checked = typecheck(load_kernel(kernel), cfg, bindings)
-            bodies[key] = ComputeBody(checked, generate_execution(checked, cfg),
-                                      infer_placement(checked, cfg))
+            bodies[key] = build_body(load_kernel(kernel), cfg, bindings)
         return ComputeOp(name, bodies[key])
 
     def fc(name: str, m: int, k: int, n: int) -> ComputeOp:

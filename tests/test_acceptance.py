@@ -16,16 +16,15 @@ from stacksim.arch import (
     PhysicalBankSpec, StackDescription,
 )
 from stacksim.dramsim import DramSystem, Request, stats as dram_stats
-from stacksim.kerneldsl import typecheck
 from stacksim.nocsim import MeshSim, Packet, zero_load_latency
 from stacksim.orchestrator import (
-    CollectiveOp, ComputeBody, ComputeOp, inter_accel_latency, roofline_cycles, run,
+    CollectiveOp, ComputeOp, inter_accel_latency, roofline_cycles, run,
     simulate_compute,
 )
 from stacksim.partition import CoreArray, build_collective, logical_to_physical, split_gemm
 from stacksim.sweep import sweep
 from stacksim.thermal import build_matrices, power_map, regulate
-from stacksim.tiler import autotune, generate_execution, infer_placement, tiling_candidates
+from stacksim.tiler import autotune, build_body, tiling_candidates
 from stacksim.workloads import (
     DecodingScenario, PagedKvLayout, build_decoding_graph, gen_gemm_benchmark,
     gen_paged_attention_benchmark, load_kernel, load_model,
@@ -298,19 +297,18 @@ def test_c10_autotune_finds_enumerated_optimum():
     prog = load_kernel("matmul")
     bindings = {"M": 8, "K": 8, "N": 8}
 
-    def sim(checked, desc):
-        return simulate_compute(ComputeOp("probe", ComputeBody(checked, desc)), cfg).cycles
+    def sim(body):
+        return simulate_compute(ComputeOp("probe", body), cfg)
 
-    tiling, _ = autotune(prog, cfg, bindings, sim)
+    tiling, _, _ = autotune(prog, cfg, bindings, sim)
     best = None
     evaluated = 0
     for cand in tiling_candidates(prog, bindings):
         try:
-            checked = typecheck(prog, cfg, dict(bindings, **cand))
-            desc = generate_execution(checked, cfg)
+            body = build_body(prog, cfg, dict(bindings, **cand))
         except Exception:
             continue
-        key = (sim(checked, desc), tuple(sorted(cand.items())))
+        key = (sim(body).cycles, tuple(sorted(cand.items())))
         evaluated += 1
         if best is None or key < best[0]:
             best = (key, cand)

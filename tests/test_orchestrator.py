@@ -10,7 +10,7 @@ from stacksim.orchestrator import (
     inter_accel_latency, roofline_cycles, run, simulate_compute,
 )
 from stacksim.partition import CoreArray, build_collective
-from stacksim.tiler import ExecutionDescription, OperatorDesc, generate_execution
+from stacksim.tiler import ExecutionDescription, build_body, infer_placement
 from stacksim.workloads import (
     DecodingScenario, build_decoding_graph, load_kernel, load_model,
 )
@@ -19,8 +19,7 @@ CFG = ArchConfig()
 
 
 def compute_op(text, name="op", **bind):
-    checked = typecheck(parse_kernel(text), CFG, bind)
-    return ComputeOp(name, ComputeBody(checked, generate_execution(checked, CFG)))
+    return ComputeOp(name, build_body(parse_kernel(text), CFG, bind))
 
 
 def test_single_load_matches_dram_model():
@@ -39,7 +38,7 @@ def test_empty_execution_is_zero_cycles():
     checked = typecheck(parse_kernel(
         "kernel k(N):\n    x = alloc((N,), fp16)\n    add(x, x)\n"), CFG, {"N": 1})
     op = ComputeOp("empty", ComputeBody(
-        checked, ExecutionDescription([OperatorDesc("empty", [])])))
+        checked, ExecutionDescription("empty", []), infer_placement(checked, CFG)))
     res = simulate_compute(op, CFG)
     assert res.cycles == 0 and res.utilization == 1.0
 
@@ -57,7 +56,7 @@ def test_pipeline_overlap_bounds():
             "        gemm(a, b, acc, accumulate=True)\n")
     op = compute_op(text, M=256, K=4096, N=256, tK=256)
     res = simulate_compute(op, CFG)
-    its = op.desc.operators[0].iterations
+    its = op.desc.iterations
     load_cycles = []
     compute_cycles = []
     from stacksim.kerneldsl import DramRead, MatrixWork

@@ -1,8 +1,10 @@
-"""Pinned outputs of the DRAM and NoC models on raw traffic and a sweep.
+"""Pinned outputs of the DRAM and NoC models on raw traffic, a sweep, and
+the single-kernel `tune` and `simulate` commands.
 
-Every value here was computed before the DRAM front end and the mesh
-arbiter were rewritten for speed. Those rewrites must change no simulated
-number, so any difference here is a behaviour change, not noise.
+Every value here was computed before the code it covers was rewritten for
+speed or simplicity (the DRAM front end, the mesh arbiter, the construction
+of compute bodies). Those rewrites must change no simulated number, so any
+difference here is a behaviour change, not noise.
 """
 
 import dataclasses
@@ -15,6 +17,7 @@ import pytest
 
 from stacksim import sweep as sweep_mod
 from stacksim.arch import load_arch
+from stacksim.cli import main
 from stacksim.dramsim import DramSystem, Request, stats
 from stacksim.nocsim import MeshSim, Packet, run_plan
 from stacksim.partition import CoreArray, build_collective
@@ -133,6 +136,33 @@ def test_bandwidth_alloc_sweep_csv_pinned():
     assert hashlib.sha256(text.encode()).hexdigest() == PINS["sweep_csv"]
 
 
+def _cli_out(tmp_path, capsys, argv) -> tuple[str, str]:
+    """(sha256 of the --out file, stdout) of one successful CLI run."""
+    out = tmp_path / "out"
+    assert main([*argv, "--out", str(out)]) == 0
+    return hashlib.sha256(out.read_bytes()).hexdigest(), capsys.readouterr().out
+
+
+def test_tune_execution_yaml_pinned(tmp_path, capsys):
+    # The winner's serialized execution description. tM and tK are prebound
+    # so the search covers seven tN candidates in about a second; the winner
+    # (tM=1 tN=64 tK=256) and its YAML are the ones the free search over the
+    # first 64 candidates of M=64 K=256 N=64 picks, which takes minutes.
+    digest, stdout = _cli_out(tmp_path, capsys, [
+        "tune", "--kernel", "matmul", "--bind", "M=64", "K=256", "N=64",
+        "tM=1", "tK=256", "--limit", "64"])
+    assert stdout == "best tiling: tN=64\n"
+    assert digest == PINS["tune_yaml"]
+
+
+def test_simulate_kernel_csv_pinned(tmp_path, capsys):
+    digest, stdout = _cli_out(tmp_path, capsys, [
+        "simulate", "--kernel", "matmul", "--bind", "M=256", "K=4096", "N=256",
+        "tM=64", "tN=64", "tK=256"])
+    assert stdout == "1 operator(s), 84073 cycles, 84.073 us @ 1.00 GHz, 0.5337 mJ\n"
+    assert digest == PINS["simulate_kernel_csv"]
+
+
 PINS = {
     "gemm_channels":
         "a37d652f4a5ccb683f0696e0ed0bda37fc78e84f1a72264f7c48c129b7bdcedd",
@@ -158,4 +188,8 @@ PINS = {
         "c809c06844bc809804e2a969091061d28e01925e1073f786f742038f2ba3c6f2",
     "sweep_csv":
         "48b37afb153b2ca3ee6bd59a0f46f3f153f0459afa8d5ab009bc0f1a14567672",
+    "tune_yaml":
+        "00fe88d1ecb79bfe9c4b58156604baf83874e7d734da5fabee3117ed653af8db",
+    "simulate_kernel_csv":
+        "90dd6e0add352e376301895f53aff7f1a4411ef2c0a544ea552f2dfd8ac74a88",
 }

@@ -1,13 +1,16 @@
 import dataclasses
+from types import SimpleNamespace
 
 import pytest
 import yaml
 
 from stacksim.arch import ArchConfig
-from stacksim.kerneldsl import DramRead, DramWrite, MatrixWork, typecheck
+from stacksim.kerneldsl import (
+    DramRead, DramWrite, MatrixWork, TypecheckError, expand, typecheck,
+)
 from stacksim.tiler import (
-    TilerError, autotune, generate_execution, infer_placement,
-    tiling_candidates, validate_execution,
+    TilerError, autotune, build_body, generate_execution, infer_placement,
+    tiling_candidates,
 )
 from stacksim.workloads import load_kernel
 
@@ -95,13 +98,13 @@ def test_pipeline_iteration_count():
     # iterations with double buffering.
     checked = checked_matmul(M=64, K=1024, N=64, tM=64, tN=64, tK=64)
     desc = generate_execution(checked, CFG)
-    assert len(desc.operators) == 1
-    assert len(desc.operators[0].iterations) == 18
+    assert desc.name == "matmul"
+    assert len(desc.iterations) == 18
 
 
 def test_pipeline_prologue_and_epilogue():
     checked = checked_matmul(M=64, K=256, N=64, tM=64, tN=64, tK=64)
-    its = generate_execution(checked, CFG).operators[0].iterations
+    its = generate_execution(checked, CFG).iterations
     assert all(isinstance(e, DramRead) for e in its[0]) and its[0]
     assert any(isinstance(e, DramWrite) for e in its[-1])
     assert not any(isinstance(e, DramRead) for e in its[-1])
@@ -113,18 +116,57 @@ def test_pipeline_prologue_and_epilogue():
 def test_pipeline_preserves_work():
     checked = checked_matmul(M=128, K=128, N=128, tM=32, tN=32, tK=32)
     desc = generate_execution(checked, CFG)
-    events = [e for it in desc.operators[0].iterations for e in it]
+    events = list(desc.events())
     flops = sum(2 * e.m * e.n * e.k for e in events if isinstance(e, MatrixWork))
     assert flops == 2 * 128 ** 3
     assert sum(e.bytes for e in events if isinstance(e, DramWrite)) == 128 * 128 * 2
 
 
-def test_validate_execution_clean_and_depth_one():
-    checked = checked_matmul(M=64, K=256, N=64, tM=64, tN=64, tK=64)
-    assert validate_execution(generate_execution(checked, CFG)) == []
-    single = generate_execution(checked, CFG, pipeline_depth=1)
-    # Without double buffering, compute shares the iteration with its loads.
-    assert validate_execution(single) != []
+@pytest.mark.parametrize("kernel,bind", [
+    ("matmul", dict(M=64, K=256, N=64, tM=64, tN=64, tK=64)),
+    ("matmul", dict(M=64, K=256, N=128, tM=32, tN=64, tK=128)),
+    ("matmul", dict(M=6, K=10, N=6, tM=4, tN=4, tK=4)),  # clipped edge tiles
+    ("matmul_rowblock", dict(M=16, K=256, N=256, tM=8, tN=64, tK=64)),
+    ("matmul_rowblock", dict(M=16, K=256, N=256, tM=16, tN=256, tK=256)),
+    ("fused_attention", dict(B=16, D=64, L=1024, tL=256)),
+    ("fused_attention", dict(B=4, D=16, L=64, tL=64)),
+])
+def test_pipeline_runs_every_consumer_after_its_load(kernel, bind):
+    checked = typecheck(load_kernel(kernel), CFG, bind)
+    its = generate_execution(checked, CFG).iterations
+    trace = expand(checked).events
+    # The pipeline holds expand's events, each kind in trace order, so the
+    # k-th event of a kind in the trace runs in iteration at[kind][k].
+    placed, at = {}, {}
+    for i, it in enumerate(its):
+        for e in it:
+            placed.setdefault(type(e), []).append(e)
+            at.setdefault(type(e), []).append(i)
+    assert placed == {kind: [e for e in trace if type(e) is kind] for kind in placed}
+    assert sum(map(len, placed.values())) == len(trace)
+    assert its[0] and all(isinstance(e, DramRead) for e in its[0])
+    seen = dict.fromkeys(at, 0)
+    loaded_at, written_at = {}, {}
+    for e in trace:
+        i = at[type(e)][seen[type(e)]]
+        seen[type(e)] += 1
+        if isinstance(e, DramRead):
+            loaded_at[e.buffer] = i
+        elif isinstance(e, DramWrite):
+            assert written_at.get(e.buffer, -1) < i
+        else:
+            assert all(loaded_at[b] < i for b in e.buffers if b in loaded_at)
+            written_at[e.buffers[-1]] = i
+
+
+def test_build_body_typechecks_pipelines_and_places():
+    bind = dict(M=64, K=256, N=64, tM=64, tN=64, tK=64)
+    body = build_body(load_kernel("matmul"), CFG, bind)
+    assert body.checked.bindings == bind
+    assert body.desc.serialize() == generate_execution(body.checked, CFG).serialize()
+    assert body.placement == infer_placement(body.checked, CFG)
+    with pytest.raises(TypecheckError, match="unbound"):
+        build_body(load_kernel("matmul"), CFG, dict(M=64))
 
 
 def test_double_buffer_sram_check():
@@ -154,23 +196,24 @@ def test_autotune_matches_exhaustive_min():
     prog = load_kernel("matmul")
     bindings = dict(M=8, K=8, N=8)
 
-    def simulate(checked, desc):
+    def simulate(body):
         # Deterministic stand-in latency: total events plus iteration count.
-        return sum(len(it) for it in desc.operators[0].iterations) * 100 \
-            + len(desc.operators[0].iterations)
+        its = body.desc.iterations
+        return SimpleNamespace(cycles=sum(len(it) for it in its) * 100 + len(its))
 
-    tiling, desc = autotune(prog, CFG, bindings, simulate)
+    tiling, body, result = autotune(prog, CFG, bindings, simulate)
     best = None
     for cand in tiling_candidates(prog, bindings):
         try:
-            checked = typecheck(prog, CFG, dict(bindings, **cand))
-            d = generate_execution(checked, CFG)
+            b = build_body(prog, CFG, dict(bindings, **cand))
         except (Exception,):
             continue
-        key = (simulate(checked, d), tuple(sorted(cand.items())))
+        key = (simulate(b).cycles, tuple(sorted(cand.items())))
         if best is None or key < best[0]:
             best = (key, cand)
     assert tiling == best[1]
+    assert body.checked.bindings == dict(bindings, **tiling)
+    assert result.cycles == best[0][0]
 
 
 def test_autotune_raises_when_nothing_fits():
@@ -178,7 +221,7 @@ def test_autotune_raises_when_nothing_fits():
     tiny = dataclasses.replace(
         CFG, core=dataclasses.replace(CFG.core, sram_bytes=4))
     with pytest.raises(TilerError, match="no feasible tiling"):
-        autotune(prog, tiny, dict(M=64, K=64, N=64), lambda c, d: 0)
+        autotune(prog, tiny, dict(M=64, K=64, N=64), lambda body: SimpleNamespace(cycles=0))
 
 
 def test_autotune_skips_tilings_over_the_trace_limit(monkeypatch):
@@ -187,15 +230,16 @@ def test_autotune_skips_tilings_over_the_trace_limit(monkeypatch):
     bindings = dict(M=8, K=8, N=8, tM=8)
     sizes = {}
 
-    def simulate(checked, desc):
+    def simulate(body):
+        checked = body.checked
         sizes[(checked.bindings["tN"], checked.bindings["tK"])] = checked.events
-        return 1000 // checked.events  # finer tiles would win
+        return SimpleNamespace(cycles=1000 // checked.events)  # finer tiles would win
 
     autotune(prog, CFG, bindings, simulate)
     limit = sorted(sizes.values())[len(sizes) // 2]
     monkeypatch.setattr(trace_mod, "MAX_TRACE_EVENTS", limit)
     sizes.clear()
-    tiling, desc = autotune(prog, CFG, bindings, simulate)
+    tiling, _, _ = autotune(prog, CFG, bindings, simulate)
     assert sizes and max(sizes.values()) <= limit
     assert sizes[(tiling["tN"], tiling["tK"])] <= limit
     monkeypatch.setattr(trace_mod, "MAX_TRACE_EVENTS", 1)

@@ -278,6 +278,23 @@ def test_cli_errors_exit_2(capsys):
     assert main(["simulate"]) == 2
 
 
+@pytest.mark.parametrize("layers", ["0", "-2"])
+def test_cli_simulate_rejects_fewer_than_one_layer(layers, capsys):
+    assert main(["simulate", "--model", "llama3.2-1b", "--layers", layers]) == 2
+    captured = capsys.readouterr()
+    assert "error:" in captured.err and "layers >= 1" in captured.err
+    assert "operator(s)" not in captured.out
+
+
+@pytest.mark.parametrize("limit", ["0", "-5"])
+def test_cli_tune_rejects_a_limit_below_one(limit, capsys):
+    assert main(["tune", "--kernel", "matmul", "--bind", "M=8", "K=8", "N=8",
+                 "--limit", limit]) == 2
+    captured = capsys.readouterr()
+    assert "error:" in captured.err and "limit must be >= 1" in captured.err
+    assert "best tiling" not in captured.out
+
+
 def test_cli_simulate_kernel(capsys):
     rc = main(["simulate", "--kernel", "matmul", "--bind",
                "M=8", "K=32", "N=32", "tM=8", "tN=8", "tK=8"])

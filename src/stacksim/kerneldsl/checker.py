@@ -225,7 +225,10 @@ def typecheck(prog: KernelProgram, cfg: ArchConfig, bindings: dict[str, int]) ->
         raise TypecheckError(f"unbound kernel parameter(s): {missing}")
     env = dict(bindings)
     symbols: dict[str, SymbolInfo] = {}
-    events = _check_block(prog.body, env, env, symbols, _infer_layouts(prog.body))
+    try:
+        events = _check_block(prog.body, env, env, symbols, _infer_layouts(prog.body))
+    except RecursionError:  # an expression the parser built but `evaluate` cannot walk
+        raise TypecheckError("expression nested too deeply to evaluate") from None
 
     sram_total = sum(s.size_bytes for s in symbols.values() if s.kind == "alloc")
     if sram_total > cfg.core.sram_bytes:

@@ -1,14 +1,20 @@
-"""Line-oriented parser for kernel source (.kl files).
+"""Parser for kernel source (.kl files), a subset of Python.
 
-One statement per line; blocks use Python-style `for v in range(lo, hi[, step]):`
-headers with indentation. Slices use Python syntax: `A[i*tM:(i+1)*tM, k:k+tK]`.
+A `kernel name(params):` header opens the kernel, whose body holds `range`
+loops, `tensor`/`alloc` declarations and `copy`, `gemm` and vector-op calls
+on names, indices and `lo:hi` slices of `+ - * // %` and unary-minus integer
+expressions. The header keyword becomes `def` at the same width, `ast.parse`
+reads the source, and the tree is converted node by node: anything outside
+the subset raises `KernelSyntaxError` with its line and column.
 """
 
 from __future__ import annotations
 
+import ast
 import dataclasses
 import json
 import re
+import warnings
 
 from .ast import (
     AllocDecl, BinOp, Copy, ForLoop, Gemm, KernelProgram, Num, Slice, Stmt,
@@ -17,10 +23,8 @@ from .ast import (
 from ..logicsim import VECTOR_OP_FLOPS
 
 _VECTOR_KINDS = tuple(k for k in VECTOR_OP_FLOPS if k != "copy")
-
-_TOKEN_RE = re.compile(
-    r"\s*(?:(?P<num>\d+)|(?P<name>[A-Za-z_]\w*)|(?P<op>//|\*\*|[()\[\],:=+\-*%])|(?P<bad>\S))"
-)
+_BINOPS = {ast.Add: "+", ast.Sub: "-", ast.Mult: "*", ast.FloorDiv: "//", ast.Mod: "%"}
+_HEADER_KEYWORD = re.compile(r"^kernel(?=[ \t])", re.M)
 
 
 class KernelSyntaxError(ValueError):
@@ -30,276 +34,164 @@ class KernelSyntaxError(ValueError):
         self.col = col
 
 
-class _Tokens:
-    def __init__(self, text: str, line: int):
-        self.line = line
-        self.toks: list[tuple[str, str, int]] = []
-        for m in _TOKEN_RE.finditer(text):
-            col = m.start() + 1
-            if m.group("bad"):
-                raise KernelSyntaxError(f"unexpected character {m.group('bad')!r}", line, col)
-            for kind in ("num", "name", "op"):
-                if m.group(kind):
-                    self.toks.append((kind, m.group(kind), col))
-        self.pos = 0
-
-    def peek(self):
-        return self.toks[self.pos] if self.pos < len(self.toks) else (None, None, -1)
-
-    def next(self):
-        tok = self.peek()
-        if tok[0] is None:
-            raise KernelSyntaxError("unexpected end of line", self.line)
-        self.pos += 1
-        return tok
-
-    def expect(self, value: str):
-        kind, val, col = self.next()
-        if val != value:
-            raise KernelSyntaxError(f"expected {value!r}, got {val!r}", self.line, col)
-
-    def accept(self, value: str) -> bool:
-        if self.peek()[1] == value:
-            self.pos += 1
-            return True
-        return False
-
-    def done(self) -> bool:
-        return self.pos >= len(self.toks)
+class _Reject(Exception):
+    """(message, Python node) of source outside the kernel subset."""
 
 
-def _parse_expr(t: _Tokens):
-    return _parse_sum(t)
+def _expr(node: ast.expr):
+    if isinstance(node, ast.Constant) and type(node.value) is int:
+        return Num(node.value)
+    if isinstance(node, ast.Name):
+        return Var(node.id)
+    if isinstance(node, ast.BinOp) and type(node.op) in _BINOPS:
+        return BinOp(_BINOPS[type(node.op)], _expr(node.left), _expr(node.right))
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+        return BinOp("-", Num(0), _expr(node.operand))
+    raise _Reject("expected an integer expression of names, + - * // % and -", node)
 
 
-def _parse_sum(t: _Tokens):
-    node = _parse_product(t)
-    while t.peek()[1] in ("+", "-"):
-        op = t.next()[1]
-        node = BinOp(op, node, _parse_product(t))
-    return node
+def _index(node: ast.expr) -> Slice:
+    if not isinstance(node, ast.Slice):
+        lo = _expr(node)
+        return Slice(lo, BinOp("+", lo, Num(1)))
+    if node.lower is None or node.upper is None or node.step is not None:
+        raise _Reject("a slice needs both bounds and no step (lo:hi)", node)
+    return Slice(_expr(node.lower), _expr(node.upper))
 
 
-def _parse_product(t: _Tokens):
-    node = _parse_atom(t)
-    while t.peek()[1] in ("*", "//", "%"):
-        op = t.next()[1]
-        node = BinOp(op, node, _parse_atom(t))
-    return node
+def _ref(node: ast.expr, line: int) -> TileRef:
+    if isinstance(node, ast.Name):
+        return TileRef(node.id, (), line)
+    if isinstance(node, ast.Subscript) and isinstance(node.value, ast.Name):
+        dims = node.slice.elts if isinstance(node.slice, ast.Tuple) else [node.slice]
+        return TileRef(node.value.id, tuple(_index(d) for d in dims), line)
+    raise _Reject("expected a tensor reference", node)
 
 
-def _parse_atom(t: _Tokens):
-    kind, val, col = t.next()
-    if kind == "num":
-        return Num(int(val))
-    if kind == "name":
-        return Var(val)
-    if val == "(":
-        node = _parse_expr(t)
-        t.expect(")")
-        return node
-    if val == "-":
-        return BinOp("-", Num(0), _parse_atom(t))
-    raise KernelSyntaxError(f"expected expression, got {val!r}", t.line, col)
+def _callee(node: ast.expr) -> str | None:
+    return node.func.id if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) else None
 
 
-def _parse_ref(t: _Tokens) -> TileRef:
-    kind, name, col = t.next()
-    if kind != "name":
-        raise KernelSyntaxError(f"expected tensor reference, got {name!r}", t.line, col)
-    indices: list[Slice] = []
-    if t.accept("["):
-        while True:
-            lo = _parse_expr(t)
-            if t.accept(":"):
-                hi = _parse_expr(t)
-                indices.append(Slice(lo, hi))
-            else:
-                indices.append(Slice(lo, BinOp("+", lo, Num(1))))
-            if t.accept("]"):
-                break
-            t.expect(",")
-    return TileRef(name, tuple(indices), line=t.line)
-
-
-def _parse_shape(t: _Tokens) -> tuple:
-    t.expect("(")
-    dims = [_parse_expr(t)]
-    while t.accept(","):
-        if t.peek()[1] == ")":
-            break
-        dims.append(_parse_expr(t))
-    t.expect(")")
-    return tuple(dims)
-
-
-def _parse_kwargs(t: _Tokens) -> dict:
-    """Trailing `name=value` arguments (value: True/False/ident/expr)."""
+def _args(call: ast.Call, lo: int, hi: int | None, keywords=()) -> tuple[list, dict]:
+    name, n = call.func.id, len(call.args)
+    if n < lo or (hi is not None and n > hi):
+        want = lo if lo == hi else f"{lo}-{hi}" if hi else f"at least {lo}"
+        raise _Reject(f"{name}() takes {want} arguments, got {n}", call)
     kwargs = {}
-    while not t.done() and t.peek()[1] == ",":
-        t.next()
-        kind, key, col = t.next()
-        if kind != "name":
-            raise KernelSyntaxError(f"expected keyword argument, got {key!r}", t.line, col)
-        t.expect("=")
-        kind, val, col = t.next()
-        if val in ("True", "False"):
-            kwargs[key] = val == "True"
-        elif kind in ("name", "num"):
-            kwargs[key] = val
-        else:
-            raise KernelSyntaxError(f"bad keyword value {val!r}", t.line, col)
-    return kwargs
+    for kw in call.keywords:
+        if kw.arg not in keywords or kw.arg in kwargs:
+            raise _Reject(f"unknown or repeated {name} argument {kw.arg!r}", kw)
+        kwargs[kw.arg] = kw.value
+    return call.args, kwargs
 
 
-def _parse_decl(name: str, prim: str, t: _Tokens, line: int) -> Stmt:
-    t.expect("(")
-    shape = _parse_shape(t)
-    t.expect(",")
-    kind, dtype, col = t.next()
-    if dtype not in DTYPE_BYTES:
-        raise KernelSyntaxError(
-            f"unknown dtype {dtype!r} (expected one of {sorted(DTYPE_BYTES)})", line, col)
-    kwargs = _parse_kwargs(t)
-    t.expect(")")
-    if prim == "tensor":
-        layout = kwargs.pop("layout", None)
-        if layout not in (None, "row", "col"):
-            raise KernelSyntaxError(f"layout must be row or col, got {layout!r}", line)
-        if kwargs:
-            raise KernelSyntaxError(f"unknown tensor argument(s): {sorted(kwargs)}", line)
-        return TensorDecl(name, shape, dtype, layout, line)
-    if kwargs:
-        raise KernelSyntaxError(f"unknown alloc argument(s): {sorted(kwargs)}", line)
-    return AllocDecl(name, shape, dtype, line)
+def _word(node: ast.expr, allowed) -> str:
+    if ast.unparse(node) not in allowed:
+        raise _Reject(f"expected one of {sorted(allowed)}, got {ast.unparse(node)!r}", node)
+    return ast.unparse(node)
 
 
-def _parse_statement(text: str, line: int) -> Stmt:
-    t = _Tokens(text, line)
-    kind, first, col = t.next()
-
-    if first == "for":
-        k, var, col = t.next()
-        if k != "name":
-            raise KernelSyntaxError("expected loop variable", line, col)
-        t.expect("in")
-        t.expect("range")
-        t.expect("(")
-        args = [_parse_expr(t)]
-        while t.accept(","):
-            args.append(_parse_expr(t))
-        t.expect(")")
-        t.expect(":")
-        if len(args) == 1:
-            lo, hi, step = Num(0), args[0], Num(1)
-        elif len(args) == 2:
-            lo, hi, step = args[0], args[1], Num(1)
-        elif len(args) == 3:
-            lo, hi, step = args
-        else:
-            raise KernelSyntaxError("range() takes 1-3 arguments", line)
-        return ForLoop(var, lo, hi, step, (), line)
-
-    if kind == "name" and t.peek()[1] == "=":
-        t.next()
-        k, prim, col = t.next()
+def _stmt(node: ast.stmt) -> Stmt:
+    line = node.lineno
+    if isinstance(node, ast.For):
+        if not isinstance(node.target, ast.Name):
+            raise _Reject("expected a loop variable", node.target)
+        if _callee(node.iter) != "range" or node.orelse:
+            raise _Reject("expected `for v in range(...):`", node.iter)
+        args = _args(node.iter, 1, 3)[0]  # range(hi) starts at 0; step defaults to 1
+        bounds = [Num(0)] * (len(args) == 1) + [_expr(a) for a in args] + [Num(1)]
+        return ForLoop(node.target.id, *bounds[:3], _block(node.body), line)
+    if isinstance(node, ast.Assign):
+        prim = _callee(node.value)
+        if len(node.targets) != 1 or not isinstance(node.targets[0], ast.Name):
+            raise _Reject("expected `name = tensor(...)` or `name = alloc(...)`", node)
         if prim not in ("tensor", "alloc"):
-            raise KernelSyntaxError(
-                f"unknown declaration primitive {prim!r} (expected tensor/alloc)", line, col)
-        stmt = _parse_decl(first, prim, t, line)
-        if not t.done():
-            raise KernelSyntaxError(f"trailing tokens after declaration", line, t.peek()[2])
-        return stmt
-
-    if kind != "name":
-        raise KernelSyntaxError(f"expected statement, got {first!r}", line, col)
-
-    prim = first
-    t.expect("(")
+            raise _Reject(f"expected tensor(...) or alloc(...), got {prim!r}", node.value)
+        (shape, dtype), kwargs = _args(node.value, 2, 2, ("layout",) if prim == "tensor" else ())
+        if not (isinstance(shape, ast.Tuple) and shape.elts):
+            raise _Reject("shape must be a parenthesized tuple of dimensions", shape)
+        name, dims = node.targets[0].id, tuple(_expr(d) for d in shape.elts)
+        dtype = _word(dtype, DTYPE_BYTES)
+        if prim == "alloc":
+            return AllocDecl(name, dims, dtype, line)
+        layout = kwargs.get("layout")
+        return TensorDecl(name, dims, dtype, layout and _word(layout, ("row", "col")), line)
+    prim = _callee(node.value) if isinstance(node, ast.Expr) else None
     if prim == "copy":
-        src = _parse_ref(t)
-        t.expect(",")
-        dst = _parse_ref(t)
-        t.expect(")")
-        return Copy(src, dst, line)
+        return Copy(*(_ref(a, line) for a in _args(node.value, 2, 2)[0]), line)
     if prim == "gemm":
-        a = _parse_ref(t)
-        t.expect(",")
-        b = _parse_ref(t)
-        t.expect(",")
-        out = _parse_ref(t)
-        kwargs = _parse_kwargs(t)
-        t.expect(")")
-        acc = bool(kwargs.pop("accumulate", False))
-        tb = bool(kwargs.pop("transpose_b", False))
-        if kwargs:
-            raise KernelSyntaxError(f"unknown gemm argument(s): {sorted(kwargs)}", line)
-        return Gemm(a, b, out, acc, tb, line)
+        operands, kwargs = _args(node.value, 3, 3, ("accumulate", "transpose_b"))
+        flags = {k: _word(v, ("True", "False")) == "True" for k, v in kwargs.items()}
+        return Gemm(*(_ref(o, line) for o in operands), flags.get("accumulate", False),
+                    flags.get("transpose_b", False), line)
     if prim in _VECTOR_KINDS:
-        refs = [_parse_ref(t)]
-        while t.accept(","):
-            refs.append(_parse_ref(t))
-        t.expect(")")
-        if len(refs) < 2:
-            raise KernelSyntaxError(f"{prim}() needs operand(s) and an output", line)
+        refs = [_ref(a, line) for a in _args(node.value, 2, None)[0]]
         return VectorOp(prim, tuple(refs[:-1]), refs[-1], line)
-    raise KernelSyntaxError(f"unknown primitive {prim!r}", line, col)
+    raise _Reject(f"unknown primitive {prim!r}" if prim else "expected a statement", node)
 
 
-_HEADER_RE = re.compile(r"^kernel\s+([A-Za-z_]\w*)\s*\(([^)]*)\)\s*:\s*$")
+def _block(nodes: list[ast.stmt]) -> tuple[Stmt, ...]:
+    stmts = []
+    for node in nodes:
+        try:
+            stmts.append(_stmt(node))
+        except RecursionError:
+            raise _Reject("expression nested too deeply", node) from None
+    return tuple(stmts)
+
+
+def _program(module: ast.Module, header_lines: set[int]) -> KernelProgram:
+    fn, *rest = module.body
+    if not isinstance(fn, ast.FunctionDef) or fn.lineno not in header_lines:
+        raise _Reject("expected `kernel name(params):` header", fn)
+    if rest:  # a second kernel header, or a statement at column 0
+        raise _Reject("statement outside the kernel body", rest[0])
+    params = tuple(p.arg for p in fn.args.args)
+    if fn.decorator_list or fn.returns or ast.unparse(fn.args) != ", ".join(params):
+        raise _Reject("expected `kernel name(params):` with plain parameter names", fn)
+    return KernelProgram(fn.name, params, _block(fn.body))
+
+
+def _python_ast(source: str) -> ast.Module:
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a SyntaxWarning becomes a SyntaxError
+        return ast.parse(source)
+
+
+def _too_deep_line(source: str) -> int:
+    """End line of the shortest prefix of `source` too deep for `ast.parse`."""
+    lines = source.split("\n")
+    for n in range(1, len(lines) + 1):
+        try:
+            _python_ast("\n".join(lines[:n]))
+        except (RecursionError, MemoryError):
+            return n
+        except SyntaxError:
+            pass
+    return len(lines)
 
 
 def parse_kernel(text: str) -> KernelProgram:
     """Parse kernel source into a KernelProgram (one kernel per source)."""
-    lines = text.splitlines()
-    header = None
-    body_lines: list[tuple[int, int, str]] = []  # (lineno, indent, text)
-    for lineno, raw in enumerate(lines, start=1):
-        stripped = raw.split("#", 1)[0].rstrip()
-        if not stripped.strip():
-            continue
-        indent = len(stripped) - len(stripped.lstrip())
-        content = stripped.strip()
-        if header is None:
-            m = _HEADER_RE.match(content)
-            if not m:
-                raise KernelSyntaxError("expected `kernel name(params):` header", lineno, 1)
-            params = tuple(p.strip() for p in m.group(2).split(",") if p.strip())
-            header = (m.group(1), params)
-            continue
-        if _HEADER_RE.match(content):
-            raise KernelSyntaxError("multiple kernels per file are not supported", lineno, 1)
-        body_lines.append((lineno, indent, content))
-    if header is None:
-        raise KernelSyntaxError("empty kernel source", max(len(lines), 1), 1)
-
-    def parse_block(start: int, indent: int) -> tuple[tuple[Stmt, ...], int]:
-        stmts: list[Stmt] = []
-        i = start
-        while i < len(body_lines):
-            lineno, ind, content = body_lines[i]
-            if ind < indent:
-                break
-            if ind > indent:
-                raise KernelSyntaxError("unexpected indentation", lineno, ind + 1)
-            stmt = _parse_statement(content, lineno)
-            i += 1
-            if isinstance(stmt, ForLoop):
-                if i >= len(body_lines) or body_lines[i][1] <= indent:
-                    raise KernelSyntaxError("empty for-loop body", lineno)
-                body, i = parse_block(i, body_lines[i][1])
-                stmt = dataclasses.replace(stmt, body=body)
-            stmts.append(stmt)
-        return tuple(stmts), i
-
-    if not body_lines:
-        raise KernelSyntaxError("kernel has no body", 1)
-    body, consumed = parse_block(0, body_lines[0][1])
-    if consumed != len(body_lines):
-        lineno, ind, _ = body_lines[consumed]
-        raise KernelSyntaxError("inconsistent indentation", lineno, ind + 1)
-    name, params = header
-    return KernelProgram(name, params, body)
+    text = text.replace("\r\n", "\n").replace("\r", "\n")  # Python's line breaks
+    if "\0" in text:
+        raise KernelSyntaxError("null byte in source", text.count("\n", 0, text.index("\0")) + 1)
+    header_lines = {text.count("\n", 0, m.start()) + 1 for m in _HEADER_KEYWORD.finditer(text)}
+    source = _HEADER_KEYWORD.sub("def   ", text)
+    try:
+        module = _python_ast(source)
+    except SyntaxError as e:  # IndentationError included
+        raise KernelSyntaxError(e.msg, e.lineno or 1, e.offset or 0) from None
+    except (RecursionError, MemoryError):  # depth limits of Python's parser
+        raise KernelSyntaxError("expression nested too deeply", _too_deep_line(source)) from None
+    if not module.body:
+        raise KernelSyntaxError("empty kernel source", 1)
+    try:
+        return _program(module, header_lines)
+    except _Reject as e:
+        msg, node = e.args
+        line = source.split("\n")[node.lineno - 1].encode()[:node.col_offset]
+        raise KernelSyntaxError(msg, node.lineno, len(line.decode(errors="replace")) + 1) from None
 
 
 def ast_to_json(prog: KernelProgram) -> str:

@@ -199,21 +199,23 @@ def autotune(prog: KernelProgram, cfg: ArchConfig, bindings: dict[str, int],
     `simulate(body)` is the cycle-level evaluation callback and returns a
     result with `.cycles`. A candidate that `build_body` refuses is skipped:
     it does not fit SRAM, or its trace would exceed `MAX_TRACE_EVENTS`
-    (refused before any event is built). Ties break toward the
+    (refused before any event is built). If every candidate is refused,
+    the `TilerError` carries the last refusal's reason. Ties break toward the
     lexicographically smallest tiling; the result equals sequential
     exhaustive evaluation regardless of callback evaluation order. Returns
     the winner's (tiling, body, result).
     """
-    best = None
+    best = refusal = None
     for tiling in tiling_candidates(prog, bindings, limit):
         try:
             body = build_body(prog, cfg, dict(bindings, **tiling))
-        except (TypecheckError, TilerError, ExpandError):
+        except (TypecheckError, TilerError, ExpandError) as e:
+            refusal = e
             continue
         result = simulate(body)
         key = (result.cycles, tuple(sorted(tiling.items())))
         if best is None or key < best[0]:
             best = (key, tiling, body, result)
     if best is None:
-        raise TilerError("no feasible tiling fits SRAM")
+        raise TilerError(f"no feasible tiling: {refusal}")
     return best[1:]

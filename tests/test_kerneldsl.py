@@ -1,16 +1,17 @@
 import gc
 import json
 import random
+import warnings
 from importlib import resources
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from stacksim.arch import ArchConfig
 from stacksim.kerneldsl import (
-    AllocDecl, DramRead, DramWrite, ForLoop, Gemm, KernelSyntaxError,
-    MatrixWork, TensorDecl, TypecheckError, VectorWork, ast_to_json,
-    event_totals, expand, parse_kernel, typecheck,
+    AllocDecl, BinOp, DramRead, DramWrite, ForLoop, Gemm, KernelProgram,
+    KernelSyntaxError, MatrixWork, Num, TensorDecl, TypecheckError, Var,
+    VectorWork, ast_to_json, event_totals, expand, parse_kernel, typecheck,
 )
 from stacksim.kerneldsl.checker import SymbolInfo
 from stacksim.kerneldsl.trace import ExpandError, byte_ranges
@@ -73,6 +74,98 @@ def test_send_and_recv_are_not_primitives(line):
             f"    {line}\n")
     with pytest.raises(KernelSyntaxError, match="line 3.*unknown primitive"):
         parse_kernel(text)
+
+
+_HEAD = ("kernel k(N, tN):\n"
+         "    A = tensor((N, N), fp16)\n"
+         "    a = alloc((tN, tN), fp16)\n")
+
+# (case, source after _HEAD, line the error must name)
+REJECTED = [
+    ("unclosed paren", "    copy(A[0:tN, 0:tN], a\n", 4),
+    ("bad dedent", "  copy(A[0:tN, 0:tN], a)\n", 4),
+    ("gemm with two operands", "    gemm(a, a)\n", 4),
+    ("unknown primitive", "    frobnicate(a, a)\n", 4),
+    ("unknown dtype", "    b = alloc((tN,), bf16)\n", 4),
+    ("unknown layout", "    B = tensor((N,), fp16, layout=diag)\n", 4),
+    ("range with four arguments",
+     "    for i in range(0, N, tN, 1):\n        copy(A[i:i+tN, 0:tN], a)\n", 4),
+    ("slice with a step", "    copy(A[0:4:2, 0:tN], a)\n", 4),
+    ("second kernel header", "kernel j(N):\n    b = alloc((N,), fp16)\n", 4),
+    ("statement after the body", "copy(A[0:tN, 0:tN], a)\n", 4),
+    ("power operator", "    b = alloc((N**2,), fp16)\n", 4),
+    ("malformed number", "    b = alloc((1abc,), fp16)\n", 4),
+]
+
+
+@pytest.mark.parametrize("tail,line", [(t, n) for _, t, n in REJECTED],
+                         ids=[case for case, _, _ in REJECTED])
+def test_parser_rejects_with_the_line(tail, line):
+    with pytest.raises(KernelSyntaxError) as exc:
+        parse_kernel(_HEAD + tail)
+    assert exc.value.line == line
+    assert str(exc.value).startswith(f"line {line}, ")
+
+
+def test_gemm_flags_take_only_true_or_false():
+    text = "kernel k(N):\n    a = alloc((N, N), fp16)\n    gemm(a, a, a, {})\n"
+    for flags, expected in (("accumulate=True", (True, False)),
+                            ("transpose_b=True, accumulate=False", (False, True))):
+        gemm = parse_kernel(text.format(flags)).body[-1]
+        assert (gemm.accumulate, gemm.transpose_b) == expected
+    for flag in ("accumulate=0", "accumulate=1", "transpose_b=yes", "accumulate=None"):
+        with pytest.raises(KernelSyntaxError, match="line 3"):
+            parse_kernel(text.format(flag))
+
+
+def test_typecheck_rejects_an_expression_too_deep_to_evaluate():
+    # The parser cannot build this; a program made in Python can.
+    dim = Var("N")
+    for _ in range(5000):
+        dim = BinOp("+", dim, Num(1))
+    prog = KernelProgram("k", ("N",), (AllocDecl("x", (dim,), "fp16", 2),))
+    with pytest.raises(TypecheckError, match="nested too deeply"):
+        typecheck(prog, CFG, {"N": 1})
+
+
+SHIPPED_SOURCES = [
+    resources.files("stacksim").joinpath(f"kernels/{name}.kl").read_text()
+    for name in ("matmul", "matmul_rowblock", "fused_attention")]
+
+
+@st.composite
+def mutated_sources(draw):
+    """A shipped kernel with one to four spans of up to 12 characters
+    deleted, duplicated, or replaced by or prefixed with a fragment."""
+    text = draw(st.sampled_from(SHIPPED_SOURCES))
+    fragments = st.sampled_from([
+        "(", ")", "[", "]", ":", ",", "=", "+", "-", "*", "//", "%", "**", "/",
+        " ", "    ", "\t", "\n", "\r", "#", "0", "1abc", "x", "kernel", "for",
+        "range", "gemm", "True", "=0", "'", "\\", "'\\d'", "\0", "\u00e9",
+        "lambda", "def "])
+    for _ in range(draw(st.integers(1, 4))):
+        i = draw(st.integers(0, len(text)))
+        j = draw(st.integers(i, min(len(text), i + 12)))
+        op = draw(st.sampled_from(("delete", "duplicate", "insert", "replace")))
+        if op == "delete":
+            text = text[:i] + text[j:]
+        elif op == "duplicate":
+            text = text[:j] + text[i:j] + text[j:]
+        else:
+            text = text[:i] + draw(fragments) + text[j if op == "replace" else i:]
+    return text
+
+
+@settings(max_examples=300, deadline=None)
+@given(mutated_sources())
+def test_mutated_kernels_fail_only_with_kernel_syntax_errors(text):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            parse_kernel(text)
+        except KernelSyntaxError:
+            pass
+    assert not caught, [str(w.message) for w in caught]
 
 
 def dram_bytes(events, cls):

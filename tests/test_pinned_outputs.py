@@ -1,10 +1,10 @@
-"""Pinned outputs of the DRAM and NoC models on raw traffic, a sweep, and
-the single-kernel `tune` and `simulate` commands.
+"""Pinned outputs of the DRAM and NoC models on raw traffic, a sweep, the
+single-kernel `tune` and `simulate` commands, and the parsed shipped kernels.
 
 Every value here was computed before the code it covers was rewritten for
 speed or simplicity (the DRAM front end, the mesh arbiter, the construction
-of compute bodies). Those rewrites must change no simulated number, so any
-difference here is a behaviour change, not noise.
+of compute bodies, the kernel parser). Those rewrites must change no
+simulated number, so any difference here is a behaviour change, not noise.
 """
 
 import dataclasses
@@ -19,10 +19,11 @@ from stacksim import sweep as sweep_mod
 from stacksim.arch import load_arch
 from stacksim.cli import main
 from stacksim.dramsim import DramSystem, Request, stats
+from stacksim.kerneldsl import ast_to_json
 from stacksim.nocsim import MeshSim, Packet, run_plan
 from stacksim.partition import CoreArray, build_collective
 from stacksim.workloads import (
-    PagedKvLayout, gen_gemm_benchmark, gen_paged_attention_benchmark,
+    PagedKvLayout, gen_gemm_benchmark, gen_paged_attention_benchmark, load_kernel,
 )
 
 CFG = load_arch(str(resources.files("stacksim").joinpath("configs/default.yaml")))
@@ -163,6 +164,12 @@ def test_simulate_kernel_csv_pinned(tmp_path, capsys):
     assert digest == PINS["simulate_kernel_csv"]
 
 
+@pytest.mark.parametrize("kernel", ["matmul", "matmul_rowblock", "fused_attention"])
+def test_shipped_kernel_asts_pinned(kernel):
+    text = ast_to_json(load_kernel(kernel))
+    assert hashlib.sha256(text.encode()).hexdigest() == PINS["ast_" + kernel]
+
+
 PINS = {
     "gemm_channels":
         "a37d652f4a5ccb683f0696e0ed0bda37fc78e84f1a72264f7c48c129b7bdcedd",
@@ -192,4 +199,10 @@ PINS = {
         "00fe88d1ecb79bfe9c4b58156604baf83874e7d734da5fabee3117ed653af8db",
     "simulate_kernel_csv":
         "90dd6e0add352e376301895f53aff7f1a4411ef2c0a544ea552f2dfd8ac74a88",
+    "ast_matmul":
+        "a6513b9b3c42cbe64a34ad7f8a3529dd1e78071f5817864e5a2cf882c0c07e7c",
+    "ast_matmul_rowblock":
+        "877aa8267b8c1ec70f19e9a12924e066fb7fea2a6d0921f23de74648c5ee34e5",
+    "ast_fused_attention":
+        "ab0b6e435878389e2883627a436a5e4eaa74e1ce8333078f914e21ab9b4bee6b",
 }

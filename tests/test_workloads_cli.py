@@ -295,6 +295,27 @@ def test_cli_tune_rejects_a_limit_below_one(limit, capsys):
     assert "best tiling" not in captured.out
 
 
+@pytest.mark.parametrize("shape,bind", [
+    ("(" * 500 + "N" + ")" * 500, []),  # over Python's parenthesis limit
+    ("+".join(["N"] * 1500), []),  # parsed by Python, too deep to convert
+    ("+".join(["N"] * 3000), ["--bind", "N=1"]),  # too deep for Python's parser
+], ids=["500-nested-parens", "1500-term-sum", "3000-term-sum"])
+def test_cli_parse_rejects_deep_expressions_cleanly(tmp_path, capsys, shape, bind):
+    path = tmp_path / "deep.kl"
+    path.write_text(f"kernel k(N):\n    X = tensor(({shape},), fp16)\n")
+    assert main(["parse", "--kernel", str(path), *bind]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: line 2, ") and "Traceback" not in err
+
+
+def test_cli_tune_says_why_no_tiling_fits(capsys):
+    assert main(["tune", "--kernel", "matmul", "--bind", "M=65536", "K=65536",
+                 "N=65536", "--limit", "2"]) == 2
+    err = capsys.readouterr().err
+    assert err == ("error: no feasible tiling: DRAM tensors need 25769803776 bytes, "
+                   "core capacity is 5368709120\n")
+
+
 def test_cli_simulate_kernel(capsys):
     rc = main(["simulate", "--kernel", "matmul", "--bind",
                "M=8", "K=32", "N=32", "tM=8", "tN=8", "tK=8"])

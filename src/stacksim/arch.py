@@ -83,7 +83,6 @@ class NocSpec:
     rows: int = 4
     cols: int = 4
     link_bytes_per_cycle: int = 128
-    flit_bytes: int = 32
     router_delay_cycles: int = 2
     link_delay_cycles: int = 1
     input_queue_flits: int = 8
@@ -250,9 +249,6 @@ def validate(cfg: ArchConfig) -> list[str]:
     positive(cfg.noc.rows, "noc.rows")
     positive(cfg.noc.cols, "noc.cols")
     positive(cfg.noc.link_bytes_per_cycle, "noc.link_bytes_per_cycle")
-    positive(cfg.noc.flit_bytes, "noc.flit_bytes")
-    if cfg.noc.flit_bytes > cfg.noc.link_bytes_per_cycle:
-        v.append("noc.flit_bytes <= noc.link_bytes_per_cycle")
     if cfg.noc.router_delay_cycles < 1:
         v.append("noc.router_delay_cycles >= 1")
     if cfg.noc.link_delay_cycles < 1:

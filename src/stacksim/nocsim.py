@@ -1,10 +1,13 @@
 """Flit-level 2D-mesh network-on-chip with wormhole switching.
 
 XY dimension-order routing (column direction first, then row), credit-based
-flow control, per-port input queues, and deterministic round-robin output
-arbitration. A flit that arrives at a router at cycle t becomes eligible for
-switch traversal at t + router_delay and spends link_delay cycles on each
-link, so an unloaded packet of F flits from src to dst with h hops completes
+flow control, per-port input queues of `noc.input_queue_flits` flits, and
+deterministic round-robin output arbitration. A flit is one link width,
+`noc.link_bytes_per_cycle` bytes, so a link carries one flit per cycle and
+a packet of B bytes is ceil(B / link_bytes_per_cycle) flits. A flit that
+arrives at a router at cycle t becomes eligible for switch traversal at
+t + router_delay and spends link_delay cycles on each link, so an unloaded
+packet of F flits from src to dst with h hops completes
 
     (h + 1) * router_delay + h * link_delay + (F - 1)
 
@@ -45,8 +48,8 @@ class Packet:
     inject_cycle: int = -1
     complete_cycle: int = -1
 
-    def flit_count(self, flit_bytes: int) -> int:
-        return max(1, math.ceil(self.bytes / flit_bytes)) if self.bytes > 0 else 0
+    def flit_count(self, link_bytes: int) -> int:
+        return math.ceil(self.bytes / link_bytes) if self.bytes > 0 else 0
 
 
 class _Flit:
@@ -90,7 +93,7 @@ class _Router:
 class MeshSim:
     """Cycle-stepped mesh simulator; advance with tick() or run to drain."""
 
-    def __init__(self, cfg: ArchConfig, start_cycle: int = 0):
+    def __init__(self, cfg: ArchConfig):
         self.cfg = cfg
         noc = cfg.noc
         self.rows, self.cols = noc.rows, noc.cols
@@ -105,13 +108,12 @@ class MeshSim:
                     # The neighbour receives on the opposite side.
                     router.links[out_port] = \
                         (self.routers[dm * self.cols + dn], (out_port + 2) % 4)
-        self.start_cycle = self.now = start_cycle
+        self.now = 0
         self.packets: dict[int, Packet] = {}
         self._next_pid = 0
         # (arrival cycle, router, input port, flit) per flit on a link; the
         # link delay is constant, so arrivals leave in FIFO order.
         self._inflight: deque[tuple[int, _Router, int, _Flit]] = deque()
-        self._arrived: dict[tuple[int, int], list[Packet]] = {}
         self._pending_inject: dict[int, list[tuple[Packet, list[_Flit]]]] = {}
         self.injected_flits = 0
         self.ejected_flits = 0
@@ -132,10 +134,9 @@ class MeshSim:
         self._next_pid += 1
         pkt.inject_cycle = cycle
         self.packets[pkt.pid] = pkt
-        flits = pkt.flit_count(self.cfg.noc.flit_bytes)
+        flits = pkt.flit_count(self.cfg.noc.link_bytes_per_cycle)
         if flits == 0 or pkt.src == pkt.dst:
             pkt.complete_cycle = cycle
-            self._arrived.setdefault(pkt.dst, []).append(pkt)
             return pkt
         dst = self._index(pkt.dst)
         ready = cycle + self.cfg.noc.router_delay_cycles
@@ -216,9 +217,7 @@ class MeshSim:
             if out_port == LOCAL:
                 self.ejected_flits += 1
                 if flit.is_tail:
-                    pkt = flit.pkt
-                    pkt.complete_cycle = now
-                    self._arrived.setdefault(pkt.dst, []).append(pkt)
+                    flit.pkt.complete_cycle = now
             else:
                 flit.ready = ready
                 nb, nb_port = router.links[out_port]
@@ -231,15 +230,12 @@ class MeshSim:
         return not self._pending_inject and self.injected_flits == self.ejected_flits
 
     def run_until_drained(self, limit: int = 10_000_000) -> int:
-        """Tick until idle; `limit` bounds the cycles since `start_cycle`."""
+        """Tick until idle; `limit` bounds the simulated cycles."""
         while not self.idle():
-            if self.now - self.start_cycle > limit:
+            if self.now > limit:
                 raise RuntimeError("NoC simulation did not drain")
             self.tick()
         return max((p.complete_cycle for p in self.packets.values()), default=0)
-
-    def arrivals(self, core: tuple[int, int]) -> list[Packet]:
-        return self._arrived.get(core, [])
 
 
 @dataclass(frozen=True)
@@ -249,14 +245,15 @@ class PlanResult:
     per_core_completion: dict
 
 
-def run_plan(plan: CommPlan, arr: CoreArray, cfg: ArchConfig, start_cycle: int = 0) -> PlanResult:
+def run_plan(plan: CommPlan, arr: CoreArray, cfg: ArchConfig) -> PlanResult:
     """Replay a communication plan on the mesh.
 
-    A core's step-s sends inject once all of its step-(s-1) transfers (its
-    sends injected and its recvs delivered) are complete; per-pair ordering
-    is preserved by deterministic routing.
+    All sends of step s inject in one cycle, once every packet of an
+    earlier step that any sender of step s sent or receives is delivered:
+    each sender waits for the other senders' earlier transfers as well as
+    its own. Per-pair ordering is preserved by deterministic routing.
     """
-    sim = MeshSim(cfg, start_cycle)
+    sim = MeshSim(cfg)
     by_step: dict[int, list] = {}
     for entry in plan.steps:
         by_step.setdefault(entry.step, []).append(entry)
@@ -284,5 +281,5 @@ def run_plan(plan: CommPlan, arr: CoreArray, cfg: ArchConfig, start_cycle: int =
     per_core: dict[tuple[int, int], int] = {}
     for pkt in sim.packets.values():
         per_core[pkt.dst] = max(per_core.get(pkt.dst, 0), pkt.complete_cycle)
-    return PlanResult(makespan=makespan if plan.steps else start_cycle,
-                      bytes_hops=bytes_hops, per_core_completion=per_core)
+    return PlanResult(makespan=makespan, bytes_hops=bytes_hops,
+                      per_core_completion=per_core)

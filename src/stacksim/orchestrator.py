@@ -11,7 +11,7 @@ compute cost max(load, compute) rather than their sum.
 
 Because of the barriers, every operator starts on fresh DRAM channel state
 and an empty mesh, so its cycles and statistics depend only on what it runs
-(a compute body, or a collective's kind, plan and core array) and on the
+(a compute body, or a collective's plan and core array) and on the
 config, never on the cycle at which it starts. The simulate functions
 therefore time each operator from cycle 0, and `run` simulates each distinct
 body or collective once per call and reuses the result for its repeats.
@@ -54,8 +54,8 @@ class ComputeOp:
 
 @dataclass(frozen=True)
 class CollectiveOp:
+    """A send/recv plan (`partition.build_collective`) on a core array."""
     name: str
-    kind: str  # ring_reduce_scatter / ring_all_gather / all_reduce_1d / all_reduce_2d
     plan: CommPlan
     array: CoreArray
 
@@ -173,7 +173,7 @@ def simulate_compute(op: ComputeOp, cfg: ArchConfig) -> OperatorResult:
     return OperatorResult(
         op.name, "compute", cycles, dram_bytes=dram_bytes,
         matrix_flops=m_flops, vector_flops=v_flops,
-        utilization=min(1.0, bound / cycles) if cycles else 1.0,
+        utilization=bound / cycles if cycles else 1.0,
         dram_utilization=d["utilization"], row_hit_rate=d["row_hit_rate"],
         energy=energy)
 
@@ -187,7 +187,7 @@ def simulate_collective(op: CollectiveOp, cfg: ArchConfig) -> OperatorResult:
     return OperatorResult(
         op.name, "collective", cycles,
         noc_bytes_hops=result.bytes_hops,
-        utilization=min(1.0, bound / cycles) if cycles else 1.0,
+        utilization=bound / cycles if cycles else 1.0,
         energy={"noc": result.bytes_hops * cfg.energy.noc_pj_per_byte_hop * 1e-12})
 
 
@@ -217,7 +217,7 @@ def _simulate_once(memo: dict, key, op, simulate, cfg: ArchConfig) -> OperatorRe
 def run(operators: list, cfg: ArchConfig) -> SimReport:
     """Simulate an operator graph with barriers between operators.
 
-    Each distinct compute body and each distinct (kind, plan, array)
+    Each distinct compute body and each distinct (plan, array)
     collective is simulated once; `cfg` is fixed for the call, so it is not
     part of the key.
     """
@@ -229,7 +229,7 @@ def run(operators: list, cfg: ArchConfig) -> SimReport:
         if isinstance(op, ComputeOp):
             res = _simulate_once(memo, op.body, op, simulate_compute, cfg)
         elif isinstance(op, CollectiveOp):
-            res = _simulate_once(memo, (op.kind, op.plan, op.array), op,
+            res = _simulate_once(memo, (op.plan, op.array), op,
                                  simulate_collective, cfg)
         elif isinstance(op, InterAccelOp):
             cycles = inter_accel_cycles(op.bytes, cfg)

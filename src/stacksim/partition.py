@@ -177,28 +177,25 @@ def _ring_chunks(total: int, p: int) -> list[int]:
     return [hi - lo for lo, hi in _shard_ranges(total, p)]
 
 
-def _ring_reduce_scatter(ring: list[tuple[int, ...]], nbytes: int, step0: int = 0) -> list[CommStep]:
+def _ring_pass(ring: list[tuple[int, ...]], nbytes: int, step0: int,
+               shift: int) -> list[CommStep]:
+    """p - 1 ring steps: at step s core i sends chunk (i + shift - s) mod p
+    to its successor. Shift 0 is a reduce-scatter, shift 1 an all-gather."""
     p = len(ring)
     chunks = _ring_chunks(nbytes, p)
-    steps = []
-    for s in range(p - 1):
-        for i, src in enumerate(ring):
-            dst = ring[(i + 1) % p]
-            # Core i forwards chunk (i - s) mod p at step s.
-            chunk = chunks[(i - s) % p]
-            steps.append(CommStep(step0 + s, src, dst, chunk))
-    return steps
+    return [CommStep(step0 + s, src, ring[(i + 1) % p], chunks[(i + shift - s) % p])
+            for s in range(p - 1) for i, src in enumerate(ring)]
 
 
-def _ring_all_gather(ring: list[tuple[int, ...]], nbytes: int, step0: int = 0) -> list[CommStep]:
-    p = len(ring)
-    chunks = _ring_chunks(nbytes, p)
-    steps = []
-    for s in range(p - 1):
-        for i, src in enumerate(ring):
-            dst = ring[(i + 1) % p]
-            chunk = chunks[(i + 1 - s) % p]
-            steps.append(CommStep(step0 + s, src, dst, chunk))
+def _ring_all_reduce(rings: list[list[tuple[int, ...]]], nbytes: int,
+                     step0: int = 0) -> list[CommStep]:
+    """Reduce-scatter then all-gather around each ring, all rings starting
+    at `step0`; a one-core ring sends nothing."""
+    steps: list[CommStep] = []
+    for ring in rings:
+        if len(ring) > 1:
+            steps += _ring_pass(ring, nbytes, step0, 0)
+            steps += _ring_pass(ring, nbytes, step0 + len(ring) - 1, 1)
     return steps
 
 
@@ -216,38 +213,22 @@ def build_collective(arr: CoreArray, kind: str, bytes_per_core: int) -> CommPlan
             return CommPlan(())
         if p < 2:
             raise PartitionError("ring collectives need at least 2 cores")
-        if kind == "ring_reduce_scatter":
-            return CommPlan(tuple(_ring_reduce_scatter(coords, bytes_per_core)))
-        if kind == "ring_all_gather":
-            return CommPlan(tuple(_ring_all_gather(coords, bytes_per_core)))
-        rs = _ring_reduce_scatter(coords, bytes_per_core)
-        ag = _ring_all_gather(coords, bytes_per_core, step0=p - 1)
-        return CommPlan(tuple(rs + ag))
+        if kind == "all_reduce_1d":
+            return CommPlan(tuple(_ring_all_reduce([coords], bytes_per_core)))
+        shift = 0 if kind == "ring_reduce_scatter" else 1
+        return CommPlan(tuple(_ring_pass(coords, bytes_per_core, 0, shift)))
     if kind == "all_reduce_2d":
         if len(arr.shape) < 2:
             raise PartitionError("all_reduce_2d needs a >= 2D core array")
-        steps: list[CommStep] = []
-        step0 = 0
-        # Phase 1: all-reduce along axis 1 within each row of axis 0.
+        # Phase 1 runs along axis 1 within each row of axis 0, phase 2
+        # along axis 0 within each column.
         rows: dict[tuple, list] = {}
-        for coord in coords:
-            rows.setdefault(coord[:1] + coord[2:], []).append(coord)
-        for group in rows.values():
-            if len(group) < 2:
-                continue
-            sub = _ring_reduce_scatter(group, bytes_per_core) + \
-                _ring_all_gather(group, bytes_per_core, step0=len(group) - 1)
-            steps.extend(sub)
-        step0 = max((s.step for s in steps), default=-1) + 1
-        # Phase 2: all-reduce along axis 0 within each column.
         cols: dict[tuple, list] = {}
         for coord in coords:
+            rows.setdefault(coord[:1] + coord[2:], []).append(coord)
             cols.setdefault(coord[1:], []).append(coord)
-        for group in cols.values():
-            if len(group) < 2:
-                continue
-            sub = _ring_reduce_scatter(group, bytes_per_core, step0=step0) + \
-                _ring_all_gather(group, bytes_per_core, step0=step0 + len(group) - 1)
-            steps.extend(sub)
+        steps = _ring_all_reduce(list(rows.values()), bytes_per_core)
+        step0 = max((s.step for s in steps), default=-1) + 1
+        steps += _ring_all_reduce(list(cols.values()), bytes_per_core, step0)
         return CommPlan(tuple(steps))
     raise PartitionError(f"unsupported collective kind: {kind}")

@@ -70,10 +70,9 @@ def apply_dimension(base: ArchConfig, dimension: str, value) -> ArchConfig:
         return r(base, core=r(base.core, matrix_tflops=matrix,
                               vector_tflops=total - matrix))
     if dimension == "link_width":
-        # Flits are link-width sized: a wider link moves a packet in fewer
+        # A flit is one link width, so a wider link moves a packet in fewer
         # flit cycles.
-        width = int(value)
-        return r(base, noc=r(base.noc, link_bytes_per_cycle=width, flit_bytes=width))
+        return r(base, noc=r(base.noc, link_bytes_per_cycle=int(value)))
     raise SweepError(f"unknown sweep dimension {dimension!r} "
                      f"(expected one of {SWEEP_DIMENSIONS})")
 

@@ -215,7 +215,7 @@ def build_decoding_graph(model: ModelSpec, scen: DecodingScenario,
         key = (kind, ar_bytes)
         if key not in plans:
             plans[key] = build_collective(arr, kind, ar_bytes)
-        return CollectiveOp(name, kind, plans[key], arr)
+        return CollectiveOp(name, plans[key], arr)
 
     ops: list = []
     for layer in range(n_layers):

@@ -149,7 +149,7 @@ def test_c05_noc_zero_load_exact_for_all_pairs():
             if src == dst:
                 continue
             sim = MeshSim(cfg)
-            pkt = sim.inject(Packet(src, dst, 96))  # 3 flits
+            pkt = sim.inject(Packet(src, dst, 3 * cfg.noc.link_bytes_per_cycle))
             sim.run_until_drained()
             expect = zero_load_latency(src, dst, 3, cfg)
             assert pkt.complete_cycle == expect, (src, dst)

@@ -5,6 +5,7 @@ from stacksim.arch import (
     ArchConfig, ArchError, ChannelSpec, CoreSpec, LogicalBankSpec, NocSpec,
     PhysicalBankSpec, derived_metrics, parse_arch, serialize, validate,
 )
+from stacksim.cli import main
 
 TABLE4_YAML = """
 schema_version: 1
@@ -59,11 +60,18 @@ def test_logical_row_size_from_c_and_row_size():
     assert cfg.logical_row_bytes == 32 * 2048
 
 
-def test_unknown_field_rejected():
-    bad = TABLE4_YAML.replace("link_bytes_per_cycle: 128}",
-                              "link_bytes_per_cycle: 128, bogus_field: 3}")
-    with pytest.raises(ArchError, match="unknown field"):
-        parse_arch(bad)
+def test_unknown_field_rejected(tmp_path, capsys):
+    # flit_bytes is a field of older configs: a flit is now one link width.
+    for field in ("bogus_field", "flit_bytes"):
+        bad = TABLE4_YAML.replace("link_bytes_per_cycle: 128}",
+                                  f"link_bytes_per_cycle: 128, {field}: 32}}")
+        with pytest.raises(ArchError, match=f"unknown field.*{field}"):
+            parse_arch(bad)
+    path = tmp_path / "old.yaml"
+    path.write_text(bad)  # the config with flit_bytes
+    assert main(["validate", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "flit_bytes" in err
 
 
 def test_schema_version_mismatch():
@@ -116,6 +124,6 @@ def test_round_trip_random_config():
         lb=LogicalBankSpec(2, 16),
         channel=ChannelSpec(512, 1.0, 3),
         core=CoreSpec(8, 4.0, 0.25, 1 << 21, 4096, 0.8),
-        noc=NocSpec(2, 2, 64, 16, 3, 2, 4),
+        noc=NocSpec(2, 2, 64, 3, 2, 4),
     )
     assert parse_arch(serialize(cfg)) == cfg

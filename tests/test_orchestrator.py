@@ -1,8 +1,10 @@
 import dataclasses
+import math
+from importlib import resources
 
 import pytest
 
-from stacksim.arch import ArchConfig, InterAccelSpec
+from stacksim.arch import ArchConfig, InterAccelSpec, load_arch
 from stacksim.dramsim import DramSystem, Request
 from stacksim.kerneldsl import parse_kernel, typecheck
 from stacksim.orchestrator import (
@@ -97,7 +99,7 @@ def test_utilization_in_unit_interval():
 def test_collective_cycles_and_energy():
     arr = CoreArray((16,), (4, 4))
     plan = build_collective(arr, "all_reduce_1d", 65536)
-    res = run([CollectiveOp("ar", "all_reduce_1d", plan, arr)], CFG)
+    res = run([CollectiveOp("ar", plan, arr)], CFG)
     op = res.operators[0]
     assert op.kind == "collective" and op.cycles > 0
     assert 0.0 < op.utilization <= 1.0
@@ -164,8 +166,7 @@ def test_report_energy_is_the_sum_of_operator_energy():
         "    gemm(x, x, y)\n"
         "    exp(y, y)\n", N=64)
     arr = CoreArray((16,), (4, 4))
-    coll = CollectiveOp("ar", "all_reduce_1d",
-                        build_collective(arr, "all_reduce_1d", 16384), arr)
+    coll = CollectiveOp("ar", build_collective(arr, "all_reduce_1d", 16384), arr)
     report = run([op, coll, InterAccelOp("link", 4096), op, coll], CFG)
     expected = {"dram": 0.0, "compute": 0.0, "noc": 0.0, "inter": 0.0}
     for res in report.operators:
@@ -179,6 +180,31 @@ def test_report_energy_is_the_sum_of_operator_energy():
     # A repeat's energy is its own copy, not the first result's dict.
     assert report.operators[3].energy == report.operators[0].energy
     assert report.operators[3].energy is not report.operators[0].energy
+
+
+@pytest.mark.parametrize("config", ["default", "edge"])
+def test_every_operator_meets_its_bound(config):
+    # Every shipped model's one-layer step: a compute operator takes at
+    # least its roofline, a collective at least its busiest core's sent
+    # bytes over one link, and the reported utilization is bound / cycles.
+    cfg = load_arch(str(resources.files("stacksim").joinpath(f"configs/{config}.yaml")))
+    models = sorted(p.name[:-len(".yaml")]
+                    for p in resources.files("stacksim").joinpath("models").iterdir()
+                    if p.name.endswith(".yaml"))
+    checked = 0
+    for name in models:
+        ops = build_decoding_graph(load_model(name),
+                                   DecodingScenario(batch=16, context=1024), cfg, layers=1)
+        for op, res in zip(ops, run(ops, cfg).operators):
+            if isinstance(op, ComputeOp):
+                bound = roofline_cycles(op.checked, op.desc)
+            else:
+                busiest = max(op.plan.bytes_sent(c) for c in op.array.coords())
+                bound = math.ceil(busiest / cfg.noc.link_bytes_per_cycle)
+            assert 0 < bound <= res.cycles, f"{name} {res.name}: {res.cycles} < {bound}"
+            assert res.utilization == bound / res.cycles
+            checked += 1
+    assert len(models) == 7 and checked == 346
 
 
 def test_utilization_bound_uses_the_simulated_clock():
@@ -201,8 +227,7 @@ def test_report_deterministic_and_csv():
         "    x = alloc((N,), fp16)\n"
         "    copy(X[0:N], x)\n", N=4096)
     arr = CoreArray((16,), (4, 4))
-    coll = CollectiveOp("ar", "all_reduce_1d",
-                        build_collective(arr, "all_reduce_1d", 16384), arr)
+    coll = CollectiveOp("ar", build_collective(arr, "all_reduce_1d", 16384), arr)
     a = run([op, coll], CFG)
     b = run([op, coll], CFG)
     assert a.to_csv() == b.to_csv()

@@ -8,6 +8,7 @@ from stacksim import orchestrator
 from stacksim.arch import ArchConfig
 from stacksim.cli import main
 from stacksim.orchestrator import CollectiveOp, ComputeOp, InterAccelOp, run
+from stacksim.partition import CoreArray, build_collective
 from stacksim.sweep import apply_dimension, report, rows_to_csv, sweep
 from stacksim.workloads import (
     DecodingScenario, PagedKvLayout, WorkloadError, build_decoding_graph,
@@ -68,8 +69,13 @@ def test_decoding_graph_structure_dense():
     assert len(compute) == 6  # 5 FCs + attention
     assert len(coll) == 6     # one all-reduce each
     assert not any(isinstance(o, InterAccelOp) for o in ops)
-    kinds = [o.kind for o in coll]
-    assert kinds.count("all_reduce_2d") == 1  # after attention
+    arr = CoreArray((4, 4), (4, 4))
+    ar_bytes = 16 * model.hidden * model.dtype_bytes // 16  # batch * hidden / cores
+    plans = [build_collective(arr, kind, ar_bytes)
+             for kind in ("all_reduce_1d", "all_reduce_2d")]
+    # A 1D all-reduce after each FC, a 2D one after attention.
+    assert [plans.index(o.plan) for o in coll] == [0, 1, 0, 0, 0, 0]
+    assert ops[ops.index(coll[1]) - 1].name == "layer0.attention"
 
 
 def test_batch_dimension_never_partitioned():
@@ -122,9 +128,9 @@ def test_tp_adds_inter_accel_transfer():
 # and tp 2. Operator reuse must leave these byte-identical; a change to the
 # simulated numbers updates them on purpose.
 PINNED_CSV_SHA256 = {
-    "opt-66b": "f96e7775d565888f85faaf4b22223c524603983d84312866d564ddbc85e48760",  # mlp
-    "qwen2.5-1.5b": "e942c80e9edad6f270a2bb2a55f6eb7611ea22d4159ad073a08a8daacc4338fe",  # glu
-    "mixtral-8x22b": "4fd6ee6e4ad2860a9d2d90f94ac5e771dc59ecf2882f932e68c0bafa444553e1",  # moe
+    "opt-66b": "cba8420bac08c4ce6e8ba8438104d2f96e9a23126217169dfbbf7e48df466007",  # mlp
+    "qwen2.5-1.5b": "9c4eac352424ee82a07e478e3be50f81a40ec982c15d13eab7836cce9071f687",  # glu
+    "mixtral-8x22b": "2e6b6631559ac4d86d957f4433364ce1e073f7d1a2fc4fa7ba3ce50f232cefbd",  # moe
 }
 
 
@@ -139,9 +145,9 @@ def test_decoding_report_matches_pinned_csv(name):
 
 # sha256 of the report CSV of a full decoding step at batch 16, context 1024.
 FULL_STEP_CSV_SHA256 = {
-    "llama3.2-1b": "3222033873bdfde763a7429d1f6e5c72f4f2312960ca14307561ab6a989bb7b9",
-    "llama3-70b": "311c7064599bb4c2863b22a4c07bbdad6711cf84ae30d7b546b755f959d762fc",
-    "qwen3-235b-a22b": "b5439cb44722e768526797bea7892d5bd8fe574cf60c3e89e4ba5526400f323a",
+    "llama3.2-1b": "ba571c78e46a6c592dfcc3d61191df6aa966fd29e98d8e33e462c928d7700645",
+    "llama3-70b": "59262d7af94c6e429e899f7b48009167d32c16327c4737318691160175421e1c",
+    "qwen3-235b-a22b": "b31f0f039a277c06c7d57a79ff8658ae9cebb7612662a5df6b04985c98718877",
 }
 
 

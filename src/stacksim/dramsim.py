@@ -16,6 +16,8 @@ Command timing protocol (all times in DRAM-clock cycles):
 * Channels are independent: each services its own chunks in issue order,
   and its state depends on nothing else, so `DramSystem.drain` services
   one channel's queue after another.
+* The timing and geometry constants are fixed per `DramSystem`: it reads
+  them from its config once, when it is built.
 * Servicing a chunk starts at t = max(request ready cycle, start cycle of
   the previously issued burst on this channel).
 * Row miss: if a row is open, PRE issues at max(t, last ACT + tRAS) and
@@ -27,8 +29,8 @@ Command timing protocol (all times in DRAM-clock cycles):
 * A chunk completes when its last burst's data finishes (start + tBURST).
 
 The scheduling policy is same-row-first batching within a work item, the
-batching idea of FR-FCFS: `schedule_tile` stably groups one work item's
-requests by the (channel, row) of each request's first byte, groups in
+batching idea of FR-FCFS: `schedule_tile` buckets one work item's requests
+in one pass by the (channel, row) of each request's first byte, buckets in
 first-appearance order, and the channels then service that order. The
 grouping is stable and equal addresses share a row, so per-address order is
 preserved.
@@ -121,11 +123,18 @@ class ChannelSim:
 
 
 class DramSystem:
-    """All channels of one core plus the request front end."""
+    """All channels of one core plus the request front end, with the
+    timing and address-geometry constants of its config."""
 
     def __init__(self, cfg: ArchConfig):
         self.cfg = cfg
         self.channels = [ChannelSim() for _ in range(cfg.core.channels)]
+        tm = cfg.dram_timing
+        self._timing = (tm.tRAS, tm.tRP, tm.tRCD, tm.tBURST, tm.tRTW, tm.tWTR,
+                        max(tm.tCCD, tm.tBURST))
+        self._geometry = (cfg.channel.burst_bytes, cfg.channel.interleave_bytes,
+                          cfg.logical_row_bytes, cfg.core.channels,
+                          cfg.channel_capacity_bytes * cfg.core.channels)
 
     def drain(self, requests: list[Request]) -> int:
         """Service `requests`; returns the last completion among them.
@@ -135,23 +144,16 @@ class DramSystem:
         another over per-channel queues. Every request is checked before
         any channel state changes.
         """
-        cfg = self.cfg
-        tm = cfg.dram_timing
-        tRAS, tRP, tRCD, tBURST = tm.tRAS, tm.tRP, tm.tRCD, tm.tBURST
-        tRTW, tWTR = tm.tRTW, tm.tWTR
-        spacing = max(tm.tCCD, tBURST)
-        bl = cfg.channel.burst_bytes
-        ib = cfg.channel.interleave_bytes
-        row_bytes = cfg.logical_row_bytes
-        chans = cfg.core.channels
-        capacity = cfg.channel_capacity_bytes * chans
+        tRAS, tRP, tRCD, tBURST, tRTW, tWTR, spacing = self._timing
+        bl, ib, row_bytes, chans, capacity = self._geometry
 
-        # Pass 1: check every request and queue its chunks per channel. A
-        # request that fits one interleave run and one row, as every GEMM
-        # and paged-KV request does, is one chunk: its queue holds the
-        # request itself, and pass 2 locates it again. Other requests queue
-        # split_range's (ready, kind, row, bursts, nbytes) chunks.
-        queues: list[list] = [[] for _ in range(chans)]
+        # Pass 1: check every request and queue its chunks by channel, one
+        # queue per channel it touches. A request that fits one interleave
+        # run and one row, as every GEMM and paged-KV request does, is one
+        # chunk: its queue holds the request itself, and pass 2 locates it
+        # again. Other requests queue split_range's (ready, kind, row,
+        # bursts, nbytes) chunks.
+        queues: dict[int, list] = {}
         for req in requests:
             ready, kind, addr, nbytes = req
             if addr < 0 or addr + nbytes > capacity:
@@ -160,16 +162,24 @@ class DramSystem:
             run, offset = divmod(addr, ib)
             if (0 < nbytes <= ib - offset
                     and nbytes <= row_bytes - ((run // chans) * ib + offset) % row_bytes):
-                queues[run % chans].append(req)
+                channel = run % chans
+                queue = queues.get(channel)
+                if queue is None:
+                    queues[channel] = [req]
+                else:
+                    queue.append(req)
             else:
-                for channel, row, bursts, take in split_range(addr, nbytes, cfg):
-                    queues[channel].append((ready, kind, row, bursts, take))
+                for channel, row, bursts, take in split_range(addr, nbytes, self.cfg):
+                    queue = queues.get(channel)
+                    if queue is None:
+                        queues[channel] = [(ready, kind, row, bursts, take)]
+                    else:
+                        queue.append((ready, kind, row, bursts, take))
 
         # Pass 2: run each queue with its channel's state in locals.
         completion = 0
-        for ch, queue in zip(self.channels, queues):
-            if not queue:
-                continue
+        for channel, queue in queues.items():
+            ch = self.channels[channel]
             open_row, t_act, t_row_ready = ch.open_row, ch.t_act, ch.t_row_ready
             t_bus, t_data_end, t_issue = ch.t_bus, ch.t_data_end, ch.t_issue
             last_kind = ch.last_kind
@@ -245,21 +255,26 @@ class DramSystem:
 def schedule_tile(requests: list[Request], cfg: ArchConfig) -> list[Request]:
     """Order one work item's requests same-row first.
 
-    A stable sort by the (channel, row) of each request's first byte, with
-    groups in first-appearance order; already-grouped requests keep their
-    order. The key is the first chunk's location as `DramSystem.drain`
-    computes it.
+    One pass buckets the requests by the (channel, row) of each request's
+    first byte, as `DramSystem.drain` locates it; the buckets keep their
+    requests' order and follow each other in first-appearance order. With
+    one bucket the input list itself comes back.
     """
     ib = cfg.channel.interleave_bytes
     row_bytes = cfg.logical_row_bytes
     chans = cfg.core.channels
-    order: dict[tuple[int, int], int] = {}
-    keys = []
+    groups: dict[tuple[int, int], list] = {}
     for req in requests:
         run, offset = divmod(req.addr, ib)
         location = (run % chans, ((run // chans) * ib + offset) // row_bytes)
-        keys.append(order.setdefault(location, len(order)))
-    return [requests[i] for i in sorted(range(len(requests)), key=keys.__getitem__)]
+        group = groups.get(location)
+        if group is None:
+            groups[location] = [req]
+        else:
+            group.append(req)
+    if len(groups) == 1:
+        return requests
+    return [req for group in groups.values() for req in group]
 
 
 def stats(system: DramSystem, start_cycle: int = 0) -> dict:

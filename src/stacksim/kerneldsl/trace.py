@@ -4,10 +4,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import prod
+from operator import add, floordiv, itemgetter, mod, mul, sub
 
 from .ast import (
-    AllocDecl, Copy, ForLoop, Gemm, Stmt, TensorDecl,
-    TileRef, VectorOp, evaluate,
+    AllocDecl, BinOp, Copy, Expr, ForLoop, Gemm, Num, Stmt, TensorDecl,
+    TileRef, Var, VectorOp,
 )
 from .checker import CheckedProgram, SymbolInfo
 
@@ -96,6 +97,14 @@ def strides_elems(info: SymbolInfo) -> tuple[int, ...]:
     return tuple(strides)
 
 
+def _run_layout(info: SymbolInfo) -> tuple[int, tuple[tuple[int, int, int], ...]]:
+    """(element bytes, (dimension, byte stride, extent) of each dimension
+    from the unit-stride one outward): what `byte_ranges` needs of a symbol."""
+    dt = info.dtype_bytes
+    strides = strides_elems(info)
+    return dt, tuple((d, strides[d] * dt, info.shape[d]) for d in _dims_fastest_first(info))
+
+
 def byte_ranges(info: SymbolInfo,
                 slices: tuple[tuple[int, int], ...]) -> tuple[tuple[int, int], ...]:
     """Contiguous (offset, length) byte runs of a tile within its tensor, in
@@ -107,110 +116,206 @@ def byte_ranges(info: SymbolInfo,
     strides are mixed-radix, so nesting their ranges slowest-outermost lists
     the runs in increasing order, each separated from the next by a gap.
     """
-    dt = info.dtype_bytes
-    strides = strides_elems(info)
-    dims = iter(_dims_fastest_first(info))
+    return _byte_runs(_run_layout(info), slices)
+
+
+def _byte_runs(layout, slices) -> tuple[tuple[int, int], ...]:
+    """`byte_ranges` with the symbol's `_run_layout` already computed."""
+    run, dims = layout
+    dims = iter(dims)
     start = 0
-    run = dt
-    for d in dims:
+    for d, step, extent in dims:
         lo, hi = slices[d]
-        start += lo * strides[d] * dt
+        start += lo * step
         run *= hi - lo
-        if hi - lo != info.shape[d]:
+        if hi - lo != extent:
             break
     offsets = [start]
-    for d in dims:  # the dimensions after the run, fastest first
+    for d, step, _ in dims:  # the dimensions after the run, fastest first
         lo, hi = slices[d]
-        step = strides[d] * dt
         offsets = [o + i for i in range(lo * step, hi * step, step) for o in offsets]
     return tuple([(o, run) for o in offsets])
-
-
-def _resolve_slices(ref: TileRef, info: SymbolInfo, env: dict) -> tuple[tuple[int, int], ...]:
-    if not ref.indices:
-        return tuple((0, s) for s in info.shape)
-    out = []
-    for sl, extent in zip(ref.indices, info.shape):
-        lo = evaluate(sl.lo, env)
-        hi = evaluate(sl.hi, env)
-        if lo < 0 or lo >= extent or hi <= lo:
-            raise ExpandError(
-                f"slice [{lo}:{hi}] out of bounds for '{ref.name}' dimension of {extent}")
-        # Non-dividing tilings: clip edge tiles to the remainder extent.
-        out.append((lo, min(hi, extent)))
-    return tuple(out)
 
 
 def _tile_elems(slices) -> int:
     return prod(hi - lo for lo, hi in slices)
 
 
-def _walk(stmts: tuple[Stmt, ...], env: dict, symbols: dict, events: list) -> None:
-    """Append the events of `stmts` under `env` to `events`, in program order.
+# Compilation. Inside a loop nest only the loop variables change, so every
+# expression that uses none of them is folded to an int at the bindings,
+# and a statement whose slices all fold builds its event once. The checker
+# has evaluated every expression `expand` reaches, so folding raises
+# nothing it would not; what can still fail at run time (a slice outside
+# its tensor) raises when the statement runs, as in a walk of the tree.
 
-    A module-level function rather than a closure inside `expand`: a
-    recursive closure is a reference cycle, which would keep every expanded
-    trace alive until the cyclic garbage collector ran.
-    """
-    for stmt in stmts:
-        if isinstance(stmt, (TensorDecl, AllocDecl)):
-            continue
-        if isinstance(stmt, Copy):
-            src_i = symbols[stmt.src.name]
-            dst_i = symbols[stmt.dst.name]
-            if src_i.kind == "tensor" and dst_i.kind == "alloc":
-                slices = _resolve_slices(stmt.src, src_i, env)
-                ranges = byte_ranges(src_i, slices)
-                events.append(DramRead(
-                    src_i.name, slices, ranges, _tile_elems(slices) * src_i.dtype_bytes,
-                    dst_i.name))
-            elif src_i.kind == "alloc" and dst_i.kind == "tensor":
-                slices = _resolve_slices(stmt.dst, dst_i, env)
-                ranges = byte_ranges(dst_i, slices)
-                events.append(DramWrite(
-                    dst_i.name, slices, ranges, _tile_elems(slices) * dst_i.dtype_bytes,
-                    src_i.name))
-            else:  # SRAM-to-SRAM buffer copy
-                slices = _resolve_slices(stmt.src, src_i, env)
-                events.append(VectorWork(
-                    "copy", _tile_elems(slices), src_i.dtype_bytes,
-                    (src_i.name, dst_i.name)))
-        elif isinstance(stmt, Gemm):
-            a = _resolve_slices(stmt.a, symbols[stmt.a.name], env)
-            b = _resolve_slices(stmt.b, symbols[stmt.b.name], env)
-            m = a[0][1] - a[0][0]
-            k = a[1][1] - a[1][0]
-            bk, bn = b if not stmt.transpose_b else (b[1], b[0])
-            n = bn[1] - bn[0]
+_OPS = {"+": add, "-": sub, "*": mul, "//": floordiv, "%": mod}
+
+
+def _constant(value):
+    return lambda env: value
+
+
+def _compile_expr(expr: Expr, loop_vars: frozenset, bindings: dict):
+    """`expr` as an int if it uses no enclosing loop variable, else as a
+    function of the loop environment."""
+    match expr:
+        case Num(v):
+            return v
+        case Var(name):
+            return itemgetter(name) if name in loop_vars else bindings[name]
+        case BinOp(op, l, r):
+            fn = _OPS[op]
+            a = _compile_expr(l, loop_vars, bindings)
+            b = _compile_expr(r, loop_vars, bindings)
+            if isinstance(a, int):
+                if isinstance(b, int):
+                    return fn(a, b)
+                return lambda env: fn(a, b(env))
+            if isinstance(b, int):
+                return lambda env: fn(a(env), b)
+            return lambda env: fn(a(env), b(env))
+    raise TypeError(f"bad expression node: {expr!r}")
+
+
+def _compile_slices(ref: TileRef, info: SymbolInfo, loop_vars: frozenset, bindings: dict):
+    """The (lo, hi) slices `ref` selects, edge tiles clipped to the symbol's
+    extent (non-dividing tilings): a tuple if no bound uses a loop
+    variable, else a function of the loop environment. A slice outside the
+    symbol raises `ExpandError` when it is resolved."""
+    if not ref.indices:
+        return tuple((0, s) for s in info.shape)
+    dims = []
+    for sl, extent in zip(ref.indices, info.shape):
+        lo = _compile_expr(sl.lo, loop_vars, bindings)
+        hi = _compile_expr(sl.hi, loop_vars, bindings)
+        if isinstance(lo, int) and isinstance(hi, int) and 0 <= lo < extent and hi > lo:
+            dims.append((lo, min(hi, extent)))
+        else:
+            dims.append(_compile_dim(
+                lo if callable(lo) else _constant(lo),
+                hi if callable(hi) else _constant(hi), ref.name, extent))
+    return _combine(dims, lambda *d: d)
+
+
+def _compile_dim(lo, hi, name: str, extent: int):
+    def dim(env):
+        l = lo(env)
+        h = hi(env)
+        if l < 0 or l >= extent or h <= l:
+            raise ExpandError(
+                f"slice [{l}:{h}] out of bounds for '{name}' dimension of {extent}")
+        return (l, h) if h < extent else (l, extent)
+    return dim
+
+
+def _combine(parts: list, fn):
+    """`fn(*parts)` if no part is a function of the loop environment, else
+    a function of the environment that calls `fn` on the parts' values."""
+    if not any(callable(p) for p in parts):
+        return fn(*parts)
+    fns = [p if callable(p) else _constant(p) for p in parts]
+    return lambda env: fn(*[f(env) for f in fns])
+
+
+def _leaf(slices: list, make):
+    """A statement that appends `make(*resolved slices)` each time it runs;
+    the event is built once if every slice is a constant."""
+    event = _combine(slices, make)
+    if callable(event):
+        return lambda env, append: append(event(env))
+    return lambda env, append: append(event)
+
+
+def _compile_loop(stmt: ForLoop, checked: CheckedProgram, loop_vars: frozenset):
+    bounds = [_compile_expr(e, loop_vars, checked.bindings)
+              for e in (stmt.lo, stmt.hi, stmt.step)]
+    body = tuple(_compile(stmt.body, checked, loop_vars | {stmt.var}))
+    var = stmt.var
+    trips = _combine(bounds, range)
+    if not callable(trips):
+        trips = _constant(trips)
+
+    def loop(env, append):
+        saved = env.get(var)
+        for v in trips(env):
+            env[var] = v
+            for run in body:
+                run(env, append)
+        if saved is None:
+            env.pop(var, None)
+        else:
+            env[var] = saved
+    return loop
+
+
+def _compile_stmt(stmt: Stmt, checked: CheckedProgram, loop_vars: frozenset):
+    """`run(env, append)` appending the events of one non-declaration
+    statement, with the variables of `loop_vars` taken from `env`."""
+    if isinstance(stmt, ForLoop):
+        return _compile_loop(stmt, checked, loop_vars)
+    symbols = checked.symbols
+
+    def slices(ref: TileRef):
+        return _compile_slices(ref, symbols[ref.name], loop_vars, checked.bindings)
+
+    if isinstance(stmt, Copy):
+        src_i = symbols[stmt.src.name]
+        dst_i = symbols[stmt.dst.name]
+        if src_i.kind == "tensor" and dst_i.kind == "alloc":
+            cls, info, ref, buffer = DramRead, src_i, stmt.src, dst_i.name
+        elif src_i.kind == "alloc" and dst_i.kind == "tensor":
+            cls, info, ref, buffer = DramWrite, dst_i, stmt.dst, src_i.name
+        else:  # SRAM-to-SRAM buffer copy
+            names = (src_i.name, dst_i.name)
+            return _leaf([slices(stmt.src)], lambda s: VectorWork(
+                "copy", _tile_elems(s), src_i.dtype_bytes, names))
+        layout = _run_layout(info)
+        dt = info.dtype_bytes
+        return _leaf([slices(ref)], lambda s: cls(
+            info.name, s, _byte_runs(layout, s), _tile_elems(s) * dt, buffer))
+    if isinstance(stmt, Gemm):
+        names = (stmt.a.name, stmt.b.name, stmt.out.name)
+        dt = symbols[stmt.a.name].dtype_bytes
+
+        def gemm(a, b):
+            lo, hi = b[0] if stmt.transpose_b else b[1]
             # accumulate=True adds partial-sum read traffic in the cost
             # model; it does not change the event structure.
-            events.append(MatrixWork(
-                m, n, k, symbols[stmt.a.name].dtype_bytes, stmt.accumulate,
-                (stmt.a.name, stmt.b.name, stmt.out.name)))
-        elif isinstance(stmt, VectorOp):
-            shapes = [_tile_elems(_resolve_slices(r, symbols[r.name], env))
-                      for r in (*stmt.operands, stmt.out)]
-            elems = max(shapes)
-            events.append(VectorWork(
-                stmt.kind, elems, symbols[stmt.out.name].dtype_bytes,
-                tuple(r.name for r in (*stmt.operands, stmt.out))))
-        elif isinstance(stmt, ForLoop):
-            lo = evaluate(stmt.lo, env)
-            hi = evaluate(stmt.hi, env)
-            step = evaluate(stmt.step, env)
-            for v in range(lo, hi, step):
-                inner = dict(env)
-                inner[stmt.var] = v
-                _walk(stmt.body, inner, symbols, events)
-        else:
-            raise ExpandError(f"unsupported statement {stmt!r}")
+            return MatrixWork(a[0][1] - a[0][0], hi - lo, a[1][1] - a[1][0],
+                              dt, stmt.accumulate, names)
+        return _leaf([slices(stmt.a), slices(stmt.b)], gemm)
+    if isinstance(stmt, VectorOp):
+        refs = (*stmt.operands, stmt.out)
+        names = tuple(r.name for r in refs)
+        dt = symbols[stmt.out.name].dtype_bytes
+        return _leaf([slices(r) for r in refs], lambda *ss: VectorWork(
+            stmt.kind, max([_tile_elems(s) for s in ss]), dt, names))
+    raise ExpandError(f"unsupported statement {stmt!r}")
+
+
+def _compile(stmts: tuple[Stmt, ...], checked: CheckedProgram,
+             loop_vars: frozenset) -> list:
+    """The compiled form of `stmts`: one `_compile_stmt` function per
+    statement that produces events, in program order.
+
+    Module-level functions build the closures and no closure refers to
+    itself, so a compiled program is freed by reference counting alone.
+    """
+    return [_compile_stmt(s, checked, loop_vars) for s in stmts
+            if not isinstance(s, (TensorDecl, AllocDecl))]
 
 
 def expand(checked: CheckedProgram) -> OpTrace:
-    """Unroll loops into a deterministic event trace in program order."""
+    """Unroll loops into a deterministic event trace in program order.
+
+    The statement tree is compiled once per call (`_compile`) and then run;
+    a trace over `MAX_TRACE_EVENTS` is refused before anything is compiled.
+    """
     if checked.events > MAX_TRACE_EVENTS:
         raise ExpandError(f"loops unroll to {checked.events} trace events, "
                           f"over the limit of {MAX_TRACE_EVENTS}")
     events: list[Event] = []
-    _walk(checked.program.body, dict(checked.bindings), checked.symbols, events)
+    env: dict = {}
+    for run in _compile(checked.program.body, checked, frozenset()):
+        run(env, events.append)
     return OpTrace(events)

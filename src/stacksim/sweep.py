@@ -43,6 +43,8 @@ def apply_dimension(base: ArchConfig, dimension: str, value) -> ArchConfig:
         return r(base, channel=r(base.channel, interleave_log2=int(value)))
     if dimension == "channels":
         ch = int(value)
+        if ch < 1:
+            raise SweepError(f"channel count must be >= 1, got {ch}")
         scaled = base.lb.R * base.core.channels
         if scaled % ch:
             raise SweepError(f"cannot hold capacity: R*channels={scaled} "
@@ -51,6 +53,8 @@ def apply_dimension(base: ArchConfig, dimension: str, value) -> ArchConfig:
                  lb=r(base.lb, R=scaled // ch))
     if dimension == "logical_row":
         row_bytes = int(value)
+        if row_bytes < 1:
+            raise SweepError(f"logical row must be >= 1 byte, got {row_bytes}")
         if row_bytes % base.pb.row_size_bytes:
             raise SweepError(f"logical row {row_bytes} not a multiple of the "
                              f"{base.pb.row_size_bytes}-byte physical row")
@@ -65,6 +69,8 @@ def apply_dimension(base: ArchConfig, dimension: str, value) -> ArchConfig:
         return r(base, core=r(base.core, sram_bytes=int(value)))
     if dimension == "matrix_vector_ratio":
         ratio = float(value)
+        if not ratio > 0:
+            raise SweepError(f"matrix:vector ratio must be > 0, got {value}")
         total = base.core.matrix_tflops + base.core.vector_tflops
         matrix = total * ratio / (ratio + 1.0)
         return r(base, core=r(base.core, matrix_tflops=matrix,

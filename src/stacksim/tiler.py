@@ -187,7 +187,12 @@ def tiling_candidates(prog: KernelProgram, bindings: dict[str, int],
                      if p.startswith("t") and p[1:] in prog.params and p not in bindings]
     if not tiling_params:
         return [{}]
-    spaces = [_candidate_values(bindings[p[1:]]) for p in tiling_params]
+    spaces = []
+    for p in tiling_params:
+        extent = bindings[p[1:]]
+        if extent < 1:
+            raise TilerError(f"tiling extent {p[1:]} must be >= 1, got {extent}")
+        spaces.append(_candidate_values(extent))
     return [dict(zip(tiling_params, combo))
             for combo in itertools.islice(itertools.product(*spaces), limit)]
 

@@ -271,6 +271,10 @@ def gen_paged_attention_benchmark(cfg: ArchConfig, layout: PagedKvLayout,
                                   runs: int = 10) -> list[list[Request]]:
     """Paged-KV gather traces: `runs` independent random block sequences."""
     problems = layout.validate(context)
+    if context < 1:
+        problems.append(f"context must be >= 1, got {context}")
+    if runs < 1:
+        problems.append(f"runs must be >= 1, got {runs}")
     if problems:
         raise WorkloadError("; ".join(problems))
     rng = random.Random(seed)

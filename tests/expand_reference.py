@@ -1,0 +1,101 @@
+"""Statement-walking reference for `stacksim.kerneldsl.trace.expand`.
+
+The tree walker `expand` used before it compiled loop nests: every trip of
+every loop copies the environment, and every slice bound is evaluated by
+walking its expression tree. Only `byte_ranges` (the byte-run routine) and
+the event types are shared with production code. Intended for small traces.
+"""
+
+from __future__ import annotations
+
+from math import prod
+
+from stacksim.kerneldsl.ast import (
+    AllocDecl, Copy, ForLoop, Gemm, Stmt, TensorDecl, TileRef, VectorOp, evaluate,
+)
+from stacksim.kerneldsl.checker import CheckedProgram, SymbolInfo
+from stacksim.kerneldsl.trace import (
+    DramRead, DramWrite, ExpandError, MatrixWork, VectorWork, byte_ranges,
+)
+
+
+def _resolve_slices(ref: TileRef, info: SymbolInfo, env: dict) -> tuple[tuple[int, int], ...]:
+    if not ref.indices:
+        return tuple((0, s) for s in info.shape)
+    out = []
+    for sl, extent in zip(ref.indices, info.shape):
+        lo = evaluate(sl.lo, env)
+        hi = evaluate(sl.hi, env)
+        if lo < 0 or lo >= extent or hi <= lo:
+            raise ExpandError(
+                f"slice [{lo}:{hi}] out of bounds for '{ref.name}' dimension of {extent}")
+        # Non-dividing tilings: clip edge tiles to the remainder extent.
+        out.append((lo, min(hi, extent)))
+    return tuple(out)
+
+
+def _tile_elems(slices) -> int:
+    return prod(hi - lo for lo, hi in slices)
+
+
+def _walk(stmts: tuple[Stmt, ...], env: dict, symbols: dict, events: list) -> None:
+    """Append the events of `stmts` under `env` to `events`, in program order."""
+    for stmt in stmts:
+        if isinstance(stmt, (TensorDecl, AllocDecl)):
+            continue
+        if isinstance(stmt, Copy):
+            src_i = symbols[stmt.src.name]
+            dst_i = symbols[stmt.dst.name]
+            if src_i.kind == "tensor" and dst_i.kind == "alloc":
+                slices = _resolve_slices(stmt.src, src_i, env)
+                ranges = byte_ranges(src_i, slices)
+                events.append(DramRead(
+                    src_i.name, slices, ranges, _tile_elems(slices) * src_i.dtype_bytes,
+                    dst_i.name))
+            elif src_i.kind == "alloc" and dst_i.kind == "tensor":
+                slices = _resolve_slices(stmt.dst, dst_i, env)
+                ranges = byte_ranges(dst_i, slices)
+                events.append(DramWrite(
+                    dst_i.name, slices, ranges, _tile_elems(slices) * dst_i.dtype_bytes,
+                    src_i.name))
+            else:  # SRAM-to-SRAM buffer copy
+                slices = _resolve_slices(stmt.src, src_i, env)
+                events.append(VectorWork(
+                    "copy", _tile_elems(slices), src_i.dtype_bytes,
+                    (src_i.name, dst_i.name)))
+        elif isinstance(stmt, Gemm):
+            a = _resolve_slices(stmt.a, symbols[stmt.a.name], env)
+            b = _resolve_slices(stmt.b, symbols[stmt.b.name], env)
+            m = a[0][1] - a[0][0]
+            k = a[1][1] - a[1][0]
+            bk, bn = b if not stmt.transpose_b else (b[1], b[0])
+            n = bn[1] - bn[0]
+            # accumulate=True adds partial-sum read traffic in the cost
+            # model; it does not change the event structure.
+            events.append(MatrixWork(
+                m, n, k, symbols[stmt.a.name].dtype_bytes, stmt.accumulate,
+                (stmt.a.name, stmt.b.name, stmt.out.name)))
+        elif isinstance(stmt, VectorOp):
+            shapes = [_tile_elems(_resolve_slices(r, symbols[r.name], env))
+                      for r in (*stmt.operands, stmt.out)]
+            elems = max(shapes)
+            events.append(VectorWork(
+                stmt.kind, elems, symbols[stmt.out.name].dtype_bytes,
+                tuple(r.name for r in (*stmt.operands, stmt.out))))
+        elif isinstance(stmt, ForLoop):
+            lo = evaluate(stmt.lo, env)
+            hi = evaluate(stmt.hi, env)
+            step = evaluate(stmt.step, env)
+            for v in range(lo, hi, step):
+                inner = dict(env)
+                inner[stmt.var] = v
+                _walk(stmt.body, inner, symbols, events)
+        else:
+            raise ExpandError(f"unsupported statement {stmt!r}")
+
+
+def reference_expand(checked: CheckedProgram) -> list:
+    """The events of `checked`, in program order, by walking its statements."""
+    events: list = []
+    _walk(checked.program.body, dict(checked.bindings), checked.symbols, events)
+    return events

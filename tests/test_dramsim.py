@@ -198,6 +198,9 @@ def test_schedule_tile_keeps_grouped_tiles_without_simulating():
     out = schedule_tile(grouped, cfg)
     assert out == grouped and out is not grouped
     assert all(a is b for a, b in zip(out, grouped))
+    # One same-row group: the input list itself comes back.
+    one_row = grouped[:2]
+    assert schedule_tile(one_row, cfg) is one_row
 
 
 @pytest.mark.parametrize("channels", [2, 4])

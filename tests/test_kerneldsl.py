@@ -18,6 +18,8 @@ from stacksim.kerneldsl.trace import ExpandError, byte_ranges
 from stacksim.tiler import infer_placement
 from stacksim.workloads import load_kernel
 
+from expand_reference import reference_expand
+
 CFG = ArchConfig()
 
 
@@ -338,11 +340,11 @@ def test_expand_refuses_a_trace_over_the_event_limit(monkeypatch):
     monkeypatch.setattr(trace_mod, "MAX_TRACE_EVENTS", limit)
     assert len(expand(checked).events) == limit
     monkeypatch.setattr(trace_mod, "MAX_TRACE_EVENTS", limit - 1)
-    walked = []
-    monkeypatch.setattr(trace_mod, "_walk", lambda *a: walked.append(a))
+    compiled = []
+    monkeypatch.setattr(trace_mod, "_compile", lambda *a: compiled.append(a))
     with pytest.raises(ExpandError, match="trace events"):
         expand(checked)
-    assert not walked  # refused before building any event
+    assert not compiled  # refused before compiling or building any event
 
 
 def test_full_width_tile_merges_to_one_run():
@@ -357,6 +359,73 @@ def test_expand_is_deterministic():
     prog = load_kernel("matmul")
     checked = typecheck(prog, CFG, dict(M=8, K=8, N=8, tM=4, tN=4, tK=4))
     assert expand(checked).events == expand(checked).events
+
+
+def _shipped_bindings(name):
+    """Many tilings of one shipped kernel: dividing and non-dividing tiles
+    (clipped edge tiles), unit and whole-extent tiles."""
+    if name == "fused_attention":  # gemm with transpose_b
+        return [dict(B=b, D=d, L=l, tL=t)
+                for b in (1, 4) for d in (8, 16) for l in (16, 40) for t in (3, 16, 40)]
+    return [dict(M=m, K=k, N=n, tM=tm, tN=tn, tK=tk)
+            for m, k, n in ((8, 12, 8), (6, 4, 4), (5, 7, 9))
+            for tm in (1, 3, m) for tn in (2, 5, n) for tk in (1, 4, k)]
+
+
+@pytest.mark.parametrize("name", ["matmul", "matmul_rowblock", "fused_attention"])
+def test_expand_matches_the_tree_walking_reference(name):
+    prog = load_kernel(name)
+    clipped = 0
+    for bind in _shipped_bindings(name):
+        checked = typecheck(prog, CFG, bind)
+        events = expand(checked).events
+        assert events == reference_expand(checked), bind
+        # A tensor read in tiles of more than one shape had an edge clipped.
+        shapes = {(e.tensor, tuple(hi - lo for lo, hi in e.slices))
+                  for e in events if isinstance(e, DramRead)}
+        clipped += len(shapes) > len({tensor for tensor, _ in shapes})
+    assert clipped
+
+
+def test_expand_scopes_loop_variables_like_the_reference():
+    # Loop bounds from an enclosing loop, a loop variable shadowing an
+    # outer one and then a parameter, and every arithmetic operator.
+    text = ("kernel k(M, N, t):\n"
+            "    X = tensor((M, N), fp16)\n"
+            "    x = alloc((t, N), fp16)\n"
+            "    y = alloc((1, N), fp16)\n"
+            "    for i in range(0, M, t):\n"
+            "        for j in range(i, M, t):\n"
+            "            copy(X[j:j+t, 0:N], x)\n"
+            "        for i in range(0, 2, 1):\n"
+            "            copy(X[i:i+1, 0:N], y)\n"
+            "        copy(x, X[i:i+t, 0:N])\n"
+            "        for M in range(1, 3, 1):\n"
+            "            copy(X[M * 2 // 2 % 3 - 1:M, N - N:N], y)\n")
+    for bind in (dict(M=7, N=4, t=3), dict(M=6, N=2, t=2), dict(M=3, N=1, t=5)):
+        checked = typecheck(parse_kernel(text), CFG, bind)
+        assert expand(checked).events == reference_expand(checked), bind
+
+
+@pytest.mark.parametrize("loop,ref", [
+    ("range(0, M + t, t)", "X[i:i+t, 0:N]"),  # one trip past the last row
+    ("range(0, M, t)", "X[i:i+t, N:2*N]"),     # loop-invariant bounds
+    ("range(0, M, t)", "X[i-1:i+t-1, 0:N]"),   # below zero on the first trip
+])
+def test_expand_refuses_an_out_of_bounds_slice_like_the_reference(loop, ref):
+    text = ("kernel k(M, N, t):\n"
+            "    X = tensor((M, N), fp16)\n"
+            "    x = alloc((t, N), fp16)\n"
+            f"    for i in {loop}:\n"
+            "        copy(x, X[i:i+t, 0:N])\n"
+            f"        copy({ref}, x)\n")
+    checked = typecheck(parse_kernel(text), CFG, dict(M=8, N=4, t=4))
+    with pytest.raises(ExpandError) as want:
+        reference_expand(checked)
+    with pytest.raises(ExpandError) as got:
+        expand(checked)
+    assert str(got.value) == str(want.value)
+    assert "out of bounds for 'X'" in str(got.value)
 
 
 @st.composite

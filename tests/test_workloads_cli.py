@@ -1,5 +1,7 @@
+import csv
 import glob
 import hashlib
+import io
 import os
 
 import pytest
@@ -428,3 +430,37 @@ def test_cli_trace_gen(tmp_path, capsys):
                "--context", "64", "--runs", "2", "--out", str(out), "--run"])
     assert rc == 0
     assert "mean utilization" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("dimension,value,reason", [
+    ("channels", "0", "channel count must be >= 1, got 0"),
+    ("channels", "-4", "channel count must be >= 1, got -4"),
+    ("logical_row", "0", "logical row must be >= 1 byte, got 0"),
+    ("matrix_vector_ratio", "-1", "matrix:vector ratio must be > 0, got -1"),
+    ("matrix_vector_ratio", "0", "matrix:vector ratio must be > 0, got 0"),
+    ("bandwidth_alloc", "0", "channel.io_pins must be positive (got 0)"),
+])
+def test_cli_sweep_writes_an_invalid_row_for_a_bad_value(tmp_path, dimension, value, reason):
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", dimension, value, "--out", str(out)]) == 0
+    rows = list(csv.DictReader(io.StringIO(out.read_text())))
+    assert [(r["dimension"], r["value"], r["status"]) for r in rows] == [
+        (dimension, value, "invalid: " + reason)]
+
+
+def test_cli_tune_rejects_a_zero_extent(capsys):
+    assert main(["tune", "--kernel", "matmul", "--bind", "M=0", "K=8", "N=8"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: tiling extent M must be >= 1, got 0\n"
+    assert "best tiling" not in captured.out
+
+
+@pytest.mark.parametrize("flags,reason", [
+    (["--runs", "0", "--run"], "runs must be >= 1, got 0"),
+    (["--context", "0"], "context must be >= 1, got 0"),
+])
+def test_cli_trace_gen_paged_attention_rejects_bad_counts(capsys, flags, reason):
+    assert main(["trace-gen", "paged_attention", *flags]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {reason}\n"
+    assert captured.out == ""

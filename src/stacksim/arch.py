@@ -231,6 +231,10 @@ def validate(cfg: ArchConfig) -> list[str]:
     if cfg.lb.C < 1:
         v.append("lb.C >= 1")
     positive(cfg.channel.io_pins, "channel.io_pins")
+    if cfg.channel.io_pins > 0 and cfg.channel.io_pins % 8:
+        # A burst moves io_pins // 8 bytes per beat; the advertised
+        # bandwidth counts io_pins / 8.
+        v.append(f"channel.io_pins must be a multiple of 8 (got {cfg.channel.io_pins})")
     positive(cfg.channel.pin_rate_gbps, "channel.pin_rate_gbps")
     if not 0 <= cfg.channel.interleave_log2 <= 10:
         v.append(f"channel.interleave_log2 in [0, 10] (got {cfg.channel.interleave_log2})")

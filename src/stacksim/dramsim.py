@@ -9,10 +9,11 @@ row index increments.
 
 Command timing protocol (all times in DRAM-clock cycles):
 
-* A request is the named tuple `Request(ready, kind, addr, bytes)`, and it
-  must lie inside the core's capacity. The front end splits each byte
-  range into per-channel chunks, each confined to one logical row and
-  transferred as ceil(len / burst_bytes) bursts.
+* A request is any `(ready, kind, addr, bytes)` tuple, and it must lie
+  inside the core's capacity. `Request` is the named tuple that names
+  these fields, for traces that users build and read. The front end
+  splits each byte range into per-channel chunks, each confined to one
+  logical row and transferred as ceil(len / burst_bytes) bursts.
 * Channels are independent: each services its own chunks in issue order,
   and its state depends on nothing else, so `DramSystem.drain` services
   one channel's queue after another.
@@ -136,7 +137,7 @@ class DramSystem:
                           cfg.logical_row_bytes, cfg.core.channels,
                           cfg.channel_capacity_bytes * cfg.core.channels)
 
-    def drain(self, requests: list[Request]) -> int:
+    def drain(self, requests: list) -> int:
         """Service `requests`; returns the last completion among them.
 
         Each channel services its chunks in issue order. A channel's state
@@ -247,12 +248,12 @@ class DramSystem:
                 completion = last_done
         return completion
 
-    def run(self, requests: list[Request]) -> int:
+    def run(self, requests: list) -> int:
         """Service `requests`; returns the last completion among them."""
         return self.drain(requests)
 
 
-def schedule_tile(requests: list[Request], cfg: ArchConfig) -> list[Request]:
+def schedule_tile(requests: list, cfg: ArchConfig) -> list:
     """Order one work item's requests same-row first.
 
     One pass buckets the requests by the (channel, row) of each request's
@@ -263,10 +264,11 @@ def schedule_tile(requests: list[Request], cfg: ArchConfig) -> list[Request]:
     ib = cfg.channel.interleave_bytes
     row_bytes = cfg.logical_row_bytes
     chans = cfg.core.channels
-    groups: dict[tuple[int, int], list] = {}
+    # (channel, row) as one int: row * chans + channel.
+    groups: dict[int, list] = {}
     for req in requests:
-        run, offset = divmod(req.addr, ib)
-        location = (run % chans, ((run // chans) * ib + offset) // row_bytes)
+        run, offset = divmod(req[2], ib)
+        location = ((run // chans) * ib + offset) // row_bytes * chans + run % chans
         group = groups.get(location)
         if group is None:
             groups[location] = [req]

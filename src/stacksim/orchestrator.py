@@ -7,7 +7,9 @@ equally sized shards), collectives replay their explicit send/recv schedules
 on the mesh, and inter-accelerator transfers use the analytic link model.
 Operators are separated by global barriers; inside an operator, each pipeline
 iteration advances time by the slowest engine, so overlapped loads and
-compute cost max(load, compute) rather than their sum.
+compute cost max(load, compute) rather than their sum. `simulate_compute`
+walks a body's events once, costing compute, issuing DRAM requests and
+summing the operator's totals in the same pass.
 
 Because of the barriers, every operator starts on fresh DRAM channel state
 and an empty mesh, so its cycles and statistics depend only on what it runs
@@ -26,15 +28,13 @@ import math
 from dataclasses import dataclass, field
 
 from .arch import ArchConfig, matrix_flops_per_cycle, peak_dram_bytes_per_cycle
-from .dramsim import DramSystem, Request, schedule_tile, stats as dram_stats
+from .dramsim import DramSystem, schedule_tile, stats as dram_stats
 from .kerneldsl.checker import CheckedProgram
-from .kerneldsl.trace import (
-    DramRead, DramWrite, MatrixWork, VectorWork, event_totals,
-)
+from .kerneldsl.trace import DramRead, DramWrite, MatrixWork, event_totals
 from .logicsim import matrix_cost, vector_cost
 from .nocsim import run_plan
 from .partition import CommPlan, CoreArray
-from .tiler import ComputeBody, ExecutionDescription, TensorPlacement
+from .tiler import ComputeBody, ExecutionDescription
 
 
 @dataclass(frozen=True)
@@ -115,21 +115,6 @@ class SimReport:
         return buf.getvalue()
 
 
-def dram_requests(events, placement: TensorPlacement, ready: int) -> list[Request]:
-    """The DRAM requests of the reads and writes among `events`, in order."""
-    reqs = []
-    for e in events:
-        if isinstance(e, DramRead):
-            kind = "R"
-        elif isinstance(e, DramWrite):
-            kind = "W"
-        else:
-            continue
-        base = placement.tensors[e.tensor].base_address
-        reqs.extend([Request(ready, kind, base + off, length) for off, length in e.ranges])
-    return reqs
-
-
 def _roofline(m_flops: int, dram_bytes: int, cfg: ArchConfig) -> int:
     compute = math.ceil(m_flops / matrix_flops_per_cycle(cfg.core))
     traffic = math.ceil(dram_bytes / peak_dram_bytes_per_cycle(cfg))
@@ -143,36 +128,66 @@ def roofline_cycles(checked: CheckedProgram, desc: ExecutionDescription) -> int:
     return _roofline(m_flops, dram_bytes, checked.cfg)
 
 
+_DRAM_KINDS = {DramRead: "R", DramWrite: "W"}
+
+
+def _work_cost(e, core) -> tuple[int, int, int]:
+    """(latency cycles, matrix FLOPs, vector elements) of one work event."""
+    if isinstance(e, MatrixWork):
+        cost = matrix_cost(e.m, e.n, e.k, e.dtype_bytes, core, accumulate=e.accumulate)
+        return cost.latency_cycles, 2 * e.m * e.n * e.k, 0
+    return vector_cost(e.kind, e.elems, e.dtype_bytes, core).latency_cycles, 0, e.elems
+
+
 def simulate_compute(op: ComputeOp, cfg: ArchConfig) -> OperatorResult:
-    """Execute one pipelined kernel on a representative core."""
+    """Execute one pipelined kernel on a representative core.
+
+    One walk over the events costs each iteration's compute, builds its
+    DRAM requests as plain (ready, kind, addr, bytes) tuples and adds up
+    the operator's totals. Work events of one shape cost the same, so each
+    distinct shape is costed once per call.
+    """
     body = op.body
+    core = cfg.core
     dram = DramSystem(cfg)
-    now = 0
+    bases = {name: t.base_address for name, t in body.placement.tensors.items()}
+    # Work shape -> _work_cost. A matrix key has five fields and a vector
+    # key three, so the two kinds never share a key.
+    costs: dict = {}
+    now = m_flops = v_elems = dram_bytes = 0
     for it in body.desc.iterations:
         compute_cycles = 0
+        reqs = []
         for e in it:
+            kind = _DRAM_KINDS.get(type(e))
+            if kind is not None:
+                base = bases[e.tensor]
+                reqs += [(now, kind, base + off, length) for off, length in e.ranges]
+                dram_bytes += e.bytes
+                continue
             if isinstance(e, MatrixWork):
-                cost = matrix_cost(e.m, e.n, e.k, e.dtype_bytes, cfg.core,
-                                   accumulate=e.accumulate)
-                compute_cycles += cost.latency_cycles
-            elif isinstance(e, VectorWork):
-                cost = vector_cost(e.kind, e.elems, e.dtype_bytes, cfg.core)
-                compute_cycles += cost.latency_cycles
+                key = (e.m, e.n, e.k, e.dtype_bytes, e.accumulate)
+            else:
+                key = (e.kind, e.elems, e.dtype_bytes)
+            cost = costs.get(key)
+            if cost is None:
+                costs[key] = cost = _work_cost(e, core)
+            compute_cycles += cost[0]
+            m_flops += cost[1]
+            v_elems += cost[2]
         mem_done = now
-        reqs = dram_requests(it, body.placement, now)
         if reqs:
             mem_done = dram.run(schedule_tile(reqs, cfg))
         now = max(mem_done, now + compute_cycles)
     cycles = now
-    m_flops, v_flops, dram_bytes = event_totals(body.desc.events())
     bound = _roofline(m_flops, dram_bytes, cfg)
     d = dram_stats(dram)
     en = cfg.energy
     energy = {"dram": dram_bytes * 8 * en.dram_pj_per_bit * 1e-12,
-              "compute": (m_flops + v_flops) * en.flop_pj * 1e-12}
+              "compute": (m_flops + v_elems) * en.flop_pj * 1e-12}
     return OperatorResult(
         op.name, "compute", cycles, dram_bytes=dram_bytes,
-        matrix_flops=m_flops, vector_flops=v_flops,
+        matrix_flops=m_flops, vector_flops=v_elems,
         utilization=bound / cycles if cycles else 1.0,
         dram_utilization=d["utilization"], row_hit_rate=d["row_hit_rate"],
         energy=energy)

@@ -189,7 +189,9 @@ def tiling_candidates(prog: KernelProgram, bindings: dict[str, int],
         return [{}]
     spaces = []
     for p in tiling_params:
-        extent = bindings[p[1:]]
+        extent = bindings.get(p[1:])
+        if extent is None:
+            raise TilerError(f"tiling extent {p[1:]} is not bound")
         if extent < 1:
             raise TilerError(f"tiling extent {p[1:]} must be >= 1, got {extent}")
         spaces.append(_candidate_values(extent))

@@ -14,10 +14,10 @@ from .dramsim import Request
 from .kerneldsl.ast import DTYPE_BYTES, KernelProgram
 from .kerneldsl.checker import typecheck
 from .kerneldsl.parser import parse_kernel
-from .kerneldsl.trace import event_totals, expand
-from .orchestrator import CollectiveOp, ComputeOp, InterAccelOp, dram_requests
+from .kerneldsl.trace import DramRead, DramWrite, event_totals, expand
+from .orchestrator import CollectiveOp, ComputeOp, InterAccelOp
 from .partition import CoreArray, build_collective
-from .tiler import build_body, infer_placement
+from .tiler import TensorPlacement, build_body, infer_placement
 
 
 class WorkloadError(ValueError):
@@ -255,6 +255,21 @@ def graph_totals(ops: list) -> dict:
 
 
 # --- DRAM microbenchmarks -------------------------------------------------
+
+def dram_requests(events, placement: TensorPlacement, ready: int) -> list[Request]:
+    """The DRAM requests of the reads and writes among `events`, in order."""
+    reqs = []
+    for e in events:
+        if isinstance(e, DramRead):
+            kind = "R"
+        elif isinstance(e, DramWrite):
+            kind = "W"
+        else:
+            continue
+        base = placement.tensors[e.tensor].base_address
+        reqs.extend([Request(ready, kind, base + off, length) for off, length in e.ranges])
+    return reqs
+
 
 def gen_gemm_benchmark(cfg: ArchConfig, M: int = 64, K: int = 8192, N: int = 8192,
                        tiling: dict[str, int] | None = None) -> list[Request]:

@@ -3,7 +3,8 @@
 The tree walker `expand` used before it compiled loop nests: every trip of
 every loop copies the environment, and every slice bound is evaluated by
 walking its expression tree. Only `byte_ranges` (the byte-run routine) and
-the event types are shared with production code. Intended for small traces.
+the event types are shared with production code. Intended for small traces,
+such as the shipped kernels at the tilings `shipped_bindings` lists.
 """
 
 from __future__ import annotations
@@ -99,3 +100,14 @@ def reference_expand(checked: CheckedProgram) -> list:
     events: list = []
     _walk(checked.program.body, dict(checked.bindings), checked.symbols, events)
     return events
+
+
+def shipped_bindings(name: str) -> list[dict[str, int]]:
+    """Many tilings of one shipped kernel: dividing and non-dividing tiles
+    (clipped edge tiles), unit and whole-extent tiles."""
+    if name == "fused_attention":  # gemm with transpose_b
+        return [dict(B=b, D=d, L=l, tL=t)
+                for b in (1, 4) for d in (8, 16) for l in (16, 40) for t in (3, 16, 40)]
+    return [dict(M=m, K=k, N=n, tM=tm, tN=tn, tK=tk)
+            for m, k, n in ((8, 12, 8), (6, 4, 4), (5, 7, 9))
+            for tm in (1, 3, m) for tn in (2, 5, n) for tk in (1, 4, k)]

@@ -6,6 +6,11 @@ missing (`DramSystem.run`, `stats`, `orchestrator.run`, `sweep.sweep`,
 `roofline_cycles`, the `--thermal-resolution` flag). So every workload that
 `BENCHMARK.json` declares runs once here, as one repetition of the
 benchmark runs it, and must report no error and no failed operation.
+
+The traced run skips a span whose target no longer exists, so its metrics
+go missing without an error. Every workload therefore also runs once
+traced, and must report the self time of every span `perfbench/layers.py`
+declares.
 """
 
 import json
@@ -21,12 +26,11 @@ ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = [w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
 
 
-@pytest.mark.parametrize("workload", WORKLOADS)
-def test_bench_workload_runs_without_error_or_failure(workload, tmp_path):
+def _run_child(workload, trace, tmp_path) -> dict:
     out = tmp_path / "result.json"
     proc = subprocess.run(
         [sys.executable, str(ROOT / "perfbench" / "child.py"), "--workload", workload,
-         "--seed", "1", "--trace", "0", "--t0", repr(time.monotonic()),
+         "--seed", "1", "--trace", str(trace), "--t0", repr(time.monotonic()),
          "--tmp", str(tmp_path), "--out", str(out)],
         cwd=ROOT, env=dict(os.environ, PYTHONDONTWRITEBYTECODE="1"),
         capture_output=True, text=True, timeout=300)
@@ -35,3 +39,27 @@ def test_bench_workload_runs_without_error_or_failure(workload, tmp_path):
     assert "error" not in result, result["error"]
     assert result["attempted"] > 0
     assert result["failed"] == 0, result["failures"]
+    return result
+
+
+def _declared_spans() -> list[str]:
+    """The span names of `perfbench/layers.py`, which imports its tracer
+    by plain module name from its own directory."""
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    try:
+        from layers import SPANS
+    finally:
+        sys.path.remove(str(ROOT / "perfbench"))
+    return [name for name, _ in SPANS]
+
+
+@pytest.mark.parametrize("workload", WORKLOADS)
+def test_bench_workload_runs_without_error_or_failure(workload, tmp_path):
+    _run_child(workload, 0, tmp_path)
+
+
+@pytest.mark.parametrize("workload", WORKLOADS)
+def test_bench_workload_traced_reports_every_span(workload, tmp_path):
+    layers = _run_child(workload, 1, tmp_path)["layers"]
+    missing = [name for name in _declared_spans() if f"{name}.self_s" not in layers]
+    assert not missing, f"spans dropped by the tracer: {missing}"

@@ -18,7 +18,7 @@ from stacksim.kerneldsl.trace import ExpandError, byte_ranges
 from stacksim.tiler import infer_placement
 from stacksim.workloads import load_kernel
 
-from expand_reference import reference_expand
+from expand_reference import reference_expand, shipped_bindings
 
 CFG = ArchConfig()
 
@@ -361,22 +361,11 @@ def test_expand_is_deterministic():
     assert expand(checked).events == expand(checked).events
 
 
-def _shipped_bindings(name):
-    """Many tilings of one shipped kernel: dividing and non-dividing tiles
-    (clipped edge tiles), unit and whole-extent tiles."""
-    if name == "fused_attention":  # gemm with transpose_b
-        return [dict(B=b, D=d, L=l, tL=t)
-                for b in (1, 4) for d in (8, 16) for l in (16, 40) for t in (3, 16, 40)]
-    return [dict(M=m, K=k, N=n, tM=tm, tN=tn, tK=tk)
-            for m, k, n in ((8, 12, 8), (6, 4, 4), (5, 7, 9))
-            for tm in (1, 3, m) for tn in (2, 5, n) for tk in (1, 4, k)]
-
-
 @pytest.mark.parametrize("name", ["matmul", "matmul_rowblock", "fused_attention"])
 def test_expand_matches_the_tree_walking_reference(name):
     prog = load_kernel(name)
     clipped = 0
-    for bind in _shipped_bindings(name):
+    for bind in shipped_bindings(name):
         checked = typecheck(prog, CFG, bind)
         events = expand(checked).events
         assert events == reference_expand(checked), bind

@@ -1,12 +1,14 @@
 import dataclasses
 import math
+import random
 from importlib import resources
 
 import pytest
 
 from stacksim.arch import ArchConfig, InterAccelSpec, load_arch
-from stacksim.dramsim import DramSystem, Request
+from stacksim.dramsim import DramSystem, Request, schedule_tile, stats
 from stacksim.kerneldsl import parse_kernel, typecheck
+from stacksim.logicsim import matrix_cost, vector_cost
 from stacksim.orchestrator import (
     CollectiveOp, ComputeBody, ComputeOp, InterAccelOp, inter_accel_cycles,
     inter_accel_latency, roofline_cycles, run, simulate_compute,
@@ -16,6 +18,10 @@ from stacksim.tiler import ExecutionDescription, build_body, infer_placement
 from stacksim.workloads import (
     DecodingScenario, build_decoding_graph, load_kernel, load_model,
 )
+
+from compute_reference import reference_simulate_compute
+from dram_reference import reference_run, reference_schedule
+from expand_reference import shipped_bindings
 
 CFG = ArchConfig()
 
@@ -62,7 +68,6 @@ def test_pipeline_overlap_bounds():
     load_cycles = []
     compute_cycles = []
     from stacksim.kerneldsl import DramRead, MatrixWork
-    from stacksim.logicsim import matrix_cost
     for it in its:
         loads = sum(e.bytes for e in it if isinstance(e, DramRead))
         comp = sum(matrix_cost(e.m, e.n, e.k, 2, CFG.core, e.accumulate).latency_cycles
@@ -239,3 +244,98 @@ def test_report_deterministic_and_csv():
 def test_run_rejects_unknown_operator():
     with pytest.raises(TypeError):
         run([object()], CFG)
+
+
+# --- the one-walk simulate_compute against the three-walk reference --------
+
+def _assert_matches_reference(op, cfg):
+    res = simulate_compute(op, cfg)
+    assert res == reference_simulate_compute(op, cfg), (op.name, op.checked.bindings)
+    return res
+
+
+def test_simulate_compute_matches_the_reference_on_the_sweep(monkeypatch):
+    # Every probe tiling the bandwidth_alloc sweep simulates, at the
+    # regulated clock of each of its four configs.
+    from stacksim import sweep as sweep_mod
+    simulated = []
+
+    def checked(op, cfg):
+        simulated.append(cfg.channel.io_pins)
+        return _assert_matches_reference(op, cfg)
+
+    monkeypatch.setattr(sweep_mod, "simulate_compute", checked)
+    grid = [512, 1024, 2048, 4096]
+    rows = sweep_mod.sweep("bandwidth_alloc", grid, CFG)
+    assert [r["status"] for r in rows] == ["ok"] * 4
+    assert sorted(set(simulated)) == grid and len(simulated) == 4 * 36
+    assert len({r["frequency_ghz"] for r in rows}) > 1  # some clock was lowered
+
+
+@pytest.mark.parametrize("name", ["matmul", "matmul_rowblock", "fused_attention"])
+def test_simulate_compute_matches_the_reference_on_shipped_kernels(name):
+    prog = load_kernel(name)
+    for bind in shipped_bindings(name):
+        _assert_matches_reference(ComputeOp(name, build_body(prog, CFG, bind)), CFG)
+
+
+@pytest.mark.parametrize("model", ["llama3.2-1b", "mixtral-8x22b"])
+def test_simulate_compute_matches_the_reference_on_a_model_layer(model):
+    ops = build_decoding_graph(load_model(model), DecodingScenario(batch=16, context=1024),
+                               CFG, layers=1)
+    bodies = {op.body: op for op in ops if isinstance(op, ComputeOp)}
+    kinds = set()
+    for op in bodies.values():
+        res = _assert_matches_reference(op, CFG)
+        kinds.update(k for k in ("matrix_flops", "vector_flops", "dram_bytes")
+                     if getattr(res, k))
+    assert kinds == {"matrix_flops", "vector_flops", "dram_bytes"}
+
+
+def test_simulate_compute_costs_work_by_every_field_the_cost_reads():
+    # SRAM-bound engines, so an accumulating gemm and an fp32 vector op cost
+    # more than the same shapes without accumulation and in fp16.
+    cfg = dataclasses.replace(CFG, core=dataclasses.replace(CFG.core, sram_bytes_per_cycle=64))
+    text = ("kernel k(N):\n"
+            "    X = tensor((N, N), fp16)\n"
+            "    x = alloc((N, N), fp16)\n"
+            "    y = alloc((N, N), fp16)\n"
+            "    z = alloc((N, N), fp32)\n"
+            "    for i in range(0, 2, 1):\n"
+            "        copy(X, x)\n"
+            "        gemm(x, x, y)\n"
+            "        gemm(x, x, y, accumulate=True)\n"
+            "        exp(y, y)\n"
+            "        exp(z, z)\n")
+    op = ComputeOp("k", build_body(parse_kernel(text), cfg, {"N": 16}))
+    res = _assert_matches_reference(op, cfg)
+    assert res.vector_flops == 4 * 16 * 16
+    core = cfg.core
+    assert matrix_cost(16, 16, 16, 2, core).latency_cycles \
+        < matrix_cost(16, 16, 16, 2, core, accumulate=True).latency_cycles
+    assert vector_cost("exp", 256, 2, core).latency_cycles \
+        < vector_cost("exp", 256, 4, core).latency_cycles
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_dram_model_takes_plain_tuples_like_requests(seed):
+    # simulate_compute hands schedule_tile and drain plain tuples; users
+    # hand them Requests. Both give the reference model's result.
+    rng = random.Random(seed)
+    cfg = dataclasses.replace(CFG, channel=dataclasses.replace(CFG.channel,
+                                                               interleave_log2=1))
+    row = cfg.logical_row_bytes * cfg.core.channels  # one row on every channel
+    reqs = [Request(rng.randrange(0, 40), rng.choice("RW"),
+                    rng.choice((0, 3, 5)) * row + rng.randrange(0, 4 * 1024),
+                    rng.randint(1, 300))
+            for _ in range(40)]
+    plain = [tuple(r) for r in reqs]
+    assert all(type(t) is tuple for t in plain)
+    ordered = schedule_tile(plain, cfg)
+    assert ordered != plain and ordered == reference_schedule(reqs, cfg)
+    assert [tuple(r) for r in schedule_tile(reqs, cfg)] == ordered
+    system, named = DramSystem(cfg), DramSystem(cfg)
+    done = system.drain(ordered)
+    assert done == named.drain(reference_schedule(reqs, cfg)) \
+        == reference_run(reference_schedule(reqs, cfg), cfg)
+    assert stats(system) == stats(named)

@@ -3,6 +3,7 @@ import glob
 import hashlib
 import io
 import os
+from importlib import resources
 
 import pytest
 
@@ -439,6 +440,7 @@ def test_cli_trace_gen(tmp_path, capsys):
     ("matrix_vector_ratio", "-1", "matrix:vector ratio must be > 0, got -1"),
     ("matrix_vector_ratio", "0", "matrix:vector ratio must be > 0, got 0"),
     ("bandwidth_alloc", "0", "channel.io_pins must be positive (got 0)"),
+    ("bandwidth_alloc", "3", "channel.io_pins must be a multiple of 8 (got 3)"),
 ])
 def test_cli_sweep_writes_an_invalid_row_for_a_bad_value(tmp_path, dimension, value, reason):
     out = tmp_path / "sweep.csv"
@@ -453,6 +455,30 @@ def test_cli_tune_rejects_a_zero_extent(capsys):
     captured = capsys.readouterr()
     assert captured.err == "error: tiling extent M must be >= 1, got 0\n"
     assert "best tiling" not in captured.out
+
+
+def test_cli_tune_rejects_an_unbound_extent(capsys):
+    assert main(["tune", "--kernel", "matmul", "--bind", "M=8", "K=8"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: tiling extent N is not bound\n"
+    assert "best tiling" not in captured.out
+
+
+@pytest.mark.parametrize("command", [
+    ["validate"],
+    ["simulate", "--model", "llama3.2-1b", "--layers", "1"],
+    ["trace-gen", "gemm_tile", "--run"],
+])
+def test_cli_rejects_io_pins_that_are_not_whole_bytes(tmp_path, capsys, command):
+    # Three pins make a zero-byte burst, which no DRAM timing can move.
+    default = resources.files("stacksim").joinpath("configs/default.yaml").read_text()
+    assert "io_pins: 1024" in default
+    path = tmp_path / "pins3.yaml"
+    path.write_text(default.replace("io_pins: 1024", "io_pins: 3"))
+    assert main([*command, "--config", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: channel.io_pins must be a multiple of 8 (got 3)\n"
+    assert captured.out == ""
 
 
 @pytest.mark.parametrize("flags,reason", [

@@ -277,14 +277,23 @@ def validate(cfg: ArchConfig) -> list[str]:
 _SIZE_SUFFIXES = {"bytes": 1, "kb": 1024, "mb": 1024 * 1024, "gb": 1024**3}
 
 
-def _take_size(sect: dict, base: str, default=None):
+def _check_value(value, type_name: str, where: str):
+    """Refuse a value an int, float or bool field cannot take; a bool is an
+    int to Python, so int and float fields refuse it explicitly."""
+    want = {"int": int, "float": (int, float), "bool": bool}.get(type_name)
+    if want is not None and (not isinstance(value, want)
+                             or (isinstance(value, bool) and type_name != "bool")):
+        raise ArchError(f"{where} must be {type_name}, got {value!r}")
+
+
+def _take_size(sect: dict, base: str, default: int, path: str) -> int:
     """Read `<base>_bytes` or a `<base>_kb`/`_mb`/`_gb` convenience form."""
     for suffix, mult in _SIZE_SUFFIXES.items():
         key = f"{base}_{suffix}"
         if key in sect:
-            return int(sect.pop(key) * mult)
-    if default is None:
-        raise ArchError(f"missing mandatory field: {base}_bytes")
+            value = sect.pop(key)
+            _check_value(value, "int" if mult == 1 else "float", f"{path}.{key}")
+            return int(value * mult)
     return default
 
 
@@ -293,6 +302,9 @@ def _build(cls, sect: dict, path: str):
     bad = set(sect) - known
     if bad:
         raise ArchError(f"unknown field(s) in {path}: {sorted(bad)}")
+    for f in dataclasses.fields(cls):
+        if f.name in sect:
+            _check_value(sect[f.name], f.type, f"{path}.{f.name}")
     return cls(**sect)
 
 
@@ -315,12 +327,9 @@ def parse_arch(text: str) -> ArchConfig:
 
     dram = dict(doc.pop("dram"))
     pb_sect = dict(dram.pop("physical_bank", {}))
-    pb = PhysicalBankSpec(
-        row_size_bytes=_take_size(pb_sect, "row_size", PhysicalBankSpec.row_size_bytes),
-        row_count=int(pb_sect.pop("row_count", PhysicalBankSpec.row_count)),
-    )
-    if pb_sect:
-        raise ArchError(f"unknown field(s) in dram.physical_bank: {sorted(pb_sect)}")
+    pb_sect["row_size_bytes"] = _take_size(
+        pb_sect, "row_size", PhysicalBankSpec.row_size_bytes, "dram.physical_bank")
+    pb = _build(PhysicalBankSpec, pb_sect, "dram.physical_bank")
     lb = _build(LogicalBankSpec, dram.pop("logical_bank", {}), "dram.logical_bank")
     channel = _build(ChannelSpec, dram.pop("channel", {}), "dram.channel")
     timing = _build(DramTiming, dram.pop("timing", {}), "dram.timing")
@@ -328,8 +337,7 @@ def parse_arch(text: str) -> ArchConfig:
         raise ArchError(f"unknown field(s) in dram: {sorted(dram)}")
 
     core_sect = dict(doc.pop("core"))
-    sram_bytes = _take_size(core_sect, "sram", CoreSpec.sram_bytes)
-    core_sect["sram_bytes"] = sram_bytes
+    core_sect["sram_bytes"] = _take_size(core_sect, "sram", CoreSpec.sram_bytes, "core")
     core = _build(CoreSpec, core_sect, "core")
 
     noc = _build(NocSpec, doc.pop("noc", {}), "noc")
@@ -341,9 +349,11 @@ def parse_arch(text: str) -> ArchConfig:
     for entry in th_sect.pop("layers", []):
         entry = dict(entry)
         if "thickness_um" in entry:
+            _check_value(entry["thickness_um"], "float", "thermal.layers[].thickness_um")
             entry["thickness_m"] = entry.pop("thickness_um") * 1e-6
         layers.append(_build(LayerSpec, entry, "thermal.layers[]"))
     if "chip_area_mm2" in th_sect:
+        _check_value(th_sect["chip_area_mm2"], "float", "thermal.chip_area_mm2")
         th_sect["chip_area_m2"] = th_sect.pop("chip_area_mm2") * 1e-6
     th_sect["layers"] = tuple(layers)
     stack = _build(StackDescription, th_sect, "thermal")

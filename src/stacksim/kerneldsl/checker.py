@@ -1,4 +1,9 @@
-"""Shape/residency checking of kernel programs against a hardware config."""
+"""Shape/residency checking of kernel programs against a hardware config.
+
+`typecheck` alone decides what fits a core: the allocs plus a second copy of
+each buffer a DRAM-to-SRAM `copy` fills (the pipeline's load in flight) fit
+SRAM, and the tensors, each padded to whole logical rows, fit its DRAM.
+"""
 
 from __future__ import annotations
 
@@ -132,16 +137,24 @@ def _eval_shape(decl, env: dict) -> tuple[int, ...]:
     return tuple(dims)
 
 
+def padded_bytes(info: SymbolInfo, cfg: ArchConfig) -> int:
+    """A DRAM tensor's size rounded up to whole logical rows."""
+    row = cfg.logical_row_bytes
+    return -(-info.size_bytes // row) * row
+
+
 def _check_block(stmts: tuple[Stmt, ...], loop_env: dict, env: dict,
-                 symbols: dict, inferred: dict) -> int:
-    """Check `stmts` under `loop_env`, declaring into `symbols`; returns the
+                 symbols: dict, inferred: dict, loads: set) -> int:
+    """Check `stmts` under `loop_env`, declaring into `symbols` and adding
+    to `loads` each SRAM buffer that a DRAM-to-SRAM copy fills; returns the
     number of trace events they expand to.
 
     Each loop body is checked once, with the loop variable at its lower
-    bound, and counts once per trip. Declared shapes see only the kernel
-    parameters in `env`. A module-level function rather than a closure
-    inside `typecheck`: a recursive closure is a reference cycle, left for
-    the cyclic garbage collector after every call.
+    bound, and counts once per trip; a loop of no trips loads nothing.
+    Declared shapes see only the kernel parameters in `env`. A module-level
+    function rather than a closure inside `typecheck`: a recursive closure
+    is a reference cycle, left for the cyclic garbage collector after every
+    call.
     """
     events = 0
     for stmt in stmts:
@@ -165,6 +178,8 @@ def _check_block(stmts: tuple[Stmt, ...], loop_env: dict, env: dict,
             dst_k = symbols[stmt.dst.name].kind
             if (src_k, dst_k) == ("tensor", "tensor"):
                 raise TypecheckError("copy cannot move DRAM to DRAM directly", stmt.line)
+            if (src_k, dst_k) == ("tensor", "alloc"):
+                loads.add(stmt.dst.name)
             events += 1
         elif isinstance(stmt, Gemm):
             for ref in (stmt.a, stmt.b, stmt.out):
@@ -207,8 +222,9 @@ def _check_block(stmts: tuple[Stmt, ...], loop_env: dict, env: dict,
                 raise TypecheckError("loop step must be positive", stmt.line)
             inner = dict(loop_env)
             inner[stmt.var] = lo
-            events += len(range(lo, hi, step)) * _check_block(
-                stmt.body, inner, env, symbols, inferred)
+            trips = len(range(lo, hi, step))
+            events += trips * _check_block(
+                stmt.body, inner, env, symbols, inferred, loads if trips else set())
         else:
             raise TypecheckError(f"unsupported statement {stmt!r}")
     return events
@@ -225,17 +241,19 @@ def typecheck(prog: KernelProgram, cfg: ArchConfig, bindings: dict[str, int]) ->
         raise TypecheckError(f"unbound kernel parameter(s): {missing}")
     env = dict(bindings)
     symbols: dict[str, SymbolInfo] = {}
+    loads: set[str] = set()
     try:
-        events = _check_block(prog.body, env, env, symbols, _infer_layouts(prog.body))
+        events = _check_block(prog.body, env, env, symbols, _infer_layouts(prog.body), loads)
     except RecursionError:  # an expression the parser built but `evaluate` cannot walk
         raise TypecheckError("expression nested too deeply to evaluate") from None
 
-    sram_total = sum(s.size_bytes for s in symbols.values() if s.kind == "alloc")
+    sram_total = sum(s.size_bytes for s in symbols.values() if s.kind == "alloc") \
+        + sum(symbols[b].size_bytes for b in loads)
     if sram_total > cfg.core.sram_bytes:
         raise TypecheckError(
-            f"SRAM over capacity: allocs need {sram_total} bytes, "
-            f"core has {cfg.core.sram_bytes}")
-    dram_total = sum(s.size_bytes for s in symbols.values() if s.kind == "tensor")
+            f"SRAM over capacity: allocs and load double buffers need {sram_total} "
+            f"bytes, core has {cfg.core.sram_bytes}")
+    dram_total = sum(padded_bytes(s, cfg) for s in symbols.values() if s.kind == "tensor")
     core_capacity = cfg.channel_capacity_bytes * cfg.core.channels
     if dram_total > core_capacity:
         raise TypecheckError(

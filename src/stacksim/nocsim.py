@@ -27,6 +27,8 @@ from .partition import CommPlan, CoreArray, logical_to_physical
 LOCAL = 4
 DIRS = ("N", "E", "S", "W")  # port index 0..3; 4 = local/eject
 _OFFS = {"N": (-1, 0), "E": (0, 1), "S": (1, 0), "W": (0, -1)}
+# The most cycles one mesh simulation may run before it is declared stuck.
+MAX_CYCLES = 10_000_000
 
 
 def zero_load_latency(src: tuple[int, int], dst: tuple[int, int],
@@ -45,7 +47,6 @@ class Packet:
     dst: tuple[int, int]
     bytes: int
     pid: int = -1
-    inject_cycle: int = -1
     complete_cycle: int = -1
 
     def flit_count(self, link_bytes: int) -> int:
@@ -132,7 +133,6 @@ class MeshSim:
                                  f"{self.rows}x{self.cols} mesh")
         pkt.pid = self._next_pid
         self._next_pid += 1
-        pkt.inject_cycle = cycle
         self.packets[pkt.pid] = pkt
         flits = pkt.flit_count(self.cfg.noc.link_bytes_per_cycle)
         if flits == 0 or pkt.src == pkt.dst:
@@ -229,10 +229,10 @@ class MeshSim:
         # Every injected flit is in a queue or on a link until it is ejected.
         return not self._pending_inject and self.injected_flits == self.ejected_flits
 
-    def run_until_drained(self, limit: int = 10_000_000) -> int:
-        """Tick until idle; `limit` bounds the simulated cycles."""
+    def run_until_drained(self) -> int:
+        """Tick until idle, for at most `MAX_CYCLES` simulated cycles."""
         while not self.idle():
-            if self.now > limit:
+            if self.now > MAX_CYCLES:
                 raise RuntimeError("NoC simulation did not drain")
             self.tick()
         return max((p.complete_cycle for p in self.packets.values()), default=0)

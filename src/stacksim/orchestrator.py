@@ -2,7 +2,7 @@
 
 Runs an operator graph on one accelerator: compute operators execute the
 pipelined execution of their body (built by `tiler.build_body`) against its
-tensor placement on a representative core (all cores run the same program on
+tensor base addresses on a representative core (all cores run the same program on
 equally sized shards), collectives replay their explicit send/recv schedules
 on the mesh, and inter-accelerator transfers use the analytic link model.
 Operators are separated by global barriers; inside an operator, each pipeline
@@ -150,7 +150,7 @@ def simulate_compute(op: ComputeOp, cfg: ArchConfig) -> OperatorResult:
     body = op.body
     core = cfg.core
     dram = DramSystem(cfg)
-    bases = {name: t.base_address for name, t in body.placement.tensors.items()}
+    bases = body.bases
     # Work shape -> _work_cost. A matrix key has five fields and a vector
     # key three, so the two kinds never share a key.
     costs: dict = {}

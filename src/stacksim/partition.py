@@ -27,10 +27,6 @@ class CoreArray:
                 f"core array {self.shape} does not cover the "
                 f"{self.physical[0]}x{self.physical[1]} mesh")
 
-    @property
-    def count(self) -> int:
-        return prod(self.shape)
-
     def coords(self):
         def rec(prefix, dims):
             if not dims:

@@ -129,9 +129,9 @@ class RegulationResult:
     trace: tuple[tuple[float, float], ...]  # (frequency, peak T) pairs tried
 
 
-def regulate(cfg: ArchConfig, power_model,
-             limit_c: float = RETENTION_LIMIT_C) -> RegulationResult:
-    """Lower the clock in 0.05 GHz steps until steady-state peak T meets the cap.
+def regulate(cfg: ArchConfig, power_model) -> RegulationResult:
+    """Lower the clock in 0.05 GHz steps until steady-state peak T is at most
+    `RETENTION_LIMIT_C`.
 
     The candidates are the nominal clock, then 0.05 GHz steps down, then the
     0.1 GHz floor if the steps miss it; none is above nominal.
@@ -151,6 +151,6 @@ def regulate(cfg: ArchConfig, power_model,
         P = power_map(grid, *power_model(freq))
         peak = max(grid.steady_state(P)) + ambient
         trace.append((freq, peak))
-        if peak <= limit_c:
+        if peak <= RETENTION_LIMIT_C:
             return RegulationResult(freq, peak, True, tuple(trace))
     return RegulationResult(freq, peak, False, tuple(trace))

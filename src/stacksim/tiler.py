@@ -3,14 +3,16 @@
 `build_body` is the one place a kernel invocation becomes what the
 orchestrator simulates (`ComputeBody`): it typechecks the kernel at its
 bindings, pipelines its trace (`generate_execution`) and places its DRAM
-tensors (`infer_placement`). `autotune` builds one body per tiling candidate
-and keeps the one with the fewest simulated cycles.
+tensors (`infer_placement`). `typecheck` alone decides whether the
+invocation fits the core; pipelining can refuse only a trace over
+`MAX_TRACE_EVENTS`. `autotune` builds one body per tiling candidate and
+keeps the one with the fewest simulated cycles.
 
 Execution generation turns the flat kernel trace into a double-buffered
 software pipeline: iteration i issues DRAM loads for tile i together with
 compute on tile i-1, with a load-only prologue and store/compute epilogue
-iterations. Tensor bases are packed in declaration order, each rounded up to
-the logical-row size so activates always open fully-owned rows.
+iterations. Tensor bases are packed in declaration order, each padded to
+whole logical rows (`checker.padded_bytes`).
 """
 
 from __future__ import annotations
@@ -22,56 +24,23 @@ import yaml
 
 from .arch import ArchConfig
 from .kerneldsl.ast import KernelProgram
-from .kerneldsl.checker import CheckedProgram, TypecheckError, typecheck
-from .kerneldsl.trace import (
-    DramRead, DramWrite, ExpandError, MatrixWork, VectorWork, expand, strides_elems,
-)
+from .kerneldsl.checker import CheckedProgram, TypecheckError, padded_bytes, typecheck
+from .kerneldsl.trace import DramRead, DramWrite, ExpandError, MatrixWork, VectorWork, expand
 
 
 class TilerError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class PlacementEntry:
-    base_address: int
-    strides_bytes: tuple[int, ...]
-    layout: str  # "row" | "col"
-    size_bytes: int
-
-
-@dataclass(frozen=True)
-class TensorPlacement:
-    tensors: dict  # name -> PlacementEntry
-
-    def serialize(self) -> str:
-        doc = {"tensors": {
-            name: {
-                "base_address": e.base_address,
-                "strides_bytes": list(e.strides_bytes),
-                "layout": e.layout,
-                "size_bytes": e.size_bytes,
-            } for name, e in self.tensors.items()}}
-        return yaml.safe_dump(doc, sort_keys=False)
-
-
-def infer_placement(checked: CheckedProgram, cfg: ArchConfig) -> TensorPlacement:
-    """Assign logical-row-aligned base addresses and strides to DRAM tensors."""
-    align = cfg.logical_row_bytes
-    entries: dict[str, PlacementEntry] = {}
+def infer_placement(checked: CheckedProgram, cfg: ArchConfig) -> dict[str, int]:
+    """Base address of each DRAM tensor, packed in declaration order."""
+    bases = {}
     offset = 0
     for name, info in checked.symbols.items():
-        if info.kind != "tensor":
-            continue
-        strides = tuple(s * info.dtype_bytes for s in strides_elems(info))
-        entries[name] = PlacementEntry(offset, strides, info.layout, info.size_bytes)
-        offset += -(-info.size_bytes // align) * align
-    capacity = cfg.channel_capacity_bytes * cfg.core.channels
-    if offset > capacity:
-        raise TilerError(
-            f"tensor placement needs {offset} bytes after alignment padding, "
-            f"core capacity is {capacity}")
-    return TensorPlacement(entries)
+        if info.kind == "tensor":
+            bases[name] = offset
+            offset += padded_bytes(info, cfg)
+    return bases
 
 
 @dataclass
@@ -111,17 +80,17 @@ def _event_to_dict(e) -> dict:
     return d
 
 
-def generate_execution(checked: CheckedProgram, cfg: ArchConfig) -> ExecutionDescription:
+def generate_execution(checked: CheckedProgram) -> ExecutionDescription:
     """Build the double-buffered execution description of one kernel.
 
     The trace splits into steps: a step starts at each run of DRAM reads
     that follows compute or store work (or at the first event). Step j's
     loads land in iteration j, its compute in iteration j+1 and its stores in
-    iteration j+2, so loads of tile j overlap compute on tile j-1. Every
-    loaded buffer needs a second SRAM copy for the load in flight.
+    iteration j+2, so loads of tile j overlap compute on tile j-1. The second
+    SRAM copy each loaded buffer needs for the load in flight is counted by
+    `typecheck`.
     """
     iterations: list[list] = []
-    load_bufs = set()
     step = -1
     loading = False  # the current step holds only loads so far
     for e in expand(checked).events:
@@ -130,7 +99,6 @@ def generate_execution(checked: CheckedProgram, cfg: ArchConfig) -> ExecutionDes
                 step += 1
                 loading = True
             slot = step
-            load_bufs.add(e.buffer)
         else:
             step = max(step, 0)
             loading = False
@@ -138,12 +106,6 @@ def generate_execution(checked: CheckedProgram, cfg: ArchConfig) -> ExecutionDes
         while len(iterations) <= slot:
             iterations.append([])
         iterations[slot].append(e)
-    symbols = checked.symbols
-    need = sum(s.size_bytes for s in symbols.values() if s.kind == "alloc") \
-        + sum(symbols[b].size_bytes for b in load_bufs)
-    if need > cfg.core.sram_bytes:
-        raise TilerError(f"double buffering needs {need} bytes of SRAM, "
-                         f"core has {cfg.core.sram_bytes}")
     return ExecutionDescription(checked.program.name, iterations)
 
 
@@ -154,14 +116,13 @@ class ComputeBody:
     simulation in `orchestrator.run`."""
     checked: CheckedProgram
     desc: ExecutionDescription
-    placement: TensorPlacement
+    bases: dict  # DRAM tensor name -> base address (`infer_placement`)
 
 
 def build_body(prog: KernelProgram, cfg: ArchConfig, bindings: dict[str, int]) -> ComputeBody:
     """Typecheck `prog` at `bindings`, pipeline it and place its tensors."""
     checked = typecheck(prog, cfg, bindings)
-    return ComputeBody(checked, generate_execution(checked, cfg),
-                       infer_placement(checked, cfg))
+    return ComputeBody(checked, generate_execution(checked), infer_placement(checked, cfg))
 
 
 def _candidate_values(extent: int) -> list[int]:
@@ -205,8 +166,8 @@ def autotune(prog: KernelProgram, cfg: ArchConfig, bindings: dict[str, int],
 
     `simulate(body)` is the cycle-level evaluation callback and returns a
     result with `.cycles`. A candidate that `build_body` refuses is skipped:
-    it does not fit SRAM, or its trace would exceed `MAX_TRACE_EVENTS`
-    (refused before any event is built). If every candidate is refused,
+    `typecheck` finds it does not fit the core, or its trace would exceed
+    `MAX_TRACE_EVENTS` (refused before any event is built). If every candidate is refused,
     the `TilerError` carries the last refusal's reason. Ties break toward the
     lexicographically smallest tiling; the result equals sequential
     exhaustive evaluation regardless of callback evaluation order. Returns
@@ -216,7 +177,7 @@ def autotune(prog: KernelProgram, cfg: ArchConfig, bindings: dict[str, int],
     for tiling in tiling_candidates(prog, bindings, limit):
         try:
             body = build_body(prog, cfg, dict(bindings, **tiling))
-        except (TypecheckError, TilerError, ExpandError) as e:
+        except (TypecheckError, ExpandError) as e:
             refusal = e
             continue
         result = simulate(body)

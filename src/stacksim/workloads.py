@@ -12,12 +12,12 @@ import yaml
 from .arch import ArchConfig
 from .dramsim import Request
 from .kerneldsl.ast import DTYPE_BYTES, KernelProgram
-from .kerneldsl.checker import typecheck
+from .kerneldsl.checker import TypecheckError, typecheck
 from .kerneldsl.parser import parse_kernel
 from .kerneldsl.trace import DramRead, DramWrite, event_totals, expand
 from .orchestrator import CollectiveOp, ComputeOp, InterAccelOp
 from .partition import CoreArray, build_collective
-from .tiler import TensorPlacement, build_body, infer_placement
+from .tiler import ComputeBody, build_body, infer_placement
 
 
 class WorkloadError(ValueError):
@@ -152,22 +152,25 @@ class PagedKvLayout:
         return ids[:need]
 
 
-def _pick_tiling(m: int, k: int, n: int, cfg: ArchConfig) -> dict[str, int]:
-    """Feasible default tiles for matmul_rowblock: shrink until the row
-    block, one B tile, the accumulator, and load double-buffers fit SRAM."""
-    dt = 2
+def _fit_fc(kernel: str, m: int, k: int, n: int, cfg: ArchConfig) -> ComputeBody:
+    """The body of the first FC tiling that `typecheck` accepts, shrinking
+    from (tM, tN, tK) = (64, 256, 256), each capped at its extent: tN
+    halves down to 64, then tK down to 64, then tM down to 1."""
     tm, tn, tk = min(m, 64), min(n, 256), min(k, 256)
+    refusal = None
     while tm >= 1:
-        need = 2 * (tm * k * dt) + 2 * (tk * tn * dt) + tm * tn * dt
-        if need <= cfg.core.sram_bytes:
-            return {"tM": tm, "tN": tn, "tK": tk}
+        try:
+            return build_body(load_kernel(kernel), cfg,
+                              {"M": m, "K": k, "N": n, "tM": tm, "tN": tn, "tK": tk})
+        except TypecheckError as e:
+            refusal = e
         if tn > 64:
             tn //= 2
         elif tk > 64:
             tk //= 2
         else:
             tm //= 2
-    raise WorkloadError(f"no feasible tiling for ({m},{k})x({k},{n})")
+    raise WorkloadError(f"no tiling of {kernel} fits ({m},{k})x({k},{n}): {refusal}")
 
 
 def build_decoding_graph(model: ModelSpec, scen: DecodingScenario,
@@ -184,7 +187,8 @@ def build_decoding_graph(model: ModelSpec, scen: DecodingScenario,
 
     Operators that run the same kernel with the same bindings share one
     `ComputeBody`, and collectives of the same kind and size share one
-    `CommPlan`, so each is built once per call.
+    `CommPlan`, so each is built once per call. An FC's tiling is the first
+    that its kernel fits (`_fit_fc`), found once per (kernel, M, K, N).
     """
     problems = model.validate() + scen.validate(model)
     if layers is not None and layers < 1:
@@ -198,7 +202,7 @@ def build_decoding_graph(model: ModelSpec, scen: DecodingScenario,
     n_layers = layers if layers is not None else model.layers
     batch = scen.batch
     ar_bytes = max(1, batch * model.hidden * dt // cores)
-    bodies: dict = {}  # (kernel, sorted bindings) -> ComputeBody
+    bodies: dict = {}  # (kernel, sorted bindings) or (kernel, M, K, N) -> ComputeBody
     plans: dict = {}  # (kind, bytes) -> CommPlan
 
     def compute(name: str, kernel: str, bindings: dict[str, int]) -> ComputeOp:
@@ -208,8 +212,10 @@ def build_decoding_graph(model: ModelSpec, scen: DecodingScenario,
         return ComputeOp(name, bodies[key])
 
     def fc(name: str, m: int, k: int, n: int) -> ComputeOp:
-        return compute(name, "matmul_rowblock",
-                       {"M": m, "K": k, "N": n, **_pick_tiling(m, k, n, cfg)})
+        key = ("matmul_rowblock", m, k, n)
+        if key not in bodies:
+            bodies[key] = _fit_fc(*key, cfg)
+        return ComputeOp(name, bodies[key])
 
     def collective(name: str, kind: str) -> CollectiveOp:
         key = (kind, ar_bytes)
@@ -256,7 +262,7 @@ def graph_totals(ops: list) -> dict:
 
 # --- DRAM microbenchmarks -------------------------------------------------
 
-def dram_requests(events, placement: TensorPlacement, ready: int) -> list[Request]:
+def dram_requests(events, bases: dict, ready: int) -> list[Request]:
     """The DRAM requests of the reads and writes among `events`, in order."""
     reqs = []
     for e in events:
@@ -266,7 +272,7 @@ def dram_requests(events, placement: TensorPlacement, ready: int) -> list[Reques
             kind = "W"
         else:
             continue
-        base = placement.tensors[e.tensor].base_address
+        base = bases[e.tensor]
         reqs.extend([Request(ready, kind, base + off, length) for off, length in e.ranges])
     return reqs
 

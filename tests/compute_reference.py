@@ -34,7 +34,7 @@ def reference_simulate_compute(op: ComputeOp, cfg: ArchConfig) -> OperatorResult
                 cost = vector_cost(e.kind, e.elems, e.dtype_bytes, cfg.core)
                 compute_cycles += cost.latency_cycles
         mem_done = now
-        reqs = dram_requests(it, body.placement, now)
+        reqs = dram_requests(it, body.bases, now)
         if reqs:
             mem_done = dram.run(schedule_tile(reqs, cfg))
         now = max(mem_done, now + compute_cycles)

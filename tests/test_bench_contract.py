@@ -8,9 +8,10 @@ missing (`DramSystem.run`, `stats`, `orchestrator.run`, `sweep.sweep`,
 benchmark runs it, and must report no error and no failed operation.
 
 The traced run skips a span whose target no longer exists, so its metrics
-go missing without an error. Every workload therefore also runs once
-traced, and must report the self time of every span `perfbench/layers.py`
-declares.
+go missing without an error, and a span whose target the code stops calling
+reports zero calls. Every workload therefore also runs once traced, and
+must report the self time of every span `perfbench/layers.py` declares and
+at least one call of every span it reaches (all but those in `UNREACHED`).
 """
 
 import json
@@ -18,12 +19,24 @@ import os
 import subprocess
 import sys
 import time
+from fnmatch import fnmatch
 from pathlib import Path
 
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = [w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
+# Span name patterns each workload does not reach: decode neither sweeps
+# nor regulates nor tunes, the sweep's probe GEMM runs on one core, and the
+# micro workload drives the DRAM and mesh models without the orchestrator.
+UNREACHED = {
+    "decode-llama3.2-1b": ("sweep.*", "thermal.*", "tiler.autotune", "workloads.gen_*"),
+    "sweep-bw-thermal48": ("nocsim.*", "orchestrator.run", "orchestrator.simulate_collective",
+                           "partition.build_collective", "workloads.*"),
+    "dram-noc-micro": ("dramsim.schedule_tile", "orchestrator.*", "sweep.*", "thermal.*",
+                       "tiler.autotune", "tiler.generate_execution",
+                       "workloads.build_decoding_graph"),
+}
 
 
 def _run_child(workload, trace, tmp_path) -> dict:
@@ -42,15 +55,15 @@ def _run_child(workload, trace, tmp_path) -> dict:
     return result
 
 
-def _declared_spans() -> list[str]:
-    """The span names of `perfbench/layers.py`, which imports its tracer
-    by plain module name from its own directory."""
+def _declared_spans() -> dict[str, str]:
+    """Span name -> the name of its call count, from `perfbench/layers.py`,
+    which imports its tracer by plain module name from its own directory."""
     sys.path.insert(0, str(ROOT / "perfbench"))
     try:
-        from layers import SPANS
+        from layers import SPANS, _calls_name
     finally:
         sys.path.remove(str(ROOT / "perfbench"))
-    return [name for name, _ in SPANS]
+    return {name: _calls_name(name) for name, _ in SPANS}
 
 
 @pytest.mark.parametrize("workload", WORKLOADS)
@@ -61,5 +74,10 @@ def test_bench_workload_runs_without_error_or_failure(workload, tmp_path):
 @pytest.mark.parametrize("workload", WORKLOADS)
 def test_bench_workload_traced_reports_every_span(workload, tmp_path):
     layers = _run_child(workload, 1, tmp_path)["layers"]
-    missing = [name for name in _declared_spans() if f"{name}.self_s" not in layers]
+    spans = _declared_spans()
+    missing = [name for name in spans if f"{name}.self_s" not in layers]
     assert not missing, f"spans dropped by the tracer: {missing}"
+    uncalled = [name for name, calls in spans.items()
+                if not any(fnmatch(name, p) for p in UNREACHED[workload])
+                and layers[calls][0] == 0]
+    assert not uncalled, f"spans the workload no longer calls: {uncalled}"

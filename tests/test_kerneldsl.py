@@ -14,8 +14,7 @@ from stacksim.kerneldsl import (
     VectorWork, ast_to_json, event_totals, expand, parse_kernel, typecheck,
 )
 from stacksim.kerneldsl.checker import SymbolInfo
-from stacksim.kerneldsl.trace import ExpandError, byte_ranges
-from stacksim.tiler import infer_placement
+from stacksim.kerneldsl.trace import ExpandError, byte_ranges, strides_elems
 from stacksim.workloads import load_kernel
 
 from expand_reference import reference_expand, shipped_bindings
@@ -195,8 +194,10 @@ def test_typecheck_requires_bindings():
 def test_typecheck_sram_capacity():
     prog = load_kernel("matmul")
     bind = dict(M=2048, K=2048, N=2048, tM=1024, tN=1024, tK=1024)
-    with pytest.raises(TypecheckError, match="SRAM over capacity"):
-        typecheck(prog, CFG, bind)  # 3 x 2MB tiles > 4MB
+    # 3 x 2MB tiles, plus a second copy of the loaded a and b: 10 MB > 4 MB.
+    with pytest.raises(TypecheckError, match="SRAM over capacity: allocs and load "
+                       "double buffers need 10485760 bytes, core has 4194304"):
+        typecheck(prog, CFG, bind)
 
 
 def test_typecheck_alloc_bytes_example():
@@ -283,7 +284,7 @@ def test_byte_ranges_match_brute_force():
 
 def test_undeclared_layout_trace_follows_placement():
     # X has no declared layout; the inner loop walks dimension 0, so X is
-    # column-major, and the trace addresses it with the placement's strides.
+    # column-major, and the trace addresses it with that layout's strides.
     text = ("kernel k(M, N, tM):\n"
             "    X = tensor((M, N), fp16)\n"
             "    x = alloc((tM, 1), fp16)\n"
@@ -291,12 +292,13 @@ def test_undeclared_layout_trace_follows_placement():
             "        for i in range(0, M, tM):\n"
             "            copy(X[i:i+tM, j:j+1], x)\n")
     checked = typecheck(parse_kernel(text), CFG, dict(M=4, N=4, tM=4))
-    entry = infer_placement(checked, CFG).tensors["X"]
-    assert (entry.layout, entry.strides_bytes) == ("col", (2, 8))
+    info = checked.symbols["X"]
+    strides_bytes = tuple(2 * s for s in strides_elems(info))
+    assert (info.layout, strides_bytes) == ("col", (2, 8))
     reads = expand(checked).events
     assert [e.ranges for e in reads] == [((8 * j, 8),) for j in range(4)]
     for e in reads:
-        assert e.ranges == _brute_force_runs(e.slices, entry.strides_bytes, 2)
+        assert e.ranges == _brute_force_runs(e.slices, strides_bytes, 2)
 
 
 def test_dropped_trace_is_freed_without_the_cycle_collector():

@@ -8,6 +8,7 @@ from stacksim.arch import ArchConfig
 from stacksim.kerneldsl import (
     DramRead, DramWrite, MatrixWork, TypecheckError, expand, typecheck,
 )
+from stacksim.kerneldsl.trace import strides_elems
 from stacksim.tiler import (
     TilerError, autotune, build_body, generate_execution, infer_placement,
     tiling_candidates,
@@ -23,31 +24,28 @@ def checked_matmul(**bind):
 
 def test_placement_packs_in_declaration_order():
     checked = checked_matmul(M=8192, K=8192, N=8192, tM=64, tN=64, tK=64)
-    pl = infer_placement(checked, CFG)
     sz = 8192 * 8192 * 2  # 128 MB each, already row-aligned
-    assert pl.tensors["A"].base_address == 0
-    assert pl.tensors["B"].base_address == sz
-    assert pl.tensors["C"].base_address == 2 * sz
-    assert pl.tensors["A"].size_bytes == sz
+    assert infer_placement(checked, CFG) == {"A": 0, "B": sz, "C": 2 * sz}
+    assert checked.symbols["A"].size_bytes == sz
 
 
 def test_placement_aligns_to_logical_rows():
     checked = checked_matmul(M=16, K=16, N=16, tM=8, tN=8, tK=8)
-    pl = infer_placement(checked, CFG)
+    bases = infer_placement(checked, CFG)
     row = CFG.logical_row_bytes
-    for entry in pl.tensors.values():
-        assert entry.base_address % row == 0
+    for base in bases.values():
+        assert base % row == 0
     # A 512-byte tensor still claims a whole 64 KB row.
-    assert pl.tensors["B"].base_address == row
+    assert bases["B"] == row
 
 
 def test_placement_respects_declared_layouts():
     checked = checked_matmul(M=64, K=64, N=64, tM=32, tN=32, tK=32)
-    pl = infer_placement(checked, CFG)
-    assert pl.tensors["A"].layout == "row"
-    assert pl.tensors["B"].layout == "col"  # declared col-major
-    assert pl.tensors["B"].strides_bytes == (2, 128)
-    assert pl.tensors["A"].strides_bytes == (128, 2)
+    a, b = checked.symbols["A"], checked.symbols["B"]
+    assert a.layout == "row"
+    assert b.layout == "col"  # declared col-major
+    assert strides_elems(b) == (1, 64)
+    assert strides_elems(a) == (64, 1)
 
 
 def test_layout_inferred_from_innermost_loop():
@@ -59,14 +57,14 @@ def test_layout_inferred_from_innermost_loop():
             "        for kk in range(0, K, tK):\n"
             "            copy(X[i:i+tM, kk:kk+tK], x)\n")
     checked = typecheck(parse_kernel(text), CFG, dict(M=8, K=8, tM=4, tK=4))
-    pl = infer_placement(checked, CFG)
     # Innermost loop walks dimension 1 -> row-major.
-    assert pl.tensors["X"].layout == "row"
+    assert checked.symbols["X"].layout == "row"
 
 
 def test_placement_capacity_error():
     # Three 300-byte tensors fit 1 KB raw but not once each is padded to a
-    # 128-byte logical row multiple (3 x 384 bytes).
+    # 128-byte logical row multiple (3 x 384 bytes); typecheck counts padded
+    # bytes, so it refuses what the placement could not hold.
     from stacksim.arch import ChannelSpec, CoreSpec, LogicalBankSpec, PhysicalBankSpec
     from stacksim.kerneldsl import parse_kernel
     tiny = ArchConfig(
@@ -81,30 +79,23 @@ def test_placement_capacity_error():
             "    Z = tensor((150,), fp16)\n"
             "    x = alloc((150,), fp16)\n"
             "    copy(X[0:150], x)\n")
-    checked = typecheck(parse_kernel(text), tiny, {"N": 1})
-    with pytest.raises(TilerError, match="alignment padding"):
-        infer_placement(checked, tiny)
-
-
-def test_placement_serializes_to_yaml():
-    checked = checked_matmul(M=64, K=64, N=64, tM=32, tN=32, tK=32)
-    doc = yaml.safe_load(infer_placement(checked, CFG).serialize())
-    assert set(doc["tensors"]) == {"A", "B", "C"}
-    assert doc["tensors"]["C"]["layout"] == "row"
+    with pytest.raises(TypecheckError, match="DRAM tensors need 1152 bytes, "
+                       "core capacity is 1024"):
+        typecheck(parse_kernel(text), tiny, {"N": 1})
 
 
 def test_pipeline_iteration_count():
     # Single output tile, K/tK = 16 inner steps: 16 + 2 pipeline-drain
     # iterations with double buffering.
     checked = checked_matmul(M=64, K=1024, N=64, tM=64, tN=64, tK=64)
-    desc = generate_execution(checked, CFG)
+    desc = generate_execution(checked)
     assert desc.name == "matmul"
     assert len(desc.iterations) == 18
 
 
 def test_pipeline_prologue_and_epilogue():
     checked = checked_matmul(M=64, K=256, N=64, tM=64, tN=64, tK=64)
-    its = generate_execution(checked, CFG).iterations
+    its = generate_execution(checked).iterations
     assert all(isinstance(e, DramRead) for e in its[0]) and its[0]
     assert any(isinstance(e, DramWrite) for e in its[-1])
     assert not any(isinstance(e, DramRead) for e in its[-1])
@@ -115,7 +106,7 @@ def test_pipeline_prologue_and_epilogue():
 
 def test_pipeline_preserves_work():
     checked = checked_matmul(M=128, K=128, N=128, tM=32, tN=32, tK=32)
-    desc = generate_execution(checked, CFG)
+    desc = generate_execution(checked)
     events = list(desc.events())
     flops = sum(2 * e.m * e.n * e.k for e in events if isinstance(e, MatrixWork))
     assert flops == 2 * 128 ** 3
@@ -133,7 +124,7 @@ def test_pipeline_preserves_work():
 ])
 def test_pipeline_runs_every_consumer_after_its_load(kernel, bind):
     checked = typecheck(load_kernel(kernel), CFG, bind)
-    its = generate_execution(checked, CFG).iterations
+    its = generate_execution(checked).iterations
     trace = expand(checked).events
     # The pipeline holds expand's events, each kind in trace order, so the
     # k-th event of a kind in the trace runs in iteration at[kind][k].
@@ -163,18 +154,17 @@ def test_build_body_typechecks_pipelines_and_places():
     bind = dict(M=64, K=256, N=64, tM=64, tN=64, tK=64)
     body = build_body(load_kernel("matmul"), CFG, bind)
     assert body.checked.bindings == bind
-    assert body.desc.serialize() == generate_execution(body.checked, CFG).serialize()
-    assert body.placement == infer_placement(body.checked, CFG)
+    assert body.desc.serialize() == generate_execution(body.checked).serialize()
+    assert body.bases == infer_placement(body.checked, CFG)
     with pytest.raises(TypecheckError, match="unbound"):
         build_body(load_kernel("matmul"), CFG, dict(M=64))
 
 
 def test_double_buffer_sram_check():
-    # Tiles that fit SRAM once but not with a second in-flight copy.
-    checked = checked_matmul(M=1024, K=2048, N=1024,
-                             tM=512, tN=512, tK=1024)
-    with pytest.raises(TilerError, match="double buffering needs"):
-        generate_execution(checked, CFG)
+    # Tiles that fit SRAM once (2.5 MB) but not with a second in-flight copy
+    # of the loaded a and b (4.5 MB).
+    with pytest.raises(TypecheckError, match="double buffers need 4718592 bytes"):
+        checked_matmul(M=1024, K=2048, N=1024, tM=512, tN=512, tK=1024)
 
 
 def test_tiling_candidates_divisors_and_pow2():
@@ -249,7 +239,7 @@ def test_autotune_skips_tilings_over_the_trace_limit(monkeypatch):
 
 def test_execution_serializes_to_yaml():
     checked = checked_matmul(M=64, K=128, N=64, tM=64, tN=64, tK=64)
-    doc = yaml.safe_load(generate_execution(checked, CFG).serialize())
+    doc = yaml.safe_load(generate_execution(checked).serialize())
     op = doc["operators"][0]
     assert op["name"] == "matmul"
     items = {e["item"] for it in op["execution"] for e in it}

@@ -490,3 +490,45 @@ def test_cli_trace_gen_paged_attention_rejects_bad_counts(capsys, flags, reason)
     captured = capsys.readouterr()
     assert captured.err == f"error: {reason}\n"
     assert captured.out == ""
+
+
+def test_cli_parse_and_simulate_refuse_the_same_bindings(capsys):
+    # The tiles fit SRAM once (3 x 1.125 MB) but not with a second copy of
+    # the loaded a and b; `parse --bind` typechecks with the rule `simulate`
+    # builds with.
+    bind = ["--kernel", "matmul", "--bind", "M=768", "K=768", "N=768",
+            "tM=768", "tN=768", "tK=768"]
+    errors = []
+    for verb in ("parse", "simulate"):
+        assert main([verb, *bind]) == 2
+        errors.append(capsys.readouterr().err)
+    assert errors[0] == errors[1] == (
+        "error: SRAM over capacity: allocs and load double buffers need 5898240 "
+        "bytes, core has 4194304\n")
+
+
+@pytest.mark.parametrize("old,new", [
+    ("  rows: 4\n", '  rows: "4"\n'),
+    ("  rows: 4\n", "  rows: 4.5\n"),
+    ("io_pins: 1024", "io_pins: 1024.0"),
+    ("link_latency_s: 1.0e-6", "link_latency_s: 1e-6"),  # YAML 1.1 reads a string
+    ("htc_w_m2k: 10000.0", "htc_w_m2k: true"),
+    ("thermal:\n", "thermal:\n  layers:\n    - {name: die, thickness_um: 100, "
+     "conductivity_w_mk: 120.0, vol_heat_capacity_j_m3k: 1.6e6}\n"),
+    ("sram_mb: 4", 'sram_mb: "4"'),
+], ids=["str-int", "float-int", "float-int-pins", "str-float", "bool-float",
+        "str-float-layer", "str-size"])
+@pytest.mark.parametrize("command", [
+    ["validate"],
+    ["simulate", "--kernel", "matmul", "--bind", "M=8", "K=32", "N=32",
+     "tM=8", "tN=8", "tK=8"],
+])
+def test_cli_rejects_config_values_of_the_wrong_type(tmp_path, capsys, old, new, command):
+    default = resources.files("stacksim").joinpath("configs/default.yaml").read_text()
+    assert old in default
+    path = tmp_path / "typed.yaml"
+    path.write_text(default.replace(old, new))
+    assert main([*command, "--config", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and " must be " in captured.err
+    assert "Traceback" not in captured.err and captured.out == ""

@@ -158,10 +158,6 @@ class ArchConfig:
     def channel_capacity_bytes(self) -> int:
         return self.lb.R * self.lb.C * self.pb.capacity_bytes
 
-    @property
-    def logical_rows_per_channel(self) -> int:
-        return self.lb.R * self.pb.row_count
-
 
 def matrix_flops_per_cycle(core: CoreSpec) -> float:
     """Peak matrix-engine FLOPs per core cycle."""
@@ -297,7 +293,15 @@ def _take_size(sect: dict, base: str, default: int, path: str) -> int:
     return default
 
 
-def _build(cls, sect: dict, path: str):
+def _mapping(value, path: str) -> dict:
+    """A copy of the config section at `path`, which must be a mapping."""
+    if not isinstance(value, dict):
+        raise ArchError(f"{path} must be a mapping, got {value!r}")
+    return dict(value)
+
+
+def _build(cls, sect, path: str):
+    sect = _mapping(sect, path)
     known = {f.name for f in dataclasses.fields(cls)}
     bad = set(sect) - known
     if bad:
@@ -325,8 +329,8 @@ def parse_arch(text: str) -> ArchConfig:
         if sect not in doc:
             raise ArchError(f"missing mandatory section: {sect}")
 
-    dram = dict(doc.pop("dram"))
-    pb_sect = dict(dram.pop("physical_bank", {}))
+    dram = _mapping(doc.pop("dram"), "dram")
+    pb_sect = _mapping(dram.pop("physical_bank", {}), "dram.physical_bank")
     pb_sect["row_size_bytes"] = _take_size(
         pb_sect, "row_size", PhysicalBankSpec.row_size_bytes, "dram.physical_bank")
     pb = _build(PhysicalBankSpec, pb_sect, "dram.physical_bank")
@@ -336,7 +340,7 @@ def parse_arch(text: str) -> ArchConfig:
     if dram:
         raise ArchError(f"unknown field(s) in dram: {sorted(dram)}")
 
-    core_sect = dict(doc.pop("core"))
+    core_sect = _mapping(doc.pop("core"), "core")
     core_sect["sram_bytes"] = _take_size(core_sect, "sram", CoreSpec.sram_bytes, "core")
     core = _build(CoreSpec, core_sect, "core")
 
@@ -344,10 +348,13 @@ def parse_arch(text: str) -> ArchConfig:
     inter = _build(InterAccelSpec, doc.pop("inter_accel", {}), "inter_accel")
     energy = _build(EnergySpec, doc.pop("energy", {}), "energy")
 
-    th_sect = dict(doc.pop("thermal", {}))
+    th_sect = _mapping(doc.pop("thermal", {}), "thermal")
+    entries = th_sect.pop("layers", [])
+    if not isinstance(entries, list):
+        raise ArchError(f"thermal.layers must be a list, got {entries!r}")
     layers = []
-    for entry in th_sect.pop("layers", []):
-        entry = dict(entry)
+    for entry in entries:
+        entry = _mapping(entry, "thermal.layers[]")
         if "thickness_um" in entry:
             _check_value(entry["thickness_um"], "float", "thermal.layers[].thickness_um")
             entry["thickness_m"] = entry.pop("thickness_um") * 1e-6

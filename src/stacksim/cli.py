@@ -14,7 +14,7 @@ from importlib import resources
 
 from . import sweep as sweep_mod
 from . import workloads
-from .arch import ArchConfig, ArchError, derived_metrics, parse_arch
+from .arch import ArchConfig, ArchError, derived_metrics, load_arch
 from .dramsim import DramSystem, stats as dram_stats
 from .kerneldsl.checker import TypecheckError, typecheck
 from .kerneldsl.parser import KernelSyntaxError, ast_to_json, parse_kernel
@@ -29,12 +29,7 @@ from .workloads import (
 
 
 def _load_config(path: str | None) -> ArchConfig:
-    if path is None:
-        text = resources.files("stacksim").joinpath("configs/default.yaml").read_text()
-    else:
-        with open(path, encoding="utf-8") as f:
-            text = f.read()
-    return parse_arch(text)
+    return load_arch(path or str(resources.files("stacksim").joinpath("configs/default.yaml")))
 
 
 def _load_kernel_arg(arg: str):

@@ -279,10 +279,10 @@ def schedule_tile(requests: list, cfg: ArchConfig) -> list:
     return [req for group in groups.values() for req in group]
 
 
-def stats(system: DramSystem, start_cycle: int = 0) -> dict:
+def stats(system: DramSystem) -> dict:
     """Aggregate channel statistics after a drain."""
     total_bytes = sum(c.stats.bytes_read + c.stats.bytes_written for c in system.channels)
-    elapsed = max((c.stats.last_completion for c in system.channels), default=0) - start_cycle
+    elapsed = max((c.stats.last_completion for c in system.channels), default=0)
     achieved = total_bytes / elapsed if elapsed > 0 else 0.0
     util = achieved / peak_dram_bytes_per_cycle(system.cfg) if elapsed > 0 else 0.0
     hits = sum(c.stats.row_hits for c in system.channels)

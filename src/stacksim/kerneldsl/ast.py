@@ -3,7 +3,7 @@ loop variables (with * restricted by usage, not by the grammar)."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,7 @@ from math import prod
 
 from ..arch import ArchConfig
 from .ast import (
-    AllocDecl, Copy, ForLoop, Gemm, KernelProgram, Slice, Stmt,
+    AllocDecl, Copy, ForLoop, Gemm, KernelProgram, Stmt,
     TensorDecl, TileRef, VectorOp, DTYPE_BYTES, evaluate, free_vars,
 )
 

@@ -99,16 +99,15 @@ def strides_elems(info: SymbolInfo) -> tuple[int, ...]:
 
 def _run_layout(info: SymbolInfo) -> tuple[int, tuple[tuple[int, int, int], ...]]:
     """(element bytes, (dimension, byte stride, extent) of each dimension
-    from the unit-stride one outward): what `byte_ranges` needs of a symbol."""
+    from the unit-stride one outward): what `_byte_runs` needs of a symbol."""
     dt = info.dtype_bytes
     strides = strides_elems(info)
     return dt, tuple((d, strides[d] * dt, info.shape[d]) for d in _dims_fastest_first(info))
 
 
-def byte_ranges(info: SymbolInfo,
-                slices: tuple[tuple[int, int], ...]) -> tuple[tuple[int, int], ...]:
+def _byte_runs(layout, slices) -> tuple[tuple[int, int], ...]:
     """Contiguous (offset, length) byte runs of a tile within its tensor, in
-    increasing offset order.
+    increasing offset order, from the tensor's `_run_layout`.
 
     A run covers the unit-stride dimension's slice and extends over each
     next dimension while the tile spans the whole extent of the ones before
@@ -116,11 +115,6 @@ def byte_ranges(info: SymbolInfo,
     strides are mixed-radix, so nesting their ranges slowest-outermost lists
     the runs in increasing order, each separated from the next by a gap.
     """
-    return _byte_runs(_run_layout(info), slices)
-
-
-def _byte_runs(layout, slices) -> tuple[tuple[int, int], ...]:
-    """`byte_ranges` with the symbol's `_run_layout` already computed."""
     run, dims = layout
     dims = iter(dims)
     start = 0

@@ -115,18 +115,16 @@ class MeshSim:
         # (arrival cycle, router, input port, flit) per flit on a link; the
         # link delay is constant, so arrivals leave in FIFO order.
         self._inflight: deque[tuple[int, _Router, int, _Flit]] = deque()
-        self._pending_inject: dict[int, list[tuple[Packet, list[_Flit]]]] = {}
+        # (packet, worm) per packet injected since the last tick.
+        self._pending_inject: list[tuple[Packet, list[_Flit]]] = []
         self.injected_flits = 0
         self.ejected_flits = 0
 
     def _index(self, pos: tuple[int, int]) -> int:
         return pos[0] * self.cols + pos[1]
 
-    def inject(self, pkt: Packet, cycle: int | None = None) -> Packet:
-        """Queue a packet for injection at `cycle` (default: now)."""
-        cycle = self.now if cycle is None else cycle
-        if cycle < self.now:
-            raise ValueError(f"cannot inject at cycle {cycle}, before now ({self.now})")
+    def inject(self, pkt: Packet) -> Packet:
+        """Queue a packet for injection at the current cycle."""
         for m, n in (pkt.src, pkt.dst):
             if not (0 <= m < self.rows and 0 <= n < self.cols):
                 raise ValueError(f"core {(m, n)} is outside the "
@@ -136,26 +134,26 @@ class MeshSim:
         self.packets[pkt.pid] = pkt
         flits = pkt.flit_count(self.cfg.noc.link_bytes_per_cycle)
         if flits == 0 or pkt.src == pkt.dst:
-            pkt.complete_cycle = cycle
+            pkt.complete_cycle = self.now
             return pkt
         dst = self._index(pkt.dst)
-        ready = cycle + self.cfg.noc.router_delay_cycles
+        ready = self.now + self.cfg.noc.router_delay_cycles
         worm = [_Flit(pkt, s, s == flits - 1, dst, ready) for s in range(flits)]
-        self._pending_inject.setdefault(cycle, []).append((pkt, worm))
+        self._pending_inject.append((pkt, worm))
         return pkt
 
     def tick(self) -> None:
         now = self.now
         noc = self.cfg.noc
 
-        # Inject the worms due now; the source queue is elastic, so
-        # injection stalls are modeled by the local queue rather than by
+        # Inject the worms queued this cycle; the source queue is elastic,
+        # so injection stalls are modeled by the local queue rather than by
         # backpressure into the core.
-        injections = self._pending_inject.pop(now, None)
-        if injections:
-            for pkt, worm in injections:
+        if self._pending_inject:
+            for pkt, worm in self._pending_inject:
                 self.routers[self._index(pkt.src)].queues[LOCAL].extend(worm)
                 self.injected_flits += len(worm)
+            self._pending_inject = []
 
         # Deliver in-flight flits arriving this cycle.
         inflight = self._inflight

@@ -26,6 +26,7 @@ import dataclasses
 import io
 import math
 from dataclasses import dataclass, field
+from itertools import chain
 
 from .arch import ArchConfig, matrix_flops_per_cycle, peak_dram_bytes_per_cycle
 from .dramsim import DramSystem, schedule_tile, stats as dram_stats
@@ -124,7 +125,7 @@ def _roofline(m_flops: int, dram_bytes: int, cfg: ArchConfig) -> int:
 def roofline_cycles(checked: CheckedProgram, desc: ExecutionDescription) -> int:
     """Lower bound at the typecheck config: max of pure compute time and
     pure DRAM-transfer time."""
-    m_flops, _, dram_bytes = event_totals(desc.events())
+    m_flops, _, dram_bytes = event_totals(chain.from_iterable(desc.iterations))
     return _roofline(m_flops, dram_bytes, checked.cfg)
 
 

@@ -154,19 +154,8 @@ class CommStep:
 class CommPlan:
     steps: tuple[CommStep, ...]
 
-    @property
-    def step_count(self) -> int:
-        return max((s.step for s in self.steps), default=-1) + 1
-
     def bytes_sent(self, coord) -> int:
         return sum(s.bytes for s in self.steps if s.src == coord)
-
-    def total_bytes(self) -> int:
-        return sum(s.bytes for s in self.steps)
-
-    def serialize(self) -> str:
-        lines = [f"{s.step} {list(s.src)} -> {list(s.dst)} {s.bytes}" for s in self.steps]
-        return "\n".join(lines) + ("\n" if lines else "")
 
 
 def _ring_chunks(total: int, p: int) -> list[int]:
@@ -205,10 +194,8 @@ def build_collective(arr: CoreArray, kind: str, bytes_per_core: int) -> CommPlan
     coords = sorted(arr.coords(), key=arr.linearize)
     p = len(coords)
     if kind in ("ring_reduce_scatter", "ring_all_gather", "all_reduce_1d"):
-        if p == 1:
+        if p <= 1:
             return CommPlan(())
-        if p < 2:
-            raise PartitionError("ring collectives need at least 2 cores")
         if kind == "all_reduce_1d":
             return CommPlan(tuple(_ring_all_reduce([coords], bytes_per_core)))
         shift = 0 if kind == "ring_reduce_scatter" else 1

@@ -12,7 +12,6 @@ from __future__ import annotations
 import csv
 import dataclasses
 import io
-import math
 
 from .arch import ArchConfig, derived_metrics, validate
 from .orchestrator import ComputeOp, simulate_compute
@@ -30,6 +29,14 @@ class SweepError(ValueError):
     pass
 
 
+def _integer(dimension: str, value) -> int:
+    """`value` of an integer dimension; a fractional one is refused rather
+    than truncated, so a row's label is the value it was simulated at."""
+    if isinstance(value, float) and not value.is_integer():
+        raise SweepError(f"{dimension} must be an integer, got {value}")
+    return int(value)
+
+
 def apply_dimension(base: ArchConfig, dimension: str, value) -> ArchConfig:
     """Derive a config with one swept parameter changed.
 
@@ -40,9 +47,9 @@ def apply_dimension(base: ArchConfig, dimension: str, value) -> ArchConfig:
     """
     r = dataclasses.replace
     if dimension == "interleave_x":
-        return r(base, channel=r(base.channel, interleave_log2=int(value)))
+        return r(base, channel=r(base.channel, interleave_log2=_integer(dimension, value)))
     if dimension == "channels":
-        ch = int(value)
+        ch = _integer(dimension, value)
         if ch < 1:
             raise SweepError(f"channel count must be >= 1, got {ch}")
         scaled = base.lb.R * base.core.channels
@@ -52,7 +59,7 @@ def apply_dimension(base: ArchConfig, dimension: str, value) -> ArchConfig:
         return r(base, core=r(base.core, channels=ch),
                  lb=r(base.lb, R=scaled // ch))
     if dimension == "logical_row":
-        row_bytes = int(value)
+        row_bytes = _integer(dimension, value)
         if row_bytes < 1:
             raise SweepError(f"logical row must be >= 1 byte, got {row_bytes}")
         if row_bytes % base.pb.row_size_bytes:
@@ -64,9 +71,9 @@ def apply_dimension(base: ArchConfig, dimension: str, value) -> ArchConfig:
             raise SweepError(f"cannot hold capacity: R*C={scaled} not divisible by {c}")
         return r(base, lb=r(base.lb, C=c, R=scaled // c))
     if dimension == "bandwidth_alloc":
-        return r(base, channel=r(base.channel, io_pins=int(value)))
+        return r(base, channel=r(base.channel, io_pins=_integer(dimension, value)))
     if dimension == "sram":
-        return r(base, core=r(base.core, sram_bytes=int(value)))
+        return r(base, core=r(base.core, sram_bytes=_integer(dimension, value)))
     if dimension == "matrix_vector_ratio":
         ratio = float(value)
         if not ratio > 0:
@@ -78,7 +85,7 @@ def apply_dimension(base: ArchConfig, dimension: str, value) -> ArchConfig:
     if dimension == "link_width":
         # A flit is one link width, so a wider link moves a packet in fewer
         # flit cycles.
-        return r(base, noc=r(base.noc, link_bytes_per_cycle=int(value)))
+        return r(base, noc=r(base.noc, link_bytes_per_cycle=_integer(dimension, value)))
     raise SweepError(f"unknown sweep dimension {dimension!r} "
                      f"(expected one of {SWEEP_DIMENSIONS})")
 

@@ -50,10 +50,6 @@ class ExecutionDescription:
     name: str
     iterations: list  # list of lists of trace events
 
-    def events(self):
-        """Every event, in iteration order."""
-        return (e for it in self.iterations for e in it)
-
     def serialize(self) -> str:
         # The file format is a list of operators; one description is one.
         return yaml.safe_dump({"operators": [

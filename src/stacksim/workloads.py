@@ -4,8 +4,9 @@ from __future__ import annotations
 
 import functools
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
+from itertools import chain
 
 import yaml
 
@@ -255,8 +256,8 @@ def build_decoding_graph(model: ModelSpec, scen: DecodingScenario,
 
 def graph_totals(ops: list) -> dict:
     """Aggregate FLOPs and DRAM bytes of a graph (compute operators only)."""
-    flops, _, nbytes = event_totals(
-        e for op in ops if isinstance(op, ComputeOp) for e in op.desc.events())
+    flops, _, nbytes = event_totals(chain.from_iterable(
+        it for op in ops if isinstance(op, ComputeOp) for it in op.desc.iterations))
     return {"matrix_flops": flops, "dram_bytes": nbytes}
 
 
@@ -313,17 +314,3 @@ def serialize_trace(reqs: list[Request]) -> str:
     """One request per line: `cycle_ready, R|W, address, bytes`."""
     lines = [f"{r.ready}, {r.kind}, {r.addr}, {r.bytes}" for r in reqs]
     return "\n".join(lines) + ("\n" if lines else "")
-
-
-def parse_trace(text: str) -> list[Request]:
-    reqs = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        line = line.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = [p.strip() for p in line.split(",")]
-        if len(parts) != 4 or parts[1] not in ("R", "W"):
-            raise WorkloadError(
-                f"trace line {lineno}: expected 'cycle_ready, R|W, address, bytes'")
-        reqs.append(Request(int(parts[0]), parts[1], int(parts[2]), int(parts[3])))
-    return reqs

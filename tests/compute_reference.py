@@ -10,6 +10,8 @@ types with production code; the loop itself is independent.
 
 from __future__ import annotations
 
+from itertools import chain
+
 from stacksim.arch import ArchConfig
 from stacksim.dramsim import DramSystem, schedule_tile, stats as dram_stats
 from stacksim.kerneldsl.trace import MatrixWork, VectorWork, event_totals
@@ -39,7 +41,7 @@ def reference_simulate_compute(op: ComputeOp, cfg: ArchConfig) -> OperatorResult
             mem_done = dram.run(schedule_tile(reqs, cfg))
         now = max(mem_done, now + compute_cycles)
     cycles = now
-    m_flops, v_flops, dram_bytes = event_totals(body.desc.events())
+    m_flops, v_flops, dram_bytes = event_totals(chain.from_iterable(body.desc.iterations))
     bound = _roofline(m_flops, dram_bytes, cfg)
     d = dram_stats(dram)
     en = cfg.energy

@@ -2,9 +2,10 @@
 
 The tree walker `expand` used before it compiled loop nests: every trip of
 every loop copies the environment, and every slice bound is evaluated by
-walking its expression tree. Only `byte_ranges` (the byte-run routine) and
-the event types are shared with production code. Intended for small traces,
-such as the shipped kernels at the tilings `shipped_bindings` lists.
+walking its expression tree. Only the byte-run routine (`byte_ranges`
+below) and the event types are shared with production code. Intended for
+small traces, such as the shipped kernels at the tilings `shipped_bindings`
+lists.
 """
 
 from __future__ import annotations
@@ -16,8 +17,15 @@ from stacksim.kerneldsl.ast import (
 )
 from stacksim.kerneldsl.checker import CheckedProgram, SymbolInfo
 from stacksim.kerneldsl.trace import (
-    DramRead, DramWrite, ExpandError, MatrixWork, VectorWork, byte_ranges,
+    DramRead, DramWrite, ExpandError, MatrixWork, VectorWork, _byte_runs, _run_layout,
 )
+
+
+def byte_ranges(info: SymbolInfo,
+                slices: tuple[tuple[int, int], ...]) -> tuple[tuple[int, int], ...]:
+    """Contiguous (offset, length) byte runs of a tile of `info`, in
+    increasing offset order: `expand`'s byte-run routine."""
+    return _byte_runs(_run_layout(info), slices)
 
 
 def _resolve_slices(ref: TileRef, info: SymbolInfo, env: dict) -> tuple[tuple[int, int], ...]:

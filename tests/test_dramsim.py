@@ -6,7 +6,7 @@ import pytest
 
 from stacksim.arch import (
     ArchConfig, ChannelSpec, CoreSpec, DramTiming, LogicalBankSpec,
-    PhysicalBankSpec,
+    PhysicalBankSpec, peak_dram_bytes_per_cycle,
 )
 from stacksim.dramsim import (
     AddressError, DramSystem, Request, schedule_tile, split_range, stats,
@@ -41,14 +41,15 @@ def test_split_range_examples():
 def test_split_range_locates_every_byte_exhaustive():
     cfg = small_cfg()
     capacity = cfg.channel_capacity_bytes * cfg.core.channels
+    rows = cfg.lb.R * cfg.pb.row_count  # logical rows per channel
     per_row = Counter()
     for addr in range(capacity):
         chunks = split_range(addr, 1, cfg)
         assert chunks == [(*_byte_location(addr, cfg), 1, 1)]
         channel, row, _, _ = chunks[0]
-        assert 0 <= row < cfg.logical_rows_per_channel
+        assert 0 <= row < rows
         per_row[channel, row] += 1
-    assert len(per_row) == cfg.core.channels * cfg.logical_rows_per_channel
+    assert len(per_row) == cfg.core.channels * rows
     assert set(per_row.values()) == {cfg.logical_row_bytes}
 
 
@@ -139,8 +140,10 @@ def test_saturated_row_hits_full_utilization():
     cfg = small_cfg()
     sys = DramSystem(cfg)
     sys.run([Request(0, "R", 0, 128)])
+    s = stats(sys)
     # Discounting the activation warmup, the bus never idles.
-    assert stats(sys, start_cycle=T.tRCD)["utilization"] == 1.0
+    window = s["elapsed_cycles"] - T.tRCD
+    assert s["total_bytes"] / window / peak_dram_bytes_per_cycle(cfg) == 1.0
 
 
 def test_random_row_utilization_closed_form():
@@ -150,7 +153,7 @@ def test_random_row_utilization_closed_form():
     timing = dataclasses.replace(T, tRAS=T.tRCD)
     cfg = small_cfg(channels=1, timing=timing)
     sys = DramSystem(cfg)
-    rows = cfg.logical_rows_per_channel
+    rows = cfg.lb.R * cfg.pb.row_count
     rng = random.Random(7)
     prev_row, ready = None, 0
     first_done = None
@@ -160,11 +163,12 @@ def test_random_row_utilization_closed_form():
         if first_done is None:
             first_done = ready
         prev_row = row
-    s = stats(sys, start_cycle=first_done)
+    s = stats(sys)
     expected = T.tBURST / (T.tRP + T.tRCD + T.tBURST)
-    # start_cycle discounts the first access's bytes window begin; correct for
-    # its 32 bytes landing before the window.
-    measured = (s["total_bytes"] - 32) / s["elapsed_cycles"] / (32 / T.tBURST)
+    # The window starts when the first access completes, so its 32 bytes
+    # land before the window.
+    window = s["elapsed_cycles"] - first_done
+    measured = (s["total_bytes"] - 32) / window / (32 / T.tBURST)
     assert measured == pytest.approx(expected)
 
 

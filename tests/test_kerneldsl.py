@@ -14,10 +14,10 @@ from stacksim.kerneldsl import (
     VectorWork, ast_to_json, event_totals, expand, parse_kernel, typecheck,
 )
 from stacksim.kerneldsl.checker import SymbolInfo
-from stacksim.kerneldsl.trace import ExpandError, byte_ranges, strides_elems
+from stacksim.kerneldsl.trace import ExpandError, strides_elems
 from stacksim.workloads import load_kernel
 
-from expand_reference import reference_expand, shipped_bindings
+from expand_reference import byte_ranges, reference_expand, shipped_bindings
 
 CFG = ArchConfig()
 

@@ -54,12 +54,8 @@ def test_self_send_and_empty_packet_complete_immediately():
     assert sim.idle()
 
 
-def test_inject_rejects_past_cycles_and_cores_off_the_mesh():
+def test_inject_rejects_cores_off_the_mesh():
     sim = MeshSim(CFG)
-    for _ in range(10):
-        sim.tick()
-    with pytest.raises(ValueError):
-        sim.inject(Packet((0, 0), (1, 1), 64), cycle=9)  # would never inject
     with pytest.raises(ValueError):
         sim.inject(Packet((0, 0), (0, 4), 64))
     with pytest.raises(ValueError):
@@ -86,11 +82,14 @@ def test_input_queues_never_exceed_their_depth(depth, link_delay):
     rng = random.Random(3)
     sim = MeshSim(cfg)
     cores = [(m, n) for m in range(4) for n in range(4)]
+    due: dict[int, list[Packet]] = {}  # injection cycle -> packets
     for _ in range(200):
-        sim.inject(Packet(rng.choice(cores), rng.choice(cores),
-                          rng.choice([32, 256, 1024])), cycle=rng.randrange(0, 300))
+        pkt = Packet(rng.choice(cores), rng.choice(cores), rng.choice([32, 256, 1024]))
+        due.setdefault(rng.randrange(0, 300), []).append(pkt)
     fullest = 0
-    while not sim.idle():
+    while due or not sim.idle():
+        for pkt in due.pop(sim.now, ()):
+            sim.inject(pkt)
         sim.tick()
         fullest = max(fullest, max(len(q) for r in sim.routers for q in r.queues[:4]))
     assert fullest == depth
@@ -138,7 +137,7 @@ def test_ring_plan_volume_and_makespan():
     res = run_plan(plan, arr, CFG)
     # 3 steps x 4 sends x 1 KB chunks; every hop on the 2x2 sub-mesh is 1-2.
     assert res.makespan > 0
-    assert res.bytes_hops >= plan.total_bytes()
+    assert res.bytes_hops >= sum(s.bytes for s in plan.steps)
     assert set(res.per_core_completion) <= {(m, n) for m in range(4) for n in range(4)}
 
 

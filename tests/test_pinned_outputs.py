@@ -123,12 +123,17 @@ def test_mesh_contention_pinned(variant):
     rng = random.Random(5)
     sim = MeshSim(cfg)
     cores = [(m, n) for m in range(4) for n in range(4)]
+    pkts, due = [], {}  # due: injection cycle -> packets, in draw order
     for _ in range(300):
-        sim.inject(Packet(rng.choice(cores), rng.choice(cores),
-                          rng.choice([0, 1, 32, 100, 512, 2048])),
-                   cycle=rng.randrange(0, 400))
+        pkts.append(Packet(rng.choice(cores), rng.choice(cores),
+                           rng.choice([0, 1, 32, 100, 512, 2048])))
+        due.setdefault(rng.randrange(0, 400), []).append(pkts[-1])
+    while due:
+        for pkt in due.pop(sim.now, ()):
+            sim.inject(pkt)
+        sim.tick()
     sim.run_until_drained()
-    record = sorted((p.pid, p.complete_cycle) for p in sim.packets.values())
+    record = [(i, p.complete_cycle) for i, p in enumerate(pkts)]
     assert _sha256(record) == PINS["mesh_" + variant]
     assert sim.injected_flits == sim.ejected_flits
 

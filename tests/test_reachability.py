@@ -1,0 +1,169 @@
+"""Every function under `src/stacksim` is on a path from a user verb to a
+number, or `ALLOWLIST` says why it stays.
+
+The runs (`_runs`) are `stacksim` command lines, each small: every
+verb, both shipped configs, both `trace-gen` kinds, and one refused input
+for each error class that `cli.main` turns into exit 2. They run in-process
+under `sys.setprofile`, which records the code object of every function
+called. The defined functions are the module-level functions, methods and
+property getters of every `stacksim` module, counted once per code object,
+so a re-export is one function. Nested closures and methods that
+`dataclasses` generates are not counted.
+
+The functions no run reaches must be exactly the allowlist: a new function
+that no verb calls fails the test, and so does an allowlisted one that a
+verb starts to call, so the list shrinks as the directions that give its
+entries callers land. Each entry names the ROADMAP direction, or the
+benchmark (`perfbench`) dependency, that keeps it.
+"""
+
+from __future__ import annotations
+
+import importlib
+import inspect
+import pkgutil
+import sys
+from importlib import resources
+from pathlib import Path
+
+import stacksim
+from stacksim import cli
+from stacksim.workloads import load_kernel
+
+SRC = Path(stacksim.__file__).resolve().parent
+
+ALLOWLIST = {
+    "stacksim.orchestrator.roofline_cycles":
+        "perfbench's decode check bounds every compute operator by it (direction 7)",
+    "stacksim.orchestrator.ComputeOp.checked":
+        "perfbench's decode check and operator key read it (direction 7)",
+    "stacksim.orchestrator.ComputeOp.desc":
+        "perfbench's decode check reads it (direction 7)",
+    "stacksim.kerneldsl.trace.event_totals":
+        "only roofline_cycles and graph_totals call it (directions 5 and 7)",
+    "stacksim.workloads.graph_totals":
+        "bytes moved against the bytes a model implies (directions 4 and 5)",
+    "stacksim.workloads.ModelSpec.params_per_layer":
+        "the weight bytes a model implies (directions 4 and 5)",
+    "stacksim.workloads.ModelSpec.kv_bytes_per_token":
+        "the KV bytes a model implies (directions 4 and 5)",
+    "stacksim.partition.split_gemm":
+        "FC collectives from their reduction groups (direction 8)",
+    "stacksim.thermal.ThermalGrid.step":
+        "the transient of a step's per-operator power, or a stated reason to "
+        "keep it unused (direction 6)",
+    "stacksim.arch.serialize":
+        "the config hash in a report's provenance (direction 5)",
+    "stacksim.nocsim.zero_load_latency":
+        "the independent NoC reference of the datasheet and of the collective "
+        "algorithm choice (directions 1 and 8)",
+}
+
+
+def _config(name: str) -> str:
+    return str(resources.files("stacksim").joinpath(f"configs/{name}.yaml"))
+
+
+def _runs(tmp: Path) -> list[tuple[list[str], int]]:
+    """(argv, expected exit code) of every run, in order."""
+    (tmp / "noc5.yaml").write_text("dram: {}\ncore: {}\nnoc: 5\n")
+    (tmp / "bad.kl").write_text("kernel k(N):\n    x = 1\n")
+    (tmp / "deep.kl").write_text(
+        "kernel k(N):\n    x = alloc((" + "-" * 3000 + "N,), fp16)\n")
+    sweep_csv = str(tmp / "sweep.csv")
+    mm = ["--kernel", "matmul", "--bind", "M=64", "K=256", "N=64"]
+    return [
+        (["validate", "--config", _config("default")], 0),
+        (["validate", "--config", _config("edge")], 0),
+        (["parse", *mm, "tM=64", "tN=64", "tK=256"], 0),
+        (["parse", "--kernel", "matmul", "--dump-ast", "--out", str(tmp / "ast.json")], 0),
+        (["tune", *mm, "tM=64", "tK=256", "--limit", "8", "--out", str(tmp / "tune.yaml")], 0),
+        (["simulate", "--kernel", "fused_attention",
+          "--bind", "B=4", "D=64", "L=256", "tL=64"], 0),
+        (["simulate", "--model", "llama3.2-1b", "--layers", "1",
+          "--out", str(tmp / "dense.csv")], 0),
+        (["simulate", "--model", "mixtral-8x22b", "--layers", "1", "--tp", "2", "--ep", "2"], 0),
+        (["simulate", "--model", "llama3.2-1b", "--layers", "1", "--regulate"], 0),
+        (["sweep", "interleave_x", "3", "5", "--out", sweep_csv], 0),
+        (["report", sweep_csv], 0),
+        (["trace-gen", "gemm_tile", "--m", "16", "--k", "64", "--n", "64", "--run",
+          "--out", str(tmp / "gemm.txt")], 0),
+        (["trace-gen", "paged_attention", "--blocks", "8", "--slots", "16",
+          "--context", "64", "--runs", "2", "--run", "--out", str(tmp / "paged.txt")], 0),
+        # Refusals: ArchError, KernelSyntaxError (a statement outside the
+        # subset, and an expression too deep for Python's parser),
+        # TypecheckError, TilerError, WorkloadError, and a SweepError, which
+        # the sweep writes as an `invalid:` row.
+        (["validate", "--config", str(tmp / "noc5.yaml")], 2),
+        (["parse", "--kernel", str(tmp / "bad.kl")], 2),
+        (["parse", "--kernel", str(tmp / "deep.kl")], 2),
+        (["parse", *mm, "tM=64", "tN=64", "K=1048576", "tK=1048576"], 2),
+        (["tune", *mm, "--limit", "0"], 2),
+        (["simulate", "--model", "llama3.2-1b", "--layers", "0"], 2),
+        (["sweep", "interleave_x", "1.5", "--out", str(tmp / "invalid.csv")], 0),
+    ]
+
+
+def _called(runs) -> tuple[set, list[int]]:
+    """Code objects of every function the runs call, and their exit codes."""
+    called = set()
+    load_kernel.cache_clear()  # so the runs parse the shipped kernels again
+
+    def profile(frame, event, arg):
+        if event == "call":
+            called.add(frame.f_code)
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        codes = [cli.main(argv) for argv, _ in runs]
+    finally:
+        sys.setprofile(previous)
+    return called, codes
+
+
+def _functions(obj):
+    """The functions `obj` defines: itself, or a class's methods and
+    property getters."""
+    if inspect.isclass(obj):
+        for attr in vars(obj).values():
+            if isinstance(attr, (staticmethod, classmethod)):
+                yield attr.__func__
+            elif isinstance(attr, property):
+                yield attr.fget
+            elif inspect.isfunction(attr):
+                yield attr
+    elif callable(obj):
+        fn = inspect.unwrap(obj)  # e.g. through functools.cache
+        if inspect.isfunction(fn):
+            yield fn
+
+
+def _defined() -> dict:
+    """Code object -> qualified name of every function under src/stacksim."""
+    for info in pkgutil.walk_packages(stacksim.__path__, "stacksim."):
+        importlib.import_module(info.name)
+    defined = {}
+    for name, module in list(sys.modules.items()):
+        if name != "stacksim" and not name.startswith("stacksim."):
+            continue
+        for obj in vars(module).values():
+            for fn in _functions(obj):
+                code = fn.__code__
+                # Generated methods (dataclasses, NamedTuple) have no file here.
+                if SRC in Path(code.co_filename).resolve().parents:
+                    defined[code] = f"{fn.__module__}.{fn.__qualname__}"
+    return defined
+
+
+def test_every_function_is_reached_by_a_verb_or_allowlisted(tmp_path, capsys):
+    runs = _runs(tmp_path)
+    called, codes = _called(runs)
+    assert codes == [rc for _, rc in runs], capsys.readouterr().err
+    assert "invalid: " in (tmp_path / "invalid.csv").read_text()
+    unreached = {name for code, name in _defined().items() if code not in called}
+    dead = sorted(unreached - ALLOWLIST.keys())
+    assert not dead, f"defined, but no verb reaches them: {dead}"
+    stale = sorted(ALLOWLIST.keys() - unreached)
+    assert not stale, f"allowlisted, but reached or gone: {stale}"
+    assert all("direction" in why or "perfbench" in why for why in ALLOWLIST.values())

@@ -1,4 +1,5 @@
 import dataclasses
+from itertools import chain
 from types import SimpleNamespace
 
 import pytest
@@ -107,7 +108,7 @@ def test_pipeline_prologue_and_epilogue():
 def test_pipeline_preserves_work():
     checked = checked_matmul(M=128, K=128, N=128, tM=32, tN=32, tK=32)
     desc = generate_execution(checked)
-    events = list(desc.events())
+    events = list(chain.from_iterable(desc.iterations))
     flops = sum(2 * e.m * e.n * e.k for e in events if isinstance(e, MatrixWork))
     assert flops == 2 * 128 ** 3
     assert sum(e.bytes for e in events if isinstance(e, DramWrite)) == 128 * 128 * 2

@@ -10,13 +10,14 @@ import pytest
 from stacksim import orchestrator
 from stacksim.arch import ArchConfig
 from stacksim.cli import main
+from stacksim.dramsim import Request
 from stacksim.orchestrator import CollectiveOp, ComputeOp, InterAccelOp, run
 from stacksim.partition import CoreArray, build_collective
 from stacksim.sweep import apply_dimension, report, rows_to_csv, sweep
 from stacksim.workloads import (
     DecodingScenario, PagedKvLayout, WorkloadError, build_decoding_graph,
     gen_gemm_benchmark, gen_paged_attention_benchmark, graph_totals,
-    load_model, model_from_yaml, parse_trace, serialize_trace,
+    load_model, model_from_yaml, serialize_trace,
 )
 
 CFG = ArchConfig()
@@ -210,6 +211,21 @@ def test_interned_operators_share_one_simulation(monkeypatch):
     assert [r.name for r in report.operators] == [op.name for op in ops]
     res = {r.name: r for r in report.operators}
     assert res["layer1.ffn_up"].cycles == res["layer0.ffn_gate"].cycles
+
+
+def parse_trace(text: str) -> list[Request]:
+    """Read back a `serialize_trace` text, refusing any malformed line."""
+    reqs = []
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        line = line.split("#", 1)[0].strip()
+        if not line:
+            continue
+        parts = [p.strip() for p in line.split(",")]
+        if len(parts) != 4 or parts[1] not in ("R", "W"):
+            raise WorkloadError(
+                f"trace line {lineno}: expected 'cycle_ready, R|W, address, bytes'")
+        reqs.append(Request(int(parts[0]), parts[1], int(parts[2]), int(parts[3])))
+    return reqs
 
 
 def test_gemm_benchmark_trace_and_round_trip():
@@ -441,6 +457,10 @@ def test_cli_trace_gen(tmp_path, capsys):
     ("matrix_vector_ratio", "0", "matrix:vector ratio must be > 0, got 0"),
     ("bandwidth_alloc", "0", "channel.io_pins must be positive (got 0)"),
     ("bandwidth_alloc", "3", "channel.io_pins must be a multiple of 8 (got 3)"),
+    # A fractional value on an integer dimension is refused, not truncated.
+    *[(dim, "1.5", f"{dim} must be an integer, got 1.5")
+      for dim in ("interleave_x", "channels", "logical_row", "bandwidth_alloc",
+                  "sram", "link_width")],
 ])
 def test_cli_sweep_writes_an_invalid_row_for_a_bad_value(tmp_path, dimension, value, reason):
     out = tmp_path / "sweep.csv"
@@ -448,6 +468,13 @@ def test_cli_sweep_writes_an_invalid_row_for_a_bad_value(tmp_path, dimension, va
     rows = list(csv.DictReader(io.StringIO(out.read_text())))
     assert [(r["dimension"], r["value"], r["status"]) for r in rows] == [
         (dimension, value, "invalid: " + reason)]
+
+
+def test_cli_sweep_simulates_a_fractional_ratio(tmp_path):
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "matrix_vector_ratio", "1.5", "--out", str(out)]) == 0
+    rows = list(csv.DictReader(io.StringIO(out.read_text())))
+    assert [(r["value"], r["status"]) for r in rows] == [("1.5", "ok")]
 
 
 def test_cli_tune_rejects_a_zero_extent(capsys):
@@ -532,3 +559,21 @@ def test_cli_rejects_config_values_of_the_wrong_type(tmp_path, capsys, old, new,
     captured = capsys.readouterr()
     assert captured.err.startswith("error: ") and " must be " in captured.err
     assert "Traceback" not in captured.err and captured.out == ""
+
+
+@pytest.mark.parametrize("text, error", [
+    ("dram: {}\ncore: {}\nnoc: 5\n", "noc must be a mapping, got 5"),
+    ("dram: 5\ncore: {}\n", "dram must be a mapping, got 5"),
+    ("dram: {channel: 5}\ncore: {}\n", "dram.channel must be a mapping, got 5"),
+    ("dram: {}\ncore: {}\nthermal: 5\n", "thermal must be a mapping, got 5"),
+    ("dram: {}\ncore: {}\nthermal: {layers: [5]}\n",
+     "thermal.layers[] must be a mapping, got 5"),
+    ("dram: {}\ncore: {}\nthermal: {layers: 5}\n", "thermal.layers must be a list, got 5"),
+])
+def test_cli_rejects_config_sections_that_are_not_mappings(tmp_path, capsys, text, error):
+    path = tmp_path / "sections.yaml"
+    path.write_text(text)
+    assert main(["validate", "--config", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {error}\n"
+    assert captured.out == ""

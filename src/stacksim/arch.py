@@ -4,7 +4,7 @@ A single YAML file describes the whole system: the stacked-DRAM memory system
 per core (physical banks, logical bank organization, channels), the per-core
 compute logic, the on-chip mesh, the inter-accelerator link, energy
 coefficients, DRAM timing, and the thermal stack. The parsed config is
-immutable and safe to share across simulation workers.
+immutable and safe to share across simulations.
 """
 
 from __future__ import annotations

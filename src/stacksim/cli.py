@@ -131,9 +131,19 @@ def cmd_simulate(args) -> int:
     return 0
 
 
+def _grid_value(text: str):
+    """A sweep grid value: an int where `int()` reads it, else a float."""
+    for parse in (int, float):
+        try:
+            return parse(text)
+        except ValueError:
+            pass
+    raise ValueError(f"sweep grid value {text!r} is not a number")
+
+
 def cmd_sweep(args) -> int:
     cfg = _load_config(args.config)
-    grid = [float(v) if "." in v else int(v) for v in args.grid]
+    grid = [_grid_value(v) for v in args.grid]
     rows = sweep_mod.sweep(args.dimension, grid, cfg)
     _write_out(sweep_mod.rows_to_csv(rows), args.out)
     return 0

@@ -235,7 +235,10 @@ def run(operators: list, cfg: ArchConfig) -> SimReport:
 
     Each distinct compute body and each distinct (plan, array)
     collective is simulated once; `cfg` is fixed for the call, so it is not
-    part of the key.
+    part of the key. Bodies and plans are keyed by identity:
+    `build_decoding_graph` builds one of each per distinct value, a lookup
+    then hashes none of a plan's steps, and `operators` keeps every plan
+    alive, so no id is reused during the call.
     """
     now = 0
     results: list[OperatorResult] = []
@@ -245,7 +248,7 @@ def run(operators: list, cfg: ArchConfig) -> SimReport:
         if isinstance(op, ComputeOp):
             res = _simulate_once(memo, op.body, op, simulate_compute, cfg)
         elif isinstance(op, CollectiveOp):
-            res = _simulate_once(memo, (op.plan, op.array), op,
+            res = _simulate_once(memo, (id(op.plan), op.array), op,
                                  simulate_collective, cfg)
         elif isinstance(op, InterAccelOp):
             cycles = inter_accel_cycles(op.bytes, cfg)

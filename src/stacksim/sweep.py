@@ -3,8 +3,9 @@
 Each sweep point derives a config from the base, runs frequency regulation
 against a power model, autotunes the probe workload's tiling, simulates it,
 and records one CSV row. Points that fail regulation or have no feasible
-tiling are recorded with their flag rather than dropped. Rows are keyed by
-(dimension, value) so parallel evaluation yields the same file as serial.
+tiling are recorded with their flag rather than dropped. Points are
+evaluated one after another, and rows are sorted by dimension, then by the
+value's string form.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 import csv
 import dataclasses
 import io
+import math
 
 from .arch import ArchConfig, derived_metrics, validate
 from .orchestrator import ComputeOp, simulate_compute
@@ -78,6 +80,8 @@ def apply_dimension(base: ArchConfig, dimension: str, value) -> ArchConfig:
         ratio = float(value)
         if not ratio > 0:
             raise SweepError(f"matrix:vector ratio must be > 0, got {value}")
+        if math.isinf(ratio):
+            raise SweepError(f"matrix:vector ratio must be finite, got {value}")
         total = base.core.matrix_tflops + base.core.vector_tflops
         matrix = total * ratio / (ratio + 1.0)
         return r(base, core=r(base.core, matrix_tflops=matrix,
@@ -150,30 +154,20 @@ def evaluate_point(cfg: ArchConfig) -> dict:
     }
 
 
-def sweep(dimension: str, grid: list, base: ArchConfig,
-          workers: int = 1) -> list[dict]:
-    """Evaluate every grid point; `workers` > 1 distributes points over
-    processes and must produce exactly the serial result."""
+def sweep(dimension: str, grid: list, base: ArchConfig) -> list[dict]:
+    """Evaluate every grid point; one row per point."""
     if not grid:
         raise SweepError("sweep grid must be nonempty")
-    points = []
+    rows = []
     for value in grid:
         record = {"dimension": dimension, "value": value}
         try:
             cfg = apply_dimension(base, dimension, value)
         except SweepError as e:
             record["status"] = f"invalid: {e}"
-        points.append((record, cfg if "status" not in record else None))
-    todo = [(rec, cfg) for rec, cfg in points if cfg is not None]
-    if workers > 1 and todo:
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=workers) as ex:
-            results = list(ex.map(evaluate_point, [cfg for _, cfg in todo]))
-    else:
-        results = [evaluate_point(cfg) for _, cfg in todo]
-    for (rec, _), result in zip(todo, results):
-        rec.update(result)
-    rows = [rec for rec, _ in points]
+        else:
+            record.update(evaluate_point(cfg))
+        rows.append(record)
     rows.sort(key=lambda r: (r["dimension"], str(r["value"])))
     return rows
 

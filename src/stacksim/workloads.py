@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import contextlib
 import functools
+import gc
 import random
 from dataclasses import dataclass
 from importlib import resources
-from itertools import chain
+from itertools import chain, islice, repeat
 
 import yaml
 
@@ -262,6 +264,27 @@ def graph_totals(ops: list) -> dict:
 
 
 # --- DRAM microbenchmarks -------------------------------------------------
+#
+# A trace is hundreds of thousands of `Request`s. CPython never untracks a
+# tuple subclass from the cyclic collector, so every full collection during
+# a build walks every request built so far. The builders pause the
+# collector (`_collector_paused`) and build each run of requests with one
+# C-level `map` of `tuple.__new__`, so no Python frame runs per request.
+
+@contextlib.contextmanager
+def _collector_paused():
+    """Disable the cyclic garbage collector for the block, then restore the
+    state the caller had. A build makes no reference cycle (requests are
+    plain tuples, and `typecheck` and `expand` leave none), so the pause
+    delays freeing nothing."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
 
 def dram_requests(events, bases: dict, ready: int) -> list[Request]:
     """The DRAM requests of the reads and writes among `events`, in order."""
@@ -274,40 +297,47 @@ def dram_requests(events, bases: dict, ready: int) -> list[Request]:
         else:
             continue
         base = bases[e.tensor]
-        reqs.extend([Request(ready, kind, base + off, length) for off, length in e.ranges])
+        reqs += map(tuple.__new__, repeat(Request),
+                    [(ready, kind, base + off, length) for off, length in e.ranges])
     return reqs
 
 
 def gen_gemm_benchmark(cfg: ArchConfig, M: int = 64, K: int = 8192, N: int = 8192,
                        tiling: dict[str, int] | None = None) -> list[Request]:
     """Tile-ordered GEMM access trace: A/C row-major, B column-major."""
-    prog = load_kernel("matmul")
-    bindings = {"M": M, "K": K, "N": N}
-    bindings.update(tiling or {"tM": min(M, 64), "tN": 256, "tK": 256})
-    checked = typecheck(prog, cfg, bindings)
-    return dram_requests(expand(checked).events, infer_placement(checked, cfg), 0)
+    with _collector_paused():
+        prog = load_kernel("matmul")
+        bindings = {"M": M, "K": K, "N": N}
+        bindings.update(tiling or {"tM": min(M, 64), "tN": 256, "tK": 256})
+        checked = typecheck(prog, cfg, bindings)
+        return dram_requests(expand(checked).events, infer_placement(checked, cfg), 0)
 
 
 def gen_paged_attention_benchmark(cfg: ArchConfig, layout: PagedKvLayout,
                                   context: int, seed: int = 0,
                                   runs: int = 10) -> list[list[Request]]:
     """Paged-KV gather traces: `runs` independent random block sequences."""
-    problems = layout.validate(context)
-    if context < 1:
-        problems.append(f"context must be >= 1, got {context}")
-    if runs < 1:
-        problems.append(f"runs must be >= 1, got {runs}")
-    if problems:
-        raise WorkloadError("; ".join(problems))
-    rng = random.Random(seed)
-    slots = layout.slots_per_block
-    vector = layout.kv_vector_bytes
-    block_bytes = slots * vector
-    # Blocks in shuffled order, each block's slots in order, cut at `context`.
-    return [[Request(0, "R", block * block_bytes + slot * vector, vector)
-             for block in layout.block_sequence(context, rng)
-             for slot in range(slots)][:context]
-            for _ in range(runs)]
+    with _collector_paused():
+        problems = layout.validate(context)
+        if context < 1:
+            problems.append(f"context must be >= 1, got {context}")
+        if runs < 1:
+            problems.append(f"runs must be >= 1, got {runs}")
+        if problems:
+            raise WorkloadError("; ".join(problems))
+        rng = random.Random(seed)
+        vector = layout.kv_vector_bytes
+        block_bytes = layout.slots_per_block * vector
+        traces = []
+        for _ in range(runs):
+            # Blocks in shuffled order, each block's slots in order, cut at
+            # `context`.
+            addrs = chain.from_iterable(
+                range(block * block_bytes, (block + 1) * block_bytes, vector)
+                for block in layout.block_sequence(context, rng))
+            traces.append(list(map(tuple.__new__, repeat(Request), zip(
+                repeat(0), repeat("R"), islice(addrs, context), repeat(vector)))))
+        return traces
 
 
 def serialize_trace(reqs: list[Request]) -> str:

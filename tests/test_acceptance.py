@@ -22,7 +22,7 @@ from stacksim.orchestrator import (
     simulate_compute,
 )
 from stacksim.partition import CoreArray, build_collective, logical_to_physical, split_gemm
-from stacksim.sweep import sweep
+from stacksim.sweep import apply_dimension, evaluate_point, sweep
 from stacksim.thermal import build_matrices, power_map, regulate
 from stacksim.tiler import autotune, build_body, tiling_candidates
 from stacksim.workloads import (
@@ -328,11 +328,13 @@ def test_c11_results_are_deterministic():
 
     a, b = once(), once()
     assert a == b  # byte-identical report
-    serial = sweep("interleave_x", [0, 5], cfg, workers=1)
-    parallel = sweep("interleave_x", [0, 5], cfg, workers=2)
-    assert serial == parallel
-    print("\nPASS c11: repeated runs byte-identical; parallel sweep equals "
-          "serial")
+    rows = sweep("interleave_x", [0, 5], cfg)
+    assert rows == [{"dimension": "interleave_x", "value": v,
+                     **evaluate_point(apply_dimension(cfg, "interleave_x", v))}
+                    for v in (0, 5)]
+    assert sweep("interleave_x", [0, 5], cfg) == rows
+    print("\nPASS c11: repeated runs byte-identical; each sweep row is its "
+          "point evaluated alone")
 
 
 def test_c12_full_model_decoding_step():

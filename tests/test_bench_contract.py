@@ -7,6 +7,11 @@ missing (`DramSystem.run`, `stats`, `orchestrator.run`, `sweep.sweep`,
 `BENCHMARK.json` declares runs once here, as one repetition of the
 benchmark runs it, and must report no error and no failed operation.
 
+Each workload's untraced run must also give the fingerprint pinned in
+`FINGERPRINTS`: the sha256 of its simulated outputs at seed 1. A speedup
+or refactor keeps these byte-identical; a change that moves simulated
+numbers on purpose re-pins them and says why.
+
 The traced run skips a span whose target no longer exists, so its metrics
 go missing without an error, and a span whose target the code stops calling
 reports zero calls. Every workload therefore also runs once traced, and
@@ -36,6 +41,13 @@ UNREACHED = {
     "dram-noc-micro": ("dramsim.schedule_tile", "orchestrator.*", "sweep.*", "thermal.*",
                        "tiler.autotune", "tiler.generate_execution",
                        "workloads.build_decoding_graph"),
+}
+
+# sha256 fingerprint of each workload's outputs at seed 1.
+FINGERPRINTS = {
+    "decode-llama3.2-1b": "ba571c78e46a6c592dfcc3d61191df6aa966fd29e98d8e33e462c928d7700645",
+    "sweep-bw-thermal48": "0425b914addf1beb327cf3db4b246719ea06308c5351f742a708f0c69aadbb02",
+    "dram-noc-micro": "71286badf85f34d5bccd5c6bf1f173f548590a8a8512fa61389e37e7d1edffe9",
 }
 
 
@@ -68,7 +80,7 @@ def _declared_spans() -> dict[str, str]:
 
 @pytest.mark.parametrize("workload", WORKLOADS)
 def test_bench_workload_runs_without_error_or_failure(workload, tmp_path):
-    _run_child(workload, 0, tmp_path)
+    assert _run_child(workload, 0, tmp_path)["fingerprint"] == FINGERPRINTS[workload]
 
 
 @pytest.mark.parametrize("workload", WORKLOADS)

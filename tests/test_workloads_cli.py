@@ -1,8 +1,10 @@
 import csv
+import gc
 import glob
 import hashlib
 import io
 import os
+import random
 from importlib import resources
 
 import pytest
@@ -11,13 +13,16 @@ from stacksim import orchestrator
 from stacksim.arch import ArchConfig
 from stacksim.cli import main
 from stacksim.dramsim import Request
+from stacksim.kerneldsl.checker import TypecheckError, typecheck
+from stacksim.kerneldsl.trace import DramRead, DramWrite, expand
 from stacksim.orchestrator import CollectiveOp, ComputeOp, InterAccelOp, run
 from stacksim.partition import CoreArray, build_collective
 from stacksim.sweep import apply_dimension, report, rows_to_csv, sweep
+from stacksim.tiler import infer_placement
 from stacksim.workloads import (
     DecodingScenario, PagedKvLayout, WorkloadError, build_decoding_graph,
     gen_gemm_benchmark, gen_paged_attention_benchmark, graph_totals,
-    load_model, model_from_yaml, serialize_trace,
+    load_kernel, load_model, model_from_yaml, serialize_trace,
 )
 
 CFG = ArchConfig()
@@ -213,6 +218,32 @@ def test_interned_operators_share_one_simulation(monkeypatch):
     assert res["layer1.ffn_up"].cycles == res["layer0.ffn_gate"].cycles
 
 
+def test_run_simulates_each_plan_object_once(monkeypatch):
+    model = load_model("llama3.2-1b")
+    ops = build_decoding_graph(model, DecodingScenario(batch=16, context=1024), CFG,
+                               layers=1)
+    first = next(op for op in ops if isinstance(op, CollectiveOp))
+    # An equal plan built apart from the graph is a distinct object.
+    ar_bytes = 16 * model.hidden * model.dtype_bytes // 16  # batch * hidden / cores
+    copy = build_collective(first.array, "all_reduce_1d", ar_bytes)
+    assert copy == first.plan and copy is not first.plan
+    ops.append(CollectiveOp("extra.all_reduce", copy, first.array))
+    simulated = []
+
+    def counting(op, cfg):
+        simulated.append(op.plan)
+        return collective(op, cfg)
+
+    collective = orchestrator.simulate_collective
+    monkeypatch.setattr(orchestrator, "simulate_collective", counting)
+    report = run(ops, CFG)
+    plans = {id(op.plan): op.plan for op in ops if isinstance(op, CollectiveOp)}
+    assert len(plans) == 3  # all_reduce_1d, all_reduce_2d and the copy
+    assert sorted(map(id, simulated)) == sorted(plans)
+    res = {r.name: r for r in report.operators}
+    assert res["extra.all_reduce"].cycles == res[first.name].cycles
+
+
 def parse_trace(text: str) -> list[Request]:
     """Read back a `serialize_trace` text, refusing any malformed line."""
     reqs = []
@@ -257,6 +288,78 @@ def test_paged_attention_benchmark_seeded():
     assert runs == again
     other = gen_paged_attention_benchmark(CFG, layout, context=64, seed=4)
     assert runs != other
+
+
+def test_gemm_benchmark_is_one_request_per_byte_range():
+    shape = {"M": 16, "K": 64, "N": 64}
+    tiling = {"tM": 16, "tN": 32, "tK": 32}
+    checked = typecheck(load_kernel("matmul"), CFG, {**shape, **tiling})
+    bases = infer_placement(checked, CFG)
+    expect, dram_events = [], 0
+    for e in expand(checked).events:
+        if isinstance(e, (DramRead, DramWrite)):
+            dram_events += 1
+            kind = "R" if isinstance(e, DramRead) else "W"
+            for off, length in e.ranges:
+                expect.append(Request(0, kind, bases[e.tensor] + off, length))
+    reqs = gen_gemm_benchmark(CFG, **shape, tiling=tiling)
+    assert len(expect) > dram_events  # some events span several byte ranges
+    assert reqs == expect
+    assert all(type(r) is Request for r in reqs)
+
+
+def test_paged_attention_benchmark_is_the_seeded_block_order():
+    layout = PagedKvLayout(blocks_per_core=8, slots_per_block=16, kv_vector_bytes=64)
+    context = 40  # cuts the third block after 8 of its slots
+    runs = gen_paged_attention_benchmark(CFG, layout, context, seed=5, runs=3)
+    rng = random.Random(5)
+    expect = []
+    for _ in range(3):
+        slots = [(block, slot) for block in layout.block_sequence(context, rng)
+                 for slot in range(16)]
+        expect.append([Request(0, "R", (block * 16 + slot) * 64, 64)
+                       for block, slot in slots[:context]])
+    assert runs == expect
+    assert all(type(r) is Request for reqs in runs for r in reqs)
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_trace_builders_restore_the_collector_state(enabled):
+    layout = PagedKvLayout(blocks_per_core=8, slots_per_block=16)
+    builds = [
+        (None, lambda: gen_gemm_benchmark(CFG, M=16, K=64, N=64)),
+        (None, lambda: gen_paged_attention_benchmark(CFG, layout, context=64)),
+        (TypecheckError, lambda: gen_gemm_benchmark(
+            CFG, M=64, K=1048576, N=64, tiling={"tM": 64, "tN": 64, "tK": 1048576})),
+        (WorkloadError, lambda: gen_paged_attention_benchmark(CFG, layout, context=1000)),
+    ]
+    was_enabled = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        for error, build in builds:
+            if error is None:
+                assert build()
+            else:
+                with pytest.raises(error):
+                    build()
+            assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
+
+
+def test_trace_builders_leave_nothing_for_the_cycle_collector():
+    # So pausing the collector during a build delays freeing nothing.
+    layout = PagedKvLayout(blocks_per_core=8, slots_per_block=16)
+    load_kernel("matmul")
+    gc.collect()
+    gc.disable()
+    try:
+        traces = [gen_gemm_benchmark(CFG, M=16, K=64, N=64),
+                  gen_paged_attention_benchmark(CFG, layout, context=64)]
+        del traces
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_paged_layout_must_cover_context():
@@ -455,6 +558,8 @@ def test_cli_trace_gen(tmp_path, capsys):
     ("logical_row", "0", "logical row must be >= 1 byte, got 0"),
     ("matrix_vector_ratio", "-1", "matrix:vector ratio must be > 0, got -1"),
     ("matrix_vector_ratio", "0", "matrix:vector ratio must be > 0, got 0"),
+    ("matrix_vector_ratio", "inf", "matrix:vector ratio must be finite, got inf"),
+    ("sram", "nan", "sram must be an integer, got nan"),
     ("bandwidth_alloc", "0", "channel.io_pins must be positive (got 0)"),
     ("bandwidth_alloc", "3", "channel.io_pins must be a multiple of 8 (got 3)"),
     # A fractional value on an integer dimension is refused, not truncated.
@@ -468,6 +573,21 @@ def test_cli_sweep_writes_an_invalid_row_for_a_bad_value(tmp_path, dimension, va
     rows = list(csv.DictReader(io.StringIO(out.read_text())))
     assert [(r["dimension"], r["value"], r["status"]) for r in rows] == [
         (dimension, value, "invalid: " + reason)]
+
+
+def test_cli_sweep_reads_a_grid_value_as_int_else_float(tmp_path, capsys):
+    # 1e6 and 1.0e6 are the same float; int() reads neither.
+    texts = []
+    for value in ("1e6", "1.0e6"):
+        out = tmp_path / f"{value}.csv"
+        assert main(["sweep", "sram", value, "--out", str(out)]) == 0
+        texts.append(out.read_text())
+    assert texts[0] == texts[1]
+    rows = list(csv.DictReader(io.StringIO(texts[0])))
+    assert [(r["value"], r["status"]) for r in rows] == [("1000000.0", "ok")]
+    assert main(["sweep", "sram", "1000000", "abc", "--out", str(tmp_path / "bad.csv")]) == 2
+    assert capsys.readouterr().err == "error: sweep grid value 'abc' is not a number\n"
+    assert not (tmp_path / "bad.csv").exists()
 
 
 def test_cli_sweep_simulates_a_fractional_ratio(tmp_path):

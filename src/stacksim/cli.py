@@ -18,10 +18,10 @@ from .arch import ArchConfig, ArchError, derived_metrics, load_arch
 from .dramsim import DramSystem, stats as dram_stats
 from .kerneldsl.checker import TypecheckError, typecheck
 from .kerneldsl.parser import KernelSyntaxError, ast_to_json, parse_kernel
-from .orchestrator import ComputeOp, run, simulate_compute
+from .orchestrator import run, simulate_compute
 from .sweep import default_power_model
 from .thermal import RETENTION_LIMIT_C, regulate
-from .tiler import TilerError, autotune, build_body
+from .tiler import TilerError, autotune, build_op
 from .workloads import (
     DecodingScenario, PagedKvLayout, WorkloadError, build_decoding_graph,
     load_model,
@@ -85,12 +85,11 @@ def cmd_parse(args) -> int:
 def cmd_tune(args) -> int:
     cfg = _load_config(args.config)
     prog = _load_kernel_arg(args.kernel)
-    tiling, body, _ = autotune(
-        prog, cfg, _parse_bindings(args.bind),
-        lambda body: simulate_compute(ComputeOp(prog.name, body), cfg), limit=args.limit)
+    tiling, op, _ = autotune(prog, cfg, _parse_bindings(args.bind),
+                             lambda op: simulate_compute(op, cfg), limit=args.limit)
     print("best tiling: " + " ".join(f"{k}={v}" for k, v in sorted(tiling.items())))
     if args.out:
-        _write_out(body.desc.serialize(), args.out)
+        _write_out(op.desc.serialize(), args.out)
     return 0
 
 
@@ -106,7 +105,7 @@ def cmd_simulate(args) -> int:
             print("simulate needs --model or --kernel", file=sys.stderr)
             return 2
         prog = _load_kernel_arg(args.kernel)
-        ops = [ComputeOp(prog.name, build_body(prog, cfg, _parse_bindings(args.bind)))]
+        ops = [build_op(prog.name, prog, cfg, _parse_bindings(args.bind))]
     reg = None
     if args.regulate:
         reg = regulate(cfg, default_power_model(cfg))

@@ -1,22 +1,22 @@
 """Whole-chip simulation driver.
 
-Runs an operator graph on one accelerator: compute operators execute the
-pipelined execution of their body (built by `tiler.build_body`) against its
-tensor base addresses on a representative core (all cores run the same program on
+Runs an operator graph on one accelerator: compute operators (built by
+`tiler.build_op`) execute their pipelined execution against their tensor
+base addresses on a representative core (all cores run the same program on
 equally sized shards), collectives replay their explicit send/recv schedules
 on the mesh, and inter-accelerator transfers use the analytic link model.
 Operators are separated by global barriers; inside an operator, each pipeline
 iteration advances time by the slowest engine, so overlapped loads and
 compute cost max(load, compute) rather than their sum. `simulate_compute`
-walks a body's events once, costing compute, issuing DRAM requests and
-summing the operator's totals in the same pass.
+walks an operator's events once to time it; its work totals were added up
+when the operator was built (`ExecutionDescription.totals`).
 
 Because of the barriers, every operator starts on fresh DRAM channel state
 and an empty mesh, so its cycles and statistics depend only on what it runs
-(a compute body, or a collective's plan and core array) and on the
+(a pipelined execution, or a collective's plan and core array) and on the
 config, never on the cycle at which it starts. The simulate functions
 therefore time each operator from cycle 0, and `run` simulates each distinct
-body or collective once per call and reuses the result for its repeats.
+execution or collective once per call and reuses the result for its repeats.
 """
 
 from __future__ import annotations
@@ -26,31 +26,15 @@ import dataclasses
 import io
 import math
 from dataclasses import dataclass, field
-from itertools import chain
 
 from .arch import ArchConfig, matrix_flops_per_cycle, peak_dram_bytes_per_cycle
 from .dramsim import DramSystem, schedule_tile, stats as dram_stats
 from .kerneldsl.checker import CheckedProgram
-from .kerneldsl.trace import DramRead, DramWrite, MatrixWork, event_totals
+from .kerneldsl.trace import DramRead, DramWrite, MatrixWork
 from .logicsim import matrix_cost, vector_cost
 from .nocsim import run_plan
 from .partition import CommPlan, CoreArray
-from .tiler import ComputeBody, ExecutionDescription
-
-
-@dataclass(frozen=True)
-class ComputeOp:
-    """One kernel invocation, identical on every core (SPMD)."""
-    name: str
-    body: ComputeBody
-
-    @property
-    def checked(self) -> CheckedProgram:
-        return self.body.checked
-
-    @property
-    def desc(self) -> ExecutionDescription:
-        return self.body.desc
+from .tiler import ComputeOp, ExecutionDescription
 
 
 @dataclass(frozen=True)
@@ -125,38 +109,37 @@ def _roofline(m_flops: int, dram_bytes: int, cfg: ArchConfig) -> int:
 def roofline_cycles(checked: CheckedProgram, desc: ExecutionDescription) -> int:
     """Lower bound at the typecheck config: max of pure compute time and
     pure DRAM-transfer time."""
-    m_flops, _, dram_bytes = event_totals(chain.from_iterable(desc.iterations))
+    m_flops, _, dram_bytes = desc.totals
     return _roofline(m_flops, dram_bytes, checked.cfg)
 
 
 _DRAM_KINDS = {DramRead: "R", DramWrite: "W"}
 
 
-def _work_cost(e, core) -> tuple[int, int, int]:
-    """(latency cycles, matrix FLOPs, vector elements) of one work event."""
+def _work_latency(e, core) -> int:
+    """Latency cycles of one work event."""
     if isinstance(e, MatrixWork):
-        cost = matrix_cost(e.m, e.n, e.k, e.dtype_bytes, core, accumulate=e.accumulate)
-        return cost.latency_cycles, 2 * e.m * e.n * e.k, 0
-    return vector_cost(e.kind, e.elems, e.dtype_bytes, core).latency_cycles, 0, e.elems
+        return matrix_cost(e.m, e.n, e.k, e.dtype_bytes, core,
+                           accumulate=e.accumulate).latency_cycles
+    return vector_cost(e.kind, e.elems, e.dtype_bytes, core).latency_cycles
 
 
 def simulate_compute(op: ComputeOp, cfg: ArchConfig) -> OperatorResult:
     """Execute one pipelined kernel on a representative core.
 
-    One walk over the events costs each iteration's compute, builds its
-    DRAM requests as plain (ready, kind, addr, bytes) tuples and adds up
-    the operator's totals. Work events of one shape cost the same, so each
-    distinct shape is costed once per call.
+    One walk over the events costs each iteration's compute and builds its
+    DRAM requests as plain (ready, kind, addr, bytes) tuples. Work events
+    of one shape cost the same, so each distinct shape is costed once per
+    call. The work totals are the ones the operator was built with.
     """
-    body = op.body
     core = cfg.core
     dram = DramSystem(cfg)
-    bases = body.bases
-    # Work shape -> _work_cost. A matrix key has five fields and a vector
-    # key three, so the two kinds never share a key.
+    bases = op.bases
+    # Work shape -> latency. A matrix key has five fields and a vector key
+    # three, so the two kinds never share a key.
     costs: dict = {}
-    now = m_flops = v_elems = dram_bytes = 0
-    for it in body.desc.iterations:
+    now = 0
+    for it in op.desc.iterations:
         compute_cycles = 0
         reqs = []
         for e in it:
@@ -164,7 +147,6 @@ def simulate_compute(op: ComputeOp, cfg: ArchConfig) -> OperatorResult:
             if kind is not None:
                 base = bases[e.tensor]
                 reqs += [(now, kind, base + off, length) for off, length in e.ranges]
-                dram_bytes += e.bytes
                 continue
             if isinstance(e, MatrixWork):
                 key = (e.m, e.n, e.k, e.dtype_bytes, e.accumulate)
@@ -172,15 +154,14 @@ def simulate_compute(op: ComputeOp, cfg: ArchConfig) -> OperatorResult:
                 key = (e.kind, e.elems, e.dtype_bytes)
             cost = costs.get(key)
             if cost is None:
-                costs[key] = cost = _work_cost(e, core)
-            compute_cycles += cost[0]
-            m_flops += cost[1]
-            v_elems += cost[2]
+                costs[key] = cost = _work_latency(e, core)
+            compute_cycles += cost
         mem_done = now
         if reqs:
             mem_done = dram.run(schedule_tile(reqs, cfg))
         now = max(mem_done, now + compute_cycles)
     cycles = now
+    m_flops, v_elems, dram_bytes = op.desc.totals
     bound = _roofline(m_flops, dram_bytes, cfg)
     d = dram_stats(dram)
     en = cfg.energy
@@ -233,9 +214,9 @@ def _simulate_once(memo: dict, key, op, simulate, cfg: ArchConfig) -> OperatorRe
 def run(operators: list, cfg: ArchConfig) -> SimReport:
     """Simulate an operator graph with barriers between operators.
 
-    Each distinct compute body and each distinct (plan, array)
+    Each distinct pipelined execution and each distinct (plan, array)
     collective is simulated once; `cfg` is fixed for the call, so it is not
-    part of the key. Bodies and plans are keyed by identity:
+    part of the key. Executions and plans are keyed by identity:
     `build_decoding_graph` builds one of each per distinct value, a lookup
     then hashes none of a plan's steps, and `operators` keeps every plan
     alive, so no id is reused during the call.
@@ -246,7 +227,7 @@ def run(operators: list, cfg: ArchConfig) -> SimReport:
     memo: dict = {}
     for op in operators:
         if isinstance(op, ComputeOp):
-            res = _simulate_once(memo, op.body, op, simulate_compute, cfg)
+            res = _simulate_once(memo, op.desc, op, simulate_compute, cfg)
         elif isinstance(op, CollectiveOp):
             res = _simulate_once(memo, (id(op.plan), op.array), op,
                                  simulate_collective, cfg)

@@ -16,7 +16,7 @@ import io
 import math
 
 from .arch import ArchConfig, derived_metrics, validate
-from .orchestrator import ComputeOp, simulate_compute
+from .orchestrator import simulate_compute
 from .thermal import regulate
 from .tiler import TilerError, autotune
 from .workloads import load_kernel
@@ -133,7 +133,7 @@ def evaluate_point(cfg: ArchConfig) -> dict:
     try:
         tiling, _, res = autotune(
             load_kernel("matmul"), cfg, dict(PROBE_SHAPE),
-            lambda body: simulate_compute(ComputeOp("probe", body), cfg))
+            lambda op: simulate_compute(op, cfg))
     except TilerError as e:
         return {"status": f"no-tiling: {e}",
                 "frequency_ghz": reg.frequency_ghz,

@@ -1,12 +1,13 @@
-"""Tiling layer: tensor placement, pipelined execution, compute bodies, autotune.
+"""Tiling layer: tensor placement, pipelined execution, compute operators, autotune.
 
-`build_body` is the one place a kernel invocation becomes what the
-orchestrator simulates (`ComputeBody`): it typechecks the kernel at its
-bindings, pipelines its trace (`generate_execution`) and places its DRAM
-tensors (`infer_placement`). `typecheck` alone decides whether the
-invocation fits the core; pipelining can refuse only a trace over
-`MAX_TRACE_EVENTS`. `autotune` builds one body per tiling candidate and
-keeps the one with the fewest simulated cycles.
+`build_op` is the one place a kernel invocation becomes what the
+orchestrator simulates (`ComputeOp`): it typechecks the kernel at its
+bindings, pipelines its trace (`generate_execution`, which also adds up
+the operator's work totals) and places its DRAM tensors
+(`infer_placement`). `typecheck` alone decides whether the invocation fits
+the core; pipelining can refuse only a trace over `MAX_TRACE_EVENTS`.
+`autotune` builds one operator per tiling candidate and keeps the one with
+the fewest simulated cycles.
 
 Execution generation turns the flat kernel trace into a double-buffered
 software pipeline: iteration i issues DRAM loads for tile i together with
@@ -25,7 +26,9 @@ import yaml
 from .arch import ArchConfig
 from .kerneldsl.ast import KernelProgram
 from .kerneldsl.checker import CheckedProgram, TypecheckError, padded_bytes, typecheck
-from .kerneldsl.trace import DramRead, DramWrite, ExpandError, MatrixWork, VectorWork, expand
+from .kerneldsl.trace import (
+    DramRead, DramWrite, ExpandError, MatrixWork, VectorWork, event_totals, expand,
+)
 
 
 class TilerError(ValueError):
@@ -43,12 +46,14 @@ def infer_placement(checked: CheckedProgram, cfg: ArchConfig) -> dict[str, int]:
     return bases
 
 
-@dataclass
+@dataclass(eq=False)
 class ExecutionDescription:
     """One kernel's pipelined execution: `iterations[i]` lists the trace
-    events issued in pipeline iteration i."""
+    events issued in pipeline iteration i. Compared and hashed by identity:
+    operators that share one share a simulation in `orchestrator.run`."""
     name: str
     iterations: list  # list of lists of trace events
+    totals: tuple  # (matrix FLOPs, vector elements, DRAM bytes): `event_totals`
 
     def serialize(self) -> str:
         # The file format is a list of operators; one description is one.
@@ -86,10 +91,11 @@ def generate_execution(checked: CheckedProgram) -> ExecutionDescription:
     SRAM copy each loaded buffer needs for the load in flight is counted by
     `typecheck`.
     """
+    events = expand(checked).events
     iterations: list[list] = []
     step = -1
     loading = False  # the current step holds only loads so far
-    for e in expand(checked).events:
+    for e in events:
         if isinstance(e, DramRead):
             if not loading:
                 step += 1
@@ -102,23 +108,24 @@ def generate_execution(checked: CheckedProgram) -> ExecutionDescription:
         while len(iterations) <= slot:
             iterations.append([])
         iterations[slot].append(e)
-    return ExecutionDescription(checked.program.name, iterations)
+    return ExecutionDescription(checked.program.name, iterations, event_totals(events))
 
 
 @dataclass(frozen=True, eq=False)
-class ComputeBody:
-    """What a compute operator simulates; `build_body` makes every one.
-    Compared and hashed by identity: operators that share a body share one
-    simulation in `orchestrator.run`."""
+class ComputeOp:
+    """One kernel invocation, identical on every core (SPMD); `build_op`
+    makes every one."""
+    name: str
     checked: CheckedProgram
     desc: ExecutionDescription
     bases: dict  # DRAM tensor name -> base address (`infer_placement`)
 
 
-def build_body(prog: KernelProgram, cfg: ArchConfig, bindings: dict[str, int]) -> ComputeBody:
+def build_op(name: str, prog: KernelProgram, cfg: ArchConfig,
+             bindings: dict[str, int]) -> ComputeOp:
     """Typecheck `prog` at `bindings`, pipeline it and place its tensors."""
     checked = typecheck(prog, cfg, bindings)
-    return ComputeBody(checked, generate_execution(checked), infer_placement(checked, cfg))
+    return ComputeOp(name, checked, generate_execution(checked), infer_placement(checked, cfg))
 
 
 def _candidate_values(extent: int) -> list[int]:
@@ -128,7 +135,7 @@ def _candidate_values(extent: int) -> list[int]:
     while p <= extent:
         pows.add(p)
         p *= 2
-    return sorted(divisors | pows)
+    return sorted(divisors | pows, reverse=True)
 
 
 def tiling_candidates(prog: KernelProgram, bindings: dict[str, int],
@@ -136,7 +143,9 @@ def tiling_candidates(prog: KernelProgram, bindings: dict[str, int],
     """Enumerate tiling-factor assignments for parameters named t<Dim>.
 
     Candidate values are divisors and powers of two of the corresponding
-    full extent; enumeration order is lexicographic and capped at `limit`.
+    full extent. Each factor runs from its full extent downwards, so the
+    coarsest tilings, whose traces are the shortest, come first and `limit`
+    cuts off the finest; enumeration is lexicographic in that order.
     """
     if limit < 1:
         raise TilerError(f"candidate limit must be >= 1, got {limit}")
@@ -160,26 +169,26 @@ def autotune(prog: KernelProgram, cfg: ArchConfig, bindings: dict[str, int],
              simulate, limit: int = 256):
     """Pick the tiling with the fewest simulated cycles.
 
-    `simulate(body)` is the cycle-level evaluation callback and returns a
-    result with `.cycles`. A candidate that `build_body` refuses is skipped:
+    `simulate(op)` is the cycle-level evaluation callback and returns a
+    result with `.cycles`. A candidate that `build_op` refuses is skipped:
     `typecheck` finds it does not fit the core, or its trace would exceed
     `MAX_TRACE_EVENTS` (refused before any event is built). If every candidate is refused,
     the `TilerError` carries the last refusal's reason. Ties break toward the
     lexicographically smallest tiling; the result equals sequential
     exhaustive evaluation regardless of callback evaluation order. Returns
-    the winner's (tiling, body, result).
+    the winner's (tiling, op, result).
     """
     best = refusal = None
     for tiling in tiling_candidates(prog, bindings, limit):
         try:
-            body = build_body(prog, cfg, dict(bindings, **tiling))
+            op = build_op(prog.name, prog, cfg, dict(bindings, **tiling))
         except (TypecheckError, ExpandError) as e:
             refusal = e
             continue
-        result = simulate(body)
+        result = simulate(op)
         key = (result.cycles, tuple(sorted(tiling.items())))
         if best is None or key < best[0]:
-            best = (key, tiling, body, result)
+            best = (key, tiling, op, result)
     if best is None:
         raise TilerError(f"no feasible tiling: {refusal}")
     return best[1:]

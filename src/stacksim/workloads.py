@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import functools
 import gc
 import random
@@ -17,10 +18,10 @@ from .dramsim import Request
 from .kerneldsl.ast import DTYPE_BYTES, KernelProgram
 from .kerneldsl.checker import TypecheckError, typecheck
 from .kerneldsl.parser import parse_kernel
-from .kerneldsl.trace import DramRead, DramWrite, event_totals, expand
-from .orchestrator import CollectiveOp, ComputeOp, InterAccelOp
+from .kerneldsl.trace import DramRead, DramWrite, expand
+from .orchestrator import CollectiveOp, InterAccelOp
 from .partition import CoreArray, build_collective
-from .tiler import ComputeBody, build_body, infer_placement
+from .tiler import ComputeOp, build_op, infer_placement
 
 
 class WorkloadError(ValueError):
@@ -155,16 +156,16 @@ class PagedKvLayout:
         return ids[:need]
 
 
-def _fit_fc(kernel: str, m: int, k: int, n: int, cfg: ArchConfig) -> ComputeBody:
-    """The body of the first FC tiling that `typecheck` accepts, shrinking
+def _fit_fc(name: str, kernel: str, m: int, k: int, n: int, cfg: ArchConfig) -> ComputeOp:
+    """The operator of the first FC tiling that `typecheck` accepts, shrinking
     from (tM, tN, tK) = (64, 256, 256), each capped at its extent: tN
     halves down to 64, then tK down to 64, then tM down to 1."""
     tm, tn, tk = min(m, 64), min(n, 256), min(k, 256)
     refusal = None
     while tm >= 1:
         try:
-            return build_body(load_kernel(kernel), cfg,
-                              {"M": m, "K": k, "N": n, "tM": tm, "tN": tn, "tK": tk})
+            return build_op(name, load_kernel(kernel), cfg,
+                            {"M": m, "K": k, "N": n, "tM": tm, "tN": tn, "tK": tk})
         except TypecheckError as e:
             refusal = e
         if tn > 64:
@@ -188,9 +189,10 @@ def build_decoding_graph(model: ModelSpec, scen: DecodingScenario,
     MoE routing uses the uniform expectation: each expert sees
     batch * top_k / experts tokens (at least one).
 
-    Operators that run the same kernel with the same bindings share one
-    `ComputeBody`, and collectives of the same kind and size share one
-    `CommPlan`, so each is built once per call. An FC's tiling is the first
+    Operators that run the same kernel with the same bindings are renamed
+    copies of one prototype `ComputeOp`, so they share its execution
+    description, and collectives of the same kind and size share one
+    `CommPlan`: each is built once per call. An FC's tiling is the first
     that its kernel fits (`_fit_fc`), found once per (kernel, M, K, N).
     """
     problems = model.validate() + scen.validate(model)
@@ -205,20 +207,20 @@ def build_decoding_graph(model: ModelSpec, scen: DecodingScenario,
     n_layers = layers if layers is not None else model.layers
     batch = scen.batch
     ar_bytes = max(1, batch * model.hidden * dt // cores)
-    bodies: dict = {}  # (kernel, sorted bindings) or (kernel, M, K, N) -> ComputeBody
+    protos: dict = {}  # (kernel, sorted bindings) or (kernel, M, K, N) -> ComputeOp
     plans: dict = {}  # (kind, bytes) -> CommPlan
 
     def compute(name: str, kernel: str, bindings: dict[str, int]) -> ComputeOp:
         key = (kernel, tuple(sorted(bindings.items())))
-        if key not in bodies:
-            bodies[key] = build_body(load_kernel(kernel), cfg, bindings)
-        return ComputeOp(name, bodies[key])
+        if key not in protos:
+            protos[key] = build_op(name, load_kernel(kernel), cfg, bindings)
+        return dataclasses.replace(protos[key], name=name)
 
     def fc(name: str, m: int, k: int, n: int) -> ComputeOp:
         key = ("matmul_rowblock", m, k, n)
-        if key not in bodies:
-            bodies[key] = _fit_fc(*key, cfg)
-        return ComputeOp(name, bodies[key])
+        if key not in protos:
+            protos[key] = _fit_fc(name, *key, cfg)
+        return dataclasses.replace(protos[key], name=name)
 
     def collective(name: str, kind: str) -> CollectiveOp:
         key = (kind, ar_bytes)
@@ -258,9 +260,9 @@ def build_decoding_graph(model: ModelSpec, scen: DecodingScenario,
 
 def graph_totals(ops: list) -> dict:
     """Aggregate FLOPs and DRAM bytes of a graph (compute operators only)."""
-    flops, _, nbytes = event_totals(chain.from_iterable(
-        it for op in ops if isinstance(op, ComputeOp) for it in op.desc.iterations))
-    return {"matrix_flops": flops, "dram_bytes": nbytes}
+    totals = [op.desc.totals for op in ops if isinstance(op, ComputeOp)]
+    return {"matrix_flops": sum(t[0] for t in totals),
+            "dram_bytes": sum(t[2] for t in totals)}
 
 
 # --- DRAM microbenchmarks -------------------------------------------------

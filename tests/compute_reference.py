@@ -1,9 +1,11 @@
 """Three-walk reference for `stacksim.orchestrator.simulate_compute`.
 
-The loop `simulate_compute` ran before it walked each body once: per
-iteration it costs compute with `matrix_cost`/`vector_cost` per event, walks
-the iteration again to build one `Request` per byte range (`dram_requests`),
-and afterwards walks every event once more for the totals (`event_totals`).
+The loop `simulate_compute` ran before it walked each operator's events
+once: per iteration it costs compute with `matrix_cost`/`vector_cost` per
+event, walks the iteration again to build one `Request` per byte range
+(`dram_requests`), and afterwards walks every event once more for the
+totals (`event_totals`), instead of reading the ones the operator was built
+with.
 It shares those two walks, the cost functions, the DRAM model and the event
 types with production code; the loop itself is independent.
 """
@@ -22,10 +24,9 @@ from stacksim.workloads import dram_requests
 
 def reference_simulate_compute(op: ComputeOp, cfg: ArchConfig) -> OperatorResult:
     """Execute one pipelined kernel on a representative core."""
-    body = op.body
     dram = DramSystem(cfg)
     now = 0
-    for it in body.desc.iterations:
+    for it in op.desc.iterations:
         compute_cycles = 0
         for e in it:
             if isinstance(e, MatrixWork):
@@ -36,12 +37,12 @@ def reference_simulate_compute(op: ComputeOp, cfg: ArchConfig) -> OperatorResult
                 cost = vector_cost(e.kind, e.elems, e.dtype_bytes, cfg.core)
                 compute_cycles += cost.latency_cycles
         mem_done = now
-        reqs = dram_requests(it, body.bases, now)
+        reqs = dram_requests(it, op.bases, now)
         if reqs:
             mem_done = dram.run(schedule_tile(reqs, cfg))
         now = max(mem_done, now + compute_cycles)
     cycles = now
-    m_flops, v_flops, dram_bytes = event_totals(chain.from_iterable(body.desc.iterations))
+    m_flops, v_flops, dram_bytes = event_totals(chain.from_iterable(op.desc.iterations))
     bound = _roofline(m_flops, dram_bytes, cfg)
     d = dram_stats(dram)
     en = cfg.energy

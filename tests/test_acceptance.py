@@ -24,7 +24,7 @@ from stacksim.orchestrator import (
 from stacksim.partition import CoreArray, build_collective, logical_to_physical, split_gemm
 from stacksim.sweep import apply_dimension, evaluate_point, sweep
 from stacksim.thermal import build_matrices, power_map, regulate
-from stacksim.tiler import autotune, build_body, tiling_candidates
+from stacksim.tiler import autotune, build_op, tiling_candidates
 from stacksim.workloads import (
     DecodingScenario, PagedKvLayout, build_decoding_graph, gen_gemm_benchmark,
     gen_paged_attention_benchmark, load_kernel, load_model,
@@ -297,18 +297,18 @@ def test_c10_autotune_finds_enumerated_optimum():
     prog = load_kernel("matmul")
     bindings = {"M": 8, "K": 8, "N": 8}
 
-    def sim(body):
-        return simulate_compute(ComputeOp("probe", body), cfg)
+    def sim(op):
+        return simulate_compute(op, cfg)
 
     tiling, _, _ = autotune(prog, cfg, bindings, sim)
     best = None
     evaluated = 0
     for cand in tiling_candidates(prog, bindings):
         try:
-            body = build_body(prog, cfg, dict(bindings, **cand))
+            op = build_op(prog.name, prog, cfg, dict(bindings, **cand))
         except Exception:
             continue
-        key = (sim(body).cycles, tuple(sorted(cand.items())))
+        key = (sim(op).cycles, tuple(sorted(cand.items())))
         evaluated += 1
         if best is None or key < best[0]:
             best = (key, cand)

@@ -14,13 +14,13 @@ hand-derived footprint formula it replaced is kept as a reference too.
 
 import dataclasses
 from importlib import resources
-from types import SimpleNamespace
 
 import pytest
 
 from stacksim import workloads
 from stacksim.arch import ArchConfig, load_arch
 from stacksim.kerneldsl import DramRead, TypecheckError, expand, typecheck
+from stacksim.tiler import ComputeOp
 from stacksim.workloads import (
     DecodingScenario, WorkloadError, build_decoding_graph, load_kernel, load_model,
 )
@@ -128,10 +128,10 @@ def _shipped_models() -> list[str]:
 @pytest.mark.parametrize("config", ["default", "edge"])
 def test_fc_first_fit_matches_the_footprint_formula(config, monkeypatch):
     # Whether a tiling fits is `typecheck`'s answer alone, so the graph's
-    # bodies are typechecked only: pipelining the large FC shards would
+    # operators are typechecked only: pipelining the large FC shards would
     # take most of the test's time and decide nothing.
-    monkeypatch.setattr(workloads, "build_body", lambda prog, cfg, bind: SimpleNamespace(
-        checked=typecheck(prog, cfg, bind)))
+    monkeypatch.setattr(workloads, "build_op", lambda name, prog, cfg, bind: ComputeOp(
+        name, typecheck(prog, cfg, bind), None, {}))
     cfg = _configs()[config]
     shapes = set()
     for model in _shipped_models():

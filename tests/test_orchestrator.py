@@ -10,11 +10,11 @@ from stacksim.dramsim import DramSystem, Request, schedule_tile, stats
 from stacksim.kerneldsl import parse_kernel, typecheck
 from stacksim.logicsim import matrix_cost, vector_cost
 from stacksim.orchestrator import (
-    CollectiveOp, ComputeBody, ComputeOp, InterAccelOp, inter_accel_cycles,
+    CollectiveOp, ComputeOp, InterAccelOp, inter_accel_cycles,
     inter_accel_latency, roofline_cycles, run, simulate_compute,
 )
 from stacksim.partition import CoreArray, build_collective
-from stacksim.tiler import ExecutionDescription, build_body, infer_placement
+from stacksim.tiler import ExecutionDescription, build_op, infer_placement
 from stacksim.workloads import (
     DecodingScenario, build_decoding_graph, load_kernel, load_model,
 )
@@ -27,7 +27,7 @@ CFG = ArchConfig()
 
 
 def compute_op(text, name="op", **bind):
-    return ComputeOp(name, build_body(parse_kernel(text), CFG, bind))
+    return build_op(name, parse_kernel(text), CFG, bind)
 
 
 def test_single_load_matches_dram_model():
@@ -45,8 +45,8 @@ def test_single_load_matches_dram_model():
 def test_empty_execution_is_zero_cycles():
     checked = typecheck(parse_kernel(
         "kernel k(N):\n    x = alloc((N,), fp16)\n    add(x, x)\n"), CFG, {"N": 1})
-    op = ComputeOp("empty", ComputeBody(
-        checked, ExecutionDescription("empty", []), infer_placement(checked, CFG)))
+    op = ComputeOp("empty", checked, ExecutionDescription("empty", [], (0, 0, 0)),
+                   infer_placement(checked, CFG))
     res = simulate_compute(op, CFG)
     assert res.cycles == 0 and res.utilization == 1.0
 
@@ -276,16 +276,16 @@ def test_simulate_compute_matches_the_reference_on_the_sweep(monkeypatch):
 def test_simulate_compute_matches_the_reference_on_shipped_kernels(name):
     prog = load_kernel(name)
     for bind in shipped_bindings(name):
-        _assert_matches_reference(ComputeOp(name, build_body(prog, CFG, bind)), CFG)
+        _assert_matches_reference(build_op(name, prog, CFG, bind), CFG)
 
 
 @pytest.mark.parametrize("model", ["llama3.2-1b", "mixtral-8x22b"])
 def test_simulate_compute_matches_the_reference_on_a_model_layer(model):
     ops = build_decoding_graph(load_model(model), DecodingScenario(batch=16, context=1024),
                                CFG, layers=1)
-    bodies = {op.body: op for op in ops if isinstance(op, ComputeOp)}
+    distinct = {op.desc: op for op in ops if isinstance(op, ComputeOp)}
     kinds = set()
-    for op in bodies.values():
+    for op in distinct.values():
         res = _assert_matches_reference(op, CFG)
         kinds.update(k for k in ("matrix_flops", "vector_flops", "dram_bytes")
                      if getattr(res, k))
@@ -307,7 +307,7 @@ def test_simulate_compute_costs_work_by_every_field_the_cost_reads():
             "        gemm(x, x, y, accumulate=True)\n"
             "        exp(y, y)\n"
             "        exp(z, z)\n")
-    op = ComputeOp("k", build_body(parse_kernel(text), cfg, {"N": 16}))
+    op = build_op("k", parse_kernel(text), cfg, {"N": 16})
     res = _assert_matches_reference(op, cfg)
     assert res.vector_flops == 4 * 16 * 16
     core = cfg.core

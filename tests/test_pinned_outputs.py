@@ -1,9 +1,10 @@
 """Pinned outputs of the DRAM and NoC models on raw traffic, a sweep, the
-single-kernel `tune` and `simulate` commands, and the parsed shipped kernels.
+single-kernel `tune` and `simulate` commands, a decoding step on the edge
+config (plain and regulated), and the parsed shipped kernels.
 
 Every value here was computed before the code it covers was rewritten for
 speed or simplicity (the DRAM front end, the mesh arbiter, the construction
-of compute bodies, the kernel parser). Those rewrites must change no
+of compute operators, the kernel parser). Those rewrites must change no
 simulated number, so any difference here is a behaviour change, not noise.
 The NoC values are those of link-width flits, one flit per link per cycle.
 """
@@ -155,7 +156,8 @@ def test_tune_execution_yaml_pinned(tmp_path, capsys):
     # The winner's serialized execution description. tM and tK are prebound
     # so the search covers seven tN candidates in about a second; the winner
     # (tM=1 tN=64 tK=256) and its YAML are the ones the free search over the
-    # first 64 candidates of M=64 K=256 N=64 picks, which takes minutes.
+    # first 64 candidates of M=64 K=256 N=64 picked when candidates ran from
+    # the finest tiles up, which took minutes.
     digest, stdout = _cli_out(tmp_path, capsys, [
         "tune", "--kernel", "matmul", "--bind", "M=64", "K=256", "N=64",
         "tM=1", "tK=256", "--limit", "64"])
@@ -169,6 +171,27 @@ def test_simulate_kernel_csv_pinned(tmp_path, capsys):
         "tM=64", "tN=64", "tK=256"])
     assert stdout == "1 operator(s), 84073 cycles, 84.073 us @ 1.00 GHz, 0.5337 mJ\n"
     assert digest == PINS["simulate_kernel_csv"]
+
+
+EDGE = str(resources.files("stacksim").joinpath("configs/edge.yaml"))
+
+
+def test_edge_decode_csv_pinned(tmp_path, capsys):
+    # A full llama3.2-1b step (batch 16, context 1024) on the edge config.
+    digest, _ = _cli_out(tmp_path, capsys, [
+        "simulate", "--model", "llama3.2-1b", "--config", EDGE])
+    assert digest == PINS["edge_decode_csv"]
+
+
+def test_regulated_edge_decode_csv_pinned(tmp_path, capsys):
+    # The one path where the simulated clock (0.10 GHz after regulation)
+    # differs from the clock the operators were typechecked at. Regulation
+    # ends thermally infeasible, so the run exits 1 after writing the CSV.
+    out = tmp_path / "out"
+    assert main(["simulate", "--model", "llama3.2-1b", "--config", EDGE,
+                 "--regulate", "--layers", "2", "--out", str(out)]) == 1
+    assert "@ 0.10 GHz" in capsys.readouterr().out
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == PINS["edge_regulated_csv"]
 
 
 @pytest.mark.parametrize("kernel", ["matmul", "matmul_rowblock", "fused_attention"])
@@ -206,6 +229,10 @@ PINS = {
         "00fe88d1ecb79bfe9c4b58156604baf83874e7d734da5fabee3117ed653af8db",
     "simulate_kernel_csv":
         "90dd6e0add352e376301895f53aff7f1a4411ef2c0a544ea552f2dfd8ac74a88",
+    "edge_decode_csv":
+        "f8f3f204d35e4559ac3f1a00ee895a9e22db996f0c12e83548e4ba464d3a6fc5",
+    "edge_regulated_csv":
+        "98500cd67df4d87b90cd93cdd5a53f0c34ee170d3843c3de0a58fc69102bc77d",
     "ast_matmul":
         "a6513b9b3c42cbe64a34ad7f8a3529dd1e78071f5817864e5a2cf882c0c07e7c",
     "ast_matmul_rowblock":

@@ -34,13 +34,7 @@ SRC = Path(stacksim.__file__).resolve().parent
 
 ALLOWLIST = {
     "stacksim.orchestrator.roofline_cycles":
-        "perfbench's decode check bounds every compute operator by it (direction 7)",
-    "stacksim.orchestrator.ComputeOp.checked":
-        "perfbench's decode check and operator key read it (direction 7)",
-    "stacksim.orchestrator.ComputeOp.desc":
-        "perfbench's decode check reads it (direction 7)",
-    "stacksim.kerneldsl.trace.event_totals":
-        "only roofline_cycles and graph_totals call it (directions 5 and 7)",
+        "perfbench's decode check, at the typecheck config (direction 7)",
     "stacksim.workloads.graph_totals":
         "bytes moved against the bytes a model implies (directions 4 and 5)",
     "stacksim.workloads.ModelSpec.params_per_layer":

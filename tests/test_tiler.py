@@ -11,7 +11,7 @@ from stacksim.kerneldsl import (
 )
 from stacksim.kerneldsl.trace import strides_elems
 from stacksim.tiler import (
-    TilerError, autotune, build_body, generate_execution, infer_placement,
+    TilerError, autotune, build_op, generate_execution, infer_placement,
     tiling_candidates,
 )
 from stacksim.workloads import load_kernel
@@ -151,14 +151,16 @@ def test_pipeline_runs_every_consumer_after_its_load(kernel, bind):
             written_at[e.buffers[-1]] = i
 
 
-def test_build_body_typechecks_pipelines_and_places():
+def test_build_op_typechecks_pipelines_and_places():
     bind = dict(M=64, K=256, N=64, tM=64, tN=64, tK=64)
-    body = build_body(load_kernel("matmul"), CFG, bind)
-    assert body.checked.bindings == bind
-    assert body.desc.serialize() == generate_execution(body.checked).serialize()
-    assert body.bases == infer_placement(body.checked, CFG)
+    op = build_op("gemm", load_kernel("matmul"), CFG, bind)
+    assert op.name == "gemm"
+    assert op.checked.bindings == bind
+    assert op.desc.serialize() == generate_execution(op.checked).serialize()
+    assert op.bases == infer_placement(op.checked, CFG)
     with pytest.raises(TypecheckError, match="unbound"):
-        build_body(load_kernel("matmul"), CFG, dict(M=64))
+        build_op("gemm", load_kernel("matmul"), CFG, dict(M=64))
+
 
 
 def test_double_buffer_sram_check():
@@ -171,8 +173,9 @@ def test_double_buffer_sram_check():
 def test_tiling_candidates_divisors_and_pow2():
     prog = load_kernel("matmul")
     cands = tiling_candidates(prog, dict(M=6, K=4, N=4, tN=4, tK=4))
-    # Only tM free: divisors {1,2,3,6} union powers of two {1,2,4}.
-    assert [c["tM"] for c in cands] == [1, 2, 3, 4, 6]
+    # Only tM free: divisors {1,2,3,6} union powers of two {1,2,4},
+    # coarsest first.
+    assert [c["tM"] for c in cands] == [6, 4, 3, 2, 1]
 
 
 def test_tiling_candidates_respect_limit_and_prebound():
@@ -183,27 +186,35 @@ def test_tiling_candidates_respect_limit_and_prebound():
     assert none_free == [{}]
 
 
+def test_tiling_candidates_start_at_the_full_extent():
+    # The first candidate is the coarsest tiling, one tile per dimension,
+    # so even `limit=1` tries the shortest trace.
+    prog = load_kernel("matmul_rowblock")
+    assert tiling_candidates(prog, dict(M=16, K=512, N=512), limit=1) == [
+        {"tM": 16, "tN": 512, "tK": 512}]
+
+
 def test_autotune_matches_exhaustive_min():
     prog = load_kernel("matmul")
     bindings = dict(M=8, K=8, N=8)
 
-    def simulate(body):
+    def simulate(op):
         # Deterministic stand-in latency: total events plus iteration count.
-        its = body.desc.iterations
+        its = op.desc.iterations
         return SimpleNamespace(cycles=sum(len(it) for it in its) * 100 + len(its))
 
-    tiling, body, result = autotune(prog, CFG, bindings, simulate)
+    tiling, op, result = autotune(prog, CFG, bindings, simulate)
     best = None
     for cand in tiling_candidates(prog, bindings):
         try:
-            b = build_body(prog, CFG, dict(bindings, **cand))
+            b = build_op(prog.name, prog, CFG, dict(bindings, **cand))
         except (Exception,):
             continue
         key = (simulate(b).cycles, tuple(sorted(cand.items())))
         if best is None or key < best[0]:
             best = (key, cand)
     assert tiling == best[1]
-    assert body.checked.bindings == dict(bindings, **tiling)
+    assert op.checked.bindings == dict(bindings, **tiling)
     assert result.cycles == best[0][0]
 
 
@@ -212,7 +223,7 @@ def test_autotune_raises_when_nothing_fits():
     tiny = dataclasses.replace(
         CFG, core=dataclasses.replace(CFG.core, sram_bytes=4))
     with pytest.raises(TilerError, match="no feasible tiling"):
-        autotune(prog, tiny, dict(M=64, K=64, N=64), lambda body: SimpleNamespace(cycles=0))
+        autotune(prog, tiny, dict(M=64, K=64, N=64), lambda op: SimpleNamespace(cycles=0))
 
 
 def test_autotune_skips_tilings_over_the_trace_limit(monkeypatch):
@@ -221,8 +232,8 @@ def test_autotune_skips_tilings_over_the_trace_limit(monkeypatch):
     bindings = dict(M=8, K=8, N=8, tM=8)
     sizes = {}
 
-    def simulate(body):
-        checked = body.checked
+    def simulate(op):
+        checked = op.checked
         sizes[(checked.bindings["tN"], checked.bindings["tK"])] = checked.events
         return SimpleNamespace(cycles=1000 // checked.events)  # finer tiles would win
 

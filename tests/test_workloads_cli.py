@@ -189,10 +189,10 @@ def test_interned_operators_share_one_simulation(monkeypatch):
                                DecodingScenario(batch=16, context=1024), CFG,
                                layers=2)
     by_name = {op.name: op for op in ops}
-    assert by_name["layer0.qkv_fc"].body is by_name["layer1.qkv_fc"].body
+    assert by_name["layer0.qkv_fc"].desc is by_name["layer1.qkv_fc"].desc
     # ffn_gate and ffn_up have the same shape, hence the same bindings.
-    assert by_name["layer0.ffn_gate"].body is by_name["layer1.ffn_up"].body
-    assert by_name["layer0.qkv_fc"].body is not by_name["layer0.out_fc"].body
+    assert by_name["layer0.ffn_gate"].desc is by_name["layer1.ffn_up"].desc
+    assert by_name["layer0.qkv_fc"].desc is not by_name["layer0.out_fc"].desc
     assert by_name["layer0.out_fc.all_reduce"].plan \
         is by_name["layer1.ffn_down.all_reduce"].plan
 
@@ -209,9 +209,9 @@ def test_interned_operators_share_one_simulation(monkeypatch):
     monkeypatch.setattr(orchestrator, "simulate_collective",
                         counting("collective", orchestrator.simulate_collective))
     report = run(ops, CFG)
-    bodies = list(dict.fromkeys(op.body for op in ops if isinstance(op, ComputeOp)))
-    assert len(bodies) == 5  # qkv, out, gate/up, down, attention
-    assert [op.body for op in calls["compute"]] == bodies
+    descs = list(dict.fromkeys(op.desc for op in ops if isinstance(op, ComputeOp)))
+    assert len(descs) == 5  # qkv, out, gate/up, down, attention
+    assert [op.desc for op in calls["compute"]] == descs
     assert len(calls["collective"]) == 2  # all_reduce_1d and all_reduce_2d
     assert [r.name for r in report.operators] == [op.name for op in ops]
     res = {r.name: r for r in report.operators}
@@ -440,8 +440,10 @@ def test_cli_tune_says_why_no_tiling_fits(capsys):
     assert main(["tune", "--kernel", "matmul", "--bind", "M=65536", "K=65536",
                  "N=65536", "--limit", "2"]) == 2
     err = capsys.readouterr().err
-    assert err == ("error: no feasible tiling: DRAM tensors need 25769803776 bytes, "
-                   "core capacity is 5368709120\n")
+    # Both candidates are among the coarsest tilings, which fail the SRAM
+    # check that `typecheck` makes before the DRAM one.
+    assert err == ("error: no feasible tiling: SRAM over capacity: allocs and load "
+                   "double buffers need 25769803776 bytes, core has 4194304\n")
 
 
 def test_cli_simulate_kernel(capsys):

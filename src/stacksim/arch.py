@@ -5,11 +5,18 @@ per core (physical banks, logical bank organization, channels), the per-core
 compute logic, the on-chip mesh, the inter-accelerator link, energy
 coefficients, DRAM timing, and the thermal stack. The parsed config is
 immutable and safe to share across simulations.
+
+Each field declares what it accepts once, in its `metadata`: a `range`
+(inclusive bounds) where the default rule, a finite number > 0, does not
+hold; the `units` a YAML file may give it in instead; and for the thermal
+layers, the class of each list `items` entry. `validate`, `parse_arch` and
+`serialize` read those declarations and the section table `_SECTIONS`.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass, field
 
 import yaml
@@ -21,9 +28,14 @@ class ArchError(ValueError):
     """Raised for malformed or incomplete hardware descriptions."""
 
 
+_AT_LEAST_0 = {"range": (0, math.inf)}
+# `<base>_kb`/`_mb`/`_gb` for a `<base>_bytes` field.
+_SIZES = {"units": {"kb": 1024, "mb": 1024 * 1024, "gb": 1024**3}}
+
+
 @dataclass(frozen=True)
 class PhysicalBankSpec:
-    row_size_bytes: int = 2048
+    row_size_bytes: int = field(default=2048, metadata=_SIZES)
     row_count: int = 1280
 
     @property
@@ -43,7 +55,7 @@ class LogicalBankSpec:
 class ChannelSpec:
     io_pins: int = 1024
     pin_rate_gbps: float = 0.5
-    interleave_log2: int = 5
+    interleave_log2: int = field(default=5, metadata={"range": (0, 10)})
     burst_beats: int = 1
 
     @property
@@ -73,7 +85,7 @@ class CoreSpec:
     channels: int = 16
     matrix_tflops: float = 15.36
     vector_tflops: float = 0.48
-    sram_bytes: int = 4 * 1024 * 1024
+    sram_bytes: int = field(default=4 * 1024 * 1024, metadata=_SIZES)
     sram_bytes_per_cycle: int = 8192
     frequency_ghz: float = 1.0
 
@@ -94,21 +106,21 @@ class NocSpec:
 
 @dataclass(frozen=True)
 class InterAccelSpec:
-    link_latency_s: float = 1e-6
+    link_latency_s: float = field(default=1e-6, metadata=_AT_LEAST_0)
     bandwidth_gbps: float = 900.0  # GB/s
 
 
 @dataclass(frozen=True)
 class EnergySpec:
-    dram_pj_per_bit: float = 0.77
-    flop_pj: float = 0.8
-    noc_pj_per_byte_hop: float = 0.1
+    dram_pj_per_bit: float = field(default=0.77, metadata=_AT_LEAST_0)
+    flop_pj: float = field(default=0.8, metadata=_AT_LEAST_0)
+    noc_pj_per_byte_hop: float = field(default=0.1, metadata=_AT_LEAST_0)
 
 
 @dataclass(frozen=True)
 class LayerSpec:
     name: str
-    thickness_m: float
+    thickness_m: float = field(metadata={"units": {"um": 1e-6}})
     conductivity_w_mk: float
     vol_heat_capacity_j_m3k: float
     power_layer: bool = False  # receives a share of the power map
@@ -116,10 +128,10 @@ class LayerSpec:
 
 @dataclass(frozen=True)
 class StackDescription:
-    layers: tuple[LayerSpec, ...] = ()
+    layers: tuple[LayerSpec, ...] = field(default=(), metadata={"items": LayerSpec})
     htc_w_m2k: float = 10000.0
-    ambient_c: float = 25.0
-    chip_area_m2: float = 8e-4  # 800 mm^2
+    ambient_c: float = field(default=25.0, metadata={"range": (-math.inf, math.inf)})
+    chip_area_m2: float = field(default=8e-4, metadata={"units": {"mm2": 1e-6}})  # 800 mm^2
 
     def __post_init__(self):
         if not self.layers:
@@ -180,14 +192,8 @@ class DerivedMetrics:
     channel_gbps: float
     core_gbps: float
     chip_gbps: float
-    channel_capacity_bytes: int
     core_capacity_bytes: int
     chip_capacity_bytes: int
-    peak_matrix_flops_per_cycle: float
-    peak_vector_flops_per_cycle: float
-    logical_row_bytes: int
-    burst_bytes: int
-    interleave_bytes: int
 
 
 def derived_metrics(cfg: ArchConfig) -> DerivedMetrics:
@@ -199,78 +205,58 @@ def derived_metrics(cfg: ArchConfig) -> DerivedMetrics:
         channel_gbps=ch_gbps,
         core_gbps=core_gbps,
         chip_gbps=core_gbps * cores,
-        channel_capacity_bytes=cfg.channel_capacity_bytes,
         core_capacity_bytes=core_cap,
         chip_capacity_bytes=core_cap * cores,
-        peak_matrix_flops_per_cycle=matrix_flops_per_cycle(cfg.core),
-        peak_vector_flops_per_cycle=vector_flops_per_cycle(cfg.core),
-        logical_row_bytes=cfg.logical_row_bytes,
-        burst_bytes=cfg.channel.burst_bytes,
-        interleave_bytes=cfg.channel.interleave_bytes,
     )
 
 
+def _leaves(obj, path: str):
+    """(path, value, declared range) of every int/float field under the
+    dataclass `obj`, thermal layers included."""
+    for f in dataclasses.fields(obj):
+        value = getattr(obj, f.name)
+        if dataclasses.is_dataclass(value):
+            yield from _leaves(value, f"{path}{f.name}.")
+        elif isinstance(value, tuple):
+            for i, item in enumerate(value):
+                yield from _leaves(item, f"{path}{f.name}[{i}].")
+        elif f.type in ("int", "float"):
+            yield f"{path}{f.name}", value, f.metadata.get("range")
+
+
 def validate(cfg: ArchConfig) -> list[str]:
-    """Check every structural invariant; violations are data, not exceptions."""
+    """Check every structural invariant; violations are data, not exceptions.
+
+    Every int/float field must be finite and inside its declared range, or
+    > 0 where it declares none. Only when all are do the rules that relate
+    fields run, since they assume in-range values.
+    """
     v = []
-
-    def positive(val, name):
-        if val <= 0:
-            v.append(f"{name} must be positive (got {val})")
-
-    positive(cfg.pb.row_size_bytes, "pb.row_size_bytes")
-    if cfg.pb.row_size_bytes > 0 and cfg.pb.row_size_bytes & (cfg.pb.row_size_bytes - 1):
-        v.append(f"pb.row_size_bytes must be a power of two (got {cfg.pb.row_size_bytes})")
-    positive(cfg.pb.row_count, "pb.row_count")
-    if cfg.lb.R < 1:
-        v.append("lb.R >= 1")
-    if cfg.lb.C < 1:
-        v.append("lb.C >= 1")
-    positive(cfg.channel.io_pins, "channel.io_pins")
-    if cfg.channel.io_pins > 0 and cfg.channel.io_pins % 8:
+    for path, value, bounds in _leaves(cfg, ""):
+        if not math.isfinite(value):
+            v.append(f"{path} must be finite (got {value})")
+        elif bounds is None:
+            if value <= 0:
+                v.append(f"{path} must be positive (got {value})")
+        elif not bounds[0] <= value <= bounds[1]:
+            lo, hi = bounds
+            v.append(f"{path} must be >= {lo} (got {value})" if hi == math.inf
+                     else f"{path} must be in [{lo}, {hi}] (got {value})")
+    if v:
+        return v
+    row = cfg.pb.row_size_bytes
+    if row & (row - 1):
+        v.append(f"pb.row_size_bytes must be a power of two (got {row})")
+    if cfg.channel.io_pins % 8:
         # A burst moves io_pins // 8 bytes per beat; the advertised
         # bandwidth counts io_pins / 8.
         v.append(f"channel.io_pins must be a multiple of 8 (got {cfg.channel.io_pins})")
-    positive(cfg.channel.pin_rate_gbps, "channel.pin_rate_gbps")
-    if not 0 <= cfg.channel.interleave_log2 <= 10:
-        v.append(f"channel.interleave_log2 in [0, 10] (got {cfg.channel.interleave_log2})")
-    positive(cfg.channel.burst_beats, "channel.burst_beats")
-    for name in ("tRCD", "tRP", "tRAS", "tCCD", "tBURST", "tRTW", "tWTR"):
-        if getattr(cfg.dram_timing, name) < 1:
-            v.append(f"dram_timing.{name} >= 1")
-    if cfg.dram_timing.tRAS < cfg.dram_timing.tRCD:
-        v.append("dram_timing.tRAS >= tRCD")
-    positive(cfg.core.channels, "core.channels")
-    positive(cfg.core.matrix_tflops, "core.matrix_tflops")
-    positive(cfg.core.vector_tflops, "core.vector_tflops")
-    positive(cfg.core.sram_bytes, "core.sram_bytes")
-    positive(cfg.core.sram_bytes_per_cycle, "core.sram_bytes_per_cycle")
-    positive(cfg.core.frequency_ghz, "core.frequency_ghz")
-    positive(cfg.noc.rows, "noc.rows")
-    positive(cfg.noc.cols, "noc.cols")
-    positive(cfg.noc.link_bytes_per_cycle, "noc.link_bytes_per_cycle")
-    if cfg.noc.router_delay_cycles < 1:
-        v.append("noc.router_delay_cycles >= 1")
-    if cfg.noc.link_delay_cycles < 1:
-        v.append("noc.link_delay_cycles >= 1")
-    positive(cfg.inter.bandwidth_gbps, "inter.bandwidth_gbps")
-    if cfg.inter.link_latency_s < 0:
-        v.append("inter.link_latency_s >= 0")
-    for name in ("dram_pj_per_bit", "flop_pj", "noc_pj_per_byte_hop"):
-        if getattr(cfg.energy, name) < 0:
-            v.append(f"energy.{name} >= 0")
+    t = cfg.dram_timing
+    if t.tRAS < t.tRCD:
+        v.append(f"dram_timing.tRAS must be >= tRCD (got {t.tRAS} < {t.tRCD})")
     if len(cfg.thermal_stack.layers) < 2:
         v.append("thermal_stack needs at least 2 layers")
-    for layer in cfg.thermal_stack.layers:
-        for prop in ("thickness_m", "conductivity_w_mk", "vol_heat_capacity_j_m3k"):
-            if getattr(layer, prop) <= 0:
-                v.append(f"layer {layer.name}: {prop} must be positive")
-    positive(cfg.thermal_stack.htc_w_m2k, "thermal_stack.htc_w_m2k")
-    positive(cfg.thermal_stack.chip_area_m2, "thermal_stack.chip_area_m2")
     return v
-
-
-_SIZE_SUFFIXES = {"bytes": 1, "kb": 1024, "mb": 1024 * 1024, "gb": 1024**3}
 
 
 def _check_value(value, type_name: str, where: str):
@@ -282,17 +268,6 @@ def _check_value(value, type_name: str, where: str):
         raise ArchError(f"{where} must be {type_name}, got {value!r}")
 
 
-def _take_size(sect: dict, base: str, default: int, path: str) -> int:
-    """Read `<base>_bytes` or a `<base>_kb`/`_mb`/`_gb` convenience form."""
-    for suffix, mult in _SIZE_SUFFIXES.items():
-        key = f"{base}_{suffix}"
-        if key in sect:
-            value = sect.pop(key)
-            _check_value(value, "int" if mult == 1 else "float", f"{path}.{key}")
-            return int(value * mult)
-    return default
-
-
 def _mapping(value, path: str) -> dict:
     """A copy of the config section at `path`, which must be a mapping."""
     if not isinstance(value, dict):
@@ -301,15 +276,52 @@ def _mapping(value, path: str) -> dict:
 
 
 def _build(cls, sect, path: str):
+    """A `cls` from the config section at `path`. A field's declared `units`
+    are read as `<base>_<unit>` (`sram_mb` for `sram_bytes`) and scaled,
+    where the field itself is not given; declared `items` are a list of
+    sections, each built as that class."""
     sect = _mapping(sect, path)
-    known = {f.name for f in dataclasses.fields(cls)}
-    bad = set(sect) - known
+    fields = dataclasses.fields(cls)
+    for f in fields:
+        base = f.name.rpartition("_")[0]
+        for unit, scale in f.metadata.get("units", {}).items():
+            key = f"{base}_{unit}"
+            if key in sect and f.name not in sect:
+                value = sect.pop(key)
+                _check_value(value, "float", f"{path}.{key}")
+                scaled = value * scale
+                if not math.isfinite(scaled):
+                    raise ArchError(f"{path}.{key} must be finite in {f.name} (got {value})")
+                sect[f.name] = int(scaled) if f.type == "int" else scaled
+    bad = set(sect) - {f.name for f in fields}
     if bad:
         raise ArchError(f"unknown field(s) in {path}: {sorted(bad)}")
-    for f in dataclasses.fields(cls):
-        if f.name in sect:
-            _check_value(sect[f.name], f.type, f"{path}.{f.name}")
+    for f in fields:
+        if f.name not in sect:
+            continue
+        _check_value(sect[f.name], f.type, f"{path}.{f.name}")
+        if "items" in f.metadata:
+            entries = sect[f.name]
+            if not isinstance(entries, list):
+                raise ArchError(f"{path}.{f.name} must be a list, got {entries!r}")
+            sect[f.name] = tuple(_build(f.metadata["items"], entry, f"{path}.{f.name}[]")
+                                 for entry in entries)
     return cls(**sect)
+
+
+# (YAML path, ArchConfig attribute, class) of every config section, in the
+# order `serialize` writes them. Only the `dram` sections nest.
+_SECTIONS = (
+    ("dram.physical_bank", "pb", PhysicalBankSpec),
+    ("dram.logical_bank", "lb", LogicalBankSpec),
+    ("dram.channel", "channel", ChannelSpec),
+    ("dram.timing", "dram_timing", DramTiming),
+    ("core", "core", CoreSpec),
+    ("noc", "noc", NocSpec),
+    ("inter_accel", "inter", InterAccelSpec),
+    ("energy", "energy", EnergySpec),
+    ("thermal", "thermal_stack", StackDescription),
+)
 
 
 def parse_arch(text: str) -> ArchConfig:
@@ -330,48 +342,16 @@ def parse_arch(text: str) -> ArchConfig:
             raise ArchError(f"missing mandatory section: {sect}")
 
     dram = _mapping(doc.pop("dram"), "dram")
-    pb_sect = _mapping(dram.pop("physical_bank", {}), "dram.physical_bank")
-    pb_sect["row_size_bytes"] = _take_size(
-        pb_sect, "row_size", PhysicalBankSpec.row_size_bytes, "dram.physical_bank")
-    pb = _build(PhysicalBankSpec, pb_sect, "dram.physical_bank")
-    lb = _build(LogicalBankSpec, dram.pop("logical_bank", {}), "dram.logical_bank")
-    channel = _build(ChannelSpec, dram.pop("channel", {}), "dram.channel")
-    timing = _build(DramTiming, dram.pop("timing", {}), "dram.timing")
+    sections = {}
+    for path, attr, cls in _SECTIONS:
+        parent, _, key = path.rpartition(".")
+        sections[attr] = _build(cls, (dram if parent else doc).pop(key, {}), path)
     if dram:
         raise ArchError(f"unknown field(s) in dram: {sorted(dram)}")
-
-    core_sect = _mapping(doc.pop("core"), "core")
-    core_sect["sram_bytes"] = _take_size(core_sect, "sram", CoreSpec.sram_bytes, "core")
-    core = _build(CoreSpec, core_sect, "core")
-
-    noc = _build(NocSpec, doc.pop("noc", {}), "noc")
-    inter = _build(InterAccelSpec, doc.pop("inter_accel", {}), "inter_accel")
-    energy = _build(EnergySpec, doc.pop("energy", {}), "energy")
-
-    th_sect = _mapping(doc.pop("thermal", {}), "thermal")
-    entries = th_sect.pop("layers", [])
-    if not isinstance(entries, list):
-        raise ArchError(f"thermal.layers must be a list, got {entries!r}")
-    layers = []
-    for entry in entries:
-        entry = _mapping(entry, "thermal.layers[]")
-        if "thickness_um" in entry:
-            _check_value(entry["thickness_um"], "float", "thermal.layers[].thickness_um")
-            entry["thickness_m"] = entry.pop("thickness_um") * 1e-6
-        layers.append(_build(LayerSpec, entry, "thermal.layers[]"))
-    if "chip_area_mm2" in th_sect:
-        _check_value(th_sect["chip_area_mm2"], "float", "thermal.chip_area_mm2")
-        th_sect["chip_area_m2"] = th_sect.pop("chip_area_mm2") * 1e-6
-    th_sect["layers"] = tuple(layers)
-    stack = _build(StackDescription, th_sect, "thermal")
-
     if doc:
         raise ArchError(f"unknown top-level section(s): {sorted(doc)}")
 
-    cfg = ArchConfig(
-        pb=pb, lb=lb, channel=channel, dram_timing=timing, core=core,
-        noc=noc, inter=inter, energy=energy, thermal_stack=stack,
-    )
+    cfg = ArchConfig(**sections)
     problems = validate(cfg)
     if problems:
         raise ArchError("; ".join(problems))
@@ -380,28 +360,11 @@ def parse_arch(text: str) -> ArchConfig:
 
 def serialize(cfg: ArchConfig) -> str:
     """Emit a YAML description that parse_arch maps back to the same config."""
-    doc = {
-        "schema_version": SCHEMA_VERSION,
-        "dram": {
-            "physical_bank": {
-                "row_size_bytes": cfg.pb.row_size_bytes,
-                "row_count": cfg.pb.row_count,
-            },
-            "logical_bank": dataclasses.asdict(cfg.lb),
-            "channel": dataclasses.asdict(cfg.channel),
-            "timing": dataclasses.asdict(cfg.dram_timing),
-        },
-        "core": dataclasses.asdict(cfg.core),
-        "noc": dataclasses.asdict(cfg.noc),
-        "inter_accel": dataclasses.asdict(cfg.inter),
-        "energy": dataclasses.asdict(cfg.energy),
-        "thermal": {
-            "layers": [dataclasses.asdict(layer) for layer in cfg.thermal_stack.layers],
-            "htc_w_m2k": cfg.thermal_stack.htc_w_m2k,
-            "ambient_c": cfg.thermal_stack.ambient_c,
-            "chip_area_m2": cfg.thermal_stack.chip_area_m2,
-        },
-    }
+    doc = {"schema_version": SCHEMA_VERSION}
+    for path, attr, _cls in _SECTIONS:
+        parent, _, key = path.rpartition(".")
+        (doc.setdefault(parent, {}) if parent else doc)[key] = \
+            dataclasses.asdict(getattr(cfg, attr))
     return yaml.safe_dump(doc, sort_keys=False)
 
 

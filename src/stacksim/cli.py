@@ -14,17 +14,16 @@ from importlib import resources
 
 from . import sweep as sweep_mod
 from . import workloads
-from .arch import ArchConfig, ArchError, derived_metrics, load_arch
+from .arch import ArchConfig, derived_metrics, load_arch
 from .dramsim import DramSystem, stats as dram_stats
-from .kerneldsl.checker import TypecheckError, typecheck
-from .kerneldsl.parser import KernelSyntaxError, ast_to_json, parse_kernel
+from .kerneldsl.checker import typecheck
+from .kerneldsl.parser import ast_to_json, parse_kernel
 from .orchestrator import run, simulate_compute
 from .sweep import default_power_model
 from .thermal import RETENTION_LIMIT_C, regulate
-from .tiler import TilerError, autotune, build_op
+from .tiler import autotune, build_op
 from .workloads import (
-    DecodingScenario, PagedKvLayout, WorkloadError, build_decoding_graph,
-    load_model,
+    DecodingScenario, PagedKvLayout, build_decoding_graph, load_model,
 )
 
 
@@ -65,7 +64,7 @@ def cmd_validate(args) -> int:
     print(f"config ok: {cfg.core.channels} ch/core @ {d.channel_gbps:.1f} GB/s "
           f"({d.core_gbps:.0f} GB/s/core), core capacity "
           f"{d.core_capacity_bytes / 2**20:.0f} MiB, "
-          f"logical row {d.logical_row_bytes} B")
+          f"logical row {cfg.logical_row_bytes} B")
     return 0
 
 
@@ -255,8 +254,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (ArchError, KernelSyntaxError, TypecheckError, TilerError,
-            WorkloadError, sweep_mod.SweepError, ValueError, OSError) as e:
+    except (ValueError, OSError) as e:  # every stacksim error is a ValueError
         print(f"error: {e}", file=sys.stderr)
         return 2
 

@@ -247,15 +247,17 @@ def typecheck(prog: KernelProgram, cfg: ArchConfig, bindings: dict[str, int]) ->
     except RecursionError:  # an expression the parser built but `evaluate` cannot walk
         raise TypecheckError("expression nested too deeply to evaluate") from None
 
+    # DRAM first: no tiling changes the tensors' footprint, so a search over
+    # tilings that all fail reports the shortfall none of them can fix.
+    dram_total = sum(padded_bytes(s, cfg) for s in symbols.values() if s.kind == "tensor")
+    core_capacity = cfg.channel_capacity_bytes * cfg.core.channels
+    if dram_total > core_capacity:
+        raise TypecheckError(
+            f"DRAM tensors need {dram_total} bytes, core capacity is {core_capacity}")
     sram_total = sum(s.size_bytes for s in symbols.values() if s.kind == "alloc") \
         + sum(symbols[b].size_bytes for b in loads)
     if sram_total > cfg.core.sram_bytes:
         raise TypecheckError(
             f"SRAM over capacity: allocs and load double buffers need {sram_total} "
             f"bytes, core has {cfg.core.sram_bytes}")
-    dram_total = sum(padded_bytes(s, cfg) for s in symbols.values() if s.kind == "tensor")
-    core_capacity = cfg.channel_capacity_bytes * cfg.core.channels
-    if dram_total > core_capacity:
-        raise TypecheckError(
-            f"DRAM tensors need {dram_total} bytes, core capacity is {core_capacity}")
     return CheckedProgram(prog, dict(bindings), symbols, cfg, events)

@@ -1,9 +1,14 @@
+import dataclasses
+import math
+from importlib import resources
+
 import pytest
 from hypothesis import given, strategies as st
 
 from stacksim.arch import (
     ArchConfig, ArchError, ChannelSpec, CoreSpec, LogicalBankSpec, NocSpec,
-    PhysicalBankSpec, derived_metrics, parse_arch, serialize, validate,
+    PhysicalBankSpec, derived_metrics, matrix_flops_per_cycle, parse_arch,
+    serialize, validate, vector_flops_per_cycle,
 )
 from stacksim.cli import main
 
@@ -39,10 +44,14 @@ def test_flagship_derived_metrics():
     assert d.channel_gbps == 64.0
     assert d.core_gbps == 1024.0  # 1 TB/s per core
     assert cfg.pb.capacity_bytes == 2048 * 1280  # 2.5 MB physical bank
-    assert d.channel_capacity_bytes == 4 * 32 * 2048 * 1280  # 320 MB
-    assert d.core_capacity_bytes == 16 * d.channel_capacity_bytes  # 5 GB
-    assert d.logical_row_bytes == 64 * 1024
-    assert d.peak_matrix_flops_per_cycle == pytest.approx(15360.0)
+    assert cfg.channel_capacity_bytes == 4 * 32 * 2048 * 1280  # 320 MB
+    assert d.core_capacity_bytes == 16 * cfg.channel_capacity_bytes  # 5 GB
+    assert d.chip_capacity_bytes == 16 * d.core_capacity_bytes
+    assert cfg.logical_row_bytes == 64 * 1024
+    assert cfg.channel.burst_bytes == 128
+    assert cfg.channel.interleave_bytes == 32 * 128
+    assert matrix_flops_per_cycle(cfg.core) == pytest.approx(15360.0)
+    assert vector_flops_per_cycle(cfg.core) == pytest.approx(480.0)
 
 
 def test_one_pin_eight_gbps_is_one_gbps():
@@ -127,3 +136,88 @@ def test_round_trip_random_config():
         noc=NocSpec(2, 2, 64, 3, 2, 4),
     )
     assert parse_arch(serialize(cfg)) == cfg
+
+
+def _shipped_text(name: str) -> str:
+    return resources.files("stacksim").joinpath(f"configs/{name}.yaml").read_text()
+
+
+@pytest.mark.parametrize("field, old, new", [
+    # With no credit on any link, a simulate would never return.
+    ("noc.input_queue_flits", "  link_bytes_per_cycle: 128\n",
+     "  link_bytes_per_cycle: 128\n  input_queue_flits: 0\n"),
+    # A simulate would divide by zero.
+    ("core.frequency_ghz", "frequency_ghz: 1.0", "frequency_ghz: .inf"),
+    # `validate` would report nan GB/s.
+    ("channel.pin_rate_gbps", "pin_rate_gbps: 0.5", "pin_rate_gbps: .nan"),
+    # Scaling a unit form to bytes would overflow `int()`.
+    ("core.sram_mb", "sram_mb: 4", "sram_mb: .inf"),
+    ("core.sram_gb", "sram_mb: 4", "sram_gb: 1.0e+300"),
+], ids=["queue-0", "frequency-inf", "pin-rate-nan", "sram-mb-inf", "sram-gb-huge"])
+@pytest.mark.parametrize("command", [
+    ["validate"], ["simulate", "--model", "llama3.2-1b", "--layers", "1"],
+], ids=["validate", "simulate"])
+def test_cli_refuses_a_zero_or_non_finite_field(tmp_path, capsys, field, old, new, command):
+    default = _shipped_text("default")
+    assert default.count(old) == 1
+    path = tmp_path / "bad.yaml"
+    path.write_text(default.replace(old, new))
+    assert main([*command, "--config", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {field} must be ")
+    assert "Traceback" not in captured.err and captured.out == ""
+
+
+def _numeric_paths(obj, prefix=""):
+    """Path of every int/float field under the dataclass `obj`."""
+    for f in dataclasses.fields(obj):
+        value = getattr(obj, f.name)
+        if dataclasses.is_dataclass(value):
+            yield from _numeric_paths(value, f"{prefix}{f.name}.")
+        elif isinstance(value, tuple):
+            for i, item in enumerate(value):
+                yield from _numeric_paths(item, f"{prefix}{f.name}[{i}].")
+        elif type(value) in (int, float):
+            yield prefix + f.name
+
+
+def _set(obj, path: str, value):
+    """`obj` with the field at `path` (as `_numeric_paths` spells it) set."""
+    head, _, rest = path.partition(".")
+    if not rest:
+        return dataclasses.replace(obj, **{head: value})
+    name, _, index = head.rstrip("]").partition("[")
+    child = getattr(obj, name)
+    if index:
+        items = list(child)
+        items[int(index)] = _set(items[int(index)], rest, value)
+        return dataclasses.replace(obj, **{name: tuple(items)})
+    return dataclasses.replace(obj, **{name: _set(child, rest, value)})
+
+
+# (field, value) pairs a shipped config may take; every other zero, negative
+# or non-finite value of any numeric field is refused.
+ALLOWED = {
+    ("channel.interleave_log2", 0),
+    ("inter.link_latency_s", 0),
+    ("energy.dram_pj_per_bit", 0),
+    ("energy.flop_pj", 0),
+    ("energy.noc_pj_per_byte_hop", 0),
+    ("thermal_stack.ambient_c", 0),
+    ("thermal_stack.ambient_c", -1),
+}
+
+
+@pytest.mark.parametrize("name", ["default", "edge"])
+def test_validate_names_every_out_of_range_field(name):
+    cfg = parse_arch(_shipped_text(name))
+    paths = list(_numeric_paths(cfg))
+    assert {"noc.input_queue_flits", "thermal_stack.ambient_c",
+            "thermal_stack.layers[8].vol_heat_capacity_j_m3k"} <= set(paths)
+    for path in paths:
+        for value in (0, -1, math.inf, math.nan):
+            problems = validate(_set(cfg, path, value))
+            if (path, value) in ALLOWED:
+                assert problems == [], (path, value)
+            else:
+                assert any(p.startswith(f"{path} must be ") for p in problems), (path, value)

@@ -440,10 +440,10 @@ def test_cli_tune_says_why_no_tiling_fits(capsys):
     assert main(["tune", "--kernel", "matmul", "--bind", "M=65536", "K=65536",
                  "N=65536", "--limit", "2"]) == 2
     err = capsys.readouterr().err
-    # Both candidates are among the coarsest tilings, which fail the SRAM
-    # check that `typecheck` makes before the DRAM one.
-    assert err == ("error: no feasible tiling: SRAM over capacity: allocs and load "
-                   "double buffers need 25769803776 bytes, core has 4194304\n")
+    # The tensors alone overflow a core's DRAM, which no tiling changes, and
+    # `typecheck` checks DRAM before SRAM, so the refusal names that.
+    assert err == ("error: no feasible tiling: DRAM tensors need 25769803776 bytes, "
+                   "core capacity is 5368709120\n")
 
 
 def test_cli_simulate_kernel(capsys):

@@ -109,15 +109,14 @@ class ChannelStats:
 class ChannelSim:
     """State of one single-logical-bank channel; `DramSystem.drain` advances it."""
 
-    __slots__ = ("open_row", "t_act", "t_row_ready", "t_bus", "t_data_end",
-                 "t_issue", "last_kind", "stats")
+    __slots__ = ("open_row", "t_act", "t_row_ready", "t_bus", "t_issue",
+                 "last_kind", "stats")
 
     def __init__(self):
         self.open_row: int | None = None
         self.t_act = 0
         self.t_row_ready = 0
         self.t_bus = 0       # earliest next burst start (tCCD spacing)
-        self.t_data_end = 0
         self.t_issue = 0     # start cycle of the last issued burst
         self.last_kind: str | None = None
         self.stats = ChannelStats()
@@ -182,7 +181,7 @@ class DramSystem:
         for channel, queue in queues.items():
             ch = self.channels[channel]
             open_row, t_act, t_row_ready = ch.open_row, ch.t_act, ch.t_row_ready
-            t_bus, t_data_end, t_issue = ch.t_bus, ch.t_data_end, ch.t_issue
+            t_bus, t_issue = ch.t_bus, ch.t_issue
             last_kind = ch.last_kind
             st = ch.stats
             hits = misses = acts = bursts_sum = read = written = 0
@@ -212,12 +211,12 @@ class DramSystem:
                 if t > first:
                     first = t
                 if kind != last_kind and last_kind is not None:
-                    turn = t_data_end + (tRTW if last_kind == "R" else tWTR)
+                    turn = t_issue + tBURST + (tRTW if last_kind == "R" else tWTR)
                     if turn > first:
                         first = turn
                 t_issue = first + (bursts - 1) * spacing
                 t_bus = t_issue + spacing
-                t_data_end = done = t_issue + tBURST
+                done = t_issue + tBURST
                 last_kind = kind
                 bursts_sum += bursts
                 if kind == "R":
@@ -231,7 +230,7 @@ class DramSystem:
                 if latency > latency_max:
                     latency_max = latency
             ch.open_row, ch.t_act, ch.t_row_ready = open_row, t_act, t_row_ready
-            ch.t_bus, ch.t_data_end, ch.t_issue = t_bus, t_data_end, t_issue
+            ch.t_bus, ch.t_issue = t_bus, t_issue
             ch.last_kind = last_kind
             st.bytes_read += read
             st.bytes_written += written

@@ -12,7 +12,10 @@ packet of F flits from src to dst with h hops completes
     (h + 1) * router_delay + h * link_delay + (F - 1)
 
 cycles after injection. Ejection consumes one flit per cycle per core; a
-zero-byte packet and a self-send complete at the injection cycle.
+zero-byte packet and a self-send complete at the injection cycle. A credit
+is an input-queue slot, taken when a flit leaves the upstream router, so a
+flit on a link already waits in the queue it is heading for and a queue's
+length is the number of credits it holds.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ import math
 from collections import deque
 from dataclasses import dataclass
 
-from .arch import ArchConfig
+from .arch import ArchConfig, ArchError, validate
 from .partition import CommPlan, CoreArray, logical_to_physical
 
 LOCAL = 4
@@ -77,9 +80,8 @@ def _xy_port(pos: tuple[int, int], dst: tuple[int, int]) -> int:
 class _Router:
     def __init__(self, pos: tuple[int, int], rows: int, cols: int):
         self.pos = pos
+        # Input queues; a flit on the link into a port is already in its queue.
         self.queues: list[deque[_Flit]] = [deque() for _ in range(5)]
-        # Flits on the link into each input port: they hold its credits too.
-        self.incoming: list[int] = [0] * 5
         # Wormhole allocation: output port -> (input port, packet) while a
         # packet's worm occupies the crossbar path.
         self.alloc: dict[int, tuple[int, Packet]] = {}
@@ -95,6 +97,9 @@ class MeshSim:
     """Cycle-stepped mesh simulator; advance with tick() or run to drain."""
 
     def __init__(self, cfg: ArchConfig):
+        problems = validate(cfg)
+        if problems:
+            raise ArchError(problems[0])
         self.cfg = cfg
         noc = cfg.noc
         self.rows, self.cols = noc.rows, noc.cols
@@ -110,13 +115,7 @@ class MeshSim:
                     router.links[out_port] = \
                         (self.routers[dm * self.cols + dn], (out_port + 2) % 4)
         self.now = 0
-        self.packets: dict[int, Packet] = {}
-        self._next_pid = 0
-        # (arrival cycle, router, input port, flit) per flit on a link; the
-        # link delay is constant, so arrivals leave in FIFO order.
-        self._inflight: deque[tuple[int, _Router, int, _Flit]] = deque()
-        # (packet, worm) per packet injected since the last tick.
-        self._pending_inject: list[tuple[Packet, list[_Flit]]] = []
+        self.packets: list[Packet] = []  # indexed by pid
         self.injected_flits = 0
         self.ejected_flits = 0
 
@@ -124,53 +123,41 @@ class MeshSim:
         return pos[0] * self.cols + pos[1]
 
     def inject(self, pkt: Packet) -> Packet:
-        """Queue a packet for injection at the current cycle."""
+        """Inject a packet at the current cycle into its source's elastic
+        local queue, which models injection stalls instead of backpressure."""
         for m, n in (pkt.src, pkt.dst):
             if not (0 <= m < self.rows and 0 <= n < self.cols):
                 raise ValueError(f"core {(m, n)} is outside the "
                                  f"{self.rows}x{self.cols} mesh")
-        pkt.pid = self._next_pid
-        self._next_pid += 1
-        self.packets[pkt.pid] = pkt
+        pkt.pid = len(self.packets)
+        self.packets.append(pkt)
         flits = pkt.flit_count(self.cfg.noc.link_bytes_per_cycle)
         if flits == 0 or pkt.src == pkt.dst:
             pkt.complete_cycle = self.now
             return pkt
         dst = self._index(pkt.dst)
         ready = self.now + self.cfg.noc.router_delay_cycles
-        worm = [_Flit(pkt, s, s == flits - 1, dst, ready) for s in range(flits)]
-        self._pending_inject.append((pkt, worm))
+        self.routers[self._index(pkt.src)].queues[LOCAL].extend(
+            _Flit(pkt, s, s == flits - 1, dst, ready) for s in range(flits))
+        self.injected_flits += flits
         return pkt
 
     def tick(self) -> None:
+        """Advance one cycle; refuses to run past `MAX_CYCLES`."""
         now = self.now
+        if now > MAX_CYCLES:
+            raise ValueError(f"NoC simulation did not drain in {MAX_CYCLES} cycles")
         noc = self.cfg.noc
-
-        # Inject the worms queued this cycle; the source queue is elastic,
-        # so injection stalls are modeled by the local queue rather than by
-        # backpressure into the core.
-        if self._pending_inject:
-            for pkt, worm in self._pending_inject:
-                self.routers[self._index(pkt.src)].queues[LOCAL].extend(worm)
-                self.injected_flits += len(worm)
-            self._pending_inject = []
-
-        # Deliver in-flight flits arriving this cycle.
-        inflight = self._inflight
-        while inflight and inflight[0][0] <= now:
-            _, router, in_port, flit = inflight.popleft()
-            router.queues[in_port].append(flit)
-            router.incoming[in_port] -= 1
 
         # Grant phase: decide all moves from the cycle-start state. Each
         # eligible head flit requests the one output port it routes to;
         # the worm holding that output, or else the head flit nearest the
         # output's round-robin pointer, wins it. A move needs a credit: the
-        # neighbour's input queue plus the flits on the link to it must hold
-        # fewer than input_queue_flits. Moves apply only after every router
-        # has decided, so credit checks see cycle-start queue lengths; their
-        # order is immaterial, because each input queue, output port and
-        # link carries at most one flit per cycle.
+        # neighbour's input queue, which already holds the flits still on
+        # the link to it, must hold fewer than input_queue_flits. Moves
+        # apply only after every router has decided, so credit checks see
+        # cycle-start queue lengths; their order is immaterial, because each
+        # input queue, output port and link carries at most one flit per cycle.
         depth = noc.input_queue_flits
         moves = []
         for router in self.routers:
@@ -198,16 +185,16 @@ class MeshSim:
                 link = router.links[out_port]
                 if link is not None:
                     nb, nb_port = link
-                    if len(nb.queues[nb_port]) + nb.incoming[nb_port] >= depth:
+                    if len(nb.queues[nb_port]) >= depth:
                         continue  # no credit
                 moves.append((router, in_port, out_port, flit))
                 if out_port not in alloc:
                     alloc[out_port] = (in_port, flit.pkt)
                     rr[out_port] = (in_port + 1) % 5
 
-        # Traversal phase.
-        arrival = now + noc.link_delay_cycles
-        ready = arrival + noc.router_delay_cycles
+        # Traversal phase: a flit leaving on a link joins the neighbour's
+        # queue at once and becomes eligible after the link and router delays.
+        ready = now + noc.link_delay_cycles + noc.router_delay_cycles
         for router, in_port, out_port, flit in moves:
             router.queues[in_port].popleft()
             if flit.is_tail:
@@ -219,21 +206,18 @@ class MeshSim:
             else:
                 flit.ready = ready
                 nb, nb_port = router.links[out_port]
-                nb.incoming[nb_port] += 1
-                inflight.append((arrival, nb, nb_port, flit))
+                nb.queues[nb_port].append(flit)
         self.now = now + 1
 
     def idle(self) -> bool:
-        # Every injected flit is in a queue or on a link until it is ejected.
-        return not self._pending_inject and self.injected_flits == self.ejected_flits
+        # Every injected flit is in a queue until it is ejected.
+        return self.injected_flits == self.ejected_flits
 
     def run_until_drained(self) -> int:
-        """Tick until idle, for at most `MAX_CYCLES` simulated cycles."""
+        """Tick until idle; returns the last completion cycle."""
         while not self.idle():
-            if self.now > MAX_CYCLES:
-                raise RuntimeError("NoC simulation did not drain")
             self.tick()
-        return max((p.complete_cycle for p in self.packets.values()), default=0)
+        return max((p.complete_cycle for p in self.packets), default=0)
 
 
 @dataclass(frozen=True)
@@ -260,13 +244,10 @@ def run_plan(plan: CommPlan, arr: CoreArray, cfg: ArchConfig) -> PlanResult:
     for step in sorted(by_step):
         # Advance until every earlier packet that a sender of this step sent
         # or receives is complete, then inject.
-        waiting = [pkt for coord in {e.src for e in by_step[step]}
-                   for pkt in touching.get(coord, ()) if pkt.complete_cycle < 0]
-        while waiting:
-            if waiting[-1].complete_cycle >= 0:
-                waiting.pop()
-            else:
-                sim.tick()
+        for coord in {e.src for e in by_step[step]}:
+            for pkt in touching.get(coord, ()):
+                while pkt.complete_cycle < 0:
+                    sim.tick()
         for entry in by_step[step]:
             src_phys = logical_to_physical(arr, entry.src)
             dst_phys = logical_to_physical(arr, entry.dst)
@@ -277,7 +258,7 @@ def run_plan(plan: CommPlan, arr: CoreArray, cfg: ArchConfig) -> PlanResult:
             touching.setdefault(entry.dst, []).append(pkt)
     makespan = sim.run_until_drained()
     per_core: dict[tuple[int, int], int] = {}
-    for pkt in sim.packets.values():
+    for pkt in sim.packets:
         per_core[pkt.dst] = max(per_core.get(pkt.dst, 0), pkt.complete_cycle)
     return PlanResult(makespan=makespan, bytes_hops=bytes_hops,
                       per_core_completion=per_core)

@@ -8,6 +8,7 @@ that the NoC simulator replays.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from math import prod
 
@@ -28,13 +29,8 @@ class CoreArray:
                 f"{self.physical[0]}x{self.physical[1]} mesh")
 
     def coords(self):
-        def rec(prefix, dims):
-            if not dims:
-                yield tuple(prefix)
-                return
-            for x in range(dims[0]):
-                yield from rec(prefix + [x], dims[1:])
-        yield from rec([], list(self.shape))
+        # Row-major: the last axis varies fastest, in linearized order.
+        return itertools.product(*map(range, self.shape))
 
     def linearize(self, coord: tuple[int, ...]) -> int:
         # Row-major mixed-radix linearization: the last axis varies fastest.
@@ -127,7 +123,6 @@ def split_gemm(arr: CoreArray, M: int, K: int, N: int,
         out_shard = (m_rng, n_rng)
         k_axes = set(mapping["K"])
         n_axes = set(mapping["N"])
-        m_axes = set(mapping["M"])
 
         def same_except(other, free_axes):
             return all(o == s for ax, (o, s) in enumerate(zip(other, coord))
@@ -158,16 +153,12 @@ class CommPlan:
         return sum(s.bytes for s in self.steps if s.src == coord)
 
 
-def _ring_chunks(total: int, p: int) -> list[int]:
-    return [hi - lo for lo, hi in _shard_ranges(total, p)]
-
-
 def _ring_pass(ring: list[tuple[int, ...]], nbytes: int, step0: int,
                shift: int) -> list[CommStep]:
     """p - 1 ring steps: at step s core i sends chunk (i + shift - s) mod p
     to its successor. Shift 0 is a reduce-scatter, shift 1 an all-gather."""
     p = len(ring)
-    chunks = _ring_chunks(nbytes, p)
+    chunks = [hi - lo for lo, hi in _shard_ranges(nbytes, p)]
     return [CommStep(step0 + s, src, ring[(i + 1) % p], chunks[(i + shift - s) % p])
             for s in range(p - 1) for i, src in enumerate(ring)]
 
@@ -191,7 +182,7 @@ def build_collective(arr: CoreArray, kind: str, bytes_per_core: int) -> CommPlan
     all-reduce runs the 1D all-reduce schedule along rows of the first axis,
     then along columns, each phase on the full payload.
     """
-    coords = sorted(arr.coords(), key=arr.linearize)
+    coords = list(arr.coords())  # in linearized order
     p = len(coords)
     if kind in ("ring_reduce_scatter", "ring_all_gather", "all_reduce_1d"):
         if p <= 1:

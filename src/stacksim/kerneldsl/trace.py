@@ -13,9 +13,10 @@ from .ast import (
 from .checker import CheckedProgram, SymbolInfo
 
 
-# The most events one trace may hold. Each costs a few hundred bytes of host
-# memory once expanded and pipelined, so a tiling that unrolls past this
-# fails cleanly instead of thrashing the host.
+# The most events one trace may hold. A DRAM event keeps its byte runs as
+# one offset range and one run length, so each event costs a few hundred
+# bytes of host memory however many runs its tile has; a tiling that
+# unrolls past this fails cleanly instead of thrashing the host.
 MAX_TRACE_EVENTS = 1 << 20
 
 
@@ -25,20 +26,26 @@ class ExpandError(ValueError):
 
 @dataclass(frozen=True)
 class DramRead:
+    """A tile load: `run_bytes` contiguous bytes at each of `offsets`, byte
+    offsets within the tensor in increasing order (`_byte_runs`), so
+    `bytes == len(offsets) * run_bytes`."""
     tensor: str
     slices: tuple[tuple[int, int], ...]  # (lo, hi) per dimension
-    ranges: tuple[tuple[int, int], ...]  # (byte offset, length) within the tensor
+    offsets: range | tuple[int, ...]
+    run_bytes: int
     bytes: int
     buffer: str  # destination SRAM tile
 
 
 @dataclass(frozen=True)
 class DramWrite:
+    """A tile store, with the byte runs of `DramRead`."""
     tensor: str
     slices: tuple[tuple[int, int], ...]
-    ranges: tuple[tuple[int, int], ...]
+    offsets: range | tuple[int, ...]
+    run_bytes: int
     bytes: int
-    buffer: str
+    buffer: str  # source SRAM tile
 
 
 @dataclass(frozen=True)
@@ -105,15 +112,19 @@ def _run_layout(info: SymbolInfo) -> tuple[int, tuple[tuple[int, int, int], ...]
     return dt, tuple((d, strides[d] * dt, info.shape[d]) for d in _dims_fastest_first(info))
 
 
-def _byte_runs(layout, slices) -> tuple[tuple[int, int], ...]:
-    """Contiguous (offset, length) byte runs of a tile within its tensor, in
-    increasing offset order, from the tensor's `_run_layout`.
+def _byte_runs(layout, slices) -> tuple[range | tuple[int, ...], int]:
+    """(offsets, run bytes) of a tile within its tensor, from the tensor's
+    `_run_layout`: the tile is `run bytes` contiguous bytes at each offset,
+    and the offsets increase.
 
     A run covers the unit-stride dimension's slice and extends over each
     next dimension while the tile spans the whole extent of the ones before
-    it. Every index of the dimensions after that starts a new run; their
-    strides are mixed-radix, so nesting their ranges slowest-outermost lists
-    the runs in increasing order, each separated from the next by a gap.
+    it. Every index of the dimensions after that starts a new run. While
+    there is one run, the next dimension's runs step by its stride, so the
+    offsets stay a `range`; that covers every 2-D tile. Past that they are
+    a tuple: the strides are mixed-radix, so nesting the dimensions' ranges
+    slowest-outermost lists the runs in increasing order, each separated
+    from the next by a gap.
     """
     run, dims = layout
     dims = iter(dims)
@@ -124,11 +135,16 @@ def _byte_runs(layout, slices) -> tuple[tuple[int, int], ...]:
         run *= hi - lo
         if hi - lo != extent:
             break
-    offsets = [start]
+    offsets = range(start, start + 1)
     for d, step, _ in dims:  # the dimensions after the run, fastest first
         lo, hi = slices[d]
-        offsets = [o + i for i in range(lo * step, hi * step, step) for o in offsets]
-    return tuple([(o, run) for o in offsets])
+        if len(offsets) == 1:
+            first = offsets[0]
+            offsets = range(first + lo * step, first + hi * step, step)
+        else:
+            offsets = tuple([o + i for i in range(lo * step, hi * step, step)
+                             for o in offsets])
+    return offsets, run
 
 
 def _tile_elems(slices) -> int:
@@ -266,7 +282,7 @@ def _compile_stmt(stmt: Stmt, checked: CheckedProgram, loop_vars: frozenset):
         layout = _run_layout(info)
         dt = info.dtype_bytes
         return _leaf([slices(ref)], lambda s: cls(
-            info.name, s, _byte_runs(layout, s), _tile_elems(s) * dt, buffer))
+            info.name, s, *_byte_runs(layout, s), _tile_elems(s) * dt, buffer))
     if isinstance(stmt, Gemm):
         names = (stmt.a.name, stmt.b.name, stmt.out.name)
         dt = symbols[stmt.a.name].dtype_bytes

@@ -30,7 +30,8 @@ from .partition import CommPlan, CoreArray, logical_to_physical
 LOCAL = 4
 DIRS = ("N", "E", "S", "W")  # port index 0..3; 4 = local/eject
 _OFFS = {"N": (-1, 0), "E": (0, 1), "S": (1, 0), "W": (0, -1)}
-# The most cycles one mesh simulation may run before it is declared stuck.
+# The most cycles one mesh simulation may run. A run that needs more, slow
+# or stuck, stops with an error that names this limit.
 MAX_CYCLES = 10_000_000
 
 
@@ -146,7 +147,8 @@ class MeshSim:
         """Advance one cycle; refuses to run past `MAX_CYCLES`."""
         now = self.now
         if now > MAX_CYCLES:
-            raise ValueError(f"NoC simulation did not drain in {MAX_CYCLES} cycles")
+            raise ValueError(f"NoC simulation reached its limit of {MAX_CYCLES} cycles "
+                             "(nocsim.MAX_CYCLES)")
         noc = self.cfg.noc
 
         # Grant phase: decide all moves from the cycle-start state. Each

@@ -26,6 +26,8 @@ import dataclasses
 import io
 import math
 from dataclasses import dataclass, field
+from itertools import repeat
+from operator import add
 
 from .arch import ArchConfig, matrix_flops_per_cycle, peak_dram_bytes_per_cycle
 from .dramsim import DramSystem, schedule_tile, stats as dram_stats
@@ -145,8 +147,8 @@ def simulate_compute(op: ComputeOp, cfg: ArchConfig) -> OperatorResult:
         for e in it:
             kind = _DRAM_KINDS.get(type(e))
             if kind is not None:
-                base = bases[e.tensor]
-                reqs += [(now, kind, base + off, length) for off, length in e.ranges]
+                reqs += zip(repeat(now), repeat(kind),
+                            map(add, repeat(bases[e.tensor]), e.offsets), repeat(e.run_bytes))
                 continue
             if isinstance(e, MatrixWork):
                 key = (e.m, e.n, e.k, e.dtype_bytes, e.accumulate)

@@ -73,7 +73,7 @@ def _event_to_dict(e) -> dict:
     d = {"item": _EVENT_NAMES[type(e)]}
     if isinstance(e, (DramRead, DramWrite)):
         d.update(tensor=e.tensor, bytes=e.bytes, buffer=e.buffer,
-                 ranges=[list(r) for r in e.ranges])
+                 ranges=[[off, e.run_bytes] for off in e.offsets])
     elif isinstance(e, MatrixWork):
         d.update(m=e.m, n=e.n, k=e.k, dtype_bytes=e.dtype_bytes, accumulate=e.accumulate)
     else:

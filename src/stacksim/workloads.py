@@ -10,6 +10,7 @@ import random
 from dataclasses import dataclass
 from importlib import resources
 from itertools import chain, islice, repeat
+from operator import add
 
 import yaml
 
@@ -267,11 +268,13 @@ def graph_totals(ops: list) -> dict:
 
 # --- DRAM microbenchmarks -------------------------------------------------
 #
-# A trace is hundreds of thousands of `Request`s. CPython never untracks a
-# tuple subclass from the cyclic collector, so every full collection during
-# a build walks every request built so far. The builders pause the
-# collector (`_collector_paused`) and build each run of requests with one
-# C-level `map` of `tuple.__new__`, so no Python frame runs per request.
+# A trace is hundreds of thousands of `Request`s, one per byte run of a
+# tile. CPython never untracks a tuple subclass from the cyclic collector,
+# so every full collection during a build walks every request built so
+# far. The builders pause the collector (`_collector_paused`) and build
+# each tile's requests with one C-level `map` of `tuple.__new__` over a
+# `zip` of its run offsets (a `range` for a 2-D tile) and run length, so no
+# Python frame runs and no per-run tuple is kept before the requests.
 
 @contextlib.contextmanager
 def _collector_paused():
@@ -298,9 +301,9 @@ def dram_requests(events, bases: dict, ready: int) -> list[Request]:
             kind = "W"
         else:
             continue
-        base = bases[e.tensor]
-        reqs += map(tuple.__new__, repeat(Request),
-                    [(ready, kind, base + off, length) for off, length in e.ranges])
+        reqs += map(tuple.__new__, repeat(Request), zip(
+            repeat(ready), repeat(kind), map(add, repeat(bases[e.tensor]), e.offsets),
+            repeat(e.run_bytes)))
     return reqs
 
 

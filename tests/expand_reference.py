@@ -2,7 +2,7 @@
 
 The tree walker `expand` used before it compiled loop nests: every trip of
 every loop copies the environment, and every slice bound is evaluated by
-walking its expression tree. Only the byte-run routine (`byte_ranges`
+walking its expression tree. Only the byte-run routine (`byte_runs`
 below) and the event types are shared with production code. Intended for
 small traces, such as the shipped kernels at the tilings `shipped_bindings`
 lists.
@@ -21,10 +21,9 @@ from stacksim.kerneldsl.trace import (
 )
 
 
-def byte_ranges(info: SymbolInfo,
-                slices: tuple[tuple[int, int], ...]) -> tuple[tuple[int, int], ...]:
-    """Contiguous (offset, length) byte runs of a tile of `info`, in
-    increasing offset order: `expand`'s byte-run routine."""
+def byte_runs(info: SymbolInfo, slices: tuple[tuple[int, int], ...]):
+    """(offsets, run bytes) of a tile of `info`: `run bytes` contiguous
+    bytes at each offset, offsets increasing. `expand`'s byte-run routine."""
     return _byte_runs(_run_layout(info), slices)
 
 
@@ -57,16 +56,14 @@ def _walk(stmts: tuple[Stmt, ...], env: dict, symbols: dict, events: list) -> No
             dst_i = symbols[stmt.dst.name]
             if src_i.kind == "tensor" and dst_i.kind == "alloc":
                 slices = _resolve_slices(stmt.src, src_i, env)
-                ranges = byte_ranges(src_i, slices)
                 events.append(DramRead(
-                    src_i.name, slices, ranges, _tile_elems(slices) * src_i.dtype_bytes,
-                    dst_i.name))
+                    src_i.name, slices, *byte_runs(src_i, slices),
+                    _tile_elems(slices) * src_i.dtype_bytes, dst_i.name))
             elif src_i.kind == "alloc" and dst_i.kind == "tensor":
                 slices = _resolve_slices(stmt.dst, dst_i, env)
-                ranges = byte_ranges(dst_i, slices)
                 events.append(DramWrite(
-                    dst_i.name, slices, ranges, _tile_elems(slices) * dst_i.dtype_bytes,
-                    src_i.name))
+                    dst_i.name, slices, *byte_runs(dst_i, slices),
+                    _tile_elems(slices) * dst_i.dtype_bytes, src_i.name))
             else:  # SRAM-to-SRAM buffer copy
                 slices = _resolve_slices(stmt.src, src_i, env)
                 events.append(VectorWork(

@@ -1,6 +1,7 @@
 import gc
 import json
 import random
+import tracemalloc
 import warnings
 from importlib import resources
 
@@ -17,7 +18,7 @@ from stacksim.kerneldsl.checker import SymbolInfo
 from stacksim.kerneldsl.trace import ExpandError, strides_elems
 from stacksim.workloads import load_kernel
 
-from expand_reference import byte_ranges, reference_expand, shipped_bindings
+from expand_reference import byte_runs, reference_expand, shipped_bindings
 
 CFG = ArchConfig()
 
@@ -219,20 +220,27 @@ def test_matmul_unit_tile_trace_counts():
     assert event_totals(trace.events)[0] == 2 * 2 * 2 * 2
 
 
+def _runs(e) -> tuple[tuple[int, int], ...]:
+    """The (offset, length) byte runs of a DRAM event."""
+    return tuple((off, e.run_bytes) for off in e.offsets)
+
+
 def test_trace_byte_ranges_follow_layout():
     prog = load_kernel("matmul")
     checked = typecheck(prog, CFG, dict(M=8, K=8, N=8, tM=4, tN=4, tK=4))
     trace = expand(checked)
     first_a = next(e for e in trace.events if isinstance(e, DramRead) and e.tensor == "A")
     # A is row-major (8, 8) fp16: a (4, 4) corner tile is 4 runs of 8 bytes.
-    assert first_a.ranges == ((0, 8), (16, 8), (32, 8), (48, 8))
+    assert _runs(first_a) == ((0, 8), (16, 8), (32, 8), (48, 8))
+    assert first_a.offsets == range(0, 64, 16)
     first_b = next(e for e in trace.events if isinstance(e, DramRead) and e.tensor == "B")
     # B is col-major: a (4, 4) corner tile is 4 column runs of 8 bytes.
-    assert first_b.ranges == ((0, 8), (16, 8), (32, 8), (48, 8))
+    assert _runs(first_b) == ((0, 8), (16, 8), (32, 8), (48, 8))
+    assert first_b.offsets == range(0, 64, 16)
     full_row_tile = next(
         e for e in trace.events
         if isinstance(e, DramRead) and e.tensor == "A" and e.slices[1] == (4, 8))
-    assert full_row_tile.ranges[0][0] == 8  # offset past the first 4 elements
+    assert full_row_tile.offsets[0] == 8  # offset past the first 4 elements
 
 
 def _brute_force_runs(slices, strides_bytes, dtype_bytes):
@@ -279,7 +287,10 @@ def test_byte_ranges_match_brute_force():
         slices = tuple(slices)
         expected = _brute_force_runs(
             slices, _layout_strides(shape, layout, info.dtype_bytes), info.dtype_bytes)
-        assert byte_ranges(info, slices) == expected, (shape, layout, slices)
+        offsets, run = byte_runs(info, slices)
+        assert tuple((off, run) for off in offsets) == expected, (shape, layout, slices)
+        if len(shape) <= 2:
+            assert type(offsets) is range, (shape, layout, slices)
 
 
 def test_undeclared_layout_trace_follows_placement():
@@ -296,9 +307,9 @@ def test_undeclared_layout_trace_follows_placement():
     strides_bytes = tuple(2 * s for s in strides_elems(info))
     assert (info.layout, strides_bytes) == ("col", (2, 8))
     reads = expand(checked).events
-    assert [e.ranges for e in reads] == [((8 * j, 8),) for j in range(4)]
+    assert [_runs(e) for e in reads] == [((8 * j, 8),) for j in range(4)]
     for e in reads:
-        assert e.ranges == _brute_force_runs(e.slices, strides_bytes, 2)
+        assert _runs(e) == _brute_force_runs(e.slices, strides_bytes, 2)
 
 
 def test_dropped_trace_is_freed_without_the_cycle_collector():
@@ -354,7 +365,38 @@ def test_full_width_tile_merges_to_one_run():
     checked = typecheck(prog, CFG, dict(M=8, K=8, N=8, tM=4, tN=8, tK=8))
     trace = expand(checked)
     first_a = next(e for e in trace.events if isinstance(e, DramRead) and e.tensor == "A")
-    assert first_a.ranges == ((0, 4 * 8 * 2),)  # 4 full rows, contiguous
+    assert _runs(first_a) == ((0, 4 * 8 * 2),)  # 4 full rows, contiguous
+    assert first_a.offsets == range(1)
+
+
+def test_expanded_gemm_keeps_its_byte_runs_compact():
+    # The bench's GEMM trace: 3104 events over 329728 byte runs. One
+    # (offset, length) tuple per run would take about 31 MB.
+    checked = typecheck(load_kernel("matmul"), CFG,
+                        dict(M=64, K=8192, N=8192, tM=64, tN=256, tK=256))
+    tracemalloc.start()
+    try:
+        events = expand(checked).events
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(events) == 3104
+    assert held < 4 << 20, held
+
+
+@pytest.mark.parametrize("name", ["matmul", "matmul_rowblock", "fused_attention"])
+def test_dram_events_are_increasing_runs_of_one_length(name):
+    prog = load_kernel(name)
+    for bind in shipped_bindings(name):
+        checked = typecheck(prog, CFG, bind)
+        for e in expand(checked).events:
+            if not isinstance(e, (DramRead, DramWrite)):
+                continue
+            offsets = list(e.offsets)
+            assert offsets == sorted(set(offsets)), (bind, e)
+            assert e.bytes == len(e.offsets) * e.run_bytes, (bind, e)
+            if len(checked.symbols[e.tensor].shape) == 2:
+                assert type(e.offsets) is range, (bind, e)
 
 
 def test_expand_is_deterministic():

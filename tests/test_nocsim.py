@@ -189,15 +189,16 @@ def test_tick_refuses_to_run_past_max_cycles(monkeypatch):
     sim.inject(Packet((0, 0), (3, 3), 64 * W))
     for _ in range(4):  # cycles 0..3
         sim.tick()
-    with pytest.raises(ValueError, match="did not drain in 3 cycles"):
+    with pytest.raises(ValueError, match=r"^NoC simulation reached its limit of 3 cycles "
+                                         r"\(nocsim\.MAX_CYCLES\)$"):
         sim.tick()
     assert sim.now == 4 and not sim.idle()
 
 
-def test_cli_reports_a_mesh_that_does_not_drain(monkeypatch, capsys):
+def test_cli_reports_a_mesh_that_reaches_max_cycles(monkeypatch, capsys):
     # run_plan's wait for earlier steps ticks too, so the guard holds there.
     monkeypatch.setattr(nocsim, "MAX_CYCLES", 10)
     assert cli.main(["simulate", "--model", "llama3.2-1b", "--layers", "1"]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: NoC simulation did not drain in 10 cycles")
+    assert err == "error: NoC simulation reached its limit of 10 cycles (nocsim.MAX_CYCLES)\n"
     assert "Traceback" not in err

@@ -1,10 +1,11 @@
 """Pinned outputs of the DRAM and NoC models on raw traffic, a sweep, the
 single-kernel `tune` and `simulate` commands, a decoding step on the edge
-config (plain and regulated), and the parsed shipped kernels.
+config (plain and regulated), the parsed shipped kernels and the serialized
+execution descriptions of two of them.
 
 Every value here was computed before the code it covers was rewritten for
 speed or simplicity (the DRAM front end, the mesh arbiter, the construction
-of compute operators, the kernel parser). Those rewrites must change no
+of compute operators, the kernel parser, the byte runs of a trace event). Those rewrites must change no
 simulated number, so any difference here is a behaviour change, not noise.
 The NoC values are those of link-width flits, one flit per link per cycle.
 """
@@ -21,9 +22,10 @@ from stacksim import sweep as sweep_mod
 from stacksim.arch import load_arch
 from stacksim.cli import main
 from stacksim.dramsim import DramSystem, Request, stats
-from stacksim.kerneldsl import ast_to_json
+from stacksim.kerneldsl import ast_to_json, typecheck
 from stacksim.nocsim import MeshSim, Packet, run_plan
 from stacksim.partition import CoreArray, build_collective
+from stacksim.tiler import generate_execution
 from stacksim.workloads import (
     PagedKvLayout, gen_gemm_benchmark, gen_paged_attention_benchmark, load_kernel,
 )
@@ -200,6 +202,17 @@ def test_shipped_kernel_asts_pinned(kernel):
     assert hashlib.sha256(text.encode()).hexdigest() == PINS["ast_" + kernel]
 
 
+@pytest.mark.parametrize("kernel, bindings", [
+    ("matmul", dict(M=16, K=512, N=512, tM=16, tN=128, tK=128)),
+    ("fused_attention", dict(B=16, D=64, L=64, tL=64)),
+])
+def test_execution_yaml_pinned(kernel, bindings):
+    # Every DRAM event is written as `ranges: [[offset, length], ...]`,
+    # one pair per byte run, however the event holds its runs.
+    text = generate_execution(typecheck(load_kernel(kernel), CFG, bindings)).serialize()
+    assert hashlib.sha256(text.encode()).hexdigest() == PINS["execution_" + kernel]
+
+
 PINS = {
     "gemm_channels":
         "a37d652f4a5ccb683f0696e0ed0bda37fc78e84f1a72264f7c48c129b7bdcedd",
@@ -239,4 +252,8 @@ PINS = {
         "877aa8267b8c1ec70f19e9a12924e066fb7fea2a6d0921f23de74648c5ee34e5",
     "ast_fused_attention":
         "ab0b6e435878389e2883627a436a5e4eaa74e1ce8333078f914e21ab9b4bee6b",
+    "execution_matmul":
+        "fc02f74683ff5c32298ecb86ea38fb1de012075994cb9b7ad68e1ba2cf43d4fe",
+    "execution_fused_attention":
+        "10d6592b1e62a342ce48772a5258b67afb2b3af4682a352188174c27e3ed75c7",
 }

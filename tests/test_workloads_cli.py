@@ -300,8 +300,8 @@ def test_gemm_benchmark_is_one_request_per_byte_range():
         if isinstance(e, (DramRead, DramWrite)):
             dram_events += 1
             kind = "R" if isinstance(e, DramRead) else "W"
-            for off, length in e.ranges:
-                expect.append(Request(0, kind, bases[e.tensor] + off, length))
+            for off in e.offsets:
+                expect.append(Request(0, kind, bases[e.tensor] + off, e.run_bytes))
     reqs = gen_gemm_benchmark(CFG, **shape, tiling=tiling)
     assert len(expect) > dram_events  # some events span several byte ranges
     assert reqs == expect

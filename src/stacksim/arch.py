@@ -29,6 +29,7 @@ class ArchError(ValueError):
 
 
 _AT_LEAST_0 = {"range": (0, math.inf)}
+_DELAY = {"range": (1, 500)}
 # `<base>_kb`/`_mb`/`_gb` for a `<base>_bytes` field.
 _SIZES = {"units": {"kb": 1024, "mb": 1024 * 1024, "gb": 1024**3}}
 
@@ -95,8 +96,9 @@ class NocSpec:
     rows: int = 4
     cols: int = 4
     link_bytes_per_cycle: int = 128
-    router_delay_cycles: int = 2
-    link_delay_cycles: int = 1
+    # Bounded so that a step's mesh ticks stay seconds, not minutes.
+    router_delay_cycles: int = field(default=2, metadata=_DELAY)
+    link_delay_cycles: int = field(default=1, metadata=_DELAY)
     input_queue_flits: int = 8
 
     @property

@@ -15,16 +15,13 @@ from importlib import resources
 from . import sweep as sweep_mod
 from . import workloads
 from .arch import ArchConfig, derived_metrics, load_arch
-from .dramsim import DramSystem, stats as dram_stats
 from .kerneldsl.checker import typecheck
 from .kerneldsl.parser import ast_to_json, parse_kernel
 from .orchestrator import run, simulate_compute
 from .sweep import default_power_model
 from .thermal import RETENTION_LIMIT_C, regulate
 from .tiler import autotune, build_op
-from .workloads import (
-    DecodingScenario, PagedKvLayout, build_decoding_graph, load_model,
-)
+from .workloads import DecodingScenario, build_decoding_graph, load_model
 
 
 def _load_config(path: str | None) -> ArchConfig:
@@ -61,10 +58,18 @@ def _write_out(text: str, out: str | None):
 def cmd_validate(args) -> int:
     cfg = _load_config(args.config)
     d = derived_metrics(cfg)
-    print(f"config ok: {cfg.core.channels} ch/core @ {d.channel_gbps:.1f} GB/s "
-          f"({d.core_gbps:.0f} GB/s/core), core capacity "
-          f"{d.core_capacity_bytes / 2**20:.0f} MiB, "
-          f"logical row {cfg.logical_row_bytes} B")
+    text = (f"config ok: {cfg.core.channels} ch/core @ {d.channel_gbps:.1f} GB/s "
+            f"({d.core_gbps:.0f} GB/s/core), core capacity "
+            f"{d.core_capacity_bytes / 2**20:.0f} MiB, "
+            f"logical row {cfg.logical_row_bytes} B\n")
+    if args.measure:
+        text += ("benchmark     delivered GB/s  advertised GB/s   ratio  "
+                 "utilization  row hit rate\n")
+        text += "".join(
+            f"{r['benchmark']:<12}{r['achieved_gbps']:>16.1f}{r['advertised_gbps']:>17.1f}"
+            f"{r['ratio']:>8.4f}{r['utilization']:>13.4f}{r['row_hit_rate']:>14.4f}\n"
+            for r in workloads.dram_datasheet(cfg))
+    _write_out(text, args.out)
     return 0
 
 
@@ -147,35 +152,6 @@ def cmd_sweep(args) -> int:
     return 0
 
 
-def cmd_trace_gen(args) -> int:
-    cfg = _load_config(args.config)
-    if args.kind == "gemm_tile":
-        reqs = workloads.gen_gemm_benchmark(cfg, M=args.m, K=args.k, N=args.n)
-        _write_out(workloads.serialize_trace(reqs), args.out)
-        if args.run:
-            system = DramSystem(cfg)
-            system.run(reqs)
-            d = dram_stats(system)
-            print(f"utilization {d['utilization']:.4f}, "
-                  f"row hit rate {d['row_hit_rate']:.4f}")
-    else:
-        layout = PagedKvLayout(args.blocks, args.slots, args.kv_bytes)
-        runs = workloads.gen_paged_attention_benchmark(
-            cfg, layout, args.context, seed=args.seed, runs=args.runs)
-        text = "".join(f"# run {i}\n" + workloads.serialize_trace(r)
-                       for i, r in enumerate(runs))
-        _write_out(text, args.out)
-        if args.run:
-            utils = []
-            for reqs in runs:
-                system = DramSystem(cfg)
-                system.run(reqs)
-                utils.append(dram_stats(system)["utilization"])
-            print(f"mean utilization over {len(runs)} runs: "
-                  f"{sum(utils) / len(utils):.4f}")
-    return 0
-
-
 def cmd_report(args) -> int:
     with open(args.csv, encoding="utf-8") as f:
         _write_out(sweep_mod.report(f.read()), args.out)
@@ -186,8 +162,10 @@ def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="stacksim")
     sub = ap.add_subparsers(dest="verb", required=True)
 
-    def common(p, kernel=False):
-        p.add_argument("--config", help="architecture YAML (default: built-in cloud config)")
+    def common(p, kernel=False, config=True):
+        if config:
+            p.add_argument("--config",
+                           help="architecture YAML (default: built-in cloud config)")
         p.add_argument("--out", help="output file (default: stdout)")
         if kernel:
             p.add_argument("--kernel", help="kernel file path or shipped kernel name")
@@ -195,6 +173,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("validate", help="parse and validate a config")
     common(p)
+    p.add_argument("--measure", action="store_true",
+                   help="also run the DRAM microbenchmarks and print delivered "
+                        "against advertised bandwidth")
     p.set_defaults(fn=cmd_validate)
 
     p = sub.add_parser("parse", help="parse (and optionally typecheck) a kernel")
@@ -227,24 +208,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="ignored: the thermal model has one node per layer")
     p.set_defaults(fn=cmd_sweep)
 
-    p = sub.add_parser("trace-gen", help="generate DRAM benchmark traces")
-    common(p)
-    p.add_argument("kind", choices=("gemm_tile", "paged_attention"))
-    p.add_argument("--m", type=int, default=64)
-    p.add_argument("--k", type=int, default=8192)
-    p.add_argument("--n", type=int, default=8192)
-    p.add_argument("--blocks", type=int, default=64)
-    p.add_argument("--slots", type=int, default=16)
-    p.add_argument("--kv-bytes", type=int, default=256)
-    p.add_argument("--context", type=int, default=1024)
-    p.add_argument("--runs", type=int, default=10)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--run", action="store_true",
-                   help="also simulate the trace and print utilization")
-    p.set_defaults(fn=cmd_trace_gen)
-
     p = sub.add_parser("report", help="summarize a sweep CSV")
-    common(p)
+    common(p, config=False)
     p.add_argument("csv")
     p.set_defaults(fn=cmd_report)
     return ap

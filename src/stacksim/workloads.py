@@ -14,8 +14,8 @@ from operator import add
 
 import yaml
 
-from .arch import ArchConfig
-from .dramsim import Request
+from .arch import ArchConfig, derived_metrics
+from .dramsim import DramSystem, Request, stats as dram_stats
 from .kerneldsl.ast import DTYPE_BYTES, KernelProgram
 from .kerneldsl.checker import TypecheckError, typecheck
 from .kerneldsl.parser import parse_kernel
@@ -345,7 +345,35 @@ def gen_paged_attention_benchmark(cfg: ArchConfig, layout: PagedKvLayout,
         return traces
 
 
-def serialize_trace(reqs: list[Request]) -> str:
-    """One request per line: `cycle_ready, R|W, address, bytes`."""
-    lines = [f"{r.ready}, {r.kind}, {r.addr}, {r.bytes}" for r in reqs]
-    return "\n".join(lines) + ("\n" if lines else "")
+def dram_datasheet(cfg: ArchConfig, stream_bytes: int = 16 * 2**20,
+                   gemm: tuple = (64, 8192, 8192),
+                   paged: tuple = (PagedKvLayout(64, 16, 256), 1024, 10)) -> list[dict]:
+    """The DRAM rates `cfg` delivers, one row per microbenchmark: a
+    `stream_bytes` streaming read in `interleave_bytes` requests, the same
+    stream as writes, the GEMM tile trace at (M, K, N) = `gemm`, and the
+    paged-KV traces of (layout, context, runs) = `paged` at seed 0.
+
+    A row is the mean over the benchmark's traces, each on a fresh
+    `DramSystem`, of `dramsim.stats`, plus its `benchmark` name, the
+    `advertised_gbps` of `derived_metrics` and the `ratio` of
+    `achieved_gbps` to it.
+    """
+    advertised = derived_metrics(cfg).core_gbps
+    ib = cfg.channel.interleave_bytes
+    layout, context, runs = paged
+
+    def row(name: str, traces: list) -> dict:
+        stats = []
+        for reqs in traces:
+            system = DramSystem(cfg)
+            system.run(reqs)
+            stats.append(dram_stats(system))
+        mean = {key: sum(s[key] for s in stats) / len(stats) for key in stats[0]}
+        return {**mean, "benchmark": name, "advertised_gbps": advertised,
+                "ratio": mean["achieved_gbps"] / advertised}
+
+    return [*(row(f"stream {name}", [[Request(0, kind, addr, ib)
+                                      for addr in range(0, stream_bytes, ib)]])
+              for name, kind in (("read", "R"), ("write", "W"))),
+            row("gemm tile", [gen_gemm_benchmark(cfg, *gemm)]),
+            row("paged kv", gen_paged_attention_benchmark(cfg, layout, context, runs=runs))]

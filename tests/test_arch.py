@@ -195,6 +195,23 @@ def _set(obj, path: str, value):
     return dataclasses.replace(obj, **{name: _set(child, rest, value)})
 
 
+@pytest.mark.parametrize("field", ["router_delay_cycles", "link_delay_cycles"])
+@pytest.mark.parametrize("command", [
+    ["validate"], ["simulate", "--model", "llama3.2-1b", "--layers", "1"],
+], ids=["validate", "simulate"])
+def test_cli_refuses_a_noc_delay_over_its_bound(tmp_path, capsys, field, command):
+    # At a million cycles a one-layer step would tick the mesh for minutes.
+    default = _shipped_text("default")
+    old = "  link_bytes_per_cycle: 128\n"
+    assert default.count(old) == 1
+    path = tmp_path / "slow.yaml"
+    path.write_text(default.replace(old, f"{old}  {field}: 1000000\n"))
+    assert main([*command, "--config", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: noc.{field} must be in [1, 500] (got 1000000)\n"
+    assert captured.out == ""
+
+
 # (field, value) pairs a shipped config may take; every other zero, negative
 # or non-finite value of any numeric field is refused.
 ALLOWED = {
@@ -221,3 +238,7 @@ def test_validate_names_every_out_of_range_field(name):
                 assert problems == [], (path, value)
             else:
                 assert any(p.startswith(f"{path} must be ") for p in problems), (path, value)
+    # The NoC delays are bounded above too, so a step's mesh ticks stay short.
+    for path in ("noc.router_delay_cycles", "noc.link_delay_cycles"):
+        assert validate(_set(cfg, path, 500)) == []
+        assert validate(_set(cfg, path, 501)) == [f"{path} must be in [1, 500] (got 501)"]

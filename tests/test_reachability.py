@@ -1,30 +1,37 @@
 """Every function under `src/stacksim` is on a path from a user verb to a
-number, or `ALLOWLIST` says why it stays.
+number, and every option of a verb is read by a run of it, or an allowlist
+says why not.
 
-The runs (`_runs`) are `stacksim` command lines, each small: every
-verb, both shipped configs, both `trace-gen` kinds, and one refused input
-for each error class that `cli.main` turns into exit 2. They run in-process
-under `sys.setprofile`, which records the code object of every function
-called. The defined functions are the module-level functions, methods and
-property getters of every `stacksim` module, counted once per code object,
-so a re-export is one function. Nested closures and methods that
-`dataclasses` generates are not counted.
+The runs (`_runs`) are `stacksim` command lines, each small but for the
+datasheet of `validate --measure`: every verb, both shipped configs, and
+one refused input for each error class that `cli.main` turns into exit 2.
+They run once, in-process, under `sys.setprofile`, which records the code
+object of every function called, and each parses its arguments into a
+namespace that records which of them the verb reads. The defined functions
+are the module-level functions, methods and property getters of every
+`stacksim` module, counted once per code object, so a re-export is one
+function. Nested closures and methods that `dataclasses` generates are not
+counted.
 
 The functions no run reaches must be exactly the allowlist: a new function
 that no verb calls fails the test, and so does an allowlisted one that a
 verb starts to call, so the list shrinks as the directions that give its
 entries callers land. Each entry names the ROADMAP direction, or the
-benchmark (`perfbench`) dependency, that keeps it.
+benchmark (`perfbench`) dependency, that keeps it. The options no run of
+their verb reads must likewise be exactly `INERT_OPTIONS`.
 """
 
 from __future__ import annotations
 
+import argparse
 import importlib
 import inspect
 import pkgutil
 import sys
 from importlib import resources
 from pathlib import Path
+
+import pytest
 
 import stacksim
 from stacksim import cli
@@ -54,6 +61,13 @@ ALLOWLIST = {
 }
 
 
+INERT_OPTIONS = {
+    ("sweep", "thermal_resolution"):
+        "perfbench/scenarios.py passes it; deleting it changes the benchmark "
+        "(direction 7)",
+}
+
+
 def _config(name: str) -> str:
     return str(resources.files("stacksim").joinpath(f"configs/{name}.yaml"))
 
@@ -67,7 +81,8 @@ def _runs(tmp: Path) -> list[tuple[list[str], int]]:
     sweep_csv = str(tmp / "sweep.csv")
     mm = ["--kernel", "matmul", "--bind", "M=64", "K=256", "N=64"]
     return [
-        (["validate", "--config", _config("default")], 0),
+        (["validate", "--config", _config("default"), "--measure",
+          "--out", str(tmp / "datasheet.txt")], 0),
         (["validate", "--config", _config("edge")], 0),
         (["parse", *mm, "tM=64", "tN=64", "tK=256"], 0),
         (["parse", "--kernel", "matmul", "--dump-ast", "--out", str(tmp / "ast.json")], 0),
@@ -80,10 +95,6 @@ def _runs(tmp: Path) -> list[tuple[list[str], int]]:
         (["simulate", "--model", "llama3.2-1b", "--layers", "1", "--regulate"], 0),
         (["sweep", "interleave_x", "3", "5", "--out", sweep_csv], 0),
         (["report", sweep_csv], 0),
-        (["trace-gen", "gemm_tile", "--m", "16", "--k", "64", "--n", "64", "--run",
-          "--out", str(tmp / "gemm.txt")], 0),
-        (["trace-gen", "paged_attention", "--blocks", "8", "--slots", "16",
-          "--context", "64", "--runs", "2", "--run", "--out", str(tmp / "paged.txt")], 0),
         # Refusals: ArchError, KernelSyntaxError (a statement outside the
         # subset, and an expression too deep for Python's parser),
         # TypecheckError, TilerError, WorkloadError, and a SweepError, which
@@ -98,22 +109,60 @@ def _runs(tmp: Path) -> list[tuple[list[str], int]]:
     ]
 
 
-def _called(runs) -> tuple[set, list[int]]:
-    """Code objects of every function the runs call, and their exit codes."""
-    called = set()
+class _ReadLog(argparse.Namespace):
+    """A namespace that records the name of every attribute read from it."""
+
+    def __init__(self):
+        super().__init__()
+        object.__setattr__(self, "_read", set())
+
+    def __getattribute__(self, name):
+        object.__getattribute__(self, "_read").add(name)
+        return object.__getattribute__(self, name)
+
+
+def _called(runs, monkeypatch) -> tuple[set, list[int], list[set]]:
+    """Code objects of every function the runs call, their exit codes, and
+    the names each run's verb read from its parsed arguments."""
+    called, reads = set(), []
     load_kernel.cache_clear()  # so the runs parse the shipped kernels again
+    build_parser = cli.build_parser
+
+    def recording_parser():
+        parser = build_parser()
+        parse_args = parser.parse_args
+
+        def parse(argv):
+            args = parse_args(argv, namespace=_ReadLog())
+            read = object.__getattribute__(args, "_read")
+            read.clear()  # argparse's own reads while it parsed
+            reads.append(read)
+            return args
+
+        parser.parse_args = parse
+        return parser
 
     def profile(frame, event, arg):
         if event == "call":
             called.add(frame.f_code)
 
+    monkeypatch.setattr(cli, "build_parser", recording_parser)
     previous = sys.getprofile()
     sys.setprofile(profile)
     try:
         codes = [cli.main(argv) for argv, _ in runs]
     finally:
         sys.setprofile(previous)
-    return called, codes
+    return called, codes, reads
+
+
+@pytest.fixture(scope="module")
+def verb_runs(tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("runs")
+    runs = _runs(tmp)
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        called, codes, reads = _called(runs, monkeypatch)
+    return tmp, runs, called, codes, reads
 
 
 def _functions(obj):
@@ -150,14 +199,28 @@ def _defined() -> dict:
     return defined
 
 
-def test_every_function_is_reached_by_a_verb_or_allowlisted(tmp_path, capsys):
-    runs = _runs(tmp_path)
-    called, codes = _called(runs)
-    assert codes == [rc for _, rc in runs], capsys.readouterr().err
-    assert "invalid: " in (tmp_path / "invalid.csv").read_text()
+def test_every_function_is_reached_by_a_verb_or_allowlisted(verb_runs):
+    tmp, runs, called, codes, _ = verb_runs
+    assert codes == [rc for _, rc in runs]
+    assert "invalid: " in (tmp / "invalid.csv").read_text()
+    assert "paged kv" in (tmp / "datasheet.txt").read_text()
     unreached = {name for code, name in _defined().items() if code not in called}
     dead = sorted(unreached - ALLOWLIST.keys())
     assert not dead, f"defined, but no verb reaches them: {dead}"
     stale = sorted(ALLOWLIST.keys() - unreached)
     assert not stale, f"allowlisted, but reached or gone: {stale}"
     assert all("direction" in why or "perfbench" in why for why in ALLOWLIST.values())
+
+
+def test_every_option_is_read_by_a_run_of_its_verb(verb_runs):
+    _, runs, _, _, reads = verb_runs
+    (verbs,) = [a for a in cli.build_parser()._actions
+                if isinstance(a, argparse._SubParsersAction)]
+    read = {(argv[0], name) for (argv, _), names in zip(runs, reads, strict=True)
+            for name in names}
+    options = {(verb, a.dest) for verb, parser in verbs.choices.items()
+               for a in parser._actions if not isinstance(a, argparse._HelpAction)}
+    inert = sorted(options - read - INERT_OPTIONS.keys())
+    assert not inert, f"options no run of their verb reads: {inert}"
+    stale = sorted(INERT_OPTIONS.keys() - (options - read))
+    assert not stale, f"allowlisted as inert, but read or gone: {stale}"

@@ -2,7 +2,7 @@ import dataclasses
 from importlib import resources
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from stacksim.arch import ArchConfig, LayerSpec, StackDescription, load_arch
 from stacksim.sweep import default_power_model
@@ -16,7 +16,7 @@ from thermal_reference import (
 )
 
 AREA = 1e-4  # 100 mm^2
-REL_TOL = 1e-12  # closed form and tridiagonal sweep vs the dense LU solve
+REL_TOL = 1e-12  # closed form and tridiagonal sweep vs the exact solve
 
 
 def two_layer_stack(t1=100e-6, t2=50e-6, k1=120.0, k2=120.0, htc=10000.0):
@@ -124,11 +124,23 @@ def _column(draw):
     return stack, P, T, draw(st.floats(1e-7, 10.0))
 
 
+# A column on which a float LU solve of the reference was off by a relative
+# 3.2e-12 in the steady state, while the closed form was right.
+_LU_OFF_BY_3E_12 = StackDescription(
+    layers=tuple(LayerSpec("logic", t, k, 1e6, power_layer=False) for t, k in (
+        (5e-5, 1.0), (5e-6, 400.0), (5e-5, 1.0), (5e-4, 400.0), (5e-6, 400.0),
+        (5e-4, 1.0), (5e-4, 1.0), (5e-5, 400.0), (5e-5, 400.0), (5e-5, 400.0),
+        (5e-6, 1.0))),
+    htc_w_m2k=33217.0, chip_area_m2=1e-5)
+
+
 @settings(max_examples=200, deadline=None)
 @given(_column())
+@example((_LU_OFF_BY_3E_12, [0.0] * 10 + [1.0], [0.0] * 11, 1e-7))
 def test_random_columns_match_dense_reference(column):
     stack, P, T, dt = column
-    # Beyond this the dense LU solve itself is off by more than the tolerance.
+    # Beyond this the backward-Euler sweep's own rounding exceeds the
+    # tolerance at long steps.
     assume(stiffness(stack) <= 1e3)
     grid = build_matrices(stack)
     assert relative_error(grid.steady_state(P), reference_steady_state(stack, P)) <= REL_TOL

@@ -1,4 +1,5 @@
 import csv
+import functools
 import gc
 import glob
 import hashlib
@@ -9,8 +10,8 @@ from importlib import resources
 
 import pytest
 
-from stacksim import orchestrator
-from stacksim.arch import ArchConfig
+from stacksim import orchestrator, workloads
+from stacksim.arch import ArchConfig, derived_metrics
 from stacksim.cli import main
 from stacksim.dramsim import Request
 from stacksim.kerneldsl.checker import TypecheckError, typecheck
@@ -21,9 +22,10 @@ from stacksim.sweep import apply_dimension, report, rows_to_csv, sweep
 from stacksim.tiler import infer_placement
 from stacksim.workloads import (
     DecodingScenario, PagedKvLayout, WorkloadError, build_decoding_graph,
-    gen_gemm_benchmark, gen_paged_attention_benchmark, graph_totals,
-    load_kernel, load_model, model_from_yaml, serialize_trace,
+    dram_datasheet, gen_gemm_benchmark, gen_paged_attention_benchmark,
+    graph_totals, load_kernel, load_model, model_from_yaml,
 )
+from dram_reference import reference_run
 
 CFG = ArchConfig()
 MODELS_DIR = os.path.join(os.path.dirname(__file__), "..", "src", "stacksim", "models")
@@ -244,37 +246,12 @@ def test_run_simulates_each_plan_object_once(monkeypatch):
     assert res["extra.all_reduce"].cycles == res[first.name].cycles
 
 
-def parse_trace(text: str) -> list[Request]:
-    """Read back a `serialize_trace` text, refusing any malformed line."""
-    reqs = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        line = line.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = [p.strip() for p in line.split(",")]
-        if len(parts) != 4 or parts[1] not in ("R", "W"):
-            raise WorkloadError(
-                f"trace line {lineno}: expected 'cycle_ready, R|W, address, bytes'")
-        reqs.append(Request(int(parts[0]), parts[1], int(parts[2]), int(parts[3])))
-    return reqs
-
-
-def test_gemm_benchmark_trace_and_round_trip():
+def test_gemm_benchmark_trace_is_deterministic():
     reqs = gen_gemm_benchmark(CFG, M=16, K=64, N=64,
                               tiling={"tM": 16, "tN": 32, "tK": 32})
     assert reqs and reqs == gen_gemm_benchmark(
         CFG, M=16, K=64, N=64, tiling={"tM": 16, "tN": 32, "tK": 32})
     assert {r.kind for r in reqs} == {"R", "W"}
-    text = serialize_trace(reqs)
-    assert parse_trace(text) == reqs
-    first = text.splitlines()[0].split(", ")
-    assert len(first) == 4 and first[1] in ("R", "W")
-
-
-def test_parse_trace_rejects_garbage():
-    with pytest.raises(WorkloadError, match="trace line 2"):
-        parse_trace("0, R, 0, 64\n0 R 0 64\n")
-    assert parse_trace("# comment\n\n") == []
 
 
 def test_paged_attention_benchmark_seeded():
@@ -494,7 +471,7 @@ def test_cli_simulate_regulate_fails_when_no_clock_meets_the_limit(tmp_path, cap
     assert "0.10 GHz" in err and "101.5 C" in err and "85.0 C limit" in err
 
 
-def test_cli_seed_belongs_to_trace_gen_only(capsys):
+def test_cli_refuses_an_option_its_verb_does_not_take(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["simulate", "--seed", "1", "--kernel", "matmul", "--bind",
               "M=8", "K=32", "N=32", "tM=8", "tN=8", "tK=8"])
@@ -542,16 +519,45 @@ def test_cli_sweep_and_report(tmp_path, capsys):
     assert "speedup_vs_worst" in rpt.read_text()
 
 
-def test_cli_trace_gen(tmp_path, capsys):
-    out = tmp_path / "trace.txt"
-    rc = main(["trace-gen", "gemm_tile", "--m", "16", "--k", "64", "--n", "64",
-               "--out", str(out)])
-    assert rc == 0
-    assert parse_trace(out.read_text())
-    rc = main(["trace-gen", "paged_attention", "--blocks", "8", "--slots", "16",
-               "--context", "64", "--runs", "2", "--out", str(out), "--run"])
-    assert rc == 0
-    assert "mean utilization" in capsys.readouterr().out
+def test_cli_validate_measure_matches_the_dram_reference(tmp_path, monkeypatch):
+    # The datasheet on small traces: each row's completion cycles and bytes
+    # are the independent reference's, averaged over the row's traces, and
+    # `validate --measure` prints the rows.
+    ib = CFG.channel.interleave_bytes
+    stream_bytes = 2 * CFG.core.channels * ib
+    layout = PagedKvLayout(8, 16, 256)
+    small = functools.partial(dram_datasheet, stream_bytes=stream_bytes,
+                              gemm=(16, 64, 64), paged=(layout, 64, 2))
+    rows = small(CFG)
+    traces = [[[Request(0, kind, addr, ib) for addr in range(0, stream_bytes, ib)]]
+              for kind in "RW"]
+    traces += [[gen_gemm_benchmark(CFG, 16, 64, 64)],
+               gen_paged_attention_benchmark(CFG, layout, 64, runs=2)]
+    assert len(traces[3]) == 2
+    advertised = derived_metrics(CFG).core_gbps
+    for row, runs in zip(rows, traces, strict=True):
+        assert row["elapsed_cycles"] == sum(reference_run(r, CFG) for r in runs) / len(runs)
+        assert row["total_bytes"] == sum(q.bytes for r in runs for q in r) / len(runs)
+        assert row["advertised_gbps"] == advertised
+        assert row["ratio"] == row["achieved_gbps"] / advertised
+    monkeypatch.setattr(workloads, "dram_datasheet", small)
+    out = tmp_path / "v.txt"
+    assert main(["validate", "--measure", "--out", str(out)]) == 0
+    lines = out.read_text().splitlines()
+    assert lines[0].startswith("config ok: ") and lines[1].startswith("benchmark ")
+    assert [line.split() for line in lines[2:]] == [
+        [*r["benchmark"].split(), f"{r['achieved_gbps']:.1f}", f"{advertised:.1f}",
+         f"{r['ratio']:.4f}", f"{r['utilization']:.4f}", f"{r['row_hit_rate']:.4f}"]
+        for r in rows]
+    assert [r["benchmark"] for r in rows] == [
+        "stream read", "stream write", "gemm tile", "paged kv"]
+
+
+def test_cli_validate_writes_to_out(tmp_path, capsys):
+    out = tmp_path / "v.txt"
+    assert main(["validate", "--out", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    assert out.read_text().startswith("config ok: ")
 
 
 @pytest.mark.parametrize("dimension,value,reason", [
@@ -616,7 +622,7 @@ def test_cli_tune_rejects_an_unbound_extent(capsys):
 @pytest.mark.parametrize("command", [
     ["validate"],
     ["simulate", "--model", "llama3.2-1b", "--layers", "1"],
-    ["trace-gen", "gemm_tile", "--run"],
+    ["validate", "--measure"],
 ])
 def test_cli_rejects_io_pins_that_are_not_whole_bytes(tmp_path, capsys, command):
     # Three pins make a zero-byte burst, which no DRAM timing can move.
@@ -630,15 +636,15 @@ def test_cli_rejects_io_pins_that_are_not_whole_bytes(tmp_path, capsys, command)
     assert captured.out == ""
 
 
-@pytest.mark.parametrize("flags,reason", [
-    (["--runs", "0", "--run"], "runs must be >= 1, got 0"),
-    (["--context", "0"], "context must be >= 1, got 0"),
+@pytest.mark.parametrize("counts,reason", [
+    ({"runs": 0}, "runs must be >= 1, got 0"),
+    ({"context": 0}, "context must be >= 1, got 0"),
 ])
-def test_cli_trace_gen_paged_attention_rejects_bad_counts(capsys, flags, reason):
-    assert main(["trace-gen", "paged_attention", *flags]) == 2
-    captured = capsys.readouterr()
-    assert captured.err == f"error: {reason}\n"
-    assert captured.out == ""
+def test_paged_attention_benchmark_rejects_bad_counts(counts, reason):
+    with pytest.raises(WorkloadError) as exc:
+        gen_paged_attention_benchmark(CFG, PagedKvLayout(64, 16, 256),
+                                      **{"context": 1024, "runs": 10, **counts})
+    assert str(exc.value) == reason
 
 
 def test_cli_parse_and_simulate_refuse_the_same_bindings(capsys):

@@ -66,6 +66,7 @@ def cmd_validate(args) -> int:
         text += ("benchmark     delivered GB/s  advertised GB/s   ratio  "
                  "utilization  row hit rate\n")
         text += "".join(
+            f"{r['benchmark']:<14}refused: {r['refusal']}\n" if "refusal" in r else
             f"{r['benchmark']:<12}{r['achieved_gbps']:>16.1f}{r['advertised_gbps']:>17.1f}"
             f"{r['ratio']:>8.4f}{r['utilization']:>13.4f}{r['row_hit_rate']:>14.4f}\n"
             for r in workloads.dram_datasheet(cfg))

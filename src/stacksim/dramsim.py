@@ -9,11 +9,13 @@ row index increments.
 
 Command timing protocol (all times in DRAM-clock cycles):
 
-* A request is any `(ready, kind, addr, bytes)` tuple, and it must lie
-  inside the core's capacity. `Request` is the named tuple that names
-  these fields, for traces that users build and read. The front end
-  splits each byte range into per-channel chunks, each confined to one
-  logical row and transferred as ceil(len / burst_bytes) bursts.
+* A request is a strided run: a byte run of `run_bytes` bytes at each
+  address of `addrs`, all issued no earlier than cycle `ready`. `addrs` is
+  a `range` for a strided tile and any int sequence for a gather, and
+  every byte run must lie inside the core's capacity. The front end splits
+  each byte run, in `addrs` order, into per-channel chunks, each confined
+  to one logical row and transferred as ceil(len / burst_bytes) bursts.
+  Chunks of different byte runs never merge.
 * Channels are independent: each services its own chunks in issue order,
   and its state depends on nothing else, so `DramSystem.drain` services
   one channel's queue after another.
@@ -30,8 +32,8 @@ Command timing protocol (all times in DRAM-clock cycles):
 * A chunk completes when its last burst's data finishes (start + tBURST).
 
 The scheduling policy is same-row-first batching within a work item, the
-batching idea of FR-FCFS: `schedule_tile` buckets one work item's requests
-in one pass by the (channel, row) of each request's first byte, buckets in
+batching idea of FR-FCFS: `schedule_tile` buckets one work item's byte runs
+by the (channel, row) of each one's first byte, buckets in
 first-appearance order, and the channels then service that order. The
 grouping is stable and equal addresses share a row, so per-address order is
 preserved.
@@ -39,6 +41,7 @@ preserved.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -50,12 +53,16 @@ class AddressError(ValueError):
 
 
 class Request(NamedTuple):
-    """One DRAM request: `bytes` bytes at `addr`, issued no earlier than
-    cycle `ready`."""
+    """One DRAM request: `run_bytes` bytes at each address of `addrs`,
+    issued no earlier than cycle `ready`."""
     ready: int
     kind: str  # "R" or "W"
-    addr: int
-    bytes: int
+    addrs: Sequence[int]  # a range, or any int sequence for a gather
+    run_bytes: int
+
+    @property
+    def bytes(self) -> int:
+        return len(self.addrs) * self.run_bytes
 
 
 def split_range(addr: int, nbytes: int, cfg: ArchConfig) -> list[tuple[int, int, int, int]]:
@@ -147,34 +154,46 @@ class DramSystem:
         tRAS, tRP, tRCD, tBURST, tRTW, tWTR, spacing = self._timing
         bl, ib, row_bytes, chans, capacity = self._geometry
 
-        # Pass 1: check every request and queue its chunks by channel, one
-        # queue per channel it touches. A request that fits one interleave
-        # run and one row, as every GEMM and paged-KV request does, is one
-        # chunk: its queue holds the request itself, and pass 2 locates it
-        # again. Other requests queue split_range's (ready, kind, row,
-        # bursts, nbytes) chunks.
+        # Pass 1: check every request, then queue its byte runs by channel.
+        # A queue holds a request before the first of its entries from that
+        # request, and pass 2 reads ready, kind and run_bytes there. A byte
+        # run that fits one interleave run and one row, as every GEMM,
+        # paged-KV and stream byte run does, is one chunk: its queue holds
+        # its address, and pass 2 locates it again. Other byte runs queue
+        # split_range's (row, bursts, nbytes) chunks.
         queues: dict[int, list] = {}
+        owners = [None] * chans  # channel -> the request of its last entry
         for req in requests:
-            ready, kind, addr, nbytes = req
-            if addr < 0 or addr + nbytes > capacity:
-                raise AddressError(f"request [{addr}, {addr + nbytes}) outside "
-                                   f"core capacity {capacity}")
-            run, offset = divmod(addr, ib)
-            if (0 < nbytes <= ib - offset
-                    and nbytes <= row_bytes - ((run // chans) * ib + offset) % row_bytes):
-                channel = run % chans
-                queue = queues.get(channel)
-                if queue is None:
-                    queues[channel] = [req]
-                else:
-                    queue.append(req)
+            ready, kind, addrs, run_bytes = req
+            if not addrs:
+                continue
+            if type(addrs) is range:
+                low, high = addrs[0], addrs[-1]
+                if low > high:
+                    low, high = high, low
             else:
-                for channel, row, bursts, take in split_range(addr, nbytes, self.cfg):
-                    queue = queues.get(channel)
-                    if queue is None:
-                        queues[channel] = [(ready, kind, row, bursts, take)]
-                    else:
-                        queue.append((ready, kind, row, bursts, take))
+                low, high = min(addrs), max(addrs)
+            if low < 0 or high + run_bytes > capacity:
+                addr = next(a for a in addrs if a < 0 or a + run_bytes > capacity)
+                raise AddressError(f"request [{addr}, {addr + run_bytes}) outside "
+                                   f"core capacity {capacity}")
+            if run_bytes <= 0:
+                continue
+            for addr in addrs:
+                run, offset = divmod(addr, ib)
+                if (run_bytes <= ib - offset
+                        and run_bytes <= row_bytes - ((run // chans) * ib + offset) % row_bytes):
+                    channel = run % chans
+                    if owners[channel] is not req:
+                        owners[channel] = req
+                        queues.setdefault(channel, []).append(req)
+                    queues[channel].append(addr)
+                else:
+                    for channel, row, bursts, take in split_range(addr, run_bytes, self.cfg):
+                        if owners[channel] is not req:
+                            owners[channel] = req
+                            queues.setdefault(channel, []).append(req)
+                        queues[channel].append((row, bursts, take))
 
         # Pass 2: run each queue with its channel's state in locals.
         completion = 0
@@ -184,17 +203,21 @@ class DramSystem:
             t_bus, t_issue = ch.t_bus, ch.t_issue
             last_kind = ch.last_kind
             st = ch.stats
-            hits = misses = acts = bursts_sum = read = written = 0
+            hits = misses = acts = bursts_sum = read = written = heads = 0
             latency_sum, latency_max = 0, st.latency_max
             last_done = 0
             for item in queue:
-                if len(item) == 4:
-                    ready, kind, addr, take = item
-                    run, offset = divmod(addr, ib)
+                if item.__class__ is int:
+                    run, offset = divmod(item, ib)
                     row = ((run // chans) * ib + offset) // row_bytes
-                    bursts = (addr + take - 1) // bl - addr // bl + 1
+                    bursts = (item + run_bytes - 1) // bl - item // bl + 1
+                    take = run_bytes
+                elif len(item) == 3:
+                    row, bursts, take = item
                 else:
-                    ready, kind, row, bursts, take = item
+                    ready, kind, _, run_bytes = item
+                    heads += 1
+                    continue
                 t = ready if ready > t_issue else t_issue
                 if row != open_row:
                     if open_row is not None:
@@ -240,7 +263,7 @@ class DramSystem:
             st.row_misses += misses
             if last_done > st.last_completion:
                 st.last_completion = last_done
-            st.latency_count += len(queue)
+            st.latency_count += len(queue) - heads
             st.latency_sum += latency_sum
             st.latency_max = latency_max
             if last_done > completion:
@@ -255,27 +278,41 @@ class DramSystem:
 def schedule_tile(requests: list, cfg: ArchConfig) -> list:
     """Order one work item's requests same-row first.
 
-    One pass buckets the requests by the (channel, row) of each request's
-    first byte, as `DramSystem.drain` locates it; the buckets keep their
-    requests' order and follow each other in first-appearance order. With
-    one bucket the input list itself comes back.
+    One pass locates the byte runs of the requests by the (channel, row) of
+    each one's first byte, as `DramSystem.drain` locates it. When every
+    location's byte runs are already adjacent, the input list itself comes
+    back. Otherwise the byte runs are bucketed by location, buckets in
+    first-appearance order and each keeping its byte runs' order, and each
+    bucket becomes one request per request that it holds byte runs of.
     """
     ib = cfg.channel.interleave_bytes
     row_bytes = cfg.logical_row_bytes
     chans = cfg.core.channels
-    # (channel, row) as one int: row * chans + channel.
-    groups: dict[int, list] = {}
+    located = []  # (channel, row) of each byte run as one int: row * chans + channel
+    seen = set()
+    location = None
+    reordered = False
     for req in requests:
-        run, offset = divmod(req[2], ib)
-        location = ((run // chans) * ib + offset) // row_bytes * chans + run % chans
-        group = groups.get(location)
-        if group is None:
-            groups[location] = [req]
-        else:
-            group.append(req)
-    if len(groups) == 1:
+        for addr in req[2]:
+            run, offset = divmod(addr, ib)
+            here = ((run // chans) * ib + offset) // row_bytes * chans + run % chans
+            located.append(here)
+            if here != location:
+                reordered = reordered or here in seen
+                seen.add(here)
+                location = here
+    if not reordered:
         return requests
-    return [req for group in groups.values() for req in group]
+    groups: dict[int, list] = {}  # location -> [(request, addrs)]
+    locations = iter(located)
+    for req in requests:
+        for addr in req[2]:
+            group = groups.setdefault(next(locations), [])
+            if not group or group[-1][0] is not req:
+                group.append((req, []))
+            group[-1][1].append(addr)
+    return [Request(req[0], req[1], addrs, req[3])
+            for group in groups.values() for req, addrs in group]
 
 
 def stats(system: DramSystem) -> dict:

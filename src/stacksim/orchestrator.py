@@ -26,11 +26,9 @@ import dataclasses
 import io
 import math
 from dataclasses import dataclass, field
-from itertools import repeat
-from operator import add
 
 from .arch import ArchConfig, matrix_flops_per_cycle, peak_dram_bytes_per_cycle
-from .dramsim import DramSystem, schedule_tile, stats as dram_stats
+from .dramsim import DramSystem, Request, schedule_tile, stats as dram_stats
 from .kerneldsl.checker import CheckedProgram
 from .kerneldsl.trace import DramRead, DramWrite, MatrixWork
 from .logicsim import matrix_cost, vector_cost
@@ -118,6 +116,18 @@ def roofline_cycles(checked: CheckedProgram, desc: ExecutionDescription) -> int:
 _DRAM_KINDS = {DramRead: "R", DramWrite: "W"}
 
 
+def dram_request(e: DramRead | DramWrite, base: int, ready: int) -> Request:
+    """The request of DRAM event `e` on a tensor at `base`, issued at cycle
+    `ready`: the event's byte runs, shifted to `base`, as a `range` where
+    its offsets are one (every 2-D tile) and a tuple past that."""
+    offsets = e.offsets
+    if type(offsets) is range:
+        addrs = range(offsets.start + base, offsets.stop + base, offsets.step)
+    else:
+        addrs = tuple([base + offset for offset in offsets])
+    return Request(ready, _DRAM_KINDS[type(e)], addrs, e.run_bytes)
+
+
 def _work_latency(e, core) -> int:
     """Latency cycles of one work event."""
     if isinstance(e, MatrixWork):
@@ -129,8 +139,8 @@ def _work_latency(e, core) -> int:
 def simulate_compute(op: ComputeOp, cfg: ArchConfig) -> OperatorResult:
     """Execute one pipelined kernel on a representative core.
 
-    One walk over the events costs each iteration's compute and builds its
-    DRAM requests as plain (ready, kind, addr, bytes) tuples. Work events
+    One walk over the events costs each iteration's compute and builds one
+    DRAM request per read or write (`dram_request`). Work events
     of one shape cost the same, so each distinct shape is costed once per
     call. The work totals are the ones the operator was built with.
     """
@@ -145,10 +155,8 @@ def simulate_compute(op: ComputeOp, cfg: ArchConfig) -> OperatorResult:
         compute_cycles = 0
         reqs = []
         for e in it:
-            kind = _DRAM_KINDS.get(type(e))
-            if kind is not None:
-                reqs += zip(repeat(now), repeat(kind),
-                            map(add, repeat(bases[e.tensor]), e.offsets), repeat(e.run_bytes))
+            if type(e) in _DRAM_KINDS:
+                reqs.append(dram_request(e, bases[e.tensor], now))
                 continue
             if isinstance(e, MatrixWork):
                 key = (e.m, e.n, e.k, e.dtype_bytes, e.accumulate)

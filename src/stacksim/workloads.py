@@ -2,15 +2,12 @@
 
 from __future__ import annotations
 
-import contextlib
 import dataclasses
 import functools
-import gc
 import random
 from dataclasses import dataclass
 from importlib import resources
-from itertools import chain, islice, repeat
-from operator import add
+from itertools import chain, islice
 
 import yaml
 
@@ -20,7 +17,7 @@ from .kerneldsl.ast import DTYPE_BYTES, KernelProgram
 from .kerneldsl.checker import TypecheckError, typecheck
 from .kerneldsl.parser import parse_kernel
 from .kerneldsl.trace import DramRead, DramWrite, expand
-from .orchestrator import CollectiveOp, InterAccelOp
+from .orchestrator import CollectiveOp, InterAccelOp, dram_request
 from .partition import CoreArray, build_collective
 from .tiler import ComputeOp, build_op, infer_placement
 
@@ -268,112 +265,88 @@ def graph_totals(ops: list) -> dict:
 
 # --- DRAM microbenchmarks -------------------------------------------------
 #
-# A trace is hundreds of thousands of `Request`s, one per byte run of a
-# tile. CPython never untracks a tuple subclass from the cyclic collector,
-# so every full collection during a build walks every request built so
-# far. The builders pause the collector (`_collector_paused`) and build
-# each tile's requests with one C-level `map` of `tuple.__new__` over a
-# `zip` of its run offsets (a `range` for a 2-D tile) and run length, so no
-# Python frame runs and no per-run tuple is kept before the requests.
-
-@contextlib.contextmanager
-def _collector_paused():
-    """Disable the cyclic garbage collector for the block, then restore the
-    state the caller had. A build makes no reference cycle (requests are
-    plain tuples, and `typecheck` and `expand` leave none), so the pause
-    delays freeing nothing."""
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        yield
-    finally:
-        if enabled:
-            gc.enable()
-
-
-def dram_requests(events, bases: dict, ready: int) -> list[Request]:
-    """The DRAM requests of the reads and writes among `events`, in order."""
-    reqs = []
-    for e in events:
-        if isinstance(e, DramRead):
-            kind = "R"
-        elif isinstance(e, DramWrite):
-            kind = "W"
-        else:
-            continue
-        reqs += map(tuple.__new__, repeat(Request), zip(
-            repeat(ready), repeat(kind), map(add, repeat(bases[e.tensor]), e.offsets),
-            repeat(e.run_bytes)))
-    return reqs
-
+# A trace is a list of `Request`s, each a strided run: the GEMM trace is one
+# request per DRAM event of the tile trace, holding the event's shifted
+# offset `range`, and a paged-KV trace is one request holding every slot
+# address. So a trace holds no object per byte run; `DramSystem.drain`
+# walks the addresses as it queues them.
 
 def gen_gemm_benchmark(cfg: ArchConfig, M: int = 64, K: int = 8192, N: int = 8192,
                        tiling: dict[str, int] | None = None) -> list[Request]:
     """Tile-ordered GEMM access trace: A/C row-major, B column-major."""
-    with _collector_paused():
-        prog = load_kernel("matmul")
-        bindings = {"M": M, "K": K, "N": N}
-        bindings.update(tiling or {"tM": min(M, 64), "tN": 256, "tK": 256})
-        checked = typecheck(prog, cfg, bindings)
-        return dram_requests(expand(checked).events, infer_placement(checked, cfg), 0)
+    prog = load_kernel("matmul")
+    bindings = {"M": M, "K": K, "N": N}
+    bindings.update(tiling or {"tM": min(M, 64), "tN": 256, "tK": 256})
+    checked = typecheck(prog, cfg, bindings)
+    bases = infer_placement(checked, cfg)
+    return [dram_request(e, bases[e.tensor], 0) for e in expand(checked).events
+            if isinstance(e, (DramRead, DramWrite))]
 
 
 def gen_paged_attention_benchmark(cfg: ArchConfig, layout: PagedKvLayout,
                                   context: int, seed: int = 0,
                                   runs: int = 10) -> list[list[Request]]:
-    """Paged-KV gather traces: `runs` independent random block sequences."""
-    with _collector_paused():
-        problems = layout.validate(context)
-        if context < 1:
-            problems.append(f"context must be >= 1, got {context}")
-        if runs < 1:
-            problems.append(f"runs must be >= 1, got {runs}")
-        if problems:
-            raise WorkloadError("; ".join(problems))
-        rng = random.Random(seed)
-        vector = layout.kv_vector_bytes
-        block_bytes = layout.slots_per_block * vector
-        traces = []
-        for _ in range(runs):
-            # Blocks in shuffled order, each block's slots in order, cut at
-            # `context`.
-            addrs = chain.from_iterable(
-                range(block * block_bytes, (block + 1) * block_bytes, vector)
-                for block in layout.block_sequence(context, rng))
-            traces.append(list(map(tuple.__new__, repeat(Request), zip(
-                repeat(0), repeat("R"), islice(addrs, context), repeat(vector)))))
-        return traces
+    """Paged-KV gather traces: `runs` independent random block sequences,
+    each one request of `context` slot reads."""
+    # 8 bytes per address, not a list's 36; imported here, so the verbs that
+    # build no paged trace do not load the module.
+    from array import array
+    problems = layout.validate(context)
+    if context < 1:
+        problems.append(f"context must be >= 1, got {context}")
+    if runs < 1:
+        problems.append(f"runs must be >= 1, got {runs}")
+    if problems:
+        raise WorkloadError("; ".join(problems))
+    rng = random.Random(seed)
+    vector = layout.kv_vector_bytes
+    block_bytes = layout.slots_per_block * vector
+    traces = []
+    for _ in range(runs):
+        # Blocks in shuffled order, each block's slots in order, cut at
+        # `context`.
+        addrs = chain.from_iterable(
+            range(block * block_bytes, (block + 1) * block_bytes, vector)
+            for block in layout.block_sequence(context, rng))
+        traces.append([Request(0, "R", array("q", islice(addrs, context)), vector)])
+    return traces
 
 
 def dram_datasheet(cfg: ArchConfig, stream_bytes: int = 16 * 2**20,
                    gemm: tuple = (64, 8192, 8192),
                    paged: tuple = (PagedKvLayout(64, 16, 256), 1024, 10)) -> list[dict]:
     """The DRAM rates `cfg` delivers, one row per microbenchmark: a
-    `stream_bytes` streaming read in `interleave_bytes` requests, the same
+    `stream_bytes` streaming read in `interleave_bytes` byte runs, the same
     stream as writes, the GEMM tile trace at (M, K, N) = `gemm`, and the
     paged-KV traces of (layout, context, runs) = `paged` at seed 0.
 
     A row is the mean over the benchmark's traces, each on a fresh
     `DramSystem`, of `dramsim.stats`, plus its `benchmark` name, the
     `advertised_gbps` of `derived_metrics` and the `ratio` of
-    `achieved_gbps` to it.
+    `achieved_gbps` to it. A benchmark that `cfg` refuses, such as a GEMM
+    whose tensors overflow the core, is a row of its `benchmark` name and
+    the `refusal` message instead, and the other rows are still measured.
     """
     advertised = derived_metrics(cfg).core_gbps
     ib = cfg.channel.interleave_bytes
     layout, context, runs = paged
 
-    def row(name: str, traces: list) -> dict:
-        stats = []
-        for reqs in traces:
-            system = DramSystem(cfg)
-            system.run(reqs)
-            stats.append(dram_stats(system))
+    def row(name: str, build) -> dict:
+        try:
+            stats = []
+            for reqs in build():
+                system = DramSystem(cfg)
+                system.run(reqs)
+                stats.append(dram_stats(system))
+        except ValueError as e:  # every stacksim refusal is a ValueError
+            return {"benchmark": name, "refusal": str(e)}
         mean = {key: sum(s[key] for s in stats) / len(stats) for key in stats[0]}
         return {**mean, "benchmark": name, "advertised_gbps": advertised,
                 "ratio": mean["achieved_gbps"] / advertised}
 
-    return [*(row(f"stream {name}", [[Request(0, kind, addr, ib)
-                                      for addr in range(0, stream_bytes, ib)]])
+    return [*(row(f"stream {name}", lambda kind=kind: [
+                  [Request(0, kind, range(0, stream_bytes, ib), ib)]])
               for name, kind in (("read", "R"), ("write", "W"))),
-            row("gemm tile", [gen_gemm_benchmark(cfg, *gemm)]),
-            row("paged kv", gen_paged_attention_benchmark(cfg, layout, context, runs=runs))]
+            row("gemm tile", lambda: [gen_gemm_benchmark(cfg, *gemm)]),
+            row("paged kv", lambda: gen_paged_attention_benchmark(cfg, layout, context,
+                                                                 runs=runs))]

@@ -2,8 +2,8 @@
 
 The loop `simulate_compute` ran before it walked each operator's events
 once: per iteration it costs compute with `matrix_cost`/`vector_cost` per
-event, walks the iteration again to build one `Request` per byte range
-(`dram_requests`), and afterwards walks every event once more for the
+event, walks the iteration again to build one `Request` per DRAM event
+(`dram_request`), and afterwards walks every event once more for the
 totals (`event_totals`), instead of reading the ones the operator was built
 with.
 It shares those two walks, the cost functions, the DRAM model and the event
@@ -16,10 +16,11 @@ from itertools import chain
 
 from stacksim.arch import ArchConfig
 from stacksim.dramsim import DramSystem, schedule_tile, stats as dram_stats
-from stacksim.kerneldsl.trace import MatrixWork, VectorWork, event_totals
+from stacksim.kerneldsl.trace import (
+    DramRead, DramWrite, MatrixWork, VectorWork, event_totals,
+)
 from stacksim.logicsim import matrix_cost, vector_cost
-from stacksim.orchestrator import ComputeOp, OperatorResult, _roofline
-from stacksim.workloads import dram_requests
+from stacksim.orchestrator import ComputeOp, OperatorResult, _roofline, dram_request
 
 
 def reference_simulate_compute(op: ComputeOp, cfg: ArchConfig) -> OperatorResult:
@@ -37,7 +38,8 @@ def reference_simulate_compute(op: ComputeOp, cfg: ArchConfig) -> OperatorResult
                 cost = vector_cost(e.kind, e.elems, e.dtype_bytes, cfg.core)
                 compute_cycles += cost.latency_cycles
         mem_done = now
-        reqs = dram_requests(it, op.bases, now)
+        reqs = [dram_request(e, op.bases[e.tensor], now)
+                for e in it if isinstance(e, (DramRead, DramWrite))]
         if reqs:
             mem_done = dram.run(schedule_tile(reqs, cfg))
         now = max(mem_done, now + compute_cycles)

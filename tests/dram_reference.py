@@ -1,8 +1,10 @@
 """Naive event-driven reference model of the channel command protocol.
 
-Deliberately independent of the production implementation: addresses are
-split byte-by-byte into same-(channel, row) runs, and every burst is
-scheduled individually against explicit per-channel command timelines.
+Deliberately independent of the production implementation: each request
+(`ready`, `kind`, `addrs`, `run_bytes`) is first expanded into one
+(ready, kind, addr, nbytes) request per address, addresses are split
+byte-by-byte into same-(channel, row) runs, and every burst is scheduled
+individually against explicit per-channel command timelines.
 Only the documented protocol is shared; none of the incremental state
 machinery is. `reference_schedule` states the same-row-first policy as
 per-group lists rather than a sort. Intended for small traces.
@@ -56,83 +58,102 @@ def _runs(addr: int, nbytes: int, cfg):
     return [tuple(r) for r in runs]
 
 
+def per_address(requests) -> list[tuple]:
+    """Every request as one (ready, kind, addr, nbytes) tuple per address,
+    in order."""
+    return [(ready, kind, addr, nbytes)
+            for ready, kind, addrs, nbytes in requests for addr in addrs]
+
+
 def reference_schedule(requests, cfg) -> list:
-    """One work item's requests grouped by the (channel, row) of their first
-    byte: groups in first-appearance order, arrival order within a group."""
+    """One work item's requests, as one-address requests, grouped by the
+    (channel, row) of their first byte: groups in first-appearance order,
+    arrival order within a group."""
     groups: dict[tuple[int, int], list] = {}
-    for req in requests:
-        groups.setdefault(_byte_location(req.addr, cfg), []).append(req)
+    for ready, kind, addr, nbytes in per_address(requests):
+        groups.setdefault(_byte_location(addr, cfg), []).append(
+            (ready, kind, (addr,), nbytes))
     return [req for group in groups.values() for req in group]
 
 
 def reference_trace(requests, cfg) -> tuple[list[int], list[_Channel]]:
-    """Per-request completion cycles (0 for a request with no bytes) and the
-    final channels, counters included, under the documented protocol."""
-    tm = cfg.dram_timing
-    bl = cfg.channel.burst_bytes
-    spacing = max(tm.tCCD, tm.tBURST)
+    """Per-request completion cycles (0 for a request with no bytes), each
+    the last completion among its addresses, and the final channels,
+    counters included, under the documented protocol."""
     channels = [
         _Channel() for _ in range(cfg.core.channels)
     ]
-    # Merge consecutive same-row runs per channel, preserving arrival order,
-    # exactly as the front end does.
     dones = []
-    for req in requests:
+    for ready, kind, addrs, nbytes in requests:
         done = 0
-        per_channel_chunks: dict[int, list] = {}
-        order: list[int] = []
-        for (channel, row), start, length in _runs(req.addr, req.bytes, cfg):
-            first_burst = start // bl
-            last_burst = (start + length - 1) // bl
-            bursts = last_burst - first_burst + 1
-            lst = per_channel_chunks.setdefault(channel, [])
-            if channel not in order:
-                order.append(channel)
-            if lst and lst[-1][0] == row:
-                lst[-1][1] += bursts
-                lst[-1][2] += length
-            else:
-                lst.append([row, bursts, length])
-        for channel in order:
-            ch = channels[channel]
-            counts = ch.counts
-            for row, bursts, length in per_channel_chunks[channel]:
-                t = max(req.ready, ch.last_start)
-                if ch.open_row == row:
-                    counts["row_hits"] += 1
-                else:
-                    if ch.open_row is not None:
-                        pre_issue = max(t, ch.act_time + tm.tRAS)
-                        row_closed = pre_issue + tm.tRP
-                        counts["row_misses"] += 1
-                    else:
-                        row_closed = t
-                    ch.act_time = max(row_closed, t)
-                    ch.row_ready = ch.act_time + tm.tRCD
-                    ch.open_row = row
-                    counts["act_count"] += 1
-                # Schedule every burst individually.
-                start = None
-                for b in range(bursts):
-                    earliest = max(ch.row_ready, ch.next_bus, t)
-                    if b == 0 and ch.last_kind is not None and ch.last_kind != req.kind:
-                        turn = tm.tRTW if ch.last_kind == "R" else tm.tWTR
-                        earliest = max(earliest, ch.data_end + turn)
-                    start = earliest
-                    ch.next_bus = start + spacing
-                    ch.data_end = start + tm.tBURST
-                    ch.last_start = start
-                ch.last_kind = req.kind
-                chunk_done = start + tm.tBURST
-                done = max(done, chunk_done)
-                counts["bytes_read" if req.kind == "R" else "bytes_written"] += length
-                counts["bursts"] += bursts
-                counts["last_completion"] = max(counts["last_completion"], chunk_done)
-                counts["latency_count"] += 1
-                counts["latency_sum"] += chunk_done - req.ready
-                counts["latency_max"] = max(counts["latency_max"], chunk_done - req.ready)
+        for addr in addrs:
+            done = max(done, _service(channels, ready, kind, addr, nbytes, cfg))
         dones.append(done)
     return dones, channels
+
+
+def _service(channels, ready, kind, addr, nbytes, cfg) -> int:
+    """Service the `nbytes` bytes at `addr` as one request; returns their
+    completion cycle (0 for no bytes)."""
+    tm = cfg.dram_timing
+    bl = cfg.channel.burst_bytes
+    spacing = max(tm.tCCD, tm.tBURST)
+    # Merge consecutive same-row runs per channel, preserving arrival order,
+    # exactly as the front end does.
+    done = 0
+    per_channel_chunks: dict[int, list] = {}
+    order: list[int] = []
+    for (channel, row), start, length in _runs(addr, nbytes, cfg):
+        first_burst = start // bl
+        last_burst = (start + length - 1) // bl
+        bursts = last_burst - first_burst + 1
+        lst = per_channel_chunks.setdefault(channel, [])
+        if channel not in order:
+            order.append(channel)
+        if lst and lst[-1][0] == row:
+            lst[-1][1] += bursts
+            lst[-1][2] += length
+        else:
+            lst.append([row, bursts, length])
+    for channel in order:
+        ch = channels[channel]
+        counts = ch.counts
+        for row, bursts, length in per_channel_chunks[channel]:
+            t = max(ready, ch.last_start)
+            if ch.open_row == row:
+                counts["row_hits"] += 1
+            else:
+                if ch.open_row is not None:
+                    pre_issue = max(t, ch.act_time + tm.tRAS)
+                    row_closed = pre_issue + tm.tRP
+                    counts["row_misses"] += 1
+                else:
+                    row_closed = t
+                ch.act_time = max(row_closed, t)
+                ch.row_ready = ch.act_time + tm.tRCD
+                ch.open_row = row
+                counts["act_count"] += 1
+            # Schedule every burst individually.
+            start = None
+            for b in range(bursts):
+                earliest = max(ch.row_ready, ch.next_bus, t)
+                if b == 0 and ch.last_kind is not None and ch.last_kind != kind:
+                    turn = tm.tRTW if ch.last_kind == "R" else tm.tWTR
+                    earliest = max(earliest, ch.data_end + turn)
+                start = earliest
+                ch.next_bus = start + spacing
+                ch.data_end = start + tm.tBURST
+                ch.last_start = start
+            ch.last_kind = kind
+            chunk_done = start + tm.tBURST
+            done = max(done, chunk_done)
+            counts["bytes_read" if kind == "R" else "bytes_written"] += length
+            counts["bursts"] += bursts
+            counts["last_completion"] = max(counts["last_completion"], chunk_done)
+            counts["latency_count"] += 1
+            counts["latency_sum"] += chunk_done - ready
+            counts["latency_max"] = max(counts["latency_max"], chunk_done - ready)
+    return done
 
 
 def reference_run(requests, cfg) -> int:

@@ -58,7 +58,7 @@ def test_c01_dram_model_matches_independent_reference():
         reqs, ready = [], 0
         for _ in range(rng.randint(1, 100)):
             addr = rng.randrange(0, capacity - 64)
-            reqs.append(Request(ready, rng.choice("RW"), addr, rng.randint(1, 64)))
+            reqs.append(Request(ready, rng.choice("RW"), (addr,), rng.randint(1, 64)))
             ready += rng.randint(0, 50)
         assert DramSystem(cfg).run(reqs) == reference_run(reqs, cfg), \
             f"divergence on trace {trace_idx}"

@@ -12,7 +12,7 @@ from stacksim.dramsim import (
     AddressError, DramSystem, Request, schedule_tile, split_range, stats,
 )
 from dram_reference import (
-    _byte_location, reference_run, reference_schedule, reference_trace,
+    _byte_location, per_address, reference_run, reference_schedule, reference_trace,
 )
 
 T = DramTiming()  # tRCD=18 tRP=18 tRAS=42 tCCD=4 tBURST=4 tRTW=8 tWTR=8
@@ -59,10 +59,10 @@ def test_map_address_out_of_range():
     cfg = small_cfg()
     capacity = cfg.channel_capacity_bytes * cfg.core.channels
     with pytest.raises(AddressError):
-        DramSystem(cfg).run([Request(0, "R", capacity, 1)])
+        DramSystem(cfg).run([Request(0, "R", (capacity,), 1)])
     with pytest.raises(AddressError):
-        DramSystem(cfg).run([Request(0, "R", -1, 1)])
-    assert DramSystem(cfg).run([Request(0, "R", capacity - 1, 1)]) > 0
+        DramSystem(cfg).run([Request(0, "R", (-1,), 1)])
+    assert DramSystem(cfg).run([Request(0, "R", (capacity - 1,), 1)]) > 0
 
 
 def test_split_range_counts_bursts_and_merges_rows():
@@ -80,9 +80,9 @@ def test_split_range_counts_bursts_and_merges_rows():
     # row are an activation and a row hit, one 64-byte read is only the
     # activation.
     split = DramSystem(cfg)
-    split.run([Request(0, "R", 0, 32), Request(0, "R", 32, 32)])
+    split.run([Request(0, "R", (0,), 32), Request(0, "R", (32,), 32)])
     whole = DramSystem(cfg)
-    whole.run([Request(0, "R", 0, 64)])
+    whole.run([Request(0, "R", (0,), 64)])
     assert (split.channels[0].stats.row_hits, whole.channels[0].stats.row_hits) == (1, 0)
     assert split_range(0, 0, cfg) == split_range(5, -3, cfg) == []
 
@@ -92,18 +92,18 @@ def test_requests_outside_the_core_are_rejected():
     capacity = cfg.channel_capacity_bytes * cfg.core.channels
     for addr, nbytes in [(capacity + 64, 32), (-32, 32), (capacity - 16, 32)]:
         with pytest.raises(AddressError):
-            DramSystem(cfg).run([Request(0, "R", addr, nbytes)])
-    assert DramSystem(cfg).run([Request(0, "R", capacity - 32, 32)]) > 0
+            DramSystem(cfg).run([Request(0, "R", (addr,), nbytes)])
+    assert DramSystem(cfg).run([Request(0, "R", (capacity - 32,), 32)]) > 0
 
 
 def test_cold_single_burst_latency():
     sys = DramSystem(small_cfg())
-    assert sys.run([Request(0, "R", 0, 32)]) == T.tRCD + T.tBURST
+    assert sys.run([Request(0, "R", (0,), 32)]) == T.tRCD + T.tBURST
 
 
 def test_row_hit_spacing():
     sys = DramSystem(small_cfg())
-    done = sys.run([Request(0, "R", 0, 32), Request(0, "R", 128, 32)])
+    done = sys.run([Request(0, "R", (0,), 32), Request(0, "R", (128,), 32)])
     # Second burst starts one bus slot after the first: 18+4 -> done 26.
     assert done == T.tRCD + max(T.tCCD, T.tBURST) + T.tBURST
     s = stats(sys)
@@ -114,32 +114,32 @@ def test_row_hit_spacing():
 def test_row_miss_penalty_without_ras_pressure():
     timing = dataclasses.replace(T, tRAS=T.tRCD)
     sys = DramSystem(small_cfg(timing=timing))
-    done = sys.run([Request(0, "R", 0, 32), Request(0, "R", 256, 32)])
+    done = sys.run([Request(0, "R", (0,), 32), Request(0, "R", (256,), 32)])
     # Second chunk: PRE at the first burst's start, then tRP + tRCD + tBURST.
     assert done == T.tRCD + T.tRP + T.tRCD + T.tBURST
 
 
 def test_row_cycle_floor_binds_with_default_timing():
     sys = DramSystem(small_cfg())
-    done = sys.run([Request(0, "R", 0, 32), Request(0, "R", 256, 32)])
+    done = sys.run([Request(0, "R", (0,), 32), Request(0, "R", (256,), 32)])
     # PRE must wait until ACT + tRAS = 42.
     assert done == T.tRAS + T.tRP + T.tRCD + T.tBURST
 
 
 def test_read_write_turnaround():
     sys = DramSystem(small_cfg())
-    done = sys.run([Request(0, "R", 0, 32), Request(0, "W", 128, 32)])
+    done = sys.run([Request(0, "R", (0,), 32), Request(0, "W", (128,), 32)])
     # Write burst waits for read data end (22) + tRTW.
     assert done == (T.tRCD + T.tBURST) + T.tRTW + T.tBURST
     sys2 = DramSystem(small_cfg())
-    done2 = sys2.run([Request(0, "W", 0, 32), Request(0, "R", 128, 32)])
+    done2 = sys2.run([Request(0, "W", (0,), 32), Request(0, "R", (128,), 32)])
     assert done2 == (T.tRCD + T.tBURST) + T.tWTR + T.tBURST
 
 
 def test_saturated_row_hits_full_utilization():
     cfg = small_cfg()
     sys = DramSystem(cfg)
-    sys.run([Request(0, "R", 0, 128)])
+    sys.run([Request(0, "R", (0,), 128)])
     s = stats(sys)
     # Discounting the activation warmup, the bus never idles.
     window = s["elapsed_cycles"] - T.tRCD
@@ -159,7 +159,7 @@ def test_random_row_utilization_closed_form():
     first_done = None
     for _ in range(64):
         row = rng.choice([r for r in range(rows) if r != prev_row])
-        ready = sys.run([Request(ready, "R", row * cfg.logical_row_bytes, 32)])
+        ready = sys.run([Request(ready, "R", (row * cfg.logical_row_bytes,), 32)])
         if first_done is None:
             first_done = ready
         prev_row = row
@@ -174,8 +174,8 @@ def test_random_row_utilization_closed_form():
 
 def test_stats_row_hit_rate_and_acts():
     sys = DramSystem(small_cfg(channels=1))
-    sys.run([Request(0, "R", 0, 32), Request(0, "R", 32, 32),
-             Request(0, "R", 256, 32)])
+    sys.run([Request(0, "R", (0,), 32), Request(0, "R", (32,), 32),
+             Request(0, "R", (256,), 32)])
     s = stats(sys)
     assert s["act_count"] == 2
     # Cold activation is neither a hit nor a conflict miss: 1 hit, 1 miss.
@@ -186,21 +186,21 @@ def test_stats_row_hit_rate_and_acts():
 
 def test_schedule_tile_groups_rows_stably():
     cfg = small_cfg(channels=1)
-    reqs = [Request(0, "R", 0, 32), Request(0, "R", 256, 32),
-            Request(0, "R", 32, 32), Request(0, "R", 288, 32)]
+    reqs = [Request(0, "R", (0,), 32), Request(0, "R", (256,), 32),
+            Request(0, "R", (32,), 32), Request(0, "R", (288,), 32)]
     out = schedule_tile(reqs, cfg)
-    assert [r.addr for r in out] == [0, 32, 256, 288]
+    assert [addr for r in out for addr in r.addrs] == [0, 32, 256, 288]
     assert DramSystem(cfg).run(out) < DramSystem(cfg).run(reqs)
 
 
 def test_schedule_tile_keeps_grouped_tiles_without_simulating():
     cfg = small_cfg(channels=1)
     # Rows 0, 0, 2, 2: the same-row groups are already contiguous, so the
-    # input order comes back, as a new list of the same requests.
-    grouped = [Request(0, "R", 0, 32), Request(0, "W", 32, 32),
-               Request(0, "R", 256, 32), Request(0, "R", 300, 8)]
+    # input list itself comes back, holding the same requests.
+    grouped = [Request(0, "R", (0,), 32), Request(0, "W", (32,), 32),
+               Request(0, "R", (256,), 32), Request(0, "R", (300,), 8)]
     out = schedule_tile(grouped, cfg)
-    assert out == grouped and out is not grouped
+    assert out == grouped and out is grouped
     assert all(a is b for a, b in zip(out, grouped))
     # One same-row group: the input list itself comes back.
     one_row = grouped[:2]
@@ -217,14 +217,14 @@ def test_schedule_tile_matches_reference_grouping(channels):
         reqs = []
         for _ in range(rng.randint(1, 12)):
             addr = rng.randrange(0, capacity - 64)
-            reqs.append(Request(0, rng.choice("RW"), addr,
+            reqs.append(Request(0, rng.choice("RW"), (addr,),
                                 rng.randint(1, min(64, capacity - addr))))
         expected = reference_schedule(reqs, cfg)
         out = schedule_tile(reqs, cfg)
-        assert len(out) == len(expected)
-        assert all(a is b for a, b in zip(out, expected))
+        assert per_address(out) == per_address(expected)
+        assert (out is reqs) == (per_address(expected) == per_address(reqs))
         assert DramSystem(cfg).run(out) == reference_run(expected, cfg)
-        reordered += expected != reqs
+        reordered += per_address(expected) != per_address(reqs)
     assert reordered > 0
 
 
@@ -238,7 +238,7 @@ def test_utilization_never_exceeds_peak():
         for _ in range(rng.randint(1, 20)):
             addr = rng.randrange(0, capacity - 64)
             nbytes = rng.randint(1, 64)
-            reqs.append(Request(ready, rng.choice("RW"), addr, nbytes))
+            reqs.append(Request(ready, rng.choice("RW"), (addr,), nbytes))
             ready += rng.randint(0, 30)
         sys.run(reqs)
         assert 0.0 < stats(sys)["utilization"] <= 1.0
@@ -252,10 +252,45 @@ def test_matches_independent_reference_on_random_traces():
         reqs, ready = [], 0
         for _ in range(rng.randint(1, 15)):
             addr = rng.randrange(0, capacity - 64)
-            reqs.append(Request(ready, rng.choice("RW"), addr,
+            reqs.append(Request(ready, rng.choice("RW"), (addr,),
                                 rng.randint(1, min(64, capacity - addr))))
             ready += rng.randint(0, 40)
         assert DramSystem(cfg).run(reqs) == reference_run(reqs, cfg)
+    # Multi-address runs: each drains like its addresses one by one.
+    for _ in range(60):
+        reqs = _random_runs(rng, cfg, rng.randint(1, 8))
+        system = DramSystem(cfg)
+        dones, ref_channels = reference_trace(reqs, cfg)
+        assert system.run(reqs) == max(dones)
+        assert _channel_counts(system) == [ch.counts for ch in ref_channels]
+
+
+def _random_runs(rng, cfg, n):
+    """`n` multi-address requests, each a rising or falling `range`, a tuple
+    or a list of strided addresses, or an unordered gather: byte runs of 1
+    byte up to four interleave runs at strides that cross interleave runs,
+    rows and channels; reads and writes with non-decreasing ready cycles."""
+    capacity = cfg.channel_capacity_bytes * cfg.core.channels
+    ib = cfg.channel.interleave_bytes
+    reqs, ready = [], 0
+    for _ in range(n):
+        nbytes = rng.randint(1, rng.choice((32, 4 * ib)))
+        step = rng.choice((nbytes, ib, cfg.logical_row_bytes, rng.randint(1, 300)))
+        count = min(rng.randint(1, 6), (capacity - nbytes) // step + 1)
+        first = rng.randrange(0, capacity - nbytes - (count - 1) * step + 1)
+        addrs = range(first, first + count * step, step)
+        shape = rng.choice(("range", "falling", "tuple", "list", "gather"))
+        if shape == "falling":
+            addrs = addrs[::-1]
+        elif shape == "tuple":
+            addrs = tuple(addrs)
+        elif shape == "list":
+            addrs = list(addrs)
+        elif shape == "gather":
+            addrs = [rng.randrange(0, capacity - nbytes + 1) for _ in range(count)]
+        reqs.append(Request(ready, rng.choice("RW"), addrs, nbytes))
+        ready += rng.randint(0, 40)
+    return reqs
 
 
 def _random_trace(rng, cfg, n):
@@ -267,7 +302,7 @@ def _random_trace(rng, cfg, n):
     for _ in range(n):
         addr = rng.randrange(0, capacity)
         nbytes = rng.randint(1, min(rng.choice((32, span)), capacity - addr))
-        reqs.append(Request(ready, rng.choice("RW"), addr, nbytes))
+        reqs.append(Request(ready, rng.choice("RW"), (addr,), nbytes))
         ready += rng.randint(0, 40)
     return reqs
 
@@ -297,8 +332,29 @@ def test_drains_carry_state_like_one_reference_trace(channels):
         whole = DramSystem(cfg)
         assert whole.drain(trace) == reference_run(trace, cfg)
         assert stats(system) == stats(whole)
-        multi += sum(len(split_range(r.addr, r.bytes, cfg)) > 1 for r in trace)
+        multi += sum(len(split_range(addr, nbytes, cfg)) > 1
+                     for _, _, addr, nbytes in per_address(trace))
     assert multi > 0
+    # Multi-address runs, split over several drains the same way.
+    shapes = set()
+    for _ in range(25):
+        system = DramSystem(cfg)
+        calls = [_random_runs(rng, cfg, rng.randint(0, 6)) for _ in range(4)]
+        trace = [req for call in calls for req in call]
+        dones, ref_channels = reference_trace(trace, cfg)
+        start = 0
+        for call in calls:
+            assert system.drain(call) == max(dones[start:start + len(call)], default=0)
+            start += len(call)
+        assert _channel_counts(system) == [ch.counts for ch in ref_channels]
+        whole = DramSystem(cfg)
+        assert whole.drain(trace) == reference_run(trace, cfg)
+        assert stats(system) == stats(whole)
+        shapes.update((type(r.addrs), len({split_range(a, r.run_bytes, cfg)[0][0]
+                                             for a in r.addrs}) > 1) for r in trace)
+    # Every container, and runs whose addresses lie on several channels.
+    assert {shape for shape, _ in shapes} == {range, tuple, list}
+    assert any(several for _, several in shapes)
 
 
 def test_rejected_drain_changes_no_channel():
@@ -313,14 +369,35 @@ def test_rejected_drain_changes_no_channel():
 
     before = state()
     # Valid requests to every channel precede the one past the core's end.
-    good = [Request(1000, "W", c * cfg.channel.interleave_bytes, 32)
+    good = [Request(1000, "W", (c * cfg.channel.interleave_bytes,), 32)
             for c in range(cfg.core.channels)]
     with pytest.raises(AddressError):
-        system.drain(good + [Request(1000, "R", capacity - 16, 32)])
+        system.drain(good + [Request(1000, "R", (capacity - 16,), 32)])
     assert state() == before
 
 
+@pytest.mark.parametrize("shape", ["tuple", "range", "falling range"])
+def test_run_with_one_address_outside_the_core_is_refused(shape):
+    # The error names the first address of the run that does not fit, and
+    # no channel changes, though the run's other addresses and the request
+    # before it fit.
+    cfg = small_cfg(channels=4)
+    capacity = cfg.channel_capacity_bytes * cfg.core.channels
+    system = DramSystem(cfg)
+    system.drain(_random_trace(random.Random(6), cfg, 12))
+    before = _channel_counts(system), [ch.open_row for ch in system.channels]
+    addrs, bad = {"tuple": ((0, 64, capacity - 16, 128, capacity + 64), capacity - 16),
+                  "range": (range(capacity - 80, capacity + 48, 32), capacity - 16),
+                  "falling range": (range(300, -200, -100), -100)}[shape]
+    good = Request(1000, "W", range(0, 4 * cfg.channel.interleave_bytes, 32), 32)
+    with pytest.raises(AddressError, match=rf"^request \[{bad}, {bad + 32}\) outside "
+                                           rf"core capacity {capacity}$"):
+        system.drain([good, Request(1000, "R", addrs, 32)])
+    assert (_channel_counts(system), [ch.open_row for ch in system.channels]) == before
+
+
 def test_request_is_a_named_tuple():
-    req = Request(3, "W", 64, 32)
-    assert req == (3, "W", 64, 32)
-    assert (req.ready, req.kind, req.addr, req.bytes) == (3, "W", 64, 32)
+    req = Request(3, "W", (64,), 32)
+    assert req == (3, "W", (64,), 32)
+    assert (req.ready, req.kind, req.addrs, req.run_bytes, req.bytes) == (3, "W", (64,), 32, 32)
+    assert Request(0, "R", range(0, 4096, 512), 96).bytes == 8 * 96

@@ -20,7 +20,7 @@ from stacksim.workloads import (
 )
 
 from compute_reference import reference_simulate_compute
-from dram_reference import reference_run, reference_schedule
+from dram_reference import per_address, reference_run, reference_schedule
 from expand_reference import shipped_bindings
 
 CFG = ArchConfig()
@@ -37,7 +37,7 @@ def test_single_load_matches_dram_model():
         "    x = alloc((N,), fp16)\n"
         "    copy(X[0:N], x)\n", N=2048)
     res = simulate_compute(op, CFG)
-    assert res.cycles == DramSystem(CFG).run([Request(0, "R", 0, 4096)])
+    assert res.cycles == DramSystem(CFG).run([Request(0, "R", (0,), 4096)])
     assert res.dram_bytes == 4096
     assert res.matrix_flops == 0
 
@@ -79,7 +79,7 @@ def test_pipeline_overlap_bounds():
     # compute-only time.
     assert res.cycles >= total_compute
     assert res.cycles >= roofline_cycles(op.checked, op.desc)
-    serial = total_compute + DramSystem(CFG).run([Request(0, "R", 0, res.dram_bytes)])
+    serial = total_compute + DramSystem(CFG).run([Request(0, "R", (0,), res.dram_bytes)])
     assert res.cycles < serial
 
 
@@ -319,20 +319,22 @@ def test_simulate_compute_costs_work_by_every_field_the_cost_reads():
 
 @pytest.mark.parametrize("seed", range(4))
 def test_dram_model_takes_plain_tuples_like_requests(seed):
-    # simulate_compute hands schedule_tile and drain plain tuples; users
-    # hand them Requests. Both give the reference model's result.
+    # simulate_compute hands schedule_tile and drain Requests; a user may
+    # hand them plain (ready, kind, addrs, run_bytes) tuples. Both give the
+    # reference model's result.
     rng = random.Random(seed)
     cfg = dataclasses.replace(CFG, channel=dataclasses.replace(CFG.channel,
                                                                interleave_log2=1))
     row = cfg.logical_row_bytes * cfg.core.channels  # one row on every channel
     reqs = [Request(rng.randrange(0, 40), rng.choice("RW"),
-                    rng.choice((0, 3, 5)) * row + rng.randrange(0, 4 * 1024),
+                    (rng.choice((0, 3, 5)) * row + rng.randrange(0, 4 * 1024),),
                     rng.randint(1, 300))
             for _ in range(40)]
     plain = [tuple(r) for r in reqs]
     assert all(type(t) is tuple for t in plain)
     ordered = schedule_tile(plain, cfg)
-    assert ordered != plain and ordered == reference_schedule(reqs, cfg)
+    assert per_address(ordered) != per_address(plain)
+    assert per_address(ordered) == per_address(reference_schedule(reqs, cfg))
     assert [tuple(r) for r in schedule_tile(reqs, cfg)] == ordered
     system, named = DramSystem(cfg), DramSystem(cfg)
     done = system.drain(ordered)

@@ -1,6 +1,7 @@
 """Pinned outputs of the DRAM and NoC models on raw traffic, a sweep, the
 single-kernel `tune` and `simulate` commands, a decoding step on the edge
-config (plain and regulated), the parsed shipped kernels and the serialized
+config (plain and regulated), the `validate --measure` datasheet of both
+shipped configs, the parsed shipped kernels and the serialized
 execution descriptions of two of them.
 
 Every value here was computed before the code it covers was rewritten for
@@ -85,7 +86,7 @@ def _mixed_trace(seed: int) -> list[Request]:
         addr = rng.randrange(0, span)
         nbytes = rng.choice([1, 31, 256, 512, ib - 7, ib, 3 * ib + 5,
                              CFG.core.channels * ib + 64, 40 * ib])
-        reqs.append(Request(ready, rng.choice("RW"), addr, nbytes))
+        reqs.append(Request(ready, rng.choice("RW"), (addr,), nbytes))
         ready += rng.choice([0, 0, 3, 50])
     return reqs
 
@@ -196,6 +197,15 @@ def test_regulated_edge_decode_csv_pinned(tmp_path, capsys):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == PINS["edge_regulated_csv"]
 
 
+@pytest.mark.parametrize("config", ["default", "edge"])
+def test_validate_measure_datasheet_pinned(config, capsys):
+    # The printed DRAM datasheet: stream, GEMM tile and paged-KV rows.
+    path = str(resources.files("stacksim").joinpath(f"configs/{config}.yaml"))
+    assert main(["validate", "--measure", "--config", path]) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == PINS["datasheet_" + config]
+
+
 @pytest.mark.parametrize("kernel", ["matmul", "matmul_rowblock", "fused_attention"])
 def test_shipped_kernel_asts_pinned(kernel):
     text = ast_to_json(load_kernel(kernel))
@@ -214,6 +224,8 @@ def test_execution_yaml_pinned(kernel, bindings):
 
 
 PINS = {
+    "datasheet_default": "6049bbf5387a465eaae6fe6cfc8c16e1dd1fe98a9f978f8ff61b2768267fdb01",
+    "datasheet_edge": "07469abd44b8244e2429d25510065c2f6902dbedc3ac3cc7f3fcc0e591747aab",
     "gemm_channels":
         "a37d652f4a5ccb683f0696e0ed0bda37fc78e84f1a72264f7c48c129b7bdcedd",
     "paged_stats":

@@ -55,6 +55,9 @@ ALLOWLIST = {
         "keep it unused (direction 6)",
     "stacksim.arch.serialize":
         "the config hash in a report's provenance (direction 5)",
+    "stacksim.dramsim.Request.bytes":
+        "perfbench's micro check of total_bytes against the bytes of its "
+        "traces (direction 7)",
     "stacksim.nocsim.zero_load_latency":
         "the independent NoC reference of the datasheet and of the collective "
         "algorithm choice (directions 1 and 8)",

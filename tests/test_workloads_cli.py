@@ -6,6 +6,7 @@ import hashlib
 import io
 import os
 import random
+import tracemalloc
 from importlib import resources
 
 import pytest
@@ -25,7 +26,7 @@ from stacksim.workloads import (
     dram_datasheet, gen_gemm_benchmark, gen_paged_attention_benchmark,
     graph_totals, load_kernel, load_model, model_from_yaml,
 )
-from dram_reference import reference_run
+from dram_reference import per_address, reference_run
 
 CFG = ArchConfig()
 MODELS_DIR = os.path.join(os.path.dirname(__file__), "..", "src", "stacksim", "models")
@@ -259,30 +260,34 @@ def test_paged_attention_benchmark_seeded():
     runs = gen_paged_attention_benchmark(CFG, layout, context=64, seed=3)
     assert len(runs) == 10
     for reqs in runs:
-        assert len(reqs) == 64  # one 256 B vector per covered slot
-        assert all(r.bytes == 256 for r in reqs)
+        # One request of one 256 B vector per covered slot.
+        assert [len(r.addrs) for r in reqs] == [64]
+        assert all(r.run_bytes == 256 for r in reqs)
     again = gen_paged_attention_benchmark(CFG, layout, context=64, seed=3)
     assert runs == again
     other = gen_paged_attention_benchmark(CFG, layout, context=64, seed=4)
     assert runs != other
 
 
-def test_gemm_benchmark_is_one_request_per_byte_range():
+def test_gemm_benchmark_is_one_request_per_dram_event():
     shape = {"M": 16, "K": 64, "N": 64}
     tiling = {"tM": 16, "tN": 32, "tK": 32}
     checked = typecheck(load_kernel("matmul"), CFG, {**shape, **tiling})
     bases = infer_placement(checked, CFG)
-    expect, dram_events = [], 0
+    expect, runs = [], []
     for e in expand(checked).events:
         if isinstance(e, (DramRead, DramWrite)):
-            dram_events += 1
             kind = "R" if isinstance(e, DramRead) else "W"
+            base = bases[e.tensor]
+            expect.append(Request(0, kind, range(base + e.offsets.start, base + e.offsets.stop,
+                                                 e.offsets.step), e.run_bytes))
             for off in e.offsets:
-                expect.append(Request(0, kind, bases[e.tensor] + off, e.run_bytes))
+                runs.append((0, kind, base + off, e.run_bytes))
     reqs = gen_gemm_benchmark(CFG, **shape, tiling=tiling)
-    assert len(expect) > dram_events  # some events span several byte ranges
+    assert len(runs) > len(expect)  # some events span several byte ranges
     assert reqs == expect
-    assert all(type(r) is Request for r in reqs)
+    assert per_address(reqs) == runs
+    assert all(type(r) is Request and type(r.addrs) is range for r in reqs)
 
 
 def test_paged_attention_benchmark_is_the_seeded_block_order():
@@ -294,14 +299,16 @@ def test_paged_attention_benchmark_is_the_seeded_block_order():
     for _ in range(3):
         slots = [(block, slot) for block in layout.block_sequence(context, rng)
                  for slot in range(16)]
-        expect.append([Request(0, "R", (block * 16 + slot) * 64, 64)
-                       for block, slot in slots[:context]])
-    assert runs == expect
+        expect.append([(0, "R", [(block * 16 + slot) * 64 for block, slot in slots[:context]],
+                        64)])
+    assert [[(r.ready, r.kind, list(r.addrs), r.run_bytes) for r in reqs]
+            for reqs in runs] == expect
     assert all(type(r) is Request for reqs in runs for r in reqs)
 
 
 @pytest.mark.parametrize("enabled", [True, False])
 def test_trace_builders_restore_the_collector_state(enabled):
+    # Builds and refused builds leave the collector as they found it.
     layout = PagedKvLayout(blocks_per_core=8, slots_per_block=16)
     builds = [
         (None, lambda: gen_gemm_benchmark(CFG, M=16, K=64, N=64)),
@@ -325,7 +332,7 @@ def test_trace_builders_restore_the_collector_state(enabled):
 
 
 def test_trace_builders_leave_nothing_for_the_cycle_collector():
-    # So pausing the collector during a build delays freeing nothing.
+    # A trace is freed by reference counting alone.
     layout = PagedKvLayout(blocks_per_core=8, slots_per_block=16)
     load_kernel("matmul")
     gc.collect()
@@ -337,6 +344,35 @@ def test_trace_builders_leave_nothing_for_the_cycle_collector():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def _held_by(build):
+    """What `build()` returns, and the bytes it holds as it returns them."""
+    tracemalloc.start()
+    try:
+        result = build()
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    return result, held
+
+
+def test_gemm_trace_holds_no_object_per_byte_run():
+    # The bench's GEMM trace: 3104 DRAM events over 329728 byte runs. One
+    # request tuple per byte run held about 38 MB.
+    load_kernel("matmul")
+    reqs, held = _held_by(lambda: gen_gemm_benchmark(CFG, M=64, K=8192, N=8192))
+    assert held < 2 << 20, held
+    assert sum(r.bytes for r in reqs) == 168820736
+
+
+def test_paged_traces_hold_no_object_per_slot():
+    # The bench's 8 paged-KV traces of 16384 one-slot blocks. One request
+    # tuple per slot read held about 15 MB.
+    traces, held = _held_by(lambda: gen_paged_attention_benchmark(
+        CFG, PagedKvLayout(65536, 1), 16384, seed=1, runs=8))
+    assert held < 8 << 20, held
+    assert sum(r.bytes for reqs in traces for r in reqs) == 8 * 16384 * 256
 
 
 def test_paged_layout_must_cover_context():
@@ -529,8 +565,7 @@ def test_cli_validate_measure_matches_the_dram_reference(tmp_path, monkeypatch):
     small = functools.partial(dram_datasheet, stream_bytes=stream_bytes,
                               gemm=(16, 64, 64), paged=(layout, 64, 2))
     rows = small(CFG)
-    traces = [[[Request(0, kind, addr, ib) for addr in range(0, stream_bytes, ib)]]
-              for kind in "RW"]
+    traces = [[[Request(0, kind, range(0, stream_bytes, ib), ib)]] for kind in "RW"]
     traces += [[gen_gemm_benchmark(CFG, 16, 64, 64)],
                gen_paged_attention_benchmark(CFG, layout, 64, runs=2)]
     assert len(traces[3]) == 2
@@ -551,6 +586,27 @@ def test_cli_validate_measure_matches_the_dram_reference(tmp_path, monkeypatch):
         for r in rows]
     assert [r["benchmark"] for r in rows] == [
         "stream read", "stream write", "gemm tile", "paged kv"]
+
+
+def test_cli_validate_measure_reports_the_rows_a_small_core_holds(tmp_path, capsys):
+    # Four physical rows per bank make a 16 MiB core: it holds the 16 MiB
+    # streams and the paged-KV blocks, but not the GEMM row's tensors. The
+    # datasheet only reports, so it prints that refusal in the GEMM row,
+    # measures the other rows and exits 0.
+    text = (resources.files("stacksim") / "configs/default.yaml").read_text()
+    assert "row_count: 1280" in text
+    path = tmp_path / "small.yaml"
+    path.write_text(text.replace("row_count: 1280", "row_count: 4"))
+    assert main(["validate", "--measure", "--config", str(path)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("config ok: ") and "core capacity 16 MiB" in lines[0]
+    assert lines[1].startswith("benchmark ")
+    assert lines[4] == ("gemm tile     refused: DRAM tensors need 136314880 bytes, "
+                        "core capacity is 16777216")
+    rows = [line.split() for line in lines[2:4] + lines[5:]]
+    assert [row[:2] for row in rows] == [["stream", "read"], ["stream", "write"],
+                                         ["paged", "kv"]]
+    assert all(len(row) == 7 and float(row[2]) > 0 for row in rows)
 
 
 def test_cli_validate_writes_to_out(tmp_path, capsys):

@@ -31,6 +31,12 @@ Command timing protocol (all times in DRAM-clock cycles):
   read's data end; write-to-read adds tWTR.
 * A chunk completes when its last burst's data finishes (start + tBURST).
 
+A channel on one open row issues its bursts back to back, so `drain` times
+a same-row stretch of byte runs in closed form. A rising `range` at a step
+of k interleave runs, each byte run one chunk, gives each channel every
+P-th byte run, P = channels / gcd(k, channels): a slice of the range that
+splits into same-row stretches.
+
 The scheduling policy is same-row-first batching within a work item, the
 batching idea of FR-FCFS: `schedule_tile` buckets one work item's byte runs
 by the (channel, row) of each one's first byte, buckets in
@@ -43,6 +49,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
+from math import gcd
 from typing import NamedTuple
 
 from .arch import ArchConfig, peak_dram_bytes_per_cycle
@@ -149,18 +156,22 @@ class DramSystem:
         Each channel services its chunks in issue order. A channel's state
         depends only on its own chunks, so the channels run one after
         another over per-channel queues. Every request is checked before
-        any channel state changes.
+        any channel state changes. A strided request is queued as one range
+        per same-row stretch of each channel's share, timed in one step.
         """
         tRAS, tRP, tRCD, tBURST, tRTW, tWTR, spacing = self._timing
         bl, ib, row_bytes, chans, capacity = self._geometry
 
         # Pass 1: check every request, then queue its byte runs by channel.
         # A queue holds a request before the first of its entries from that
-        # request, and pass 2 reads ready, kind and run_bytes there. A byte
-        # run that fits one interleave run and one row, as every GEMM,
-        # paged-KV and stream byte run does, is one chunk: its queue holds
-        # its address, and pass 2 locates it again. Other byte runs queue
-        # split_range's (row, bursts, nbytes) chunks.
+        # request, and pass 2 reads ready, kind and run_bytes there. A
+        # rising range at a step of whole interleave runs, each byte run
+        # inside one interleave run, on rows of whole interleave runs (every
+        # GEMM and stream request on the shipped configs), queues each
+        # channel's share as one range per same-row stretch. Of any other
+        # request, a byte run that is one chunk queues its address, and
+        # pass 2 locates it again; other byte runs queue split_range's
+        # (row, bursts, nbytes) chunks.
         queues: dict[int, list] = {}
         owners = [None] * chans  # channel -> the request of its last entry
         for req in requests:
@@ -168,16 +179,35 @@ class DramSystem:
             if not addrs:
                 continue
             if type(addrs) is range:
-                low, high = addrs[0], addrs[-1]
+                low, high, step = addrs[0], addrs[-1], addrs.step
                 if low > high:
                     low, high = high, low
             else:
-                low, high = min(addrs), max(addrs)
+                low, high, step = min(addrs), max(addrs), 0
             if low < 0 or high + run_bytes > capacity:
                 addr = next(a for a in addrs if a < 0 or a + run_bytes > capacity)
                 raise AddressError(f"request [{addr}, {addr + run_bytes}) outside "
                                    f"core capacity {capacity}")
             if run_bytes <= 0:
+                continue
+            if not step % ib and step > 0 and low % ib + run_bytes <= ib and not row_bytes % ib:
+                # Byte run i is on channel (low // ib + i * step // ib) % chans,
+                # so a channel holds every period-th run, and the
+                # channel-local offsets of its share rise by stride.
+                period = chans // gcd(step // ib, chans)
+                stride = period * step // chans
+                for j in range(min(period, len(addrs))):
+                    share = addrs[j::period]
+                    run, offset = divmod(share.start, ib)
+                    channel = run % chans
+                    owners[channel] = req
+                    queue = queues.setdefault(channel, [])
+                    queue.append(req)
+                    while share:
+                        run, offset = divmod(share.start, ib)
+                        n = (row_bytes - ((run // chans) * ib + offset) % row_bytes - 1) // stride + 1
+                        queue.append(share[:n])
+                        share = share[n:]
                 continue
             for addr in addrs:
                 run, offset = divmod(addr, ib)
@@ -203,10 +233,13 @@ class DramSystem:
             t_bus, t_issue = ch.t_bus, ch.t_issue
             last_kind = ch.last_kind
             st = ch.stats
-            hits = misses = acts = bursts_sum = read = written = heads = 0
+            misses = acts = bursts_sum = read = written = heads = chunks = 0
             latency_sum, latency_max = 0, st.latency_max
             last_done = 0
+            n = 1  # byte runs of the entry at hand; a stretch sets it, then resets it
             for item in queue:
+                if item.__class__ is range:
+                    n, item = len(item), item.start
                 if item.__class__ is int:
                     run, offset = divmod(item, ib)
                     row = ((run // chans) * ib + offset) // row_bytes
@@ -228,8 +261,6 @@ class DramSystem:
                     t_row_ready = t_act + tRCD
                     open_row = row
                     acts += 1
-                else:
-                    hits += 1
                 first = t_row_ready if t_row_ready > t_bus else t_bus
                 if t > first:
                     first = t
@@ -238,6 +269,19 @@ class DramSystem:
                     if turn > first:
                         first = turn
                 t_issue = first + (bursts - 1) * spacing
+                if n > 1:
+                    # Each later run of a stretch finds its row open, its
+                    # kind unchanged and t at its predecessor's last burst,
+                    # so it issues bursts * spacing after its predecessor.
+                    # The latencies of all runs but the last are added here.
+                    gap = bursts * spacing
+                    latency_sum += ((n - 1) * (t_issue + tBURST - ready)
+                                    + (n - 1) * (n - 2) // 2 * gap)
+                    t_issue += (n - 1) * gap
+                    chunks += n - 1
+                    bursts *= n
+                    take *= n
+                    n = 1
                 t_bus = t_issue + spacing
                 done = t_issue + tBURST
                 last_kind = kind
@@ -259,11 +303,12 @@ class DramSystem:
             st.bytes_written += written
             st.bursts += bursts_sum
             st.act_count += acts
-            st.row_hits += hits
+            chunks += len(queue) - heads
+            st.row_hits += chunks - acts
             st.row_misses += misses
             if last_done > st.last_completion:
                 st.last_completion = last_done
-            st.latency_count += len(queue) - heads
+            st.latency_count += chunks
             st.latency_sum += latency_sum
             st.latency_max = latency_max
             if last_done > completion:

@@ -268,8 +268,9 @@ def graph_totals(ops: list) -> dict:
 # A trace is a list of `Request`s, each a strided run: the GEMM trace is one
 # request per DRAM event of the tile trace, holding the event's shifted
 # offset `range`, and a paged-KV trace is one request holding every slot
-# address. So a trace holds no object per byte run; `DramSystem.drain`
-# walks the addresses as it queues them.
+# address. So a trace holds no object per byte run. `DramSystem.drain`
+# queues a GEMM request as one range per same-row stretch of each channel's
+# share, and walks a paged-KV trace's addresses as it queues them.
 
 def gen_gemm_benchmark(cfg: ArchConfig, M: int = 64, K: int = 8192, N: int = 8192,
                        tiling: dict[str, int] | None = None) -> list[Request]:

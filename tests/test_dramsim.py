@@ -30,6 +30,19 @@ def small_cfg(channels=2, timing=T):
     )
 
 
+def strided_cfg(channels, C=8, interleave_log2=2):
+    # 128B x 512-row physical banks and 32B bursts; by default 1 KiB logical
+    # rows of eight 128B interleave runs and 512 KiB per channel.
+    return ArchConfig(
+        pb=PhysicalBankSpec(row_size_bytes=128, row_count=512),
+        lb=LogicalBankSpec(R=1, C=C),
+        channel=ChannelSpec(io_pins=256, pin_rate_gbps=1.0,
+                            interleave_log2=interleave_log2),
+        dram_timing=T,
+        core=CoreSpec(channels=channels),
+    )
+
+
 def test_split_range_examples():
     cfg = small_cfg()
     assert split_range(0, 1, cfg) == [(0, 0, 1, 1)]
@@ -263,6 +276,57 @@ def test_matches_independent_reference_on_random_traces():
         dones, ref_channels = reference_trace(reqs, cfg)
         assert system.run(reqs) == max(dones)
         assert _channel_counts(system) == [ch.counts for ch in ref_channels]
+    # Rising ranges at steps of whole interleave runs: a channel services
+    # its share of one in stretches on one row. The last geometry's rows
+    # are not whole interleave runs.
+    longest = 0
+    for cfg in (strided_cfg(2), strided_cfg(3), strided_cfg(4),
+                strided_cfg(2, C=3, interleave_log2=3)):
+        for _ in range(8):
+            reqs = _strided_runs(rng, cfg, rng.randint(1, 6))
+            system = DramSystem(cfg)
+            dones, ref_channels = reference_trace(reqs, cfg)
+            assert system.run(reqs) == max(dones)
+            assert _channel_counts(system) == [ch.counts for ch in ref_channels]
+            longest = max(longest, *(_longest_stretch(r, cfg) for r in reqs))
+    assert longest == 8
+
+
+def _strided_runs(rng, cfg, n):
+    """`n` rising ranges of 1 to 300 byte runs at a step of 1, 2, 3, 4, 5,
+    8, 16 or 17 interleave runs, most byte runs one chunk and some crossing
+    an interleave run; reads and writes with non-decreasing ready cycles,
+    and now and then an earlier request again."""
+    capacity = cfg.channel_capacity_bytes * cfg.core.channels
+    ib = cfg.channel.interleave_bytes
+    reqs, ready = [], 0
+    for _ in range(n):
+        if reqs and rng.random() < 0.1:
+            reqs.append(rng.choice(reqs))
+            continue
+        step = rng.choice((1, 2, 3, 4, 5, 8, 16, 17)) * ib
+        nbytes = rng.randint(1, ib)
+        offset = rng.randint(0, ib - nbytes) if rng.random() < 0.8 else rng.randrange(ib)
+        count = min(rng.choice((rng.randint(1, 20), rng.randint(20, 300))),
+                    (capacity - offset - nbytes) // step + 1)
+        span = (count - 1) * step + offset + nbytes
+        first = rng.randrange(0, (capacity - span) // ib + 1) * ib + offset
+        reqs.append(Request(ready, rng.choice("RW"),
+                            range(first, first + count * step, step), nbytes))
+        ready += rng.randint(0, 200)
+    return reqs
+
+
+def _longest_stretch(req, cfg):
+    """The most consecutive byte runs of `req` that one channel services
+    on one row."""
+    last, longest = {}, 0  # channel -> (row, byte runs on it so far)
+    for addr in req.addrs:
+        channel, row = _byte_location(addr, cfg)
+        prev_row, length = last.get(channel, (None, 0))
+        last[channel] = (row, length + 1 if row == prev_row else 1)
+        longest = max(longest, last[channel][1])
+    return longest
 
 
 def _random_runs(rng, cfg, n):
@@ -320,41 +384,43 @@ def test_drains_carry_state_like_one_reference_trace(channels):
     rng = random.Random(21 + channels)
     multi = 0
     for _ in range(25):
-        system = DramSystem(cfg)
-        calls = [_random_trace(rng, cfg, rng.randint(0, 10)) for _ in range(4)]
-        trace = [req for call in calls for req in call]
-        dones, ref_channels = reference_trace(trace, cfg)
-        start = 0
-        for call in calls:
-            assert system.drain(call) == max(dones[start:start + len(call)], default=0)
-            start += len(call)
-        assert _channel_counts(system) == [ch.counts for ch in ref_channels]
-        whole = DramSystem(cfg)
-        assert whole.drain(trace) == reference_run(trace, cfg)
-        assert stats(system) == stats(whole)
+        trace = _drain_in_calls(cfg, [_random_trace(rng, cfg, rng.randint(0, 10))
+                                      for _ in range(4)])
         multi += sum(len(split_range(addr, nbytes, cfg)) > 1
                      for _, _, addr, nbytes in per_address(trace))
     assert multi > 0
     # Multi-address runs, split over several drains the same way.
     shapes = set()
     for _ in range(25):
-        system = DramSystem(cfg)
-        calls = [_random_runs(rng, cfg, rng.randint(0, 6)) for _ in range(4)]
-        trace = [req for call in calls for req in call]
-        dones, ref_channels = reference_trace(trace, cfg)
-        start = 0
-        for call in calls:
-            assert system.drain(call) == max(dones[start:start + len(call)], default=0)
-            start += len(call)
-        assert _channel_counts(system) == [ch.counts for ch in ref_channels]
-        whole = DramSystem(cfg)
-        assert whole.drain(trace) == reference_run(trace, cfg)
-        assert stats(system) == stats(whole)
+        trace = _drain_in_calls(cfg, [_random_runs(rng, cfg, rng.randint(0, 6))
+                                      for _ in range(4)])
         shapes.update((type(r.addrs), len({split_range(a, r.run_bytes, cfg)[0][0]
                                              for a in r.addrs}) > 1) for r in trace)
     # Every container, and runs whose addresses lie on several channels.
     assert {shape for shape, _ in shapes} == {range, tuple, list}
     assert any(several for _, several in shapes)
+    # Strided ranges, split over several drains the same way.
+    cfg = strided_cfg(channels)
+    for _ in range(6):
+        _drain_in_calls(cfg, [_strided_runs(rng, cfg, rng.randint(0, 4)) for _ in range(4)])
+
+
+def _drain_in_calls(cfg, calls):
+    """Drain each list of `calls` in turn on one system, checking each
+    call's completion, the final channel counters and the stats against
+    the reference trace of their concatenation; returns that trace."""
+    system = DramSystem(cfg)
+    trace = [req for call in calls for req in call]
+    dones, ref_channels = reference_trace(trace, cfg)
+    start = 0
+    for call in calls:
+        assert system.drain(call) == max(dones[start:start + len(call)], default=0)
+        start += len(call)
+    assert _channel_counts(system) == [ch.counts for ch in ref_channels]
+    whole = DramSystem(cfg)
+    assert whole.drain(trace) == reference_run(trace, cfg)
+    assert stats(system) == stats(whole)
+    return trace
 
 
 def test_rejected_drain_changes_no_channel():

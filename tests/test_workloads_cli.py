@@ -14,7 +14,7 @@ import pytest
 from stacksim import orchestrator, workloads
 from stacksim.arch import ArchConfig, derived_metrics
 from stacksim.cli import main
-from stacksim.dramsim import Request
+from stacksim.dramsim import DramSystem, Request, stats
 from stacksim.kerneldsl.checker import TypecheckError, typecheck
 from stacksim.kerneldsl.trace import DramRead, DramWrite, expand
 from stacksim.orchestrator import CollectiveOp, ComputeOp, InterAccelOp, run
@@ -306,29 +306,17 @@ def test_paged_attention_benchmark_is_the_seeded_block_order():
     assert all(type(r) is Request for reqs in runs for r in reqs)
 
 
-@pytest.mark.parametrize("enabled", [True, False])
-def test_trace_builders_restore_the_collector_state(enabled):
-    # Builds and refused builds leave the collector as they found it.
+def test_trace_builders_build_or_refuse():
+    # Traces that fit are built; a tile over SRAM and a context the paged
+    # layout cannot cover are refused.
     layout = PagedKvLayout(blocks_per_core=8, slots_per_block=16)
-    builds = [
-        (None, lambda: gen_gemm_benchmark(CFG, M=16, K=64, N=64)),
-        (None, lambda: gen_paged_attention_benchmark(CFG, layout, context=64)),
-        (TypecheckError, lambda: gen_gemm_benchmark(
-            CFG, M=64, K=1048576, N=64, tiling={"tM": 64, "tN": 64, "tK": 1048576})),
-        (WorkloadError, lambda: gen_paged_attention_benchmark(CFG, layout, context=1000)),
-    ]
-    was_enabled = gc.isenabled()
-    (gc.enable if enabled else gc.disable)()
-    try:
-        for error, build in builds:
-            if error is None:
-                assert build()
-            else:
-                with pytest.raises(error):
-                    build()
-            assert gc.isenabled() is enabled
-    finally:
-        (gc.enable if was_enabled else gc.disable)()
+    assert gen_gemm_benchmark(CFG, M=16, K=64, N=64)
+    assert gen_paged_attention_benchmark(CFG, layout, context=64)
+    with pytest.raises(TypecheckError, match="SRAM over capacity"):
+        gen_gemm_benchmark(CFG, M=64, K=1048576, N=64,
+                           tiling={"tM": 64, "tN": 64, "tK": 1048576})
+    with pytest.raises(WorkloadError, match="cannot cover context 1000"):
+        gen_paged_attention_benchmark(CFG, layout, context=1000)
 
 
 def test_trace_builders_leave_nothing_for_the_cycle_collector():
@@ -364,6 +352,23 @@ def test_gemm_trace_holds_no_object_per_byte_run():
     reqs, held = _held_by(lambda: gen_gemm_benchmark(CFG, M=64, K=8192, N=8192))
     assert held < 2 << 20, held
     assert sum(r.bytes for r in reqs) == 168820736
+
+
+def test_draining_the_gemm_trace_holds_no_object_per_byte_run():
+    # The GEMM trace's requests are ranges at a step of whole interleave
+    # runs, each byte run one chunk: drain queues one range per same-row
+    # stretch of a channel's share. Queueing each byte run's address
+    # peaked at about 12.7 MB.
+    reqs = gen_gemm_benchmark(CFG, M=64, K=8192, N=8192)
+    system = DramSystem(CFG)
+    tracemalloc.start()
+    try:
+        system.drain(reqs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 << 20, peak
+    assert stats(system)["total_bytes"] == 168820736
 
 
 def test_paged_traces_hold_no_object_per_slot():

@@ -306,17 +306,32 @@ def test_paged_attention_benchmark_is_the_seeded_block_order():
     assert all(type(r) is Request for reqs in runs for r in reqs)
 
 
-def test_trace_builders_build_or_refuse():
+@pytest.mark.parametrize("enabled", [True, False])
+def test_trace_builders_restore_the_collector_state(enabled):
     # Traces that fit are built; a tile over SRAM and a context the paged
-    # layout cannot cover are refused.
+    # layout cannot cover are refused. No build pauses or resumes the
+    # collector.
     layout = PagedKvLayout(blocks_per_core=8, slots_per_block=16)
-    assert gen_gemm_benchmark(CFG, M=16, K=64, N=64)
-    assert gen_paged_attention_benchmark(CFG, layout, context=64)
-    with pytest.raises(TypecheckError, match="SRAM over capacity"):
-        gen_gemm_benchmark(CFG, M=64, K=1048576, N=64,
-                           tiling={"tM": 64, "tN": 64, "tK": 1048576})
-    with pytest.raises(WorkloadError, match="cannot cover context 1000"):
-        gen_paged_attention_benchmark(CFG, layout, context=1000)
+    builds = [
+        (None, lambda: gen_gemm_benchmark(CFG, M=16, K=64, N=64)),
+        (None, lambda: gen_paged_attention_benchmark(CFG, layout, context=64)),
+        ((TypecheckError, "SRAM over capacity"), lambda: gen_gemm_benchmark(
+            CFG, M=64, K=1048576, N=64, tiling={"tM": 64, "tN": 64, "tK": 1048576})),
+        ((WorkloadError, "cannot cover context 1000"),
+         lambda: gen_paged_attention_benchmark(CFG, layout, context=1000)),
+    ]
+    was_enabled = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        for refusal, build in builds:
+            if refusal is None:
+                assert build()
+            else:
+                with pytest.raises(refusal[0], match=refusal[1]):
+                    build()
+            assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
 
 
 def test_trace_builders_leave_nothing_for_the_cycle_collector():

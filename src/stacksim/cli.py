@@ -91,7 +91,8 @@ def cmd_tune(args) -> int:
     cfg = _load_config(args.config)
     prog = _load_kernel_arg(args.kernel)
     tiling, op, _ = autotune(prog, cfg, _parse_bindings(args.bind),
-                             lambda op: simulate_compute(op, cfg), limit=args.limit)
+                             lambda op, cutoff: simulate_compute(op, cfg, cutoff),
+                             limit=args.limit)
     print("best tiling: " + " ".join(f"{k}={v}" for k, v in sorted(tiling.items())))
     if args.out:
         _write_out(op.desc.serialize(), args.out)

@@ -136,13 +136,18 @@ def _work_latency(e, core) -> int:
     return vector_cost(e.kind, e.elems, e.dtype_bytes, core).latency_cycles
 
 
-def simulate_compute(op: ComputeOp, cfg: ArchConfig) -> OperatorResult:
+def simulate_compute(op: ComputeOp, cfg: ArchConfig,
+                     cutoff: int | None = None) -> OperatorResult | None:
     """Execute one pipelined kernel on a representative core.
 
     One walk over the events costs each iteration's compute and builds one
     DRAM request per read or write (`dram_request`). Work events
     of one shape cost the same, so each distinct shape is costed once per
     call. The work totals are the ones the operator was built with.
+
+    `now` never decreases from one iteration to the next, so once it passes
+    `cutoff` the operator's cycles would too: the call returns None there.
+    Otherwise it returns what the call without a cutoff returns.
     """
     core = cfg.core
     dram = DramSystem(cfg)
@@ -170,6 +175,8 @@ def simulate_compute(op: ComputeOp, cfg: ArchConfig) -> OperatorResult:
         if reqs:
             mem_done = dram.run(schedule_tile(reqs, cfg))
         now = max(mem_done, now + compute_cycles)
+        if cutoff is not None and now > cutoff:
+            return None
     cycles = now
     m_flops, v_elems, dram_bytes = op.desc.totals
     bound = _roofline(m_flops, dram_bytes, cfg)

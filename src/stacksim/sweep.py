@@ -122,7 +122,8 @@ def evaluate_point(cfg: ArchConfig) -> dict:
     """Regulate, autotune the probe GEMM, simulate; one result record.
 
     The winner's record is the one its autotune evaluation produced: each
-    candidate is simulated once.
+    candidate is simulated once, until it passes the fewest cycles so far
+    (`autotune`'s cutoff).
     """
     problems = validate(cfg)
     if problems:
@@ -133,7 +134,7 @@ def evaluate_point(cfg: ArchConfig) -> dict:
     try:
         tiling, _, res = autotune(
             load_kernel("matmul"), cfg, dict(PROBE_SHAPE),
-            lambda op: simulate_compute(op, cfg))
+            lambda op, cutoff: simulate_compute(op, cfg, cutoff))
     except TilerError as e:
         return {"status": f"no-tiling: {e}",
                 "frequency_ghz": reg.frequency_ghz,

@@ -7,7 +7,11 @@ the operator's work totals) and places its DRAM tensors
 (`infer_placement`). `typecheck` alone decides whether the invocation fits
 the core; pipelining can refuse only a trace over `MAX_TRACE_EVENTS`.
 `autotune` builds one operator per tiling candidate and keeps the one with
-the fewest simulated cycles.
+the fewest simulated cycles. Once one candidate has completed, each later
+one is simulated only until its running cycle count passes the best so far
+(a branch-and-bound cutoff, Land and Doig 1960): simulated time never goes
+back, so a candidate past that count cannot win. One that only ties it runs
+to its end, because ties break toward the smallest tiling, not the first.
 
 Execution generation turns the flat kernel trace into a double-buffered
 software pipeline: iteration i issues DRAM loads for tile i together with
@@ -19,6 +23,7 @@ whole logical rows (`checker.padded_bytes`).
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import yaml
@@ -129,7 +134,9 @@ def build_op(name: str, prog: KernelProgram, cfg: ArchConfig,
 
 
 def _candidate_values(extent: int) -> list[int]:
-    divisors = {d for d in range(1, extent + 1) if extent % d == 0}
+    # Divisors come in pairs (d, extent // d) with d <= isqrt(extent).
+    small = [d for d in range(1, math.isqrt(extent) + 1) if extent % d == 0]
+    divisors = {*small, *(extent // d for d in small)}
     pows = set()
     p = 1
     while p <= extent:
@@ -169,14 +176,20 @@ def autotune(prog: KernelProgram, cfg: ArchConfig, bindings: dict[str, int],
              simulate, limit: int = 256):
     """Pick the tiling with the fewest simulated cycles.
 
-    `simulate(op)` is the cycle-level evaluation callback and returns a
-    result with `.cycles`. A candidate that `build_op` refuses is skipped:
-    `typecheck` finds it does not fit the core, or its trace would exceed
-    `MAX_TRACE_EVENTS` (refused before any event is built). If every candidate is refused,
-    the `TilerError` carries the last refusal's reason. Ties break toward the
-    lexicographically smallest tiling; the result equals sequential
-    exhaustive evaluation regardless of callback evaluation order. Returns
-    the winner's (tiling, op, result).
+    `simulate(op, cutoff)` is the cycle-level evaluation callback. It
+    returns a result with `.cycles`, or None when it finds the candidate's
+    cycles exceed `cutoff`: that candidate lost. `cutoff` is None until a
+    candidate has completed, then the fewest cycles so far. Ties break
+    toward the lexicographically smallest tiling, which is usually a later,
+    finer candidate, so a candidate that ties the best must run to its end:
+    the callback may stop only one strictly over `cutoff`. The winner, its
+    op and its result are then those of exhaustive, unbounded evaluation.
+
+    A candidate that `build_op` refuses is skipped: `typecheck` finds it
+    does not fit the core, or its trace would exceed `MAX_TRACE_EVENTS`
+    (refused before any event is built). If every candidate is refused, the
+    `TilerError` carries the last refusal's reason. Returns the winner's
+    (tiling, op, result).
     """
     best = refusal = None
     for tiling in tiling_candidates(prog, bindings, limit):
@@ -185,7 +198,9 @@ def autotune(prog: KernelProgram, cfg: ArchConfig, bindings: dict[str, int],
         except (TypecheckError, ExpandError) as e:
             refusal = e
             continue
-        result = simulate(op)
+        result = simulate(op, None if best is None else best[0][0])
+        if result is None:
+            continue
         key = (result.cycles, tuple(sorted(tiling.items())))
         if best is None or key < best[0]:
             best = (key, tiling, op, result)

@@ -297,9 +297,11 @@ def test_c10_autotune_finds_enumerated_optimum():
     prog = load_kernel("matmul")
     bindings = {"M": 8, "K": 8, "N": 8}
 
-    def sim(op):
-        return simulate_compute(op, cfg)
+    def sim(op, cutoff=None):
+        return simulate_compute(op, cfg, cutoff)
 
+    # autotune stops losing candidates at its cutoff; the enumeration below
+    # simulates every candidate in full.
     tiling, _, _ = autotune(prog, cfg, bindings, sim)
     best = None
     evaluated = 0

@@ -250,25 +250,43 @@ def test_run_rejects_unknown_operator():
 
 def _assert_matches_reference(op, cfg):
     res = simulate_compute(op, cfg)
-    assert res == reference_simulate_compute(op, cfg), (op.name, op.checked.bindings)
+    where = (op.name, op.checked.bindings)
+    assert res == reference_simulate_compute(op, cfg), where
+    # A cutoff stops exactly the runs whose cycles exceed it and changes
+    # nothing in the others.
+    for cutoff in (res.cycles - 1, res.cycles, res.cycles + 1):
+        bounded = simulate_compute(op, cfg, cutoff)
+        if res.cycles > cutoff:
+            assert bounded is None, (where, cutoff)
+        else:
+            assert bounded == res, (where, cutoff)
     return res
 
 
 def test_simulate_compute_matches_the_reference_on_the_sweep(monkeypatch):
     # Every probe tiling the bandwidth_alloc sweep simulates, at the
-    # regulated clock of each of its four configs.
+    # regulated clock of each of its four configs, with and without the
+    # cutoff autotune gave it.
     from stacksim import sweep as sweep_mod
-    simulated = []
+    simulated, stopped = [], []
 
-    def checked(op, cfg):
+    def checked(op, cfg, cutoff):
         simulated.append(cfg.channel.io_pins)
-        return _assert_matches_reference(op, cfg)
+        res = _assert_matches_reference(op, cfg)
+        bounded = simulate_compute(op, cfg, cutoff)
+        if bounded is None:
+            assert res.cycles > cutoff, (op.checked.bindings, cutoff)
+            stopped.append(cutoff)
+        else:
+            assert bounded == res, (op.checked.bindings, cutoff)
+        return bounded
 
     monkeypatch.setattr(sweep_mod, "simulate_compute", checked)
     grid = [512, 1024, 2048, 4096]
     rows = sweep_mod.sweep("bandwidth_alloc", grid, CFG)
     assert [r["status"] for r in rows] == ["ok"] * 4
     assert sorted(set(simulated)) == grid and len(simulated) == 4 * 36
+    assert stopped  # the cutoff stopped some losing tiling
     assert len({r["frequency_ghz"] for r in rows}) > 1  # some clock was lowered
 
 

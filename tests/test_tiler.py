@@ -11,8 +11,8 @@ from stacksim.kerneldsl import (
 )
 from stacksim.kerneldsl.trace import strides_elems
 from stacksim.tiler import (
-    TilerError, autotune, build_op, generate_execution, infer_placement,
-    tiling_candidates,
+    TilerError, _candidate_values, autotune, build_op, generate_execution,
+    infer_placement, tiling_candidates,
 )
 from stacksim.workloads import load_kernel
 
@@ -198,10 +198,11 @@ def test_autotune_matches_exhaustive_min():
     prog = load_kernel("matmul")
     bindings = dict(M=8, K=8, N=8)
 
-    def simulate(op):
+    def simulate(op, cutoff=None):
         # Deterministic stand-in latency: total events plus iteration count.
         its = op.desc.iterations
-        return SimpleNamespace(cycles=sum(len(it) for it in its) * 100 + len(its))
+        cycles = sum(len(it) for it in its) * 100 + len(its)
+        return None if cutoff is not None and cycles > cutoff else SimpleNamespace(cycles=cycles)
 
     tiling, op, result = autotune(prog, CFG, bindings, simulate)
     best = None
@@ -218,12 +219,76 @@ def test_autotune_matches_exhaustive_min():
     assert result.cycles == best[0][0]
 
 
+def test_autotune_lets_a_later_candidate_that_ties_the_best_win():
+    # Candidates go from coarse to fine and ties break toward the smallest
+    # tiling, so the finest candidate, tying the first, must run to its end.
+    prog = load_kernel("matmul")
+    bindings = dict(M=8, K=8, N=8, tM=8)
+    order = [(c["tN"], c["tK"]) for c in tiling_candidates(prog, bindings)]
+    cutoffs = []
+
+    def simulate(op, cutoff):
+        cutoffs.append(cutoff)
+        b = op.checked.bindings
+        cycles = 10 if (b["tN"], b["tK"]) in (order[0], order[-1]) else 20
+        return None if cutoff is not None and cycles > cutoff else SimpleNamespace(cycles=cycles)
+
+    tiling, op, result = autotune(prog, CFG, bindings, simulate)
+    assert (tiling["tN"], tiling["tK"]) == order[-1] == (1, 1)
+    assert op.checked.bindings == dict(bindings, **tiling) and result.cycles == 10
+    assert cutoffs == [None] + [10] * (len(order) - 1)
+
+
+def test_autotune_with_cutoffs_picks_what_exhaustive_evaluation_picks(monkeypatch):
+    # The real cutoff on the four regulated configs of the bandwidth_alloc
+    # sweep and on matmul_rowblock: the same winner, op and result as
+    # simulating every candidate in full.
+    from stacksim import sweep as sweep_mod, tiler
+    from stacksim.kerneldsl.trace import ExpandError
+    from stacksim.orchestrator import simulate_compute
+    tuned = []
+
+    def recording(prog, cfg, bindings, simulate, limit=256):
+        out = tiler.autotune(prog, cfg, bindings, simulate, limit)
+        tuned.append((prog, cfg, bindings, out))
+        return out
+
+    monkeypatch.setattr(sweep_mod, "autotune", recording)
+    assert len(sweep_mod.sweep("bandwidth_alloc", [512, 1024, 2048, 4096], CFG)) == 4
+    rowblock = load_kernel("matmul_rowblock")
+    bindings = dict(M=2, K=32, N=32)
+    recording(rowblock, CFG, bindings, lambda op, cutoff: simulate_compute(op, CFG, cutoff))
+    assert len(tuned) == 5
+    for prog, cfg, bindings, (tiling, op, result) in tuned:
+        best = None
+        for cand in tiling_candidates(prog, bindings):
+            try:
+                full = build_op(prog.name, prog, cfg, dict(bindings, **cand))
+            except (TypecheckError, ExpandError):
+                continue
+            res = simulate_compute(full, cfg)
+            key = (res.cycles, tuple(sorted(cand.items())))
+            if best is None or key < best[0]:
+                best = (key, cand, full, res)
+        assert tiling == best[1], (prog.name, cfg.channel.io_pins)
+        assert op.desc.serialize() == best[2].desc.serialize()
+        assert result == best[3]
+
+
+def test_candidate_values_are_the_divisors_and_powers_of_two():
+    for extent in range(1, 1025):
+        brute = {d for d in range(1, extent + 1) if extent % d == 0}
+        brute |= {1 << p for p in range(extent.bit_length())}
+        assert _candidate_values(extent) == sorted(brute, reverse=True), extent
+
+
 def test_autotune_raises_when_nothing_fits():
     prog = load_kernel("matmul")
     tiny = dataclasses.replace(
         CFG, core=dataclasses.replace(CFG.core, sram_bytes=4))
     with pytest.raises(TilerError, match="no feasible tiling"):
-        autotune(prog, tiny, dict(M=64, K=64, N=64), lambda op: SimpleNamespace(cycles=0))
+        autotune(prog, tiny, dict(M=64, K=64, N=64),
+                 lambda op, cutoff: SimpleNamespace(cycles=0))
 
 
 def test_autotune_skips_tilings_over_the_trace_limit(monkeypatch):
@@ -232,7 +297,7 @@ def test_autotune_skips_tilings_over_the_trace_limit(monkeypatch):
     bindings = dict(M=8, K=8, N=8, tM=8)
     sizes = {}
 
-    def simulate(op):
+    def simulate(op, cutoff):
         checked = op.checked
         sizes[(checked.bindings["tN"], checked.bindings["tK"])] = checked.events
         return SimpleNamespace(cycles=1000 // checked.events)  # finer tiles would win

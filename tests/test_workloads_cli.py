@@ -540,9 +540,9 @@ def test_sweep_simulates_each_candidate_once(monkeypatch):
     simulated, candidates = [], []
     real_simulate, real_candidates = sweep_mod.simulate_compute, tiler.tiling_candidates
 
-    def simulate(op, cfg):
+    def simulate(op, cfg, cutoff):
         simulated.append(op)
-        return real_simulate(op, cfg)
+        return real_simulate(op, cfg, cutoff)
 
     def tiling_candidates(*args):
         out = real_candidates(*args)
@@ -554,6 +554,23 @@ def test_sweep_simulates_each_candidate_once(monkeypatch):
     rows = sweep("bandwidth_alloc", [512, 1024], ArchConfig())
     assert all(r["status"] in ("ok", "thermal-infeasible") for r in rows)
     assert candidates and len(simulated) == len(candidates)
+
+
+def test_sweep_stops_losing_candidates_early(monkeypatch):
+    # Each losing probe tiling stops once it passes the best one's cycles,
+    # so the sweep drains far fewer tiles than simulating all 4 x 36
+    # candidates in full (16040 drains).
+    drains = []
+    real_drain = DramSystem.drain
+
+    def drain(self, requests):
+        drains.append(1)
+        return real_drain(self, requests)
+
+    monkeypatch.setattr(DramSystem, "drain", drain)
+    rows = sweep("bandwidth_alloc", [512, 1024, 2048, 4096], ArchConfig())
+    assert [r["status"] for r in rows] == ["ok"] * 4
+    assert len(drains) < 1000
 
 
 def test_cli_dump_ast(tmp_path, capsys):
@@ -679,6 +696,16 @@ def test_cli_sweep_simulates_a_fractional_ratio(tmp_path):
     assert main(["sweep", "matrix_vector_ratio", "1.5", "--out", str(out)]) == 0
     rows = list(csv.DictReader(io.StringIO(out.read_text())))
     assert [(r["value"], r["status"]) for r in rows] == [("1.5", "ok")]
+
+
+def test_cli_tune_refuses_a_huge_extent_without_hanging(capsys):
+    # 10**12 has 169 divisors: found by pairs up to its square root, not by
+    # trial division up to the extent.
+    assert main(["tune", "--kernel", "matmul", "--bind", "M=1000000000000",
+                 "K=8", "N=8"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: no feasible tiling: ")
+    assert "best tiling" not in captured.out
 
 
 def test_cli_tune_rejects_a_zero_extent(capsys):

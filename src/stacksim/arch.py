@@ -121,6 +121,11 @@ class EnergySpec:
 
 @dataclass(frozen=True)
 class LayerSpec:
+    """One layer of the thermal stack, listed bottom first. A power layer's
+    name decides its role (`thermal.power_map`): compute power is split
+    evenly over the power layers whose name starts with `logic`, and DRAM
+    power over the other power layers. With no power layer of a role,
+    layer 0 takes the compute share and the top layer the DRAM share."""
     name: str
     thickness_m: float = field(metadata={"units": {"um": 1e-6}})
     conductivity_w_mk: float

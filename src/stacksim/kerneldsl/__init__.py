@@ -7,6 +7,5 @@ from .ast import (  # noqa: F401
 from .parser import KernelSyntaxError, parse_kernel, ast_to_json  # noqa: F401
 from .checker import CheckedProgram, TypecheckError, typecheck  # noqa: F401
 from .trace import (  # noqa: F401
-    DramRead, DramWrite, MatrixWork, OpTrace, VectorWork, event_totals,
-    expand,
+    DramAccess, MatrixWork, OpTrace, VectorWork, event_totals, expand,
 )

@@ -5,6 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import prod
 from operator import add, floordiv, itemgetter, mod, mul, sub
+from typing import NamedTuple
 
 from .ast import (
     AllocDecl, BinOp, Copy, Expr, ForLoop, Gemm, Num, Stmt, TensorDecl,
@@ -24,32 +25,25 @@ class ExpandError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class DramRead:
-    """A tile load: `run_bytes` contiguous bytes at each of `offsets`, byte
-    offsets within the tensor in increasing order (`_byte_runs`), so
-    `bytes == len(offsets) * run_bytes`."""
+class DramAccess(NamedTuple):
+    """A tile load (`kind` "R", into SRAM tile `buffer`) or store ("W",
+    from `buffer`): `run_bytes` contiguous bytes at each of `offsets`, byte
+    offsets within `tensor` in increasing order (`_byte_runs`). One type
+    with a `kind`, as `dramsim.Request` is: trace events compare as tuples,
+    so two types with equal fields would not tell a load from a store."""
+    kind: str  # "R" or "W"
     tensor: str
     slices: tuple[tuple[int, int], ...]  # (lo, hi) per dimension
     offsets: range | tuple[int, ...]
     run_bytes: int
-    bytes: int
-    buffer: str  # destination SRAM tile
+    buffer: str
+
+    @property
+    def bytes(self) -> int:
+        return len(self.offsets) * self.run_bytes
 
 
-@dataclass(frozen=True)
-class DramWrite:
-    """A tile store, with the byte runs of `DramRead`."""
-    tensor: str
-    slices: tuple[tuple[int, int], ...]
-    offsets: range | tuple[int, ...]
-    run_bytes: int
-    bytes: int
-    buffer: str  # source SRAM tile
-
-
-@dataclass(frozen=True)
-class MatrixWork:
+class MatrixWork(NamedTuple):
     m: int
     n: int
     k: int
@@ -58,15 +52,16 @@ class MatrixWork:
     buffers: tuple[str, ...]  # (a, b, out)
 
 
-@dataclass(frozen=True)
-class VectorWork:
-    kind: str
+class VectorWork(NamedTuple):
+    kind: str  # the op, e.g. "exp" or "copy"
     elems: int
     dtype_bytes: int
     buffers: tuple[str, ...]
 
 
-Event = DramRead | DramWrite | MatrixWork | VectorWork
+# A work event's last field is its buffers; the fields before it are all
+# that its cost depends on (`orchestrator.simulate_compute`).
+Event = DramAccess | MatrixWork | VectorWork
 
 
 @dataclass
@@ -82,7 +77,7 @@ def event_totals(events) -> tuple[int, int, int]:
             m_flops += 2 * e.m * e.n * e.k
         elif isinstance(e, VectorWork):
             v_elems += e.elems
-        elif isinstance(e, (DramRead, DramWrite)):
+        else:
             dram_bytes += e.bytes
     return m_flops, v_elems, dram_bytes
 
@@ -272,17 +267,16 @@ def _compile_stmt(stmt: Stmt, checked: CheckedProgram, loop_vars: frozenset):
         src_i = symbols[stmt.src.name]
         dst_i = symbols[stmt.dst.name]
         if src_i.kind == "tensor" and dst_i.kind == "alloc":
-            cls, info, ref, buffer = DramRead, src_i, stmt.src, dst_i.name
+            kind, info, ref, buffer = "R", src_i, stmt.src, dst_i.name
         elif src_i.kind == "alloc" and dst_i.kind == "tensor":
-            cls, info, ref, buffer = DramWrite, dst_i, stmt.dst, src_i.name
+            kind, info, ref, buffer = "W", dst_i, stmt.dst, src_i.name
         else:  # SRAM-to-SRAM buffer copy
             names = (src_i.name, dst_i.name)
             return _leaf([slices(stmt.src)], lambda s: VectorWork(
                 "copy", _tile_elems(s), src_i.dtype_bytes, names))
         layout = _run_layout(info)
-        dt = info.dtype_bytes
-        return _leaf([slices(ref)], lambda s: cls(
-            info.name, s, *_byte_runs(layout, s), _tile_elems(s) * dt, buffer))
+        return _leaf([slices(ref)], lambda s: DramAccess(
+            kind, info.name, s, *_byte_runs(layout, s), buffer))
     if isinstance(stmt, Gemm):
         names = (stmt.a.name, stmt.b.name, stmt.out.name)
         dt = symbols[stmt.a.name].dtype_bytes

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 from .arch import ArchConfig, matrix_flops_per_cycle, peak_dram_bytes_per_cycle
 from .dramsim import DramSystem, Request, schedule_tile, stats as dram_stats
 from .kerneldsl.checker import CheckedProgram
-from .kerneldsl.trace import DramRead, DramWrite, MatrixWork
+from .kerneldsl.trace import DramAccess, MatrixWork
 from .logicsim import matrix_cost, vector_cost
 from .nocsim import run_plan
 from .partition import CommPlan, CoreArray
@@ -113,10 +113,7 @@ def roofline_cycles(checked: CheckedProgram, desc: ExecutionDescription) -> int:
     return _roofline(m_flops, dram_bytes, checked.cfg)
 
 
-_DRAM_KINDS = {DramRead: "R", DramWrite: "W"}
-
-
-def dram_request(e: DramRead | DramWrite, base: int, ready: int) -> Request:
+def dram_request(e: DramAccess, base: int, ready: int) -> Request:
     """The request of DRAM event `e` on a tensor at `base`, issued at cycle
     `ready`: the event's byte runs, shifted to `base`, as a `range` where
     its offsets are one (every 2-D tile) and a tuple past that."""
@@ -125,7 +122,7 @@ def dram_request(e: DramRead | DramWrite, base: int, ready: int) -> Request:
         addrs = range(offsets.start + base, offsets.stop + base, offsets.step)
     else:
         addrs = tuple([base + offset for offset in offsets])
-    return Request(ready, _DRAM_KINDS[type(e)], addrs, e.run_bytes)
+    return Request(ready, e.kind, addrs, e.run_bytes)
 
 
 def _work_latency(e, core) -> int:
@@ -152,21 +149,18 @@ def simulate_compute(op: ComputeOp, cfg: ArchConfig,
     core = cfg.core
     dram = DramSystem(cfg)
     bases = op.bases
-    # Work shape -> latency. A matrix key has five fields and a vector key
-    # three, so the two kinds never share a key.
+    # Work event without its buffers -> latency. A matrix key has five
+    # fields and a vector key three, so the two kinds never share a key.
     costs: dict = {}
     now = 0
     for it in op.desc.iterations:
         compute_cycles = 0
         reqs = []
         for e in it:
-            if type(e) in _DRAM_KINDS:
+            if type(e) is DramAccess:
                 reqs.append(dram_request(e, bases[e.tensor], now))
                 continue
-            if isinstance(e, MatrixWork):
-                key = (e.m, e.n, e.k, e.dtype_bytes, e.accumulate)
-            else:
-                key = (e.kind, e.elems, e.dtype_bytes)
+            key = e[:-1]
             cost = costs.get(key)
             if cost is None:
                 costs[key] = cost = _work_latency(e, core)

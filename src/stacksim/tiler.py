@@ -32,7 +32,7 @@ from .arch import ArchConfig
 from .kerneldsl.ast import KernelProgram
 from .kerneldsl.checker import CheckedProgram, TypecheckError, padded_bytes, typecheck
 from .kerneldsl.trace import (
-    DramRead, DramWrite, ExpandError, MatrixWork, VectorWork, event_totals, expand,
+    DramAccess, ExpandError, MatrixWork, event_totals, expand,
 )
 
 
@@ -68,21 +68,13 @@ class ExecutionDescription:
             sort_keys=False)
 
 
-_EVENT_NAMES = {
-    DramRead: "dram_read", DramWrite: "dram_write", MatrixWork: "matrix",
-    VectorWork: "vector",
-}
-
-
 def _event_to_dict(e) -> dict:
-    d = {"item": _EVENT_NAMES[type(e)]}
-    if isinstance(e, (DramRead, DramWrite)):
-        d.update(tensor=e.tensor, bytes=e.bytes, buffer=e.buffer,
-                 ranges=[[off, e.run_bytes] for off in e.offsets])
-    elif isinstance(e, MatrixWork):
-        d.update(m=e.m, n=e.n, k=e.k, dtype_bytes=e.dtype_bytes, accumulate=e.accumulate)
-    else:
-        d.update(kind=e.kind, elems=e.elems, dtype_bytes=e.dtype_bytes)
+    if type(e) is DramAccess:
+        return {"item": "dram_read" if e.kind == "R" else "dram_write",
+                "tensor": e.tensor, "bytes": e.bytes, "buffer": e.buffer,
+                "ranges": [[off, e.run_bytes] for off in e.offsets]}
+    d = {"item": "matrix" if type(e) is MatrixWork else "vector", **e._asdict()}
+    del d["buffers"]
     return d
 
 
@@ -101,7 +93,8 @@ def generate_execution(checked: CheckedProgram) -> ExecutionDescription:
     step = -1
     loading = False  # the current step holds only loads so far
     for e in events:
-        if isinstance(e, DramRead):
+        dram = type(e) is DramAccess
+        if dram and e.kind == "R":
             if not loading:
                 step += 1
                 loading = True
@@ -109,7 +102,7 @@ def generate_execution(checked: CheckedProgram) -> ExecutionDescription:
         else:
             step = max(step, 0)
             loading = False
-            slot = step + (2 if isinstance(e, DramWrite) else 1)
+            slot = step + (2 if dram else 1)  # a store, or compute
         while len(iterations) <= slot:
             iterations.append([])
         iterations[slot].append(e)

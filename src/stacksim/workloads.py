@@ -16,7 +16,7 @@ from .dramsim import DramSystem, Request, stats as dram_stats
 from .kerneldsl.ast import DTYPE_BYTES, KernelProgram
 from .kerneldsl.checker import TypecheckError, typecheck
 from .kerneldsl.parser import parse_kernel
-from .kerneldsl.trace import DramRead, DramWrite, expand
+from .kerneldsl.trace import DramAccess, expand
 from .orchestrator import CollectiveOp, InterAccelOp, dram_request
 from .partition import CoreArray, build_collective
 from .tiler import ComputeOp, build_op, infer_placement
@@ -281,7 +281,7 @@ def gen_gemm_benchmark(cfg: ArchConfig, M: int = 64, K: int = 8192, N: int = 819
     checked = typecheck(prog, cfg, bindings)
     bases = infer_placement(checked, cfg)
     return [dram_request(e, bases[e.tensor], 0) for e in expand(checked).events
-            if isinstance(e, (DramRead, DramWrite))]
+            if type(e) is DramAccess]
 
 
 def gen_paged_attention_benchmark(cfg: ArchConfig, layout: PagedKvLayout,

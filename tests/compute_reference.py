@@ -17,7 +17,7 @@ from itertools import chain
 from stacksim.arch import ArchConfig
 from stacksim.dramsim import DramSystem, schedule_tile, stats as dram_stats
 from stacksim.kerneldsl.trace import (
-    DramRead, DramWrite, MatrixWork, VectorWork, event_totals,
+    DramAccess, MatrixWork, VectorWork, event_totals,
 )
 from stacksim.logicsim import matrix_cost, vector_cost
 from stacksim.orchestrator import ComputeOp, OperatorResult, _roofline, dram_request
@@ -39,7 +39,7 @@ def reference_simulate_compute(op: ComputeOp, cfg: ArchConfig) -> OperatorResult
                 compute_cycles += cost.latency_cycles
         mem_done = now
         reqs = [dram_request(e, op.bases[e.tensor], now)
-                for e in it if isinstance(e, (DramRead, DramWrite))]
+                for e in it if type(e) is DramAccess]
         if reqs:
             mem_done = dram.run(schedule_tile(reqs, cfg))
         now = max(mem_done, now + compute_cycles)

@@ -3,7 +3,9 @@
 The tree walker `expand` used before it compiled loop nests: every trip of
 every loop copies the environment, and every slice bound is evaluated by
 walking its expression tree. Only the byte-run routine (`byte_runs`
-below) and the event types are shared with production code. Intended for
+below) and the event types are shared with production code; each DRAM
+event's byte runs are checked against its tile's elements times the
+dtype's bytes, counted here. Intended for
 small traces, such as the shipped kernels at the tilings `shipped_bindings`
 lists.
 """
@@ -17,7 +19,7 @@ from stacksim.kerneldsl.ast import (
 )
 from stacksim.kerneldsl.checker import CheckedProgram, SymbolInfo
 from stacksim.kerneldsl.trace import (
-    DramRead, DramWrite, ExpandError, MatrixWork, VectorWork, _byte_runs, _run_layout,
+    DramAccess, ExpandError, MatrixWork, VectorWork, _byte_runs, _run_layout,
 )
 
 
@@ -46,6 +48,17 @@ def _tile_elems(slices) -> int:
     return prod(hi - lo for lo, hi in slices)
 
 
+def _dram_access(kind: str, info: SymbolInfo, slices, buffer: str) -> DramAccess:
+    """The DRAM event of one tile of `info`, after checking that its byte
+    runs hold exactly the tile's bytes."""
+    offsets, run_bytes = byte_runs(info, slices)
+    tile_bytes = _tile_elems(slices) * info.dtype_bytes
+    if len(offsets) * run_bytes != tile_bytes:
+        raise AssertionError(f"{info.name}{list(slices)}: byte runs hold "
+                             f"{len(offsets) * run_bytes} bytes, the tile {tile_bytes}")
+    return DramAccess(kind, info.name, slices, offsets, run_bytes, buffer)
+
+
 def _walk(stmts: tuple[Stmt, ...], env: dict, symbols: dict, events: list) -> None:
     """Append the events of `stmts` under `env` to `events`, in program order."""
     for stmt in stmts:
@@ -56,14 +69,10 @@ def _walk(stmts: tuple[Stmt, ...], env: dict, symbols: dict, events: list) -> No
             dst_i = symbols[stmt.dst.name]
             if src_i.kind == "tensor" and dst_i.kind == "alloc":
                 slices = _resolve_slices(stmt.src, src_i, env)
-                events.append(DramRead(
-                    src_i.name, slices, *byte_runs(src_i, slices),
-                    _tile_elems(slices) * src_i.dtype_bytes, dst_i.name))
+                events.append(_dram_access("R", src_i, slices, dst_i.name))
             elif src_i.kind == "alloc" and dst_i.kind == "tensor":
                 slices = _resolve_slices(stmt.dst, dst_i, env)
-                events.append(DramWrite(
-                    dst_i.name, slices, *byte_runs(dst_i, slices),
-                    _tile_elems(slices) * dst_i.dtype_bytes, src_i.name))
+                events.append(_dram_access("W", dst_i, slices, src_i.name))
             else:  # SRAM-to-SRAM buffer copy
                 slices = _resolve_slices(stmt.src, src_i, env)
                 events.append(VectorWork(

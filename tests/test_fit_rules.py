@@ -3,7 +3,7 @@
 It is checked here against the rules it replaced, kept as references:
 
 - the trace-derived SRAM need: every alloc, plus one more copy of each
-  buffer that a `DramRead` among `expand`'s events fills (the load in flight
+  buffer that a `DramAccess` load among `expand`'s events fills (the load in flight
   while the pipeline computes on the first copy);
 - the padded placement: the tensors, each rounded up to whole logical rows,
   packed one after another, end within the core's DRAM.
@@ -19,7 +19,7 @@ import pytest
 
 from stacksim import workloads
 from stacksim.arch import ArchConfig, load_arch
-from stacksim.kerneldsl import DramRead, TypecheckError, expand, typecheck
+from stacksim.kerneldsl import DramAccess, TypecheckError, expand, typecheck
 from stacksim.tiler import ComputeOp
 from stacksim.workloads import (
     DecodingScenario, WorkloadError, build_decoding_graph, load_kernel, load_model,
@@ -56,7 +56,8 @@ def _roomy(cfg: ArchConfig) -> ArchConfig:
 
 def reference_sram_need(checked) -> int:
     symbols = checked.symbols
-    loaded = {e.buffer for e in expand(checked).events if isinstance(e, DramRead)}
+    loaded = {e.buffer for e in expand(checked).events
+              if type(e) is DramAccess and e.kind == "R"}
     return sum(s.size_bytes for s in symbols.values() if s.kind == "alloc") \
         + sum(symbols[b].size_bytes for b in loaded)
 

@@ -4,13 +4,14 @@ import random
 import tracemalloc
 import warnings
 from importlib import resources
+from math import prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from stacksim.arch import ArchConfig
 from stacksim.kerneldsl import (
-    AllocDecl, BinOp, DramRead, DramWrite, ForLoop, Gemm, KernelProgram,
+    AllocDecl, BinOp, DramAccess, ForLoop, Gemm, KernelProgram,
     KernelSyntaxError, MatrixWork, Num, TensorDecl, TypecheckError, Var,
     VectorWork, ast_to_json, event_totals, expand, parse_kernel, typecheck,
 )
@@ -170,8 +171,13 @@ def test_mutated_kernels_fail_only_with_kernel_syntax_errors(text):
     assert not caught, [str(w.message) for w in caught]
 
 
-def dram_bytes(events, cls):
-    return event_totals(e for e in events if isinstance(e, cls))[2]
+def is_dram(e, kind: str) -> bool:
+    """Whether `e` is a DRAM load ("R") or store ("W")."""
+    return type(e) is DramAccess and e.kind == kind
+
+
+def dram_bytes(events, kind: str):
+    return event_totals(e for e in events if is_dram(e, kind))[2]
 
 
 def test_typecheck_shape_mismatch():
@@ -213,10 +219,10 @@ def test_matmul_unit_tile_trace_counts():
     prog = load_kernel("matmul")
     checked = typecheck(prog, CFG, dict(M=2, K=2, N=2, tM=1, tN=1, tK=1))
     trace = expand(checked)
-    kinds = [type(e) for e in trace.events]
-    assert kinds.count(DramRead) == 16
+    kinds = [e.kind if type(e) is DramAccess else type(e) for e in trace.events]
+    assert kinds.count("R") == 16
     assert kinds.count(MatrixWork) == 8
-    assert kinds.count(DramWrite) == 4
+    assert kinds.count("W") == 4
     assert event_totals(trace.events)[0] == 2 * 2 * 2 * 2
 
 
@@ -229,17 +235,17 @@ def test_trace_byte_ranges_follow_layout():
     prog = load_kernel("matmul")
     checked = typecheck(prog, CFG, dict(M=8, K=8, N=8, tM=4, tN=4, tK=4))
     trace = expand(checked)
-    first_a = next(e for e in trace.events if isinstance(e, DramRead) and e.tensor == "A")
+    first_a = next(e for e in trace.events if is_dram(e, "R") and e.tensor == "A")
     # A is row-major (8, 8) fp16: a (4, 4) corner tile is 4 runs of 8 bytes.
     assert _runs(first_a) == ((0, 8), (16, 8), (32, 8), (48, 8))
     assert first_a.offsets == range(0, 64, 16)
-    first_b = next(e for e in trace.events if isinstance(e, DramRead) and e.tensor == "B")
+    first_b = next(e for e in trace.events if is_dram(e, "R") and e.tensor == "B")
     # B is col-major: a (4, 4) corner tile is 4 column runs of 8 bytes.
     assert _runs(first_b) == ((0, 8), (16, 8), (32, 8), (48, 8))
     assert first_b.offsets == range(0, 64, 16)
     full_row_tile = next(
         e for e in trace.events
-        if isinstance(e, DramRead) and e.tensor == "A" and e.slices[1] == (4, 8))
+        if is_dram(e, "R") and e.tensor == "A" and e.slices[1] == (4, 8))
     assert full_row_tile.offsets[0] == 8  # offset past the first 4 elements
 
 
@@ -364,7 +370,7 @@ def test_full_width_tile_merges_to_one_run():
     prog = load_kernel("matmul")
     checked = typecheck(prog, CFG, dict(M=8, K=8, N=8, tM=4, tN=8, tK=8))
     trace = expand(checked)
-    first_a = next(e for e in trace.events if isinstance(e, DramRead) and e.tensor == "A")
+    first_a = next(e for e in trace.events if is_dram(e, "R") and e.tensor == "A")
     assert _runs(first_a) == ((0, 4 * 8 * 2),)  # 4 full rows, contiguous
     assert first_a.offsets == range(1)
 
@@ -390,13 +396,29 @@ def test_dram_events_are_increasing_runs_of_one_length(name):
     for bind in shipped_bindings(name):
         checked = typecheck(prog, CFG, bind)
         for e in expand(checked).events:
-            if not isinstance(e, (DramRead, DramWrite)):
+            if type(e) is not DramAccess:
                 continue
             offsets = list(e.offsets)
             assert offsets == sorted(set(offsets)), (bind, e)
-            assert e.bytes == len(e.offsets) * e.run_bytes, (bind, e)
+            tile_elems = prod(hi - lo for lo, hi in e.slices)
+            assert e.bytes == tile_elems * checked.symbols[e.tensor].dtype_bytes, (bind, e)
             if len(checked.symbols[e.tensor].shape) == 2:
                 assert type(e.offsets) is range, (bind, e)
+
+
+@pytest.mark.parametrize("name", ["matmul", "matmul_rowblock", "fused_attention"])
+def test_trace_events_are_tuples_and_dram_kinds_compare_apart(name):
+    # Events are plain tuples (no per-instance dict), and a load never
+    # equals a store of the same tile: the kind is part of the tuple.
+    prog = load_kernel(name)
+    for bind in shipped_bindings(name):
+        events = expand(typecheck(prog, CFG, bind)).events
+        assert {e.kind for e in events if type(e) is DramAccess} == {"R", "W"}, bind
+        for e in events:
+            assert isinstance(e, tuple) and not hasattr(e, "__dict__"), (bind, e)
+            if type(e) is DramAccess:
+                flipped = e._replace(kind="W" if e.kind == "R" else "R")
+                assert flipped != e and flipped[1:] == e[1:], (bind, e)
 
 
 def test_expand_is_deterministic():
@@ -415,7 +437,7 @@ def test_expand_matches_the_tree_walking_reference(name):
         assert events == reference_expand(checked), bind
         # A tensor read in tiles of more than one shape had an edge clipped.
         shapes = {(e.tensor, tuple(hi - lo for lo, hi in e.slices))
-                  for e in events if isinstance(e, DramRead)}
+                  for e in events if is_dram(e, "R")}
         clipped += len(shapes) > len({tensor for tensor, _ in shapes})
     assert clipped
 
@@ -485,8 +507,8 @@ def test_matmul_read_traffic(shapes):
     trace = expand(checked)
     # Each (i, j) pass reloads the A row-block and B column-block.
     expected = (m // tm) * (n // tn) * (tm * k + k * tn) * 2
-    assert dram_bytes(trace.events, DramRead) == expected
-    assert dram_bytes(trace.events, DramWrite) == m * n * 2
+    assert dram_bytes(trace.events, "R") == expected
+    assert dram_bytes(trace.events, "W") == m * n * 2
 
 
 def test_rowblock_kernel_loads_a_once():
@@ -495,7 +517,7 @@ def test_rowblock_kernel_loads_a_once():
     checked = typecheck(prog, CFG, dict(M=m, K=k, N=n, tM=tm, tN=n, tK=k))
     trace = expand(checked)
     # A is loaded once (M*K elements); B is reloaded per row block.
-    assert dram_bytes(trace.events, DramRead) == (m * k + (m // tm) * k * n) * 2
+    assert dram_bytes(trace.events, "R") == (m * k + (m // tm) * k * n) * 2
 
 
 def test_non_dividing_tiling_clips_edges():
@@ -505,9 +527,9 @@ def test_non_dividing_tiling_clips_edges():
     # DRAM traffic is clipped to the tensor edge; compute runs on the full
     # (padded) SRAM tile.
     a_bytes = sum(e.bytes for e in trace.events
-                  if isinstance(e, DramRead) and e.tensor == "A")
+                  if is_dram(e, "R") and e.tensor == "A")
     assert a_bytes == 6 * 4 * 2
-    assert dram_bytes(trace.events, DramWrite) == 6 * 4 * 2
+    assert dram_bytes(trace.events, "W") == 6 * 4 * 2
     assert event_totals(trace.events)[0] == 2 * 8 * 4 * 4  # M padded to 8
 
 
@@ -519,7 +541,7 @@ def test_fused_attention_round_structure():
     assert len(gemms) == 2 * (32 // 16)  # QK and PV per KV-tile round
     vec_kinds = {e.kind for e in trace.events if isinstance(e, VectorWork)}
     assert {"reduce_max", "sub", "exp", "reduce_sum", "div", "mul", "add"} <= vec_kinds
-    writes = [e for e in trace.events if isinstance(e, DramWrite)]
+    writes = [e for e in trace.events if is_dram(e, "W")]
     assert len(writes) == 1 and writes[0].tensor == "O"
     # Softmax block: 5 vector ops between QK and PV, 2 accumulation ops after.
     per_round = trace.events

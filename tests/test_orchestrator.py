@@ -67,9 +67,9 @@ def test_pipeline_overlap_bounds():
     its = op.desc.iterations
     load_cycles = []
     compute_cycles = []
-    from stacksim.kerneldsl import DramRead, MatrixWork
+    from stacksim.kerneldsl import DramAccess, MatrixWork
     for it in its:
-        loads = sum(e.bytes for e in it if isinstance(e, DramRead))
+        loads = sum(e.bytes for e in it if type(e) is DramAccess and e.kind == "R")
         comp = sum(matrix_cost(e.m, e.n, e.k, 2, CFG.core, e.accumulate).latency_cycles
                    for e in it if isinstance(e, MatrixWork))
         load_cycles.append(loads)

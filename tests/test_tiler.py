@@ -7,7 +7,7 @@ import yaml
 
 from stacksim.arch import ArchConfig
 from stacksim.kerneldsl import (
-    DramRead, DramWrite, MatrixWork, TypecheckError, expand, typecheck,
+    DramAccess, MatrixWork, TypecheckError, expand, typecheck,
 )
 from stacksim.kerneldsl.trace import strides_elems
 from stacksim.tiler import (
@@ -17,6 +17,11 @@ from stacksim.tiler import (
 from stacksim.workloads import load_kernel
 
 CFG = ArchConfig()  # 64 KB logical rows, 5 GB per core, 4 MB SRAM
+
+
+def is_dram(e, kind: str) -> bool:
+    """Whether `e` is a DRAM load ("R") or store ("W")."""
+    return type(e) is DramAccess and e.kind == kind
 
 
 def checked_matmul(**bind):
@@ -97,11 +102,11 @@ def test_pipeline_iteration_count():
 def test_pipeline_prologue_and_epilogue():
     checked = checked_matmul(M=64, K=256, N=64, tM=64, tN=64, tK=64)
     its = generate_execution(checked).iterations
-    assert all(isinstance(e, DramRead) for e in its[0]) and its[0]
-    assert any(isinstance(e, DramWrite) for e in its[-1])
-    assert not any(isinstance(e, DramRead) for e in its[-1])
+    assert all(is_dram(e, "R") for e in its[0]) and its[0]
+    assert any(is_dram(e, "W") for e in its[-1])
+    assert not any(is_dram(e, "R") for e in its[-1])
     # Steady-state iterations overlap loads with compute.
-    assert any(isinstance(e, DramRead) for e in its[2]) \
+    assert any(is_dram(e, "R") for e in its[2]) \
         and any(isinstance(e, MatrixWork) for e in its[2])
 
 
@@ -111,7 +116,7 @@ def test_pipeline_preserves_work():
     events = list(chain.from_iterable(desc.iterations))
     flops = sum(2 * e.m * e.n * e.k for e in events if isinstance(e, MatrixWork))
     assert flops == 2 * 128 ** 3
-    assert sum(e.bytes for e in events if isinstance(e, DramWrite)) == 128 * 128 * 2
+    assert sum(e.bytes for e in events if is_dram(e, "W")) == 128 * 128 * 2
 
 
 @pytest.mark.parametrize("kernel,bind", [
@@ -128,23 +133,27 @@ def test_pipeline_runs_every_consumer_after_its_load(kernel, bind):
     its = generate_execution(checked).iterations
     trace = expand(checked).events
     # The pipeline holds expand's events, each kind in trace order, so the
-    # k-th event of a kind in the trace runs in iteration at[kind][k].
+    # k-th event of a kind in the trace runs in iteration at[kind][k]. Loads
+    # and stores are kinds apart: a store runs after loads that follow it.
+    def kind(e):
+        return (type(e), e.kind) if type(e) is DramAccess else type(e)
+
     placed, at = {}, {}
     for i, it in enumerate(its):
         for e in it:
-            placed.setdefault(type(e), []).append(e)
-            at.setdefault(type(e), []).append(i)
-    assert placed == {kind: [e for e in trace if type(e) is kind] for kind in placed}
+            placed.setdefault(kind(e), []).append(e)
+            at.setdefault(kind(e), []).append(i)
+    assert placed == {k: [e for e in trace if kind(e) == k] for k in placed}
     assert sum(map(len, placed.values())) == len(trace)
-    assert its[0] and all(isinstance(e, DramRead) for e in its[0])
+    assert its[0] and all(is_dram(e, "R") for e in its[0])
     seen = dict.fromkeys(at, 0)
     loaded_at, written_at = {}, {}
     for e in trace:
-        i = at[type(e)][seen[type(e)]]
-        seen[type(e)] += 1
-        if isinstance(e, DramRead):
+        i = at[kind(e)][seen[kind(e)]]
+        seen[kind(e)] += 1
+        if is_dram(e, "R"):
             loaded_at[e.buffer] = i
-        elif isinstance(e, DramWrite):
+        elif is_dram(e, "W"):
             assert written_at.get(e.buffer, -1) < i
         else:
             assert all(loaded_at[b] < i for b in e.buffers if b in loaded_at)

@@ -16,7 +16,7 @@ from stacksim.arch import ArchConfig, derived_metrics
 from stacksim.cli import main
 from stacksim.dramsim import DramSystem, Request, stats
 from stacksim.kerneldsl.checker import TypecheckError, typecheck
-from stacksim.kerneldsl.trace import DramRead, DramWrite, expand
+from stacksim.kerneldsl.trace import DramAccess, expand
 from stacksim.orchestrator import CollectiveOp, ComputeOp, InterAccelOp, run
 from stacksim.partition import CoreArray, build_collective
 from stacksim.sweep import apply_dimension, report, rows_to_csv, sweep
@@ -276,8 +276,8 @@ def test_gemm_benchmark_is_one_request_per_dram_event():
     bases = infer_placement(checked, CFG)
     expect, runs = [], []
     for e in expand(checked).events:
-        if isinstance(e, (DramRead, DramWrite)):
-            kind = "R" if isinstance(e, DramRead) else "W"
+        if type(e) is DramAccess:
+            kind = e.kind
             base = bases[e.tensor]
             expect.append(Request(0, kind, range(base + e.offsets.start, base + e.offsets.stop,
                                                  e.offsets.step), e.run_bytes))

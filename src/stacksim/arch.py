@@ -129,8 +129,9 @@ class LayerSpec:
     name: str
     thickness_m: float = field(metadata={"units": {"um": 1e-6}})
     conductivity_w_mk: float
-    vol_heat_capacity_j_m3k: float
-    power_layer: bool = False  # receives a share of the power map
+    # Receives a share of the power map. Keyword-only, so a fourth
+    # positional value is refused rather than read as this flag.
+    power_layer: bool = field(default=False, kw_only=True)
 
 
 @dataclass(frozen=True)
@@ -147,13 +148,12 @@ class StackDescription:
 
 def _default_layers() -> tuple[LayerSpec, ...]:
     # Logic die at the bottom, DRAM dies above, bonded interfaces between.
-    # Material constants are generic silicon / bonding-layer placeholders.
-    silicon = dict(conductivity_w_mk=120.0, vol_heat_capacity_j_m3k=1.6e6)
-    bond = dict(conductivity_w_mk=2.0, vol_heat_capacity_j_m3k=1.8e6)
-    layers = [LayerSpec("logic", 100e-6, power_layer=True, **silicon)]
+    # Conductivities are generic silicon (120 W/mK) and bonding-layer
+    # (2 W/mK) placeholders.
+    layers = [LayerSpec("logic", 100e-6, 120.0, power_layer=True)]
     for i in range(4):
-        layers.append(LayerSpec(f"bond{i}", 5e-6, **bond))
-        layers.append(LayerSpec(f"dram{i}", 50e-6, power_layer=True, **silicon))
+        layers.append(LayerSpec(f"bond{i}", 5e-6, 2.0))
+        layers.append(LayerSpec(f"dram{i}", 50e-6, 120.0, power_layer=True))
     return tuple(layers)
 
 

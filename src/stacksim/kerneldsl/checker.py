@@ -2,7 +2,8 @@
 
 `typecheck` alone decides what fits a core: the allocs plus a second copy of
 each buffer a DRAM-to-SRAM `copy` fills (the pipeline's load in flight) fit
-SRAM, and the tensors, each padded to whole logical rows, fit its DRAM.
+SRAM, and the tensors, each rounded up to a multiple of the logical row
+size, fit its DRAM.
 """
 
 from __future__ import annotations
@@ -138,7 +139,11 @@ def _eval_shape(decl, env: dict) -> tuple[int, ...]:
 
 
 def padded_bytes(info: SymbolInfo, cfg: ArchConfig) -> int:
-    """A DRAM tensor's size rounded up to whole logical rows."""
+    """A DRAM tensor's size rounded up to a multiple of `logical_row_bytes`.
+
+    That is one channel's share of a row index, not the whole index: a row
+    index spans channels x `logical_row_bytes` of addresses, so adjacent
+    tensors can still share a row on every channel."""
     row = cfg.logical_row_bytes
     return -(-info.size_bytes // row) * row
 

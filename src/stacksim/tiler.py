@@ -16,8 +16,9 @@ to its end, because ties break toward the smallest tiling, not the first.
 Execution generation turns the flat kernel trace into a double-buffered
 software pipeline: iteration i issues DRAM loads for tile i together with
 compute on tile i-1, with a load-only prologue and store/compute epilogue
-iterations. Tensor bases are packed in declaration order, each padded to
-whole logical rows (`checker.padded_bytes`).
+iterations. Tensor bases are packed in declaration order, each tensor
+rounded up to a multiple of the logical row size (`checker.padded_bytes`),
+which does not give it DRAM rows of its own.
 """
 
 from __future__ import annotations

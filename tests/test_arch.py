@@ -6,11 +6,14 @@ import pytest
 from hypothesis import given, strategies as st
 
 from stacksim.arch import (
-    ArchConfig, ArchError, ChannelSpec, CoreSpec, LogicalBankSpec, NocSpec,
-    PhysicalBankSpec, derived_metrics, matrix_flops_per_cycle, parse_arch,
-    serialize, validate, vector_flops_per_cycle,
+    ArchConfig, ArchError, ChannelSpec, CoreSpec, LayerSpec, LogicalBankSpec,
+    NocSpec, PhysicalBankSpec, _leaves, derived_metrics,
+    matrix_flops_per_cycle, parse_arch, serialize, validate,
+    vector_flops_per_cycle,
 )
 from stacksim.cli import main
+from stacksim.sweep import default_power_model
+from stacksim.thermal import regulate
 
 TABLE4_YAML = """
 schema_version: 1
@@ -81,6 +84,24 @@ def test_unknown_field_rejected(tmp_path, capsys):
     assert main(["validate", "--config", str(path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "flit_bytes" in err
+
+
+def test_a_layer_heat_capacity_is_refused(tmp_path, capsys):
+    # The model is steady state, so a heat capacity would change nothing;
+    # older configs that give one get the unknown-field error.
+    path = tmp_path / "old.yaml"
+    path.write_text(TABLE4_YAML + "thermal:\n  layers:\n"
+                    "    - {name: logic, thickness_um: 100, conductivity_w_mk: 120.0, "
+                    "vol_heat_capacity_j_m3k: 1.6e+6, power_layer: true}\n"
+                    "    - {name: dram0, thickness_um: 50, conductivity_w_mk: 120.0}\n")
+    assert main(["validate", "--config", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == ("error: unknown field(s) in thermal.layers[]: "
+                            "['vol_heat_capacity_j_m3k']\n")
+    assert captured.out == ""
+    # Nor can a fourth positional value pass for `power_layer`.
+    with pytest.raises(TypeError):
+        LayerSpec("logic", 1e-4, 120.0, 1.6e6)
 
 
 def test_schema_version_mismatch():
@@ -230,7 +251,7 @@ def test_validate_names_every_out_of_range_field(name):
     cfg = parse_arch(_shipped_text(name))
     paths = list(_numeric_paths(cfg))
     assert {"noc.input_queue_flits", "thermal_stack.ambient_c",
-            "thermal_stack.layers[8].vol_heat_capacity_j_m3k"} <= set(paths)
+            "thermal_stack.layers[8].thickness_m"} <= set(paths)
     for path in paths:
         for value in (0, -1, math.inf, math.nan):
             problems = validate(_set(cfg, path, value))
@@ -242,3 +263,33 @@ def test_validate_names_every_out_of_range_field(name):
     for path in ("noc.router_delay_cycles", "noc.link_delay_cycles"):
         assert validate(_set(cfg, path, 500)) == []
         assert validate(_set(cfg, path, 501)) == [f"{path} must be in [1, 500] (got 501)"]
+
+
+def _regulation(cfg: ArchConfig) -> tuple[float, float]:
+    res = regulate(cfg, default_power_model(cfg))
+    return res.frequency_ghz, res.peak_temperature_c
+
+
+def _knob_variants(cfg: ArchConfig, prefix: str):
+    """(path, factor, config) for every int/float leaf whose path starts
+    with `prefix`, doubled and halved, where `validate` accepts the result."""
+    for path, value, _ in _leaves(cfg, ""):
+        if path.startswith(prefix):
+            for factor in (2, 0.5):
+                changed = _set(cfg, path, type(value)(value * factor))
+                if not validate(changed):
+                    yield path, factor, changed
+
+
+@pytest.mark.parametrize("name", ["default", "edge"])
+def test_every_thermal_leaf_moves_regulation(name):
+    # The thermal slice of a knob-influence test: every thermal field a
+    # config can set moves the regulated frequency or the peak temperature.
+    cfg = parse_arch(_shipped_text(name))
+    before = _regulation(cfg)
+    moved = set()
+    for path, factor, changed in _knob_variants(cfg, "thermal_stack."):
+        assert _regulation(changed) != before, (path, factor)
+        moved.add(path)
+    leaves = {path for path, _, _ in _leaves(cfg, "") if path.startswith("thermal_stack.")}
+    assert moved == leaves and len(leaves) == 3 + 2 * len(cfg.thermal_stack.layers)

@@ -50,9 +50,6 @@ ALLOWLIST = {
         "the KV bytes a model implies (directions 4 and 5)",
     "stacksim.partition.split_gemm":
         "FC collectives from their reduction groups (direction 8)",
-    "stacksim.thermal.ThermalGrid.step":
-        "the transient of a step's per-operator power, or a stated reason to "
-        "keep it unused (direction 6)",
     "stacksim.arch.serialize":
         "the config hash in a report's provenance (direction 5)",
     "stacksim.dramsim.Request.bytes":

@@ -772,7 +772,7 @@ def test_cli_parse_and_simulate_refuse_the_same_bindings(capsys):
     ("link_latency_s: 1.0e-6", "link_latency_s: 1e-6"),  # YAML 1.1 reads a string
     ("htc_w_m2k: 10000.0", "htc_w_m2k: true"),
     ("thermal:\n", "thermal:\n  layers:\n    - {name: die, thickness_um: 100, "
-     "conductivity_w_mk: 120.0, vol_heat_capacity_j_m3k: 1.6e6}\n"),
+     "conductivity_w_mk: 1.2e2}\n"),
     ("sram_mb: 4", 'sram_mb: "4"'),
 ], ids=["str-int", "float-int", "float-int-pins", "str-float", "bool-float",
         "str-float-layer", "str-size"])

@@ -1,14 +1,18 @@
 """Dense-matrix reference for the layer-column thermal model (test-only numpy).
 
 Deliberately independent of the production solver: it assembles the full
-conductance matrix G and the diagonal capacitance matrix C straight from a
-`StackDescription`, one conductance stamp per interface as in nodal
-analysis, and solves G T = P (steady state) and (C/dt + G) T' = P + (C/dt) T
-(backward Euler) by Gaussian elimination in exact rational arithmetic. The
-stamps are exact sums of the float conductances, so the reference rounds
-only those conductances and its final result. Only the physics is shared:
-each layer's half-thickness slabs in series between neighbours, and the top
-layer's half slab in series with the boundary heat-transfer coefficient.
+conductance matrix G straight from a `StackDescription`, one conductance
+stamp per interface as in nodal analysis, and solves G T = P (steady state)
+by Gaussian elimination in exact rational arithmetic. The stamps are exact
+sums of the float conductances, so the reference rounds only those
+conductances and its final result. Only the physics is shared: each layer's
+half-thickness slabs in series between neighbours, and the top layer's half
+slab in series with the boundary heat-transfer coefficient.
+
+The production model has no transient. To check that its steady state is
+enough, `reference_step` takes one dense backward-Euler step
+(C/dt + G) T' = P + (C/dt) T in numpy floats, with heat capacities C that
+only the tests declare (`heat_capacities`).
 """
 
 from __future__ import annotations
@@ -16,6 +20,10 @@ from __future__ import annotations
 from fractions import Fraction
 
 import numpy as np
+
+# Volumetric heat capacities (J/m^3K) of generic silicon and bonding layers.
+SILICON_J_M3K = 1.6e6
+BOND_J_M3K = 1.8e6
 
 
 def half_slab_conductances(stack) -> list[float]:
@@ -25,9 +33,8 @@ def half_slab_conductances(stack) -> list[float]:
             for layer in stack.layers]
 
 
-def exact_matrices(stack) -> tuple[list[list[Fraction]], list[Fraction]]:
-    """(G, C) of the column, stamped exactly: G (W/K) as rows of fractions,
-    and the diagonal of C (J/K)."""
+def exact_conductance(stack) -> list[list[Fraction]]:
+    """G (W/K) of the column, stamped exactly, as rows of fractions."""
     area = stack.chip_area_m2
     half = half_slab_conductances(stack)
     n = len(stack.layers)
@@ -39,22 +46,19 @@ def exact_matrices(stack) -> tuple[list[list[Fraction]], list[Fraction]]:
         G[i][i + 1] -= g
         G[i + 1][i] -= g
     G[-1][-1] += Fraction(1.0 / (1.0 / half[-1] + 1.0 / (stack.htc_w_m2k * area)))
-    C = [Fraction(layer.vol_heat_capacity_j_m3k * area * layer.thickness_m)
-         for layer in stack.layers]
-    return G, C
+    return G
 
 
-def dense_matrices(stack) -> tuple[np.ndarray, np.ndarray]:
-    """(G, C): the exact stamps as float matrices, each entry rounded once."""
-    G, C = exact_matrices(stack)
-    return np.array(G, dtype=float), np.diag(np.array(C, dtype=float))
+def dense_conductance(stack) -> np.ndarray:
+    """G: the exact stamps as a float matrix, each entry rounded once."""
+    return np.array(exact_conductance(stack), dtype=float)
 
 
 def _solve(A, b) -> np.ndarray:
     """x of A x = b, eliminated in exact arithmetic and rounded at the end.
 
-    A is symmetric positive definite (G, or G plus a positive diagonal), so
-    every pivot is positive and no row exchange is needed.
+    A is G, symmetric positive definite, so every pivot is positive and no
+    row exchange is needed.
     """
     n = len(b)
     rows = [[*row, rhs] for row, rhs in zip(A, b)]
@@ -70,33 +74,22 @@ def _solve(A, b) -> np.ndarray:
 
 
 def reference_steady_state(stack, P) -> np.ndarray:
-    G, _ = exact_matrices(stack)
-    return _solve(G, [Fraction(p) for p in P])
+    return _solve(exact_conductance(stack), [Fraction(p) for p in P])
 
 
-def reference_step(stack, T, P, dt: float) -> np.ndarray:
-    G, C = exact_matrices(stack)
-    c_dt = [c / Fraction(dt) for c in C]
-    A = [[g + c_dt[i] if i == j else g for j, g in enumerate(row)]
-         for i, row in enumerate(G)]
-    return _solve(A, [Fraction(p) + c * Fraction(t) for p, c, t in zip(P, c_dt, T)])
+def heat_capacities(stack) -> np.ndarray:
+    """C (J/K) of each layer: bonding layers (named `bond...`) at
+    `BOND_J_M3K`, every other layer at `SILICON_J_M3K`."""
+    return np.array([(BOND_J_M3K if layer.name.startswith("bond") else SILICON_J_M3K)
+                     * stack.chip_area_m2 * layer.thickness_m
+                     for layer in stack.layers])
 
 
-def stiffness(stack) -> float:
-    """How much the production backward-Euler sweep's rounding error can
-    exceed machine epsilon.
-
-    Eliminating a layer adds the interface conductance below it into a
-    diagonal that the sweep later cancels down to the next conductance
-    above it, so at long steps the sweep's relative error is about eps times
-    the largest ratio of the conductances below an interface (summed) to
-    that interface's own, with the escape conductance as the top interface.
-    """
-    area = stack.chip_area_m2
-    half = half_slab_conductances(stack)
-    g = [1.0 / (1.0 / a + 1.0 / b) for a, b in zip(half, half[1:])]
-    g.append(1.0 / (1.0 / half[-1] + 1.0 / (stack.htc_w_m2k * area)))
-    return max(sum(g[:i]) / g[i] for i in range(1, len(g)))
+def reference_step(G, C, T, P, dt: float) -> np.ndarray:
+    """T' after one backward-Euler step of length dt (seconds) from T under
+    power P, for conductance matrix G and heat capacities C."""
+    c_dt = np.asarray(C) / dt
+    return np.linalg.solve(G + np.diag(c_dt), np.asarray(P) + c_dt * np.asarray(T))
 
 
 def relative_error(got, expected) -> float:

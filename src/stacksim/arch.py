@@ -303,6 +303,10 @@ def _build(cls, sect, path: str):
     bad = set(sect) - {f.name for f in fields}
     if bad:
         raise ArchError(f"unknown field(s) in {path}: {sorted(bad)}")
+    missing = [f"{path}.{f.name}" for f in fields if f.name not in sect
+               and f.default is f.default_factory is dataclasses.MISSING]
+    if missing:
+        raise ArchError(f"missing field(s): {', '.join(missing)}")
     for f in fields:
         if f.name not in sect:
             continue

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from math import prod
 from operator import add, floordiv, itemgetter, mod, mul, sub
@@ -61,12 +62,30 @@ class VectorWork(NamedTuple):
 
 # A work event's last field is its buffers; the fields before it are all
 # that its cost depends on (`orchestrator.simulate_compute`).
-Event = DramAccess | MatrixWork | VectorWork
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class OpTrace:
-    events: list
+    """A checked kernel's events in program order, produced on demand: each
+    walk (`iter`) runs the loop nest, compiled on the first walk
+    (`_compile`), so no event list is held and a walk that stops early
+    stops the expansion. Its `len` is the event count `typecheck` found."""
+    checked: CheckedProgram
+
+    def __len__(self) -> int:
+        return self.checked.events
+
+    def __iter__(self):
+        return _walk(self.body, {})
+
+    @functools.cached_property
+    def body(self) -> tuple:
+        return _compile(self.checked.program.body, self.checked, frozenset())
+
+    @property
+    def events(self) -> OpTrace:
+        """The trace itself: iterate it for the events, `len` for their count."""
+        return self
 
 
 def event_totals(events) -> tuple[int, int, int]:
@@ -223,29 +242,41 @@ def _combine(parts: list, fn):
 
 
 def _leaf(slices: list, make):
-    """A statement that appends `make(*resolved slices)` each time it runs;
-    the event is built once if every slice is a constant."""
+    """A statement that produces the event `make(*resolved slices)` each
+    time it runs; the event is built once if every slice is a constant."""
     event = _combine(slices, make)
-    if callable(event):
-        return lambda env, append: append(event(env))
-    return lambda env, append: append(event)
+    return event if callable(event) else _constant(event)
+
+
+def _walk(body: tuple, env: dict):
+    """The events of compiled statements `body` (`_compile`), in order, with
+    the enclosing loop variables taken from `env`."""
+    for nested, run in body:
+        if nested:
+            yield from run(env)
+        else:
+            yield run(env)
 
 
 def _compile_loop(stmt: ForLoop, checked: CheckedProgram, loop_vars: frozenset):
     bounds = [_compile_expr(e, loop_vars, checked.bindings)
               for e in (stmt.lo, stmt.hi, stmt.step)]
-    body = tuple(_compile(stmt.body, checked, loop_vars | {stmt.var}))
+    body = _compile(stmt.body, checked, loop_vars | {stmt.var})
     var = stmt.var
     trips = _combine(bounds, range)
     if not callable(trips):
         trips = _constant(trips)
 
-    def loop(env, append):
+    def loop(env):
+        # `_walk` of the body, inlined: one generator frame per loop level.
         saved = env.get(var)
         for v in trips(env):
             env[var] = v
-            for run in body:
-                run(env, append)
+            for nested, run in body:
+                if nested:
+                    yield from run(env)
+                else:
+                    yield run(env)
         if saved is None:
             env.pop(var, None)
         else:
@@ -254,10 +285,16 @@ def _compile_loop(stmt: ForLoop, checked: CheckedProgram, loop_vars: frozenset):
 
 
 def _compile_stmt(stmt: Stmt, checked: CheckedProgram, loop_vars: frozenset):
-    """`run(env, append)` appending the events of one non-declaration
-    statement, with the variables of `loop_vars` taken from `env`."""
+    """(nested, run) of one non-declaration statement, with the variables of
+    `loop_vars` taken from the loop environment `env`: a loop's `run(env)`
+    yields the events of its trips (`nested` true), any other statement's
+    returns its one event."""
     if isinstance(stmt, ForLoop):
-        return _compile_loop(stmt, checked, loop_vars)
+        return True, _compile_loop(stmt, checked, loop_vars)
+    return False, _compile_leaf(stmt, checked, loop_vars)
+
+
+def _compile_leaf(stmt: Stmt, checked: CheckedProgram, loop_vars: frozenset):
     symbols = checked.symbols
 
     def slices(ref: TileRef):
@@ -298,28 +335,27 @@ def _compile_stmt(stmt: Stmt, checked: CheckedProgram, loop_vars: frozenset):
 
 
 def _compile(stmts: tuple[Stmt, ...], checked: CheckedProgram,
-             loop_vars: frozenset) -> list:
-    """The compiled form of `stmts`: one `_compile_stmt` function per
-    statement that produces events, in program order.
+             loop_vars: frozenset) -> tuple:
+    """The compiled form of `stmts`: one `_compile_stmt` pair per statement
+    that produces events, in program order.
 
     Module-level functions build the closures and no closure refers to
     itself, so a compiled program is freed by reference counting alone.
     """
-    return [_compile_stmt(s, checked, loop_vars) for s in stmts
-            if not isinstance(s, (TensorDecl, AllocDecl))]
+    return tuple(_compile_stmt(s, checked, loop_vars) for s in stmts
+                 if not isinstance(s, (TensorDecl, AllocDecl)))
 
 
 def expand(checked: CheckedProgram) -> OpTrace:
-    """Unroll loops into a deterministic event trace in program order.
+    """The deterministic event trace of the unrolled loops, in program order.
 
-    The statement tree is compiled once per call (`_compile`) and then run;
-    a trace over `MAX_TRACE_EVENTS` is refused before anything is compiled.
+    A trace over `MAX_TRACE_EVENTS` is refused before anything is compiled;
+    the loop nest is compiled once, on the trace's first walk, and its events
+    are produced each time the trace is walked. A slice outside its tensor
+    raises `ExpandError` when a walk reaches it.
     """
-    if checked.events > MAX_TRACE_EVENTS:
-        raise ExpandError(f"loops unroll to {checked.events} trace events, "
+    trace = OpTrace(checked)
+    if len(trace) > MAX_TRACE_EVENTS:
+        raise ExpandError(f"loops unroll to {len(trace)} trace events, "
                           f"over the limit of {MAX_TRACE_EVENTS}")
-    events: list[Event] = []
-    env: dict = {}
-    for run in _compile(checked.program.body, checked, frozenset()):
-        run(env, events.append)
-    return OpTrace(events)
+    return trace

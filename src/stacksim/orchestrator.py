@@ -8,8 +8,8 @@ on the mesh, and inter-accelerator transfers use the analytic link model.
 Operators are separated by global barriers; inside an operator, each pipeline
 iteration advances time by the slowest engine, so overlapped loads and
 compute cost max(load, compute) rather than their sum. `simulate_compute`
-walks an operator's events once to time it; its work totals were added up
-when the operator was built (`ExecutionDescription.totals`).
+walks an operator's pipeline iterations once, as they are produced from
+its loop nest, to time it and add up its work totals.
 
 Because of the barriers, every operator starts on fresh DRAM channel state
 and an empty mesh, so its cycles and statistics depend only on what it runs
@@ -26,11 +26,12 @@ import dataclasses
 import io
 import math
 from dataclasses import dataclass, field
+from operator import add
 
 from .arch import ArchConfig, matrix_flops_per_cycle, peak_dram_bytes_per_cycle
 from .dramsim import DramSystem, Request, schedule_tile, stats as dram_stats
 from .kerneldsl.checker import CheckedProgram
-from .kerneldsl.trace import DramAccess, MatrixWork
+from .kerneldsl.trace import DramAccess, MatrixWork, event_totals
 from .logicsim import matrix_cost, vector_cost
 from .nocsim import run_plan
 from .partition import CommPlan, CoreArray
@@ -137,14 +138,16 @@ def simulate_compute(op: ComputeOp, cfg: ArchConfig,
                      cutoff: int | None = None) -> OperatorResult | None:
     """Execute one pipelined kernel on a representative core.
 
-    One walk over the events costs each iteration's compute and builds one
-    DRAM request per read or write (`dram_request`). Work events
-    of one shape cost the same, so each distinct shape is costed once per
-    call. The work totals are the ones the operator was built with.
+    One walk over the pipeline's iterations, produced as it goes, costs each
+    iteration's compute, builds one DRAM request per read or write
+    (`dram_request`) and adds up the iteration's work totals
+    (`event_totals`). Work events of one shape cost the same, so each
+    distinct shape is costed once per call.
 
     `now` never decreases from one iteration to the next, so once it passes
-    `cutoff` the operator's cycles would too: the call returns None there.
-    Otherwise it returns what the call without a cutoff returns.
+    `cutoff` the operator's cycles would too: the call returns None there,
+    and the rest of the trace is never expanded. Otherwise it returns what
+    the call without a cutoff returns.
     """
     core = cfg.core
     dram = DramSystem(cfg)
@@ -153,6 +156,7 @@ def simulate_compute(op: ComputeOp, cfg: ArchConfig,
     # fields and a vector key three, so the two kinds never share a key.
     costs: dict = {}
     now = 0
+    totals = (0, 0, 0)
     for it in op.desc.iterations:
         compute_cycles = 0
         reqs = []
@@ -165,6 +169,7 @@ def simulate_compute(op: ComputeOp, cfg: ArchConfig,
             if cost is None:
                 costs[key] = cost = _work_latency(e, core)
             compute_cycles += cost
+        totals = tuple(map(add, totals, event_totals(it)))
         mem_done = now
         if reqs:
             mem_done = dram.run(schedule_tile(reqs, cfg))
@@ -172,7 +177,7 @@ def simulate_compute(op: ComputeOp, cfg: ArchConfig,
         if cutoff is not None and now > cutoff:
             return None
     cycles = now
-    m_flops, v_elems, dram_bytes = op.desc.totals
+    m_flops, v_elems, dram_bytes = totals
     bound = _roofline(m_flops, dram_bytes, cfg)
     d = dram_stats(dram)
     en = cfg.energy

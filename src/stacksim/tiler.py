@@ -2,16 +2,22 @@
 
 `build_op` is the one place a kernel invocation becomes what the
 orchestrator simulates (`ComputeOp`): it typechecks the kernel at its
-bindings, pipelines its trace (`generate_execution`, which also adds up
-the operator's work totals) and places its DRAM tensors
-(`infer_placement`). `typecheck` alone decides whether the invocation fits
-the core; pipelining can refuse only a trace over `MAX_TRACE_EVENTS`.
+bindings, describes its pipelined execution (`generate_execution`) and
+places its DRAM tensors (`infer_placement`). `typecheck` alone decides
+whether the invocation fits the core; pipelining can refuse only a trace
+over `MAX_TRACE_EVENTS`, from the event count `typecheck` found. Nothing
+of the trace is expanded at build time: the pipeline's iterations are
+produced from the loop nest as they are read, and the work totals are
+added up by the walk that times the operator
+(`orchestrator.simulate_compute`).
 `autotune` builds one operator per tiling candidate and keeps the one with
 the fewest simulated cycles. Once one candidate has completed, each later
 one is simulated only until its running cycle count passes the best so far
 (a branch-and-bound cutoff, Land and Doig 1960): simulated time never goes
 back, so a candidate past that count cannot win. One that only ties it runs
 to its end, because ties break toward the smallest tiling, not the first.
+Since the cutoff also stops the expansion, a candidate costs its
+`typecheck` plus the iterations it walks.
 
 Execution generation turns the flat kernel trace into a double-buffered
 software pipeline: iteration i issues DRAM loads for tile i together with
@@ -23,6 +29,7 @@ which does not give it DRAM rows of its own.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -33,7 +40,7 @@ from .arch import ArchConfig
 from .kerneldsl.ast import KernelProgram
 from .kerneldsl.checker import CheckedProgram, TypecheckError, padded_bytes, typecheck
 from .kerneldsl.trace import (
-    DramAccess, ExpandError, MatrixWork, event_totals, expand,
+    DramAccess, ExpandError, MatrixWork, OpTrace, event_totals, expand,
 )
 
 
@@ -54,12 +61,24 @@ def infer_placement(checked: CheckedProgram, cfg: ArchConfig) -> dict[str, int]:
 
 @dataclass(eq=False)
 class ExecutionDescription:
-    """One kernel's pipelined execution: `iterations[i]` lists the trace
-    events issued in pipeline iteration i. Compared and hashed by identity:
-    operators that share one share a simulation in `orchestrator.run`."""
+    """One kernel's pipelined execution, walked afresh each time its
+    `iterations` are read. Compared and hashed by identity: operators that
+    share one share a simulation in `orchestrator.run`."""
     name: str
-    iterations: list  # list of lists of trace events
-    totals: tuple  # (matrix FLOPs, vector elements, DRAM bytes): `event_totals`
+    trace: OpTrace  # the kernel's events (`expand`)
+
+    @property
+    def iterations(self):
+        """The trace events issued in each pipeline iteration, in order,
+        produced as the trace is walked (`_pipeline`)."""
+        return _pipeline(self.trace)
+
+    @functools.cached_property
+    def totals(self) -> tuple[int, int, int]:
+        """(matrix FLOPs, vector elements, DRAM bytes): `event_totals` of one
+        walk, kept for the operators that share this description.
+        `simulate_compute` adds up its own in the walk that times them."""
+        return event_totals(self.trace)
 
     def serialize(self) -> str:
         # The file format is a list of operators; one description is one.
@@ -79,35 +98,46 @@ def _event_to_dict(e) -> dict:
     return d
 
 
-def generate_execution(checked: CheckedProgram) -> ExecutionDescription:
-    """Build the double-buffered execution description of one kernel.
+def _pipeline(events):
+    """The double-buffered iterations of a kernel's events.
 
-    The trace splits into steps: a step starts at each run of DRAM reads
+    The events split into steps: a step starts at each run of DRAM reads
     that follows compute or store work (or at the first event). Step j's
     loads land in iteration j, its compute in iteration j+1 and its stores in
-    iteration j+2, so loads of tile j overlap compute on tile j-1. The second
-    SRAM copy each loaded buffer needs for the load in flight is counted by
-    `typecheck`.
+    iteration j+2, so loads of tile j overlap compute on tile j-1. No later
+    event lands before the current step, so iteration j is final, and
+    yielded, once step j+1 begins: only the three iterations of the current
+    step are held. The second SRAM copy each loaded buffer needs for the load
+    in flight is counted by `typecheck`.
     """
-    events = expand(checked).events
-    iterations: list[list] = []
+    window = [[], [], []]  # iterations step, step+1 and step+2
     step = -1
     loading = False  # the current step holds only loads so far
     for e in events:
         dram = type(e) is DramAccess
         if dram and e.kind == "R":
             if not loading:
+                if step >= 0:
+                    yield window.pop(0)
+                    window.append([])
                 step += 1
                 loading = True
-            slot = step
+            window[0].append(e)
         else:
             step = max(step, 0)
             loading = False
-            slot = step + (2 if dram else 1)  # a store, or compute
-        while len(iterations) <= slot:
-            iterations.append([])
-        iterations[slot].append(e)
-    return ExecutionDescription(checked.program.name, iterations, event_totals(events))
+            window[2 if dram else 1].append(e)  # a store, or compute
+    # Every iteration up to the last one holding an event exists, even empty.
+    while window and not window[-1]:
+        window.pop()
+    yield from window
+
+
+def generate_execution(checked: CheckedProgram) -> ExecutionDescription:
+    """The pipelined execution description of one kernel (`_pipeline`). Its
+    iterations are produced as they are read, so building one expands
+    nothing: `expand` only checks the event count `typecheck` found."""
+    return ExecutionDescription(checked.program.name, expand(checked))
 
 
 @dataclass(frozen=True, eq=False)
@@ -179,20 +209,23 @@ def autotune(prog: KernelProgram, cfg: ArchConfig, bindings: dict[str, int],
     the callback may stop only one strictly over `cutoff`. The winner, its
     op and its result are then those of exhaustive, unbounded evaluation.
 
-    A candidate that `build_op` refuses is skipped: `typecheck` finds it
-    does not fit the core, or its trace would exceed `MAX_TRACE_EVENTS`
-    (refused before any event is built). If every candidate is refused, the
-    `TilerError` carries the last refusal's reason. Returns the winner's
-    (tiling, op, result).
+    A refused candidate is skipped: `build_op` refuses it when `typecheck`
+    finds it does not fit the core or its trace would exceed
+    `MAX_TRACE_EVENTS` (refused before any event is built), and its walk
+    when it reaches a slice outside its tensor (`ExpandError`), so such a
+    candidate never completes, with or without a cutoff. If every candidate
+    is refused, the `TilerError` carries the last refusal's reason; none ran
+    under a cutoff, so the refusals are those of building every candidate's
+    whole trace. Returns the winner's (tiling, op, result).
     """
     best = refusal = None
     for tiling in tiling_candidates(prog, bindings, limit):
         try:
             op = build_op(prog.name, prog, cfg, dict(bindings, **tiling))
+            result = simulate(op, None if best is None else best[0][0])
         except (TypecheckError, ExpandError) as e:
             refusal = e
             continue
-        result = simulate(op, None if best is None else best[0][0])
         if result is None:
             continue
         key = (result.cycles, tuple(sorted(tiling.items())))

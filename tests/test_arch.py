@@ -104,6 +104,23 @@ def test_a_layer_heat_capacity_is_refused(tmp_path, capsys):
         LayerSpec("logic", 1e-4, 120.0, 1.6e6)
 
 
+def test_a_layer_missing_a_required_field_is_refused(tmp_path, capsys):
+    path = tmp_path / "short.yaml"
+    path.write_text(TABLE4_YAML + "thermal:\n  layers:\n"
+                    "    - {name: a}\n"
+                    "    - {name: b, thickness_um: 5, conductivity_w_mk: 1.0}\n")
+    assert main(["validate", "--config", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == ("error: missing field(s): thermal.layers[].thickness_m, "
+                            "thermal.layers[].conductivity_w_mk\n")
+    assert captured.out == ""
+    # A field with a default may be left out, in a layer and in a section.
+    cfg = parse_arch(TABLE4_YAML + "thermal:\n  layers:\n"
+                     "    - {name: a, thickness_m: 1.0e-4, conductivity_w_mk: 120.0}\n"
+                     "    - {name: b, thickness_um: 5, conductivity_w_mk: 1.0}\n")
+    assert cfg.thermal_stack.layers == (LayerSpec("a", 1e-4, 120.0), LayerSpec("b", 5 * 1e-6, 1.0))
+
+
 def test_schema_version_mismatch():
     with pytest.raises(ArchError, match="schema_version"):
         parse_arch(TABLE4_YAML.replace("schema_version: 1", "schema_version: 99"))

@@ -45,7 +45,7 @@ def test_single_load_matches_dram_model():
 def test_empty_execution_is_zero_cycles():
     checked = typecheck(parse_kernel(
         "kernel k(N):\n    x = alloc((N,), fp16)\n    add(x, x)\n"), CFG, {"N": 1})
-    op = ComputeOp("empty", checked, ExecutionDescription("empty", [], (0, 0, 0)),
+    op = ComputeOp("empty", checked, ExecutionDescription("empty", []),
                    infer_placement(checked, CFG))
     res = simulate_compute(op, CFG)
     assert res.cycles == 0 and res.utilization == 1.0
@@ -64,7 +64,7 @@ def test_pipeline_overlap_bounds():
             "        gemm(a, b, acc, accumulate=True)\n")
     op = compute_op(text, M=256, K=4096, N=256, tK=256)
     res = simulate_compute(op, CFG)
-    its = op.desc.iterations
+    its = list(op.desc.iterations)
     load_cycles = []
     compute_cycles = []
     from stacksim.kerneldsl import DramAccess, MatrixWork

@@ -75,6 +75,9 @@ def _config(name: str) -> str:
 def _runs(tmp: Path) -> list[tuple[list[str], int]]:
     """(argv, expected exit code) of every run, in order."""
     (tmp / "noc5.yaml").write_text("dram: {}\ncore: {}\nnoc: 5\n")
+    (tmp / "layer.yaml").write_text(
+        "dram: {}\ncore: {}\nthermal: {layers: [{name: a}, "
+        "{name: b, thickness_um: 5, conductivity_w_mk: 1.0}]}\n")
     (tmp / "bad.kl").write_text("kernel k(N):\n    x = 1\n")
     (tmp / "deep.kl").write_text(
         "kernel k(N):\n    x = alloc((" + "-" * 3000 + "N,), fp16)\n")
@@ -100,6 +103,7 @@ def _runs(tmp: Path) -> list[tuple[list[str], int]]:
         # TypecheckError, TilerError, WorkloadError, and a SweepError, which
         # the sweep writes as an `invalid:` row.
         (["validate", "--config", str(tmp / "noc5.yaml")], 2),
+        (["validate", "--config", str(tmp / "layer.yaml")], 2),
         (["parse", "--kernel", str(tmp / "bad.kl")], 2),
         (["parse", "--kernel", str(tmp / "deep.kl")], 2),
         (["parse", *mm, "tM=64", "tN=64", "K=1048576", "tK=1048576"], 2),

@@ -1,4 +1,5 @@
 import dataclasses
+import random
 from itertools import chain
 from types import SimpleNamespace
 
@@ -7,14 +8,18 @@ import yaml
 
 from stacksim.arch import ArchConfig
 from stacksim.kerneldsl import (
-    DramAccess, MatrixWork, TypecheckError, expand, typecheck,
+    DramAccess, MatrixWork, TypecheckError, event_totals, expand, parse_kernel,
+    typecheck,
 )
-from stacksim.kerneldsl.trace import strides_elems
+from stacksim.kerneldsl.trace import ExpandError, strides_elems
+from stacksim.orchestrator import simulate_compute
 from stacksim.tiler import (
-    TilerError, _candidate_values, autotune, build_op, generate_execution,
-    infer_placement, tiling_candidates,
+    ExecutionDescription, TilerError, _candidate_values, autotune, build_op,
+    generate_execution, infer_placement, tiling_candidates,
 )
 from stacksim.workloads import load_kernel
+
+from expand_reference import reference_expand, shipped_bindings
 
 CFG = ArchConfig()  # 64 KB logical rows, 5 GB per core, 4 MB SRAM
 
@@ -96,12 +101,12 @@ def test_pipeline_iteration_count():
     checked = checked_matmul(M=64, K=1024, N=64, tM=64, tN=64, tK=64)
     desc = generate_execution(checked)
     assert desc.name == "matmul"
-    assert len(desc.iterations) == 18
+    assert len(list(desc.iterations)) == 18
 
 
 def test_pipeline_prologue_and_epilogue():
     checked = checked_matmul(M=64, K=256, N=64, tM=64, tN=64, tK=64)
-    its = generate_execution(checked).iterations
+    its = list(generate_execution(checked).iterations)
     assert all(is_dram(e, "R") for e in its[0]) and its[0]
     assert any(is_dram(e, "W") for e in its[-1])
     assert not any(is_dram(e, "R") for e in its[-1])
@@ -130,8 +135,8 @@ def test_pipeline_preserves_work():
 ])
 def test_pipeline_runs_every_consumer_after_its_load(kernel, bind):
     checked = typecheck(load_kernel(kernel), CFG, bind)
-    its = generate_execution(checked).iterations
-    trace = expand(checked).events
+    its = list(generate_execution(checked).iterations)
+    trace = list(expand(checked).events)
     # The pipeline holds expand's events, each kind in trace order, so the
     # k-th event of a kind in the trace runs in iteration at[kind][k]. Loads
     # and stores are kinds apart: a store runs after loads that follow it.
@@ -158,6 +163,135 @@ def test_pipeline_runs_every_consumer_after_its_load(kernel, bind):
         else:
             assert all(loaded_at[b] < i for b in e.buffers if b in loaded_at)
             written_at[e.buffers[-1]] = i
+
+
+def eager_pipeline(events: list) -> list[list]:
+    """The slotting `generate_execution` did when it built every iteration
+    before any was simulated: each event goes into a list of iterations
+    that grows to hold it, so empty iterations stay where they fall."""
+    iterations: list[list] = []
+    step = -1
+    loading = False
+    for e in events:
+        if is_dram(e, "R"):
+            if not loading:
+                step += 1
+                loading = True
+            slot = step
+        else:
+            step = max(step, 0)
+            loading = False
+            slot = step + (2 if type(e) is DramAccess else 1)
+        while len(iterations) <= slot:
+            iterations.append([])
+        iterations[slot].append(e)
+    return iterations
+
+
+def _random_bindings(rng: random.Random, name: str) -> dict[str, int]:
+    """A tiling of a shipped kernel, dividing or not."""
+    if name == "fused_attention":
+        l = rng.randint(1, 48)
+        return dict(B=rng.randint(1, 8), D=rng.randint(1, 16), L=l, tL=rng.randint(1, l))
+    m, k, n = (rng.randint(1, 24) for _ in range(3))
+    return dict(M=m, K=k, N=n, tM=rng.randint(1, m), tN=rng.randint(1, n),
+                tK=rng.randint(1, k))
+
+
+def _check_lazy_pipeline(name: str, bind: dict) -> None:
+    op = build_op(name, load_kernel(name), CFG, bind)
+    events = reference_expand(op.checked)
+    assert list(op.desc.iterations) == eager_pipeline(events), bind
+    totals = event_totals(events)
+    assert op.desc.totals == totals, bind
+    res = simulate_compute(op, CFG)
+    assert (res.matrix_flops, res.vector_flops, res.dram_bytes) == totals, bind
+
+
+@pytest.mark.parametrize("name", ["matmul", "matmul_rowblock", "fused_attention"])
+def test_lazy_pipeline_matches_the_eager_slotting(name):
+    for bind in shipped_bindings(name):
+        _check_lazy_pipeline(name, bind)
+    rng = random.Random(28)
+    for _ in range(30):
+        _check_lazy_pipeline(name, _random_bindings(rng, name))
+
+
+@pytest.mark.parametrize("body,shape", [
+    ("    add(x, x)\n    copy(X[0:4], x)\n", [0, 2]),  # compute first: empty iteration 0
+    ("    copy(x, X[0:4])\n", [0, 0, 1]),  # a store alone lands in iteration 2
+    ("    copy(X[0:4], x)\n    copy(x, X[0:4])\n"
+     "    copy(X[0:4], x)\n    copy(x, X[0:4])\n", [1, 1, 1, 1]),  # no compute
+    ("    copy(X[0:4], x)\n    add(x, x)\n    copy(X[0:4], x)\n", [1, 2]),  # ends on a load
+    ("    y = alloc((N,), fp16)\n", []),  # no events, no iterations
+])
+def test_lazy_pipeline_keeps_empty_iterations_like_the_eager_slotting(body, shape):
+    text = ("kernel k(N):\n    X = tensor((N,), fp16)\n"
+            "    x = alloc((N,), fp16)\n" + body)
+    checked = typecheck(parse_kernel(text), CFG, {"N": 4})
+    its = list(generate_execution(checked).iterations)
+    assert its == eager_pipeline(reference_expand(checked))
+    assert [len(it) for it in its] == shape
+
+
+class _Counted:
+    """Stands in for a trace, or for a description's iteration stream, and
+    counts the items taken from it."""
+
+    def __init__(self, items):
+        self.items = items
+        self.pulled = 0
+
+    def __iter__(self):
+        for item in self.items:
+            self.pulled += 1
+            yield item
+
+
+def test_a_cut_off_walk_expands_no_more_than_its_window():
+    # A candidate that stops at its cutoff pulls from the trace only the
+    # events of the iterations it walked and of the window after them: the
+    # rest of its trace is never expanded.
+    op = build_op("mm", load_kernel("matmul_rowblock"), CFG,
+                  dict(M=16, K=512, N=512, tM=16, tN=32, tK=32))
+    events = list(op.desc.trace)
+    its = eager_pipeline(events)
+    cycles = simulate_compute(op, CFG).cycles
+    for cutoff in (0, cycles // 10, cycles // 2, cycles - 1):
+        trace = _Counted(op.desc.trace)
+        iterations = _Counted(ExecutionDescription(op.desc.name, trace).iterations)
+        counted = dataclasses.replace(op, desc=SimpleNamespace(iterations=iterations))
+        assert simulate_compute(counted, CFG, cutoff) is None
+        walked = iterations.pulled
+        assert 0 < walked <= len(its)
+        # The last iteration walked, j = walked - 1, was yielded when step
+        # j+1 began: the events pulled are those of steps 0 to j, which land
+        # in iterations up to j+2, and the first load of step j+1.
+        assert trace.pulled <= sum(map(len, its[:walked + 2]))
+        if cutoff <= cycles // 2:
+            assert walked < len(its) and trace.pulled < len(events)
+
+
+def test_building_an_operator_expands_nothing(monkeypatch):
+    from stacksim.kerneldsl import trace as trace_mod
+    compiled = []
+    compile_ = trace_mod._compile
+
+    def recording(*args):
+        compiled.append(args)
+        return compile_(*args)
+
+    monkeypatch.setattr(trace_mod, "_compile", recording)
+    bind = dict(M=16, K=64, N=64, tM=16, tN=8, tK=8)
+    op = build_op("mm", load_kernel("matmul"), CFG, bind)
+    assert not compiled and len(op.desc.trace) == op.checked.events
+    assert list(op.desc.iterations) == list(op.desc.iterations)
+    assert [a[2] for a in compiled].count(frozenset()) == 1  # on the first walk, once
+    monkeypatch.setattr(trace_mod, "MAX_TRACE_EVENTS", op.checked.events - 1)
+    compiled.clear()
+    with pytest.raises(ExpandError, match="trace events"):
+        build_op("mm", load_kernel("matmul"), CFG, bind)
+    assert not compiled
 
 
 def test_build_op_typechecks_pipelines_and_places():
@@ -209,7 +343,7 @@ def test_autotune_matches_exhaustive_min():
 
     def simulate(op, cutoff=None):
         # Deterministic stand-in latency: total events plus iteration count.
-        its = op.desc.iterations
+        its = list(op.desc.iterations)
         cycles = sum(len(it) for it in its) * 100 + len(its)
         return None if cutoff is not None and cycles > cutoff else SimpleNamespace(cycles=cycles)
 
@@ -321,6 +455,32 @@ def test_autotune_skips_tilings_over_the_trace_limit(monkeypatch):
     monkeypatch.setattr(trace_mod, "MAX_TRACE_EVENTS", 1)
     with pytest.raises(TilerError, match="no feasible tiling"):
         autotune(prog, CFG, bindings, simulate)
+
+
+def test_autotune_skips_a_tiling_whose_walk_leaves_its_tensor():
+    # The walk finds a slice outside its tensor (here the last element of a
+    # tile, past M on a clipped edge tile). The candidate is refused as
+    # when the whole trace was built with the operator.
+    text = ("kernel k(M, tM):\n"
+            "    X = tensor((M,), fp16)\n"
+            "    x = alloc((tM,), fp16)\n"
+            "    y = alloc((1,), fp16)\n"
+            "    for i in range(0, M, tM):\n"
+            "        copy(X[i:i+tM], x)\n"
+            "        copy(X[i+tM-1:i+tM], y)\n")
+    prog = parse_kernel(text)
+    order = [c["tM"] for c in tiling_candidates(prog, {"M": 6})]
+    assert order == [6, 4, 3, 2, 1]  # only tM=4 leaves a clipped tile
+
+    def simulate(op, cutoff):
+        list(op.desc.iterations)  # the walk
+        cycles = abs(op.checked.bindings["tM"] - 4)  # tM=4 would win
+        return None if cutoff is not None and cycles > cutoff else SimpleNamespace(cycles=cycles)
+
+    tiling, _, result = autotune(prog, CFG, {"M": 6}, simulate)
+    assert tiling == {"tM": 3} and result.cycles == 1
+    with pytest.raises(TilerError, match="no feasible tiling: slice \\[7:8\\] out of bounds"):
+        autotune(prog, CFG, {"M": 6, "tM": 4}, simulate)
 
 
 def test_execution_serializes_to_yaml():

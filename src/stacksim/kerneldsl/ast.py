@@ -4,6 +4,7 @@ loop variables (with * restricted by usage, not by the grammar)."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import add, floordiv, mod, mul, sub
 
 
 @dataclass(frozen=True)
@@ -26,26 +27,23 @@ class BinOp:
 Expr = Num | Var | BinOp
 
 
+_ARITHMETIC = {"+": add, "-": sub, "*": mul, "//": floordiv, "%": mod}
+
+
 def evaluate(expr: Expr, env: dict[str, int]) -> int:
-    match expr:
-        case Num(v):
-            return v
-        case Var(name):
-            if name not in env:
-                raise KeyError(f"unbound identifier '{name}'")
-            return env[name]
-        case BinOp(op, l, r):
-            a, b = evaluate(l, env), evaluate(r, env)
-            if op == "+":
-                return a + b
-            if op == "-":
-                return a - b
-            if op == "*":
-                return a * b
-            if op == "//":
-                return a // b
-            if op == "%":
-                return a % b
+    """The value of `expr` with its names taken from `env`."""
+    cls = expr.__class__
+    if cls is Var:
+        try:
+            return env[expr.name]
+        except KeyError:
+            raise KeyError(f"unbound identifier '{expr.name}'") from None
+    if cls is Num:
+        return expr.value
+    if cls is BinOp:
+        fn = _ARITHMETIC.get(expr.op)
+        if fn is not None:
+            return fn(evaluate(expr.left, env), evaluate(expr.right, env))
     raise TypeError(f"bad expression node: {expr!r}")
 
 

@@ -18,6 +18,11 @@ from .ast import (
 )
 
 
+# The most loop trips `_count_events` counts one by one: only those of a loop
+# whose inner loops' bounds follow its variable, which no shipped kernel has.
+MAX_COUNTED_TRIPS = 1 << 16
+
+
 class TypecheckError(ValueError):
     def __init__(self, msg: str, line: int = 0):
         super().__init__(f"line {line}: {msg}" if line else msg)
@@ -47,7 +52,7 @@ class CheckedProgram:
     bindings: dict
     symbols: dict  # name -> SymbolInfo
     cfg: ArchConfig
-    events: int  # trace events the loops unroll to (see `_check_block`)
+    events: int  # trace events the loops unroll to (see `_count_events`)
 
 
 def _infer_layouts(stmts, loop_vars: tuple[str, ...] = (),
@@ -149,19 +154,16 @@ def padded_bytes(info: SymbolInfo, cfg: ArchConfig) -> int:
 
 
 def _check_block(stmts: tuple[Stmt, ...], loop_env: dict, env: dict,
-                 symbols: dict, inferred: dict, loads: set) -> int:
+                 symbols: dict, inferred: dict, loads: set) -> None:
     """Check `stmts` under `loop_env`, declaring into `symbols` and adding
-    to `loads` each SRAM buffer that a DRAM-to-SRAM copy fills; returns the
-    number of trace events they expand to.
+    to `loads` each SRAM buffer that a DRAM-to-SRAM copy fills.
 
     Each loop body is checked once, with the loop variable at its lower
-    bound, and counts once per trip; a loop of no trips loads nothing.
-    Declared shapes see only the kernel parameters in `env`. A module-level
-    function rather than a closure inside `typecheck`: a recursive closure
-    is a reference cycle, left for the cyclic garbage collector after every
-    call.
+    bound; a loop of no trips loads nothing. Declared shapes see only the
+    kernel parameters in `env`. A module-level function rather than a
+    closure inside `typecheck`: a recursive closure is a reference cycle,
+    left for the cyclic garbage collector after every call.
     """
-    events = 0
     for stmt in stmts:
         if isinstance(stmt, (TensorDecl, AllocDecl)):
             if stmt.name in symbols:
@@ -185,7 +187,6 @@ def _check_block(stmts: tuple[Stmt, ...], loop_env: dict, env: dict,
                 raise TypecheckError("copy cannot move DRAM to DRAM directly", stmt.line)
             if (src_k, dst_k) == ("tensor", "alloc"):
                 loads.add(stmt.dst.name)
-            events += 1
         elif isinstance(stmt, Gemm):
             for ref in (stmt.a, stmt.b, stmt.out):
                 if symbols.get(ref.name) is None:
@@ -206,7 +207,6 @@ def _check_block(stmts: tuple[Stmt, ...], loop_env: dict, env: dict,
             if out != (a[0], bn):
                 raise TypecheckError(
                     f"gemm output shape {out} != ({a[0]}, {bn})", stmt.line)
-            events += 1
         elif isinstance(stmt, VectorOp):
             shapes = [_ref_shape(r, symbols, loop_env) for r in stmt.operands]
             _broadcast(shapes, stmt.line)
@@ -215,7 +215,6 @@ def _check_block(stmts: tuple[Stmt, ...], loop_env: dict, env: dict,
                 if symbols[ref.name].kind != "alloc":
                     raise TypecheckError(
                         f"vector operand '{ref.name}' must reside in SRAM", stmt.line)
-            events += 1
         elif isinstance(stmt, ForLoop):
             for e in (stmt.lo, stmt.hi, stmt.step):
                 unknown = free_vars(e) - set(loop_env)
@@ -225,13 +224,52 @@ def _check_block(stmts: tuple[Stmt, ...], loop_env: dict, env: dict,
             lo, hi, step = (evaluate(e, loop_env) for e in (stmt.lo, stmt.hi, stmt.step))
             if step <= 0:
                 raise TypecheckError("loop step must be positive", stmt.line)
-            inner = dict(loop_env)
-            inner[stmt.var] = lo
-            trips = len(range(lo, hi, step))
-            events += trips * _check_block(
-                stmt.body, inner, env, symbols, inferred, loads if trips else set())
+            inner = {**loop_env, stmt.var: lo}
+            _check_block(stmt.body, inner, env, symbols, inferred,
+                         loads if range(lo, hi, step) else set())
         else:
             raise TypecheckError(f"unsupported statement {stmt!r}")
+
+
+def _bound_names(stmts: tuple[Stmt, ...]) -> set[str]:
+    """The names the bounds of the loops in `stmts` use, at any depth."""
+    names: set[str] = set()
+    for s in stmts:
+        if isinstance(s, ForLoop):
+            names |= free_vars(s.lo) | free_vars(s.hi) | free_vars(s.step)
+            names |= _bound_names(s.body)
+    return names
+
+
+def _count_events(stmts: tuple[Stmt, ...], env: dict, budget: list[int]) -> int:
+    """The number of trace events checked statements `stmts` expand to, with
+    the kernel parameters and enclosing loop variables taken from `env`.
+
+    A loop whose inner loops' bounds use its variable is counted trip by
+    trip, taking its trips out of `budget[0]` (refused once that runs out),
+    any other as its trip count times its body's events.
+    """
+    events = 0
+    for stmt in stmts:
+        if not isinstance(stmt, ForLoop):
+            events += not isinstance(stmt, (TensorDecl, AllocDecl))
+            continue
+        lo, hi, step = [evaluate(e, env) for e in (stmt.lo, stmt.hi, stmt.step)]
+        if step <= 0:  # a step that follows an enclosing loop variable
+            raise TypecheckError("loop step must be positive", stmt.line)
+        trips = range(lo, hi, step)
+        if stmt.var not in _bound_names(stmt.body):
+            events += len(trips) * _count_events(stmt.body, env, budget)
+            continue
+        budget[0] -= len(trips)
+        if budget[0] < 0:
+            raise TypecheckError(
+                f"loop bounds that follow an enclosing loop variable take more "
+                f"than {MAX_COUNTED_TRIPS} trips to count", stmt.line)
+        inner = dict(env)
+        for v in trips:
+            inner[stmt.var] = v
+            events += _count_events(stmt.body, inner, budget)
     return events
 
 
@@ -248,7 +286,8 @@ def typecheck(prog: KernelProgram, cfg: ArchConfig, bindings: dict[str, int]) ->
     symbols: dict[str, SymbolInfo] = {}
     loads: set[str] = set()
     try:
-        events = _check_block(prog.body, env, env, symbols, _infer_layouts(prog.body), loads)
+        _check_block(prog.body, env, env, symbols, _infer_layouts(prog.body), loads)
+        events = _count_events(prog.body, dict(bindings), [MAX_COUNTED_TRIPS])
     except RecursionError:  # an expression the parser built but `evaluate` cannot walk
         raise TypecheckError("expression nested too deeply to evaluate") from None
 

@@ -2,15 +2,12 @@
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from math import prod
-from operator import add, floordiv, itemgetter, mod, mul, sub
 from typing import NamedTuple
 
 from .ast import (
-    AllocDecl, BinOp, Copy, Expr, ForLoop, Gemm, Num, Stmt, TensorDecl,
-    TileRef, Var, VectorOp,
+    Copy, ForLoop, Gemm, Stmt, TileRef, VectorOp, evaluate,
 )
 from .checker import CheckedProgram, SymbolInfo
 
@@ -67,20 +64,19 @@ class VectorWork(NamedTuple):
 @dataclass(frozen=True, eq=False)
 class OpTrace:
     """A checked kernel's events in program order, produced on demand: each
-    walk (`iter`) runs the loop nest, compiled on the first walk
-    (`_compile`), so no event list is held and a walk that stops early
-    stops the expansion. Its `len` is the event count `typecheck` found."""
+    walk (`iter`) walks the checked loop nest (`_events`), so no event list
+    is held and a walk that stops early stops the expansion. Its `len` is
+    the event count `typecheck` found."""
     checked: CheckedProgram
 
     def __len__(self) -> int:
         return self.checked.events
 
     def __iter__(self):
-        return _walk(self.body, {})
-
-    @functools.cached_property
-    def body(self) -> tuple:
-        return _compile(self.checked.program.body, self.checked, frozenset())
+        checked = self.checked
+        layouts = {name: _run_layout(info) for name, info in checked.symbols.items()}
+        return _events(checked.program.body, checked.symbols, layouts,
+                       dict(checked.bindings))
 
     @property
     def events(self) -> OpTrace:
@@ -165,194 +161,81 @@ def _tile_elems(slices) -> int:
     return prod(hi - lo for lo, hi in slices)
 
 
-# Compilation. Inside a loop nest only the loop variables change, so every
-# expression that uses none of them is folded to an int at the bindings,
-# and a statement whose slices all fold builds its event once. The checker
-# has evaluated every expression `expand` reaches, so folding raises
-# nothing it would not; what can still fail at run time (a slice outside
-# its tensor) raises when the statement runs, as in a walk of the tree.
-
-_OPS = {"+": add, "-": sub, "*": mul, "//": floordiv, "%": mod}
-
-
-def _constant(value):
-    return lambda env: value
-
-
-def _compile_expr(expr: Expr, loop_vars: frozenset, bindings: dict):
-    """`expr` as an int if it uses no enclosing loop variable, else as a
-    function of the loop environment."""
-    match expr:
-        case Num(v):
-            return v
-        case Var(name):
-            return itemgetter(name) if name in loop_vars else bindings[name]
-        case BinOp(op, l, r):
-            fn = _OPS[op]
-            a = _compile_expr(l, loop_vars, bindings)
-            b = _compile_expr(r, loop_vars, bindings)
-            if isinstance(a, int):
-                if isinstance(b, int):
-                    return fn(a, b)
-                return lambda env: fn(a, b(env))
-            if isinstance(b, int):
-                return lambda env: fn(a(env), b)
-            return lambda env: fn(a(env), b(env))
-    raise TypeError(f"bad expression node: {expr!r}")
-
-
-def _compile_slices(ref: TileRef, info: SymbolInfo, loop_vars: frozenset, bindings: dict):
-    """The (lo, hi) slices `ref` selects, edge tiles clipped to the symbol's
-    extent (non-dividing tilings): a tuple if no bound uses a loop
-    variable, else a function of the loop environment. A slice outside the
-    symbol raises `ExpandError` when it is resolved."""
+def _slices(ref: TileRef, info: SymbolInfo, env: dict) -> tuple[tuple[int, int], ...]:
+    """The (lo, hi) slices `ref` selects under `env`, edge tiles clipped to
+    the symbol's extent (non-dividing tilings). A slice outside the symbol
+    raises `ExpandError`."""
     if not ref.indices:
-        return tuple((0, s) for s in info.shape)
-    dims = []
+        return tuple([(0, s) for s in info.shape])
+    out = []
     for sl, extent in zip(ref.indices, info.shape):
-        lo = _compile_expr(sl.lo, loop_vars, bindings)
-        hi = _compile_expr(sl.hi, loop_vars, bindings)
-        if isinstance(lo, int) and isinstance(hi, int) and 0 <= lo < extent and hi > lo:
-            dims.append((lo, min(hi, extent)))
-        else:
-            dims.append(_compile_dim(
-                lo if callable(lo) else _constant(lo),
-                hi if callable(hi) else _constant(hi), ref.name, extent))
-    return _combine(dims, lambda *d: d)
-
-
-def _compile_dim(lo, hi, name: str, extent: int):
-    def dim(env):
-        l = lo(env)
-        h = hi(env)
-        if l < 0 or l >= extent or h <= l:
+        lo, hi = evaluate(sl.lo, env), evaluate(sl.hi, env)
+        if lo < 0 or lo >= extent or hi <= lo:
             raise ExpandError(
-                f"slice [{l}:{h}] out of bounds for '{name}' dimension of {extent}")
-        return (l, h) if h < extent else (l, extent)
-    return dim
+                f"slice [{lo}:{hi}] out of bounds for '{ref.name}' dimension of {extent}")
+        out.append((lo, hi) if hi < extent else (lo, extent))
+    return tuple(out)
 
 
-def _combine(parts: list, fn):
-    """`fn(*parts)` if no part is a function of the loop environment, else
-    a function of the environment that calls `fn` on the parts' values."""
-    if not any(callable(p) for p in parts):
-        return fn(*parts)
-    fns = [p if callable(p) else _constant(p) for p in parts]
-    return lambda env: fn(*[f(env) for f in fns])
+def _events(stmts: tuple[Stmt, ...], symbols: dict, layouts: dict, env: dict):
+    """The events of checked statements `stmts`, in program order, with the
+    kernel parameters and enclosing loop variables taken from `env` and each
+    symbol's `_run_layout` from `layouts`.
 
-
-def _leaf(slices: list, make):
-    """A statement that produces the event `make(*resolved slices)` each
-    time it runs; the event is built once if every slice is a constant."""
-    event = _combine(slices, make)
-    return event if callable(event) else _constant(event)
-
-
-def _walk(body: tuple, env: dict):
-    """The events of compiled statements `body` (`_compile`), in order, with
-    the enclosing loop variables taken from `env`."""
-    for nested, run in body:
-        if nested:
-            yield from run(env)
-        else:
-            yield run(env)
-
-
-def _compile_loop(stmt: ForLoop, checked: CheckedProgram, loop_vars: frozenset):
-    bounds = [_compile_expr(e, loop_vars, checked.bindings)
-              for e in (stmt.lo, stmt.hi, stmt.step)]
-    body = _compile(stmt.body, checked, loop_vars | {stmt.var})
-    var = stmt.var
-    trips = _combine(bounds, range)
-    if not callable(trips):
-        trips = _constant(trips)
-
-    def loop(env):
-        # `_walk` of the body, inlined: one generator frame per loop level.
-        saved = env.get(var)
-        for v in trips(env):
-            env[var] = v
-            for nested, run in body:
-                if nested:
-                    yield from run(env)
-                else:
-                    yield run(env)
-        if saved is None:
-            env.pop(var, None)
-        else:
-            env[var] = saved
-    return loop
-
-
-def _compile_stmt(stmt: Stmt, checked: CheckedProgram, loop_vars: frozenset):
-    """(nested, run) of one non-declaration statement, with the variables of
-    `loop_vars` taken from the loop environment `env`: a loop's `run(env)`
-    yields the events of its trips (`nested` true), any other statement's
-    returns its one event."""
-    if isinstance(stmt, ForLoop):
-        return True, _compile_loop(stmt, checked, loop_vars)
-    return False, _compile_leaf(stmt, checked, loop_vars)
-
-
-def _compile_leaf(stmt: Stmt, checked: CheckedProgram, loop_vars: frozenset):
-    symbols = checked.symbols
-
-    def slices(ref: TileRef):
-        return _compile_slices(ref, symbols[ref.name], loop_vars, checked.bindings)
-
-    if isinstance(stmt, Copy):
-        src_i = symbols[stmt.src.name]
-        dst_i = symbols[stmt.dst.name]
-        if src_i.kind == "tensor" and dst_i.kind == "alloc":
-            kind, info, ref, buffer = "R", src_i, stmt.src, dst_i.name
-        elif src_i.kind == "alloc" and dst_i.kind == "tensor":
-            kind, info, ref, buffer = "W", dst_i, stmt.dst, src_i.name
-        else:  # SRAM-to-SRAM buffer copy
-            names = (src_i.name, dst_i.name)
-            return _leaf([slices(stmt.src)], lambda s: VectorWork(
-                "copy", _tile_elems(s), src_i.dtype_bytes, names))
-        layout = _run_layout(info)
-        return _leaf([slices(ref)], lambda s: DramAccess(
-            kind, info.name, s, *_byte_runs(layout, s), buffer))
-    if isinstance(stmt, Gemm):
-        names = (stmt.a.name, stmt.b.name, stmt.out.name)
-        dt = symbols[stmt.a.name].dtype_bytes
-
-        def gemm(a, b):
+    A loop binds its variable in `env` for its trips and restores the outer
+    value after them. A module-level generator, not a closure: a walk holds
+    no reference cycle, so a dropped trace is freed by reference counting.
+    """
+    for stmt in stmts:
+        cls = stmt.__class__
+        if cls is ForLoop:
+            var = stmt.var
+            saved = env.get(var)
+            for v in range(evaluate(stmt.lo, env), evaluate(stmt.hi, env),
+                           evaluate(stmt.step, env)):
+                env[var] = v
+                yield from _events(stmt.body, symbols, layouts, env)
+            if saved is None:
+                env.pop(var, None)
+            else:
+                env[var] = saved
+        elif cls is Copy:
+            src = symbols[stmt.src.name]
+            dst = symbols[stmt.dst.name]
+            if src.kind == dst.kind:  # SRAM to SRAM; the checker refuses DRAM to DRAM
+                yield VectorWork("copy", _tile_elems(_slices(stmt.src, src, env)),
+                                 src.dtype_bytes, (src.name, dst.name))
+                continue
+            kind, ref, info, buffer = (("R", stmt.src, src, dst) if src.kind == "tensor"
+                                       else ("W", stmt.dst, dst, src))
+            s = _slices(ref, info, env)
+            yield DramAccess(kind, info.name, s, *_byte_runs(layouts[info.name], s),
+                             buffer.name)
+        elif cls is Gemm:
+            a_info = symbols[stmt.a.name]
+            a = _slices(stmt.a, a_info, env)
+            b = _slices(stmt.b, symbols[stmt.b.name], env)
             lo, hi = b[0] if stmt.transpose_b else b[1]
             # accumulate=True adds partial-sum read traffic in the cost
             # model; it does not change the event structure.
-            return MatrixWork(a[0][1] - a[0][0], hi - lo, a[1][1] - a[1][0],
-                              dt, stmt.accumulate, names)
-        return _leaf([slices(stmt.a), slices(stmt.b)], gemm)
-    if isinstance(stmt, VectorOp):
-        refs = (*stmt.operands, stmt.out)
-        names = tuple(r.name for r in refs)
-        dt = symbols[stmt.out.name].dtype_bytes
-        return _leaf([slices(r) for r in refs], lambda *ss: VectorWork(
-            stmt.kind, max([_tile_elems(s) for s in ss]), dt, names))
-    raise ExpandError(f"unsupported statement {stmt!r}")
-
-
-def _compile(stmts: tuple[Stmt, ...], checked: CheckedProgram,
-             loop_vars: frozenset) -> tuple:
-    """The compiled form of `stmts`: one `_compile_stmt` pair per statement
-    that produces events, in program order.
-
-    Module-level functions build the closures and no closure refers to
-    itself, so a compiled program is freed by reference counting alone.
-    """
-    return tuple(_compile_stmt(s, checked, loop_vars) for s in stmts
-                 if not isinstance(s, (TensorDecl, AllocDecl)))
+            yield MatrixWork(a[0][1] - a[0][0], hi - lo, a[1][1] - a[1][0],
+                             a_info.dtype_bytes, stmt.accumulate,
+                             (stmt.a.name, stmt.b.name, stmt.out.name))
+        elif cls is VectorOp:
+            refs = (*stmt.operands, stmt.out)
+            yield VectorWork(
+                stmt.kind,
+                max([_tile_elems(_slices(r, symbols[r.name], env)) for r in refs]),
+                symbols[stmt.out.name].dtype_bytes, tuple([r.name for r in refs]))
+        # A declaration produces no event.
 
 
 def expand(checked: CheckedProgram) -> OpTrace:
     """The deterministic event trace of the unrolled loops, in program order.
 
-    A trace over `MAX_TRACE_EVENTS` is refused before anything is compiled;
-    the loop nest is compiled once, on the trace's first walk, and its events
-    are produced each time the trace is walked. A slice outside its tensor
-    raises `ExpandError` when a walk reaches it.
+    A trace over `MAX_TRACE_EVENTS` is refused before any event is built;
+    its events are produced each time the trace is walked. A slice outside
+    its tensor raises `ExpandError` when a walk reaches it.
     """
     trace = OpTrace(checked)
     if len(trace) > MAX_TRACE_EVENTS:

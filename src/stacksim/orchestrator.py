@@ -8,8 +8,8 @@ on the mesh, and inter-accelerator transfers use the analytic link model.
 Operators are separated by global barriers; inside an operator, each pipeline
 iteration advances time by the slowest engine, so overlapped loads and
 compute cost max(load, compute) rather than their sum. `simulate_compute`
-walks an operator's pipeline iterations once, as they are produced from
-its loop nest, to time it and add up its work totals.
+walks an operator's pipeline iterations once, produced as the kernel's
+checked statements are walked, to time it and add up its work totals.
 
 Because of the barriers, every operator starts on fresh DRAM channel state
 and an empty mesh, so its cycles and statistics depend only on what it runs

@@ -7,8 +7,8 @@ places its DRAM tensors (`infer_placement`). `typecheck` alone decides
 whether the invocation fits the core; pipelining can refuse only a trace
 over `MAX_TRACE_EVENTS`, from the event count `typecheck` found. Nothing
 of the trace is expanded at build time: the pipeline's iterations are
-produced from the loop nest as they are read, and the work totals are
-added up by the walk that times the operator
+produced as they are read, by a walk of the kernel's checked statements,
+and the work totals are added up by the walk that times the operator
 (`orchestrator.simulate_compute`).
 `autotune` builds one operator per tiling candidate and keeps the one with
 the fewest simulated cycles. Once one candidate has completed, each later

@@ -1,13 +1,15 @@
 """Statement-walking reference for `stacksim.kerneldsl.trace.expand`.
 
-The tree walker `expand` used before it compiled loop nests: every trip of
-every loop copies the environment, and every slice bound is evaluated by
-walking its expression tree. Only the byte-run routine (`byte_runs`
-below) and the event types are shared with production code; each DRAM
+Like `expand`, it walks the checked statements and evaluates each bound
+with `kerneldsl.ast.evaluate` (checked on its own against Python's
+arithmetic in `test_kerneldsl.py`). What sets it apart: every trip of every
+loop copies the environment instead of rebinding one variable, the events
+are built into a list, slices are resolved and clipped here, and each DRAM
 event's byte runs are checked against its tile's elements times the
-dtype's bytes, counted here. Intended for
-small traces, such as the shipped kernels at the tilings `shipped_bindings`
-lists.
+dtype's bytes, counted here. The byte-run routine (`byte_runs` below),
+`evaluate` and the event types are all it shares with production code.
+Intended for small traces, such as the shipped kernels at the tilings
+`shipped_bindings` lists.
 """
 
 from __future__ import annotations

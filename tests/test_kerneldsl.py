@@ -15,6 +15,7 @@ from stacksim.kerneldsl import (
     KernelSyntaxError, MatrixWork, Num, TensorDecl, TypecheckError, Var,
     VectorWork, ast_to_json, event_totals, expand, parse_kernel, typecheck,
 )
+from stacksim.kerneldsl.ast import evaluate
 from stacksim.kerneldsl.checker import SymbolInfo
 from stacksim.kerneldsl.trace import ExpandError, strides_elems
 from stacksim.workloads import load_kernel
@@ -129,6 +130,53 @@ def test_typecheck_rejects_an_expression_too_deep_to_evaluate():
     prog = KernelProgram("k", ("N",), (AllocDecl("x", (dim,), "fp16", 2),))
     with pytest.raises(TypecheckError, match="nested too deeply"):
         typecheck(prog, CFG, {"N": 1})
+
+
+def test_evaluate_matches_python_arithmetic_on_random_trees():
+    # `expand`'s walk and tests/expand_reference.py share `evaluate`, so it
+    # is checked here against Python's own arithmetic on the same tree,
+    # written out as source.
+    rng = random.Random(29)
+    names = ("a", "b", "c")
+    no_builtins = {"__builtins__": {}}
+    seen = set()
+
+    def tree(depth, env):
+        """(expression, its Python source) of a random tree."""
+        if depth == 0 or rng.random() < 0.2:
+            if rng.random() < 0.5:
+                v = rng.randint(-9, 9)
+                return Num(v), f"({v})"
+            name = rng.choice(names)
+            return Var(name), name
+        op = rng.choice(("+", "-", "*", "//", "%"))
+        (left, ls), (right, rs) = tree(depth - 1, env), tree(depth - 1, env)
+        try:
+            a, b = eval(ls, no_builtins, env), eval(rs, no_builtins, env)
+            seen.add((op, a < 0, b < 0))
+        except ZeroDivisionError:
+            pass
+        return BinOp(op, left, right), f"({ls} {op} {rs})"
+
+    for _ in range(2000):
+        env = {n: rng.randint(-20, 20) for n in names}
+        expr, src = tree(4, env)
+        try:
+            want = eval(src, no_builtins, dict(env))
+        except ZeroDivisionError:
+            with pytest.raises(ZeroDivisionError):
+                evaluate(expr, env)
+            continue
+        assert evaluate(expr, env) == want, (src, env)
+    assert {(op, a, b) for op in ("+", "-", "*", "//", "%")
+            for a in (False, True) for b in (False, True)} <= seen
+
+    with pytest.raises(KeyError) as unbound:
+        evaluate(BinOp("+", Var("a"), Var("x")), {"a": 1})
+    assert unbound.value.args == ("unbound identifier 'x'",)
+    for bad in ("a", BinOp("**", Num(2), Num(3))):
+        with pytest.raises(TypeError, match="bad expression node"):
+            evaluate(bad, {"a": 1})
 
 
 SHIPPED_SOURCES = [
@@ -344,12 +392,58 @@ def test_typecheck_leaves_nothing_for_the_cycle_collector():
         gc.enable()
 
 
+def _triangle(bounds: str) -> str:
+    """A kernel whose inner loop's bounds follow the outer loop variable."""
+    return ("kernel k(M, N, t):\n"
+            "    X = tensor((M, N), fp16)\n"
+            "    x = alloc((t, N), fp16)\n"
+            "    for i in range(0, M, t):\n"
+            f"        for j in range({bounds}):\n"
+            "            copy(X[j:j+t, 0:N], x)\n")
+
+
 def test_typecheck_counts_the_events_expand_builds():
-    for name, bind in (("matmul", dict(M=8, K=12, N=8, tM=4, tN=8, tK=5)),
-                       ("matmul_rowblock", dict(M=8, K=16, N=8, tM=4, tN=2, tK=8))):
-        checked = typecheck(load_kernel(name), CFG, bind)
+    for prog, bind in (
+            (load_kernel("matmul"), dict(M=8, K=12, N=8, tM=4, tN=8, tK=5)),
+            (load_kernel("matmul_rowblock"), dict(M=8, K=16, N=8, tM=4, tN=2, tK=8)),
+            (parse_kernel(_triangle("0, i + 1, 1")), dict(M=64, N=4, t=1)),
+            (parse_kernel(_triangle("i, M, t")), dict(M=64, N=4, t=1)),
+            (parse_kernel(_triangle("i, M, t")), dict(M=10, N=4, t=3))):
+        checked = typecheck(prog, CFG, bind)
         trace = expand(checked)
-        assert checked.events == len(list(trace.events)) == len(trace.events)
+        assert checked.events == len(list(trace.events)) == len(trace.events), bind
+    # 64 * 65 / 2 events for both triangles; the count at the outer loop's
+    # lower bound alone would give 64 and 64 * 64.
+    for bounds in ("0, i + 1, 1", "i, M, t"):
+        assert typecheck(parse_kernel(_triangle(bounds)), CFG,
+                         dict(M=64, N=4, t=1)).events == 2080
+
+
+def test_expand_refuses_a_triangle_over_the_event_limit():
+    # 2048 * 2049 / 2 = 2,098,176 events, past the limit; counted at the
+    # outer loop's lower bound it would read 2048 and slip through.
+    checked = typecheck(parse_kernel(_triangle("0, i + 1, 1")), CFG,
+                        dict(M=2048, N=4, t=1))
+    assert checked.events == 2048 * 2049 // 2
+    with pytest.raises(ExpandError, match="2098176 trace events"):
+        expand(checked)
+
+
+def test_typecheck_refuses_a_count_of_too_many_dependent_trips():
+    from stacksim.kerneldsl.checker import MAX_COUNTED_TRIPS
+    text = ("kernel k(M, N):\n"
+            "    X = tensor((M, N), fp16)\n"
+            "    x = alloc((1, N), fp16)\n"
+            "    for i in range(0, M, 1):\n"
+            "        for j in range(0, i, 1):\n"
+            "            for k in range(j, j + 1, 1):\n"
+            "                copy(X[k:k+1, 0:N], x)\n")
+    # The j loops take M * (M - 1) / 2 trips, each counted one by one.
+    small = typecheck(parse_kernel(text), CFG, dict(M=300, N=4))
+    assert small.events == len(list(expand(small).events)) == 300 * 299 // 2
+    assert 300 * 299 // 2 + 300 <= MAX_COUNTED_TRIPS < 400 * 399 // 2
+    with pytest.raises(TypecheckError, match="line 5: .* trips to count"):
+        typecheck(parse_kernel(text), CFG, dict(M=400, N=4))
 
 
 def test_expand_refuses_a_trace_over_the_event_limit(monkeypatch):
@@ -357,14 +451,14 @@ def test_expand_refuses_a_trace_over_the_event_limit(monkeypatch):
     checked = typecheck(load_kernel("matmul"), CFG,
                         dict(M=8, K=8, N=8, tM=4, tN=4, tK=4))
     limit = len(expand(checked).events)
+    walks = []
+    monkeypatch.setattr(trace_mod, "_events", lambda *a: walks.append(a) or iter(()))
     monkeypatch.setattr(trace_mod, "MAX_TRACE_EVENTS", limit)
-    assert len(expand(checked).events) == limit
+    assert len(expand(checked).events) == limit and not walks
     monkeypatch.setattr(trace_mod, "MAX_TRACE_EVENTS", limit - 1)
-    compiled = []
-    monkeypatch.setattr(trace_mod, "_compile", lambda *a: compiled.append(a))
     with pytest.raises(ExpandError, match="trace events"):
         expand(checked)
-    assert not compiled  # refused before compiling or building any event
+    assert not walks  # refused before the walker was entered
 
 
 def test_full_width_tile_merges_to_one_run():

@@ -274,24 +274,29 @@ def test_a_cut_off_walk_expands_no_more_than_its_window():
 
 def test_building_an_operator_expands_nothing(monkeypatch):
     from stacksim.kerneldsl import trace as trace_mod
-    compiled = []
-    compile_ = trace_mod._compile
+    calls = []
+    events_ = trace_mod._events
 
-    def recording(*args):
-        compiled.append(args)
-        return compile_(*args)
+    def recording(stmts, *rest):
+        calls.append(stmts)
+        return events_(stmts, *rest)
 
-    monkeypatch.setattr(trace_mod, "_compile", recording)
+    monkeypatch.setattr(trace_mod, "_events", recording)
     bind = dict(M=16, K=64, N=64, tM=16, tN=8, tK=8)
     op = build_op("mm", load_kernel("matmul"), CFG, bind)
-    assert not compiled and len(op.desc.trace) == op.checked.events
-    assert list(op.desc.iterations) == list(op.desc.iterations)
-    assert [a[2] for a in compiled].count(frozenset()) == 1  # on the first walk, once
+    assert not calls and len(op.desc.trace) == op.checked.events
+
+    def walks():  # the walks started: calls at the kernel's top level
+        return sum(stmts is op.checked.program.body for stmts in calls)
+
+    first = list(op.desc.iterations)
+    assert walks() == 1
+    assert list(op.desc.iterations) == first and walks() == 2
     monkeypatch.setattr(trace_mod, "MAX_TRACE_EVENTS", op.checked.events - 1)
-    compiled.clear()
+    calls.clear()
     with pytest.raises(ExpandError, match="trace events"):
         build_op("mm", load_kernel("matmul"), CFG, bind)
-    assert not compiled
+    assert not calls
 
 
 def test_build_op_typechecks_pipelines_and_places():

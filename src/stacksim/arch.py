@@ -8,9 +8,9 @@ immutable and safe to share across simulations.
 
 Each field declares what it accepts once, in its `metadata`: a `range`
 (inclusive bounds) where the default rule, a finite number > 0, does not
-hold; the `units` a YAML file may give it in instead; and for the thermal
-layers, the class of each list `items` entry. `validate`, `parse_arch` and
-`serialize` read those declarations and the section table `_SECTIONS`.
+hold; and the `units` a YAML file may give it in instead. `validate`,
+`parse_arch` and `serialize` read those declarations and the section table
+`_SECTIONS`.
 """
 
 from __future__ import annotations
@@ -46,9 +46,11 @@ class PhysicalBankSpec:
 
 @dataclass(frozen=True)
 class LogicalBankSpec:
-    # R physical-bank rows stacked for capacity, C banks concatenated per
-    # logical row (the activate/precharge granularity).
-    R: int = 4
+    # R DRAM dies stacked on the logic die, each adding a physical-bank row
+    # of capacity and a bond and a die to the thermal stack; C banks
+    # concatenated per logical row (the activate/precharge granularity).
+    # Bounded so that a die count stays a stack, not millions of layers.
+    R: int = field(default=4, metadata={"range": (1, 1024)})
     C: int = 32
 
 
@@ -119,42 +121,24 @@ class EnergySpec:
     noc_pj_per_byte_hop: float = field(default=0.1, metadata=_AT_LEAST_0)
 
 
-@dataclass(frozen=True)
-class LayerSpec:
-    """One layer of the thermal stack, listed bottom first. A power layer's
-    name decides its role (`thermal.power_map`): compute power is split
-    evenly over the power layers whose name starts with `logic`, and DRAM
-    power over the other power layers. With no power layer of a role,
-    layer 0 takes the compute share and the top layer the DRAM share."""
-    name: str
-    thickness_m: float = field(metadata={"units": {"um": 1e-6}})
-    conductivity_w_mk: float
-    # Receives a share of the power map. Keyword-only, so a fourth
-    # positional value is refused rather than read as this flag.
-    power_layer: bool = field(default=False, kw_only=True)
+_UM = {"units": {"um": 1e-6}}
 
 
 @dataclass(frozen=True)
 class StackDescription:
-    layers: tuple[LayerSpec, ...] = field(default=(), metadata={"items": LayerSpec})
+    """Cooling and materials of the thermal stack. Its layers follow from
+    the DRAM die count `lb.R` (`thermal.layer_column`): the logic die at
+    the bottom, then R times a bond and a DRAM die. The conductivities are
+    generic silicon (120 W/mK) and bonding-layer (2 W/mK) placeholders."""
     htc_w_m2k: float = 10000.0
     ambient_c: float = field(default=25.0, metadata={"range": (-math.inf, math.inf)})
     chip_area_m2: float = field(default=8e-4, metadata={"units": {"mm2": 1e-6}})  # 800 mm^2
-
-    def __post_init__(self):
-        if not self.layers:
-            object.__setattr__(self, "layers", _default_layers())
-
-
-def _default_layers() -> tuple[LayerSpec, ...]:
-    # Logic die at the bottom, DRAM dies above, bonded interfaces between.
-    # Conductivities are generic silicon (120 W/mK) and bonding-layer
-    # (2 W/mK) placeholders.
-    layers = [LayerSpec("logic", 100e-6, 120.0, power_layer=True)]
-    for i in range(4):
-        layers.append(LayerSpec(f"bond{i}", 5e-6, 2.0))
-        layers.append(LayerSpec(f"dram{i}", 50e-6, 120.0, power_layer=True))
-    return tuple(layers)
+    logic_thickness_m: float = field(default=100e-6, metadata=_UM)
+    logic_conductivity_w_mk: float = 120.0
+    bond_thickness_m: float = field(default=5e-6, metadata=_UM)
+    bond_conductivity_w_mk: float = 2.0
+    dram_thickness_m: float = field(default=50e-6, metadata=_UM)
+    dram_conductivity_w_mk: float = 120.0
 
 
 @dataclass(frozen=True)
@@ -219,14 +203,11 @@ def derived_metrics(cfg: ArchConfig) -> DerivedMetrics:
 
 def _leaves(obj, path: str):
     """(path, value, declared range) of every int/float field under the
-    dataclass `obj`, thermal layers included."""
+    dataclass `obj`."""
     for f in dataclasses.fields(obj):
         value = getattr(obj, f.name)
         if dataclasses.is_dataclass(value):
             yield from _leaves(value, f"{path}{f.name}.")
-        elif isinstance(value, tuple):
-            for i, item in enumerate(value):
-                yield from _leaves(item, f"{path}{f.name}[{i}].")
         elif f.type in ("int", "float"):
             yield f"{path}{f.name}", value, f.metadata.get("range")
 
@@ -261,17 +242,14 @@ def validate(cfg: ArchConfig) -> list[str]:
     t = cfg.dram_timing
     if t.tRAS < t.tRCD:
         v.append(f"dram_timing.tRAS must be >= tRCD (got {t.tRAS} < {t.tRCD})")
-    if len(cfg.thermal_stack.layers) < 2:
-        v.append("thermal_stack needs at least 2 layers")
     return v
 
 
 def _check_value(value, type_name: str, where: str):
-    """Refuse a value an int, float or bool field cannot take; a bool is an
-    int to Python, so int and float fields refuse it explicitly."""
-    want = {"int": int, "float": (int, float), "bool": bool}.get(type_name)
-    if want is not None and (not isinstance(value, want)
-                             or (isinstance(value, bool) and type_name != "bool")):
+    """Refuse a value an int or float field cannot take; a bool is an int
+    to Python, so both refuse it explicitly."""
+    want = {"int": int, "float": (int, float)}[type_name]
+    if not isinstance(value, want) or isinstance(value, bool):
         raise ArchError(f"{where} must be {type_name}, got {value!r}")
 
 
@@ -285,8 +263,7 @@ def _mapping(value, path: str) -> dict:
 def _build(cls, sect, path: str):
     """A `cls` from the config section at `path`. A field's declared `units`
     are read as `<base>_<unit>` (`sram_mb` for `sram_bytes`) and scaled,
-    where the field itself is not given; declared `items` are a list of
-    sections, each built as that class."""
+    where the field itself is not given."""
     sect = _mapping(sect, path)
     fields = dataclasses.fields(cls)
     for f in fields:
@@ -303,20 +280,9 @@ def _build(cls, sect, path: str):
     bad = set(sect) - {f.name for f in fields}
     if bad:
         raise ArchError(f"unknown field(s) in {path}: {sorted(bad)}")
-    missing = [f"{path}.{f.name}" for f in fields if f.name not in sect
-               and f.default is f.default_factory is dataclasses.MISSING]
-    if missing:
-        raise ArchError(f"missing field(s): {', '.join(missing)}")
     for f in fields:
-        if f.name not in sect:
-            continue
-        _check_value(sect[f.name], f.type, f"{path}.{f.name}")
-        if "items" in f.metadata:
-            entries = sect[f.name]
-            if not isinstance(entries, list):
-                raise ArchError(f"{path}.{f.name} must be a list, got {entries!r}")
-            sect[f.name] = tuple(_build(f.metadata["items"], entry, f"{path}.{f.name}[]")
-                                 for entry in entries)
+        if f.name in sect:
+            _check_value(sect[f.name], f.type, f"{path}.{f.name}")
     return cls(**sect)
 
 

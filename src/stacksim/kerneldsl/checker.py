@@ -87,12 +87,14 @@ def _infer_layouts(stmts, loop_vars: tuple[str, ...] = (),
     return layouts
 
 
-def _ref_shape(ref: TileRef, symbols: dict, env: dict) -> tuple[int, ...]:
+def _ref_shape(ref: TileRef, symbols: dict, envs: tuple[dict, ...]) -> tuple[int, ...]:
     """Extent per dimension of a (possibly sliced) reference.
 
-    Slices whose bounds involve loop variables are evaluated with those
-    variables at their loop lower bound; tile extents must not depend on the
-    iteration, which holds for affine `base + var*factor` slicing.
+    `envs[0]` has every enclosing loop variable at its first trip, and each
+    later env one enclosing loop at its last trip. The extents are those
+    under `envs[0]`; one that differs under a later env is refused, since a
+    tile's extent must not follow the iteration (it does not for affine
+    `base + var*factor` slicing).
     """
     info = symbols.get(ref.name)
     if info is None:
@@ -103,17 +105,21 @@ def _ref_shape(ref: TileRef, symbols: dict, env: dict) -> tuple[int, ...]:
         raise TypecheckError(
             f"'{ref.name}' sliced with {len(ref.indices)} indices but has "
             f"{len(info.shape)} dimensions", ref.line)
-    extents = []
-    for sl, dim in zip(ref.indices, info.shape):
-        try:
-            lo = evaluate(sl.lo, env)
-            hi = evaluate(sl.hi, env)
-        except KeyError as e:
-            raise TypecheckError(str(e), ref.line) from None
+    try:
+        bounds = [[(evaluate(sl.lo, env), evaluate(sl.hi, env)) for sl in ref.indices]
+                  for env in envs]
+    except KeyError as e:
+        raise TypecheckError(str(e), ref.line) from None
+    for lo, hi in bounds[0]:
         if hi <= lo:
             raise TypecheckError(f"empty slice [{lo}:{hi}] on '{ref.name}'", ref.line)
-        extents.append(hi - lo)
-    return tuple(extents)
+    first, *lasts = [tuple([hi - lo for lo, hi in b]) for b in bounds]
+    for last in lasts:
+        if last != first:
+            raise TypecheckError(
+                f"tile extent of '{ref.name}' follows a loop variable: {first} "
+                f"on the loop's first trip, {last} on its last", ref.line)
+    return first
 
 
 def _broadcast(shapes: list[tuple[int, ...]], line: int) -> tuple[int, ...]:
@@ -153,17 +159,20 @@ def padded_bytes(info: SymbolInfo, cfg: ArchConfig) -> int:
     return -(-info.size_bytes // row) * row
 
 
-def _check_block(stmts: tuple[Stmt, ...], loop_env: dict, env: dict,
+def _check_block(stmts: tuple[Stmt, ...], envs: tuple[dict, ...], env: dict,
                  symbols: dict, inferred: dict, loads: set) -> None:
-    """Check `stmts` under `loop_env`, declaring into `symbols` and adding
-    to `loads` each SRAM buffer that a DRAM-to-SRAM copy fills.
+    """Check `stmts` under `envs` (as `_ref_shape` takes them), declaring
+    into `symbols` and adding to `loads` each SRAM buffer that a
+    DRAM-to-SRAM copy fills.
 
-    Each loop body is checked once, with the loop variable at its lower
-    bound; a loop of no trips loads nothing. Declared shapes see only the
-    kernel parameters in `env`. A module-level function rather than a
-    closure inside `typecheck`: a recursive closure is a reference cycle,
-    left for the cyclic garbage collector after every call.
+    Each loop body is checked once, with the loop variable at its first
+    trip, and its tile extents also with the loop at its last trip; a loop
+    of no trips loads nothing. Declared shapes see only the kernel
+    parameters in `env`. A module-level function rather than a closure
+    inside `typecheck`: a recursive closure is a reference cycle, left for
+    the cyclic garbage collector after every call.
     """
+    loop_env = envs[0]
     for stmt in stmts:
         if isinstance(stmt, (TensorDecl, AllocDecl)):
             if stmt.name in symbols:
@@ -176,8 +185,8 @@ def _check_block(stmts: tuple[Stmt, ...], loop_env: dict, env: dict,
             symbols[stmt.name] = SymbolInfo(
                 stmt.name, kind, _eval_shape(stmt, env), stmt.dtype, layout)
         elif isinstance(stmt, Copy):
-            s_shape = _ref_shape(stmt.src, symbols, loop_env)
-            d_shape = _ref_shape(stmt.dst, symbols, loop_env)
+            s_shape = _ref_shape(stmt.src, symbols, envs)
+            d_shape = _ref_shape(stmt.dst, symbols, envs)
             if prod(s_shape) != prod(d_shape):
                 raise TypecheckError(
                     f"copy extent mismatch: {s_shape} vs {d_shape}", stmt.line)
@@ -194,9 +203,9 @@ def _check_block(stmts: tuple[Stmt, ...], loop_env: dict, env: dict,
                 if symbols[ref.name].kind != "alloc":
                     raise TypecheckError(
                         f"gemm operand '{ref.name}' must reside in SRAM", stmt.line)
-            a = _ref_shape(stmt.a, symbols, loop_env)
-            b = _ref_shape(stmt.b, symbols, loop_env)
-            out = _ref_shape(stmt.out, symbols, loop_env)
+            a = _ref_shape(stmt.a, symbols, envs)
+            b = _ref_shape(stmt.b, symbols, envs)
+            out = _ref_shape(stmt.out, symbols, envs)
             if len(a) != 2 or len(b) != 2 or len(out) != 2:
                 raise TypecheckError("gemm operands must be 2D", stmt.line)
             bk, bn = (b[1], b[0]) if stmt.transpose_b else (b[0], b[1])
@@ -208,9 +217,9 @@ def _check_block(stmts: tuple[Stmt, ...], loop_env: dict, env: dict,
                 raise TypecheckError(
                     f"gemm output shape {out} != ({a[0]}, {bn})", stmt.line)
         elif isinstance(stmt, VectorOp):
-            shapes = [_ref_shape(r, symbols, loop_env) for r in stmt.operands]
+            shapes = [_ref_shape(r, symbols, envs) for r in stmt.operands]
             _broadcast(shapes, stmt.line)
-            _ref_shape(stmt.out, symbols, loop_env)
+            _ref_shape(stmt.out, symbols, envs)
             for ref in (*stmt.operands, stmt.out):
                 if symbols[ref.name].kind != "alloc":
                     raise TypecheckError(
@@ -224,9 +233,12 @@ def _check_block(stmts: tuple[Stmt, ...], loop_env: dict, env: dict,
             lo, hi, step = (evaluate(e, loop_env) for e in (stmt.lo, stmt.hi, stmt.step))
             if step <= 0:
                 raise TypecheckError("loop step must be positive", stmt.line)
-            inner = {**loop_env, stmt.var: lo}
+            trips = range(lo, hi, step)
+            inner = tuple([{**e, stmt.var: evaluate(stmt.lo, e)} for e in envs])
+            if len(trips) > 1:
+                inner += ({**loop_env, stmt.var: trips[-1]},)
             _check_block(stmt.body, inner, env, symbols, inferred,
-                         loads if range(lo, hi, step) else set())
+                         loads if trips else set())
         else:
             raise TypecheckError(f"unsupported statement {stmt!r}")
 
@@ -286,7 +298,7 @@ def typecheck(prog: KernelProgram, cfg: ArchConfig, bindings: dict[str, int]) ->
     symbols: dict[str, SymbolInfo] = {}
     loads: set[str] = set()
     try:
-        _check_block(prog.body, env, env, symbols, _infer_layouts(prog.body), loads)
+        _check_block(prog.body, (env,), env, symbols, _infer_layouts(prog.body), loads)
         events = _count_events(prog.body, dict(bindings), [MAX_COUNTED_TRIPS])
     except RecursionError:  # an expression the parser built but `evaluate` cannot walk
         raise TypecheckError("expression nested too deeply to evaluate") from None

@@ -75,7 +75,9 @@ class OpTrace:
     def __iter__(self):
         checked = self.checked
         layouts = {name: _run_layout(info) for name, info in checked.symbols.items()}
-        return _events(checked.program.body, checked.symbols, layouts,
+        whole = {name: (tuple([(0, s) for s in info.shape]), prod(info.shape))
+                 for name, info in checked.symbols.items()}
+        return _events(checked.program.body, checked.symbols, layouts, whole,
                        dict(checked.bindings))
 
     @property
@@ -157,16 +159,13 @@ def _byte_runs(layout, slices) -> tuple[range | tuple[int, ...], int]:
     return offsets, run
 
 
-def _tile_elems(slices) -> int:
-    return prod(hi - lo for lo, hi in slices)
-
-
-def _slices(ref: TileRef, info: SymbolInfo, env: dict) -> tuple[tuple[int, int], ...]:
+def _slices(ref: TileRef, info: SymbolInfo, whole: dict,
+            env: dict) -> tuple[tuple[int, int], ...]:
     """The (lo, hi) slices `ref` selects under `env`, edge tiles clipped to
-    the symbol's extent (non-dividing tilings). A slice outside the symbol
-    raises `ExpandError`."""
+    the symbol's extent (non-dividing tilings); an unsliced `ref` is its
+    entry in `whole`. A slice outside the symbol raises `ExpandError`."""
     if not ref.indices:
-        return tuple([(0, s) for s in info.shape])
+        return whole[ref.name][0]
     out = []
     for sl, extent in zip(ref.indices, info.shape):
         lo, hi = evaluate(sl.lo, env), evaluate(sl.hi, env)
@@ -177,10 +176,19 @@ def _slices(ref: TileRef, info: SymbolInfo, env: dict) -> tuple[tuple[int, int],
     return tuple(out)
 
 
-def _events(stmts: tuple[Stmt, ...], symbols: dict, layouts: dict, env: dict):
+def _elems(ref: TileRef, symbols: dict, whole: dict, env: dict) -> int:
+    """The element count of the tile `ref` selects under `env`."""
+    if not ref.indices:
+        return whole[ref.name][1]
+    return prod([hi - lo for lo, hi in _slices(ref, symbols[ref.name], whole, env)])
+
+
+def _events(stmts: tuple[Stmt, ...], symbols: dict, layouts: dict, whole: dict,
+            env: dict):
     """The events of checked statements `stmts`, in program order, with the
-    kernel parameters and enclosing loop variables taken from `env` and each
-    symbol's `_run_layout` from `layouts`.
+    kernel parameters and enclosing loop variables taken from `env`, each
+    symbol's `_run_layout` from `layouts` and its whole-buffer slices and
+    element count from `whole`.
 
     A loop binds its variable in `env` for its trips and restores the outer
     value after them. A module-level generator, not a closure: a walk holds
@@ -194,7 +202,7 @@ def _events(stmts: tuple[Stmt, ...], symbols: dict, layouts: dict, env: dict):
             for v in range(evaluate(stmt.lo, env), evaluate(stmt.hi, env),
                            evaluate(stmt.step, env)):
                 env[var] = v
-                yield from _events(stmt.body, symbols, layouts, env)
+                yield from _events(stmt.body, symbols, layouts, whole, env)
             if saved is None:
                 env.pop(var, None)
             else:
@@ -203,18 +211,18 @@ def _events(stmts: tuple[Stmt, ...], symbols: dict, layouts: dict, env: dict):
             src = symbols[stmt.src.name]
             dst = symbols[stmt.dst.name]
             if src.kind == dst.kind:  # SRAM to SRAM; the checker refuses DRAM to DRAM
-                yield VectorWork("copy", _tile_elems(_slices(stmt.src, src, env)),
+                yield VectorWork("copy", _elems(stmt.src, symbols, whole, env),
                                  src.dtype_bytes, (src.name, dst.name))
                 continue
             kind, ref, info, buffer = (("R", stmt.src, src, dst) if src.kind == "tensor"
                                        else ("W", stmt.dst, dst, src))
-            s = _slices(ref, info, env)
+            s = _slices(ref, info, whole, env)
             yield DramAccess(kind, info.name, s, *_byte_runs(layouts[info.name], s),
                              buffer.name)
         elif cls is Gemm:
             a_info = symbols[stmt.a.name]
-            a = _slices(stmt.a, a_info, env)
-            b = _slices(stmt.b, symbols[stmt.b.name], env)
+            a = _slices(stmt.a, a_info, whole, env)
+            b = _slices(stmt.b, symbols[stmt.b.name], whole, env)
             lo, hi = b[0] if stmt.transpose_b else b[1]
             # accumulate=True adds partial-sum read traffic in the cost
             # model; it does not change the event structure.
@@ -224,8 +232,7 @@ def _events(stmts: tuple[Stmt, ...], symbols: dict, layouts: dict, env: dict):
         elif cls is VectorOp:
             refs = (*stmt.operands, stmt.out)
             yield VectorWork(
-                stmt.kind,
-                max([_tile_elems(_slices(r, symbols[r.name], env)) for r in refs]),
+                stmt.kind, max([_elems(r, symbols, whole, env) for r in refs]),
                 symbols[stmt.out.name].dtype_bytes, tuple([r.name for r in refs]))
         # A declaration produces no event.
 

@@ -42,10 +42,12 @@ def _integer(dimension: str, value) -> int:
 def apply_dimension(base: ArchConfig, dimension: str, value) -> ArchConfig:
     """Derive a config with one swept parameter changed.
 
-    Capacity-neutral rules: the channel sweep rescales the physical-bank row
-    count R so core capacity is constant; the logical-row sweep rescales R
-    against the changed row width C. matrix_vector_ratio redistributes the
-    summed TFLOPS between the two engines at the given matrix:vector ratio.
+    Capacity-neutral rules: the channel sweep rescales the DRAM die count R
+    so core capacity is constant; the logical-row sweep rescales R against
+    the changed row width C. Both therefore change the die count, and with
+    it the thermal stack (`thermal.layer_column`) that the point is
+    regulated against. matrix_vector_ratio redistributes the summed TFLOPS
+    between the two engines at the given matrix:vector ratio.
     """
     r = dataclasses.replace
     if dimension == "interleave_x":

@@ -1,12 +1,16 @@
 """Steady-state thermal model of the die stack plus frequency regulation.
 
-Every layer spans the whole chip, power spreads evenly within each layer,
-heat leaves evenly through the top surface and the sides are adiabatic, so
-the temperature is uniform within each layer and one node per layer is exact
+The stack is one column of layers, bottom first: the logic die, then one
+bond and one DRAM die per stacked die of `lb.R` (`layer_column`); the three
+materials and the cooling come from `ArchConfig.thermal_stack`. Every layer
+spans the whole chip, power spreads evenly within each layer, heat leaves
+evenly through the top surface and the sides are adiabatic, so the
+temperature is uniform within each layer and one node per layer is exact
 (the layer column of HotSpot's compact model). Adjacent layers couple through
 the series conductance of their half-thickness slabs; the top layer reaches
 ambient through its half slab in series with the boundary heat-transfer
-coefficient. Temperatures are solved relative to ambient.
+coefficient. Temperatures are solved relative to ambient. The solver
+(`build_matrices`, `ThermalGrid.steady_state`) takes any column.
 
 Layer 0 is the bottom of the stack and heat leaves only through the top, so
 in steady state the interface above layer i carries all the power of layers
@@ -20,6 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import accumulate
+from typing import NamedTuple
 
 from .arch import ArchConfig, StackDescription
 
@@ -32,9 +37,23 @@ class ThermalError(ValueError):
     pass
 
 
+class Layer(NamedTuple):
+    thickness_m: float
+    conductivity_w_mk: float
+
+
+def layer_column(cfg: ArchConfig) -> tuple[Layer, ...]:
+    """The stack's layers, bottom first: the logic die, then `lb.R` times a
+    bond and a DRAM die."""
+    s = cfg.thermal_stack
+    logic = Layer(s.logic_thickness_m, s.logic_conductivity_w_mk)
+    bond = Layer(s.bond_thickness_m, s.bond_conductivity_w_mk)
+    dram = Layer(s.dram_thickness_m, s.dram_conductivity_w_mk)
+    return (logic,) + (bond, dram) * cfg.lb.R
+
+
 @dataclass(frozen=True)
 class ThermalGrid:
-    stack: StackDescription
     conductance: tuple[float, ...]  # W/K between layer i and i+1, bottom to top
     top_conductance: float  # W/K from the top layer to ambient
 
@@ -55,38 +74,31 @@ class ThermalGrid:
         return T
 
 
-def build_matrices(stack: StackDescription) -> ThermalGrid:
-    """Assemble the layer column: the series conductances between adjacent
-    layers and from the top layer to ambient."""
-    if len(stack.layers) < 2:
+def build_matrices(layers, stack: StackDescription) -> ThermalGrid:
+    """Assemble the column `layers` (bottom first) under the cooling of
+    `stack`: the series conductances between adjacent layers and from the
+    top layer to ambient."""
+    if len(layers) < 2:
         raise ThermalError("stack needs at least 2 layers")
     area = stack.chip_area_m2
     # Conductance of each layer's half-thickness slab over the chip area.
     half = [layer.conductivity_w_mk * area / (layer.thickness_m / 2)
-            for layer in stack.layers]
+            for layer in layers]
     conductance = tuple(1.0 / (1.0 / lower + 1.0 / upper)
                         for lower, upper in zip(half, half[1:]))
     # Boundary: top layer to ambient through half-slab conduction + HTC.
     top = 1.0 / (1.0 / half[-1] + 1.0 / (stack.htc_w_m2k * area))
-    return ThermalGrid(stack, conductance, top)
+    return ThermalGrid(conductance, top)
 
 
 def power_map(grid: ThermalGrid, compute_w: float, dram_w: float) -> list[float]:
-    """Spread compute power over the power-carrying logic layers and DRAM
-    power over the power-carrying DRAM dies (evenly within each group)."""
+    """Power per layer of a `layer_column` grid: compute power on the logic
+    die (layer 0), DRAM power split evenly over the DRAM dies (layers 2, 4,
+    ..., the top)."""
+    dies = grid.nodes // 2
     P = [0.0] * grid.nodes
-    logic_layers = [i for i, l in enumerate(grid.stack.layers)
-                    if l.power_layer and l.name.startswith("logic")]
-    dram_layers = [i for i, l in enumerate(grid.stack.layers)
-                   if l.power_layer and not l.name.startswith("logic")]
-    if not logic_layers:
-        logic_layers = [0]
-    if not dram_layers:
-        dram_layers = [len(grid.stack.layers) - 1]
-    for li in logic_layers:
-        P[li] += compute_w / len(logic_layers)
-    for li in dram_layers:
-        P[li] += dram_w / len(dram_layers)
+    P[0] = compute_w
+    P[2::2] = [dram_w / dies] * dies
     return P
 
 
@@ -113,7 +125,7 @@ def regulate(cfg: ArchConfig, power_model) -> RegulationResult:
         freqs.append(freq)
     if freqs[-1] - FREQ_FLOOR_GHZ > 1e-12:
         freqs.append(FREQ_FLOOR_GHZ)
-    grid = build_matrices(cfg.thermal_stack)
+    grid = build_matrices(layer_column(cfg), cfg.thermal_stack)
     ambient = cfg.thermal_stack.ambient_c
     trace = []
     for freq in freqs:

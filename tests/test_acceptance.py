@@ -11,10 +11,8 @@ from importlib import resources
 
 import pytest
 
-import dataclasses
-
 from stacksim.arch import (
-    ArchConfig, ChannelSpec, CoreSpec, LayerSpec, LogicalBankSpec,
+    ArchConfig, ChannelSpec, CoreSpec, LogicalBankSpec,
     PhysicalBankSpec, StackDescription, load_arch,
 )
 from stacksim.dramsim import DramSystem, Request, stats as dram_stats
@@ -25,7 +23,7 @@ from stacksim.orchestrator import (
 )
 from stacksim.partition import CoreArray, build_collective, logical_to_physical, split_gemm
 from stacksim.sweep import apply_dimension, evaluate_point, sweep
-from stacksim.thermal import build_matrices, power_map, regulate
+from stacksim.thermal import build_matrices, layer_column, power_map, regulate
 from stacksim.tiler import autotune, build_op, tiling_candidates
 from stacksim.workloads import (
     DecodingScenario, PagedKvLayout, build_decoding_graph, gen_gemm_benchmark,
@@ -180,7 +178,7 @@ def test_c06_collective_volumes_exact():
 def _operator_power(cfg, grid, report):
     """(power per layer in W, seconds) of each operator of a decoding step:
     per-core compute and DRAM energy times the cores, plus a collective's
-    whole-plan NoC energy (on the logic layers), over the operator's
+    whole-plan NoC energy (on the logic die), over the operator's
     seconds at the nominal clock."""
     hz = cfg.core.frequency_ghz * 1e9
     out = []
@@ -205,7 +203,8 @@ def test_c07_thermal_solver_and_regulation():
     gaps = {}
     for name in ("default", "edge"):
         cfg = load_arch(str(resources.files("stacksim").joinpath(f"configs/{name}.yaml")))
-        grid = build_matrices(cfg.thermal_stack)
+        layers = layer_column(cfg)
+        grid = build_matrices(layers, cfg.thermal_stack)
         report = run(build_decoding_graph(model, DecodingScenario(batch=16, context=1024),
                                           cfg), cfg)
         segments = _operator_power(cfg, grid, report)
@@ -214,7 +213,8 @@ def test_c07_thermal_solver_and_regulation():
                    for i in range(grid.nodes)]
         T = grid.steady_state(average)
         steady_peak = max(T)
-        G, C = dense_conductance(cfg.thermal_stack), heat_capacities(cfg.thermal_stack)
+        G = dense_conductance(layers, cfg.thermal_stack)
+        C = heat_capacities(layers, cfg.thermal_stack)
         gap = 0.0
         for _ in range(3):
             for P, seconds in segments:
@@ -224,16 +224,22 @@ def test_c07_thermal_solver_and_regulation():
                     gap = max(gap, abs(max(T) - steady_peak))
         assert gap <= 0.05, (name, gap)
         gaps[name] = gap
-    # Regulation on a roughly 1 K/W two-layer stack: 70 W at the nominal
-    # clock exceeds the 85 C cap, so the governor steps the frequency down.
-    stack = StackDescription(
-        layers=(LayerSpec("logic", 100e-6, 120.0, power_layer=True),
-                LayerSpec("dram0", 50e-6, 120.0, power_layer=True)),
-        htc_w_m2k=10000.0, chip_area_m2=1e-4)
-    cfg = dataclasses.replace(ArchConfig(), thermal_stack=stack)
+    # Regulation on a one-die stack (logic 100 um, bond 5 um, DRAM die
+    # 50 um) over 100 mm^2: 70 W on the logic die at the nominal clock
+    # exceeds the 85 C cap, so the governor steps the frequency down. By
+    # hand, all the power crosses the logic die's upper half, the bond and
+    # the DRAM die, then the 10000 W/m^2K boundary:
+    #   r = (50/120 + 5/2 + 50/120) um/(W/mK) / 100 mm^2 + 1/(10000 * 1e-4)
+    #     = 0.0041667 + 0.025 + 0.0041667 + 1 = 1.0333 K/W,
+    # so T = 25 + 70 f r: 86.5 C at 0.85 GHz, 82.9 C at 0.80 GHz.
+    cfg = ArchConfig(lb=LogicalBankSpec(R=1),
+                     thermal_stack=StackDescription(htc_w_m2k=10000.0, chip_area_m2=1e-4))
+    r = (50e-6 / 120.0 + 5e-6 / 2.0 + 50e-6 / 120.0) / 1e-4 + 1.0 / (10000.0 * 1e-4)
     res = regulate(cfg, lambda f: (70.0 * f, 0.0))
     assert res.feasible and res.peak_temperature_c <= 85.0
-    assert res.frequency_ghz == pytest.approx(0.85)
+    assert res.frequency_ghz == pytest.approx(0.80)
+    assert [t for _, t in res.trace] == pytest.approx([25.0 + 70.0 * f * r
+                                                       for f, _ in res.trace])
     assert all(t > 85.0 for _, t in res.trace[:-1])
     print(f"\nPASS c07: decode transient peak within {gaps['default']:.4f} C "
           f"(default) and {gaps['edge']:.4f} C (edge) of the steady state; "

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from stacksim.arch import (
-    ArchConfig, ArchError, ChannelSpec, CoreSpec, LayerSpec, LogicalBankSpec,
+    ArchConfig, ArchError, ChannelSpec, CoreSpec, LogicalBankSpec,
     NocSpec, PhysicalBankSpec, _leaves, derived_metrics,
     matrix_flops_per_cycle, parse_arch, serialize, validate,
     vector_flops_per_cycle,
@@ -86,39 +86,34 @@ def test_unknown_field_rejected(tmp_path, capsys):
     assert err.startswith("error:") and "flit_bytes" in err
 
 
-def test_a_layer_heat_capacity_is_refused(tmp_path, capsys):
-    # The model is steady state, so a heat capacity would change nothing;
-    # older configs that give one get the unknown-field error.
+def test_an_old_config_with_thermal_layers_is_refused(tmp_path, capsys):
+    # The stack's layers follow from the die count `lb.R`; a config that
+    # still lists them gets the unknown-field error.
     path = tmp_path / "old.yaml"
     path.write_text(TABLE4_YAML + "thermal:\n  layers:\n"
                     "    - {name: logic, thickness_um: 100, conductivity_w_mk: 120.0, "
-                    "vol_heat_capacity_j_m3k: 1.6e+6, power_layer: true}\n"
+                    "power_layer: true}\n"
                     "    - {name: dram0, thickness_um: 50, conductivity_w_mk: 120.0}\n")
     assert main(["validate", "--config", str(path)]) == 2
     captured = capsys.readouterr()
-    assert captured.err == ("error: unknown field(s) in thermal.layers[]: "
-                            "['vol_heat_capacity_j_m3k']\n")
+    assert captured.err == "error: unknown field(s) in thermal: ['layers']\n"
     assert captured.out == ""
-    # Nor can a fourth positional value pass for `power_layer`.
-    with pytest.raises(TypeError):
-        LayerSpec("logic", 1e-4, 120.0, 1.6e6)
 
 
-def test_a_layer_missing_a_required_field_is_refused(tmp_path, capsys):
-    path = tmp_path / "short.yaml"
-    path.write_text(TABLE4_YAML + "thermal:\n  layers:\n"
-                    "    - {name: a}\n"
-                    "    - {name: b, thickness_um: 5, conductivity_w_mk: 1.0}\n")
+def test_a_die_count_past_its_range_is_refused(tmp_path, capsys):
+    # Each die adds two thermal layers, so the count is bounded.
+    path = tmp_path / "tall.yaml"
+    path.write_text(TABLE4_YAML.replace("R: 4,", "R: 1000000,"))
     assert main(["validate", "--config", str(path)]) == 2
     captured = capsys.readouterr()
-    assert captured.err == ("error: missing field(s): thermal.layers[].thickness_m, "
-                            "thermal.layers[].conductivity_w_mk\n")
+    assert captured.err == "error: lb.R must be in [1, 1024] (got 1000000)\n"
     assert captured.out == ""
-    # A field with a default may be left out, in a layer and in a section.
-    cfg = parse_arch(TABLE4_YAML + "thermal:\n  layers:\n"
-                     "    - {name: a, thickness_m: 1.0e-4, conductivity_w_mk: 120.0}\n"
-                     "    - {name: b, thickness_um: 5, conductivity_w_mk: 1.0}\n")
-    assert cfg.thermal_stack.layers == (LayerSpec("a", 1e-4, 120.0), LayerSpec("b", 5 * 1e-6, 1.0))
+
+
+def test_a_material_thickness_is_read_in_microns():
+    cfg = parse_arch(TABLE4_YAML + "thermal: {bond_thickness_um: 10, dram_conductivity_w_mk: 150}\n")
+    assert cfg.thermal_stack.bond_thickness_m == 10 * 1e-6
+    assert cfg.thermal_stack.dram_conductivity_w_mk == 150
 
 
 def test_schema_version_mismatch():
@@ -212,9 +207,6 @@ def _numeric_paths(obj, prefix=""):
         value = getattr(obj, f.name)
         if dataclasses.is_dataclass(value):
             yield from _numeric_paths(value, f"{prefix}{f.name}.")
-        elif isinstance(value, tuple):
-            for i, item in enumerate(value):
-                yield from _numeric_paths(item, f"{prefix}{f.name}[{i}].")
         elif type(value) in (int, float):
             yield prefix + f.name
 
@@ -224,13 +216,7 @@ def _set(obj, path: str, value):
     head, _, rest = path.partition(".")
     if not rest:
         return dataclasses.replace(obj, **{head: value})
-    name, _, index = head.rstrip("]").partition("[")
-    child = getattr(obj, name)
-    if index:
-        items = list(child)
-        items[int(index)] = _set(items[int(index)], rest, value)
-        return dataclasses.replace(obj, **{name: tuple(items)})
-    return dataclasses.replace(obj, **{name: _set(child, rest, value)})
+    return dataclasses.replace(obj, **{head: _set(getattr(obj, head), rest, value)})
 
 
 @pytest.mark.parametrize("field", ["router_delay_cycles", "link_delay_cycles"])
@@ -268,7 +254,7 @@ def test_validate_names_every_out_of_range_field(name):
     cfg = parse_arch(_shipped_text(name))
     paths = list(_numeric_paths(cfg))
     assert {"noc.input_queue_flits", "thermal_stack.ambient_c",
-            "thermal_stack.layers[8].thickness_m"} <= set(paths)
+            "thermal_stack.dram_thickness_m"} <= set(paths)
     for path in paths:
         for value in (0, -1, math.inf, math.nan):
             problems = validate(_set(cfg, path, value))
@@ -301,12 +287,15 @@ def _knob_variants(cfg: ArchConfig, prefix: str):
 @pytest.mark.parametrize("name", ["default", "edge"])
 def test_every_thermal_leaf_moves_regulation(name):
     # The thermal slice of a knob-influence test: every thermal field a
-    # config can set moves the regulated frequency or the peak temperature.
+    # config can set, and the die count `lb.R`, which sets the stack's
+    # height, moves the regulated frequency or the peak temperature.
     cfg = parse_arch(_shipped_text(name))
     before = _regulation(cfg)
     moved = set()
-    for path, factor, changed in _knob_variants(cfg, "thermal_stack."):
-        assert _regulation(changed) != before, (path, factor)
-        moved.add(path)
+    for prefix in ("thermal_stack.", "lb.R"):
+        for path, factor, changed in _knob_variants(cfg, prefix):
+            assert _regulation(changed) != before, (path, factor)
+            moved.add((path, factor))
     leaves = {path for path, _, _ in _leaves(cfg, "") if path.startswith("thermal_stack.")}
-    assert moved == leaves and len(leaves) == 3 + 2 * len(cfg.thermal_stack.layers)
+    assert len(leaves) == 9
+    assert moved == {(path, factor) for path in (*leaves, "lb.R") for factor in (2, 0.5)}

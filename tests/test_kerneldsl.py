@@ -419,6 +419,27 @@ def test_typecheck_counts_the_events_expand_builds():
                          dict(M=64, N=4, t=1)).events == 2080
 
 
+def test_typecheck_refuses_a_tile_extent_that_follows_a_loop_variable():
+    # Checked at the loop's first trip alone, X[0:i+1, 0:N] is one row and
+    # fits x; on the last trip it is 64 rows, 512 B moved into 8 B.
+    text = ("kernel k(M, N):\n"
+            "    X = tensor((M, N), fp16)\n"
+            "    x = alloc((1, N), fp16)\n"
+            "    for i in range(0, M, 1):\n"
+            "        copy(X[0:i+1, 0:N], x)\n")
+    with pytest.raises(TypecheckError, match=r"line 5: tile extent of 'X' follows a loop "
+                       r"variable: \(1, 4\) on the loop's first trip, \(64, 4\) on its last"):
+        typecheck(parse_kernel(text), CFG, dict(M=64, N=4))
+    # One trip has no last trip to differ: the tile is one row.
+    assert typecheck(parse_kernel(text), CFG, dict(M=1, N=4)).events == 1
+    # An outer loop moves it too, through an inner loop that does not.
+    nested = text.replace("        copy(X[0:i+1, 0:N], x)\n",
+                          "        for j in range(0, 2, 1):\n"
+                          "            copy(X[j:j+i+1, 0:N], x)\n")
+    with pytest.raises(TypecheckError, match="line 6: tile extent of 'X'"):
+        typecheck(parse_kernel(nested), CFG, dict(M=8, N=4))
+
+
 def test_expand_refuses_a_triangle_over_the_event_limit():
     # 2048 * 2049 / 2 = 2,098,176 events, past the limit; counted at the
     # outer loop's lower bound it would read 2048 and slip through.

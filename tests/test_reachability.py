@@ -98,7 +98,9 @@ def _runs(tmp: Path) -> list[tuple[list[str], int]]:
         (["simulate", "--model", "llama3.2-1b", "--layers", "1", "--regulate"], 0),
         (["sweep", "interleave_x", "3", "5", "--out", sweep_csv], 0),
         (["report", sweep_csv], 0),
-        # Refusals: ArchError, KernelSyntaxError (a statement outside the
+        # Refusals: ArchError (a section that is not a mapping, and a
+        # thermal layer list, which the die count `lb.R` replaced),
+        # KernelSyntaxError (a statement outside the
         # subset, and an expression too deep for Python's parser),
         # TypecheckError, TilerError, WorkloadError, and a SweepError, which
         # the sweep writes as an `invalid:` row.

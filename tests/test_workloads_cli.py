@@ -771,8 +771,7 @@ def test_cli_parse_and_simulate_refuse_the_same_bindings(capsys):
     ("io_pins: 1024", "io_pins: 1024.0"),
     ("link_latency_s: 1.0e-6", "link_latency_s: 1e-6"),  # YAML 1.1 reads a string
     ("htc_w_m2k: 10000.0", "htc_w_m2k: true"),
-    ("thermal:\n", "thermal:\n  layers:\n    - {name: die, thickness_um: 100, "
-     "conductivity_w_mk: 1.2e2}\n"),
+    ("thermal:\n", "thermal:\n  logic_conductivity_w_mk: 1.2e2\n"),
     ("sram_mb: 4", 'sram_mb: "4"'),
 ], ids=["str-int", "float-int", "float-int-pins", "str-float", "bool-float",
         "str-float-layer", "str-size"])
@@ -797,9 +796,6 @@ def test_cli_rejects_config_values_of_the_wrong_type(tmp_path, capsys, old, new,
     ("dram: 5\ncore: {}\n", "dram must be a mapping, got 5"),
     ("dram: {channel: 5}\ncore: {}\n", "dram.channel must be a mapping, got 5"),
     ("dram: {}\ncore: {}\nthermal: 5\n", "thermal must be a mapping, got 5"),
-    ("dram: {}\ncore: {}\nthermal: {layers: [5]}\n",
-     "thermal.layers[] must be a mapping, got 5"),
-    ("dram: {}\ncore: {}\nthermal: {layers: 5}\n", "thermal.layers must be a list, got 5"),
 ])
 def test_cli_rejects_config_sections_that_are_not_mappings(tmp_path, capsys, text, error):
     path = tmp_path / "sections.yaml"

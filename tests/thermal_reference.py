@@ -1,8 +1,9 @@
 """Dense-matrix reference for the layer-column thermal model (test-only numpy).
 
 Deliberately independent of the production solver: it assembles the full
-conductance matrix G straight from a `StackDescription`, one conductance
-stamp per interface as in nodal analysis, and solves G T = P (steady state)
+conductance matrix G straight from a layer list (bottom first, each with a
+`thickness_m` and a `conductivity_w_mk`) and the cooling of a
+`StackDescription`, one conductance stamp per interface as in nodal analysis, and solves G T = P (steady state)
 by Gaussian elimination in exact rational arithmetic. The stamps are exact
 sums of the float conductances, so the reference rounds only those
 conductances and its final result. Only the physics is shared: each layer's
@@ -26,18 +27,18 @@ SILICON_J_M3K = 1.6e6
 BOND_J_M3K = 1.8e6
 
 
-def half_slab_conductances(stack) -> list[float]:
+def half_slab_conductances(layers, stack) -> list[float]:
     """W/K of each layer's half-thickness slab over the chip area."""
     area = stack.chip_area_m2
     return [layer.conductivity_w_mk * area / (layer.thickness_m / 2)
-            for layer in stack.layers]
+            for layer in layers]
 
 
-def exact_conductance(stack) -> list[list[Fraction]]:
+def exact_conductance(layers, stack) -> list[list[Fraction]]:
     """G (W/K) of the column, stamped exactly, as rows of fractions."""
     area = stack.chip_area_m2
-    half = half_slab_conductances(stack)
-    n = len(stack.layers)
+    half = half_slab_conductances(layers, stack)
+    n = len(layers)
     G = [[Fraction(0)] * n for _ in range(n)]
     for i in range(n - 1):
         g = Fraction(1.0 / (1.0 / half[i] + 1.0 / half[i + 1]))
@@ -49,9 +50,9 @@ def exact_conductance(stack) -> list[list[Fraction]]:
     return G
 
 
-def dense_conductance(stack) -> np.ndarray:
+def dense_conductance(layers, stack) -> np.ndarray:
     """G: the exact stamps as a float matrix, each entry rounded once."""
-    return np.array(exact_conductance(stack), dtype=float)
+    return np.array(exact_conductance(layers, stack), dtype=float)
 
 
 def _solve(A, b) -> np.ndarray:
@@ -73,16 +74,17 @@ def _solve(A, b) -> np.ndarray:
     return np.array(x, dtype=float)
 
 
-def reference_steady_state(stack, P) -> np.ndarray:
-    return _solve(exact_conductance(stack), [Fraction(p) for p in P])
+def reference_steady_state(layers, stack, P) -> np.ndarray:
+    return _solve(exact_conductance(layers, stack), [Fraction(p) for p in P])
 
 
-def heat_capacities(stack) -> np.ndarray:
-    """C (J/K) of each layer: bonding layers (named `bond...`) at
-    `BOND_J_M3K`, every other layer at `SILICON_J_M3K`."""
-    return np.array([(BOND_J_M3K if layer.name.startswith("bond") else SILICON_J_M3K)
+def heat_capacities(layers, stack) -> np.ndarray:
+    """C (J/K) of each layer of a logic, (bond, DRAM) x R column: the bonds,
+    at the odd positions, at `BOND_J_M3K`, every other layer at
+    `SILICON_J_M3K`."""
+    return np.array([(BOND_J_M3K if i % 2 else SILICON_J_M3K)
                      * stack.chip_area_m2 * layer.thickness_m
-                     for layer in stack.layers])
+                     for i, layer in enumerate(layers)])
 
 
 def reference_step(G, C, T, P, dt: float) -> np.ndarray:
